@@ -147,7 +147,10 @@ func TestCompileCanonicalMatchesCompile(t *testing.T) {
 			}
 			passes.Canonicalize(canonical)
 			for _, pl := range gpu.Platforms() {
-				full := pl.Compile(canonical.Clone())
+				full, err := pl.Compile(canonical.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
 				skip := pl.CompileCanonical(canonical.Clone())
 				if !reflect.DeepEqual(full, skip) {
 					t.Fatalf("%s variant %s on %s: CompileCanonical differs from Compile\nfull: %+v\nskip: %+v",

@@ -112,14 +112,15 @@ func (pl *Platform) CompileSource(src string) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s driver: %w", pl.Vendor, err)
 	}
-	return pl.Compile(prog), nil
+	return pl.Compile(prog)
 }
 
 // Compile runs the vendor JIT on an already-lowered program, skipping the
 // driver front end — the entry point for callers that hold a compiled IR
 // handle. The driver pipeline transforms prog in place; pass a clone if
-// the program is shared.
-func (pl *Platform) Compile(prog *ir.Program) *Compiled {
+// the program is shared. The error reports a failed ingestion round trip
+// (see Platform.Ingest).
+func (pl *Platform) Compile(prog *ir.Program) (*Compiled, error) {
 	// Driver-internal pipeline. Every driver folds constants and cleans up
 	// (canonicalize); the rest is vendor-specific.
 	passes.Canonicalize(prog)
@@ -134,34 +135,45 @@ func (pl *Platform) Compile(prog *ir.Program) *Compiled {
 // verification sweep runs once per distinct program instead of once per
 // platform. For input of unknown provenance use Compile. Transforms prog
 // in place; pass a clone if the program is shared.
+//
+// CompileCanonical panics if the ingestion round trip fails, which for
+// GLSL ingestion (the identity) it never does; callers compiling for a
+// translating platform use CompileCanonicalT, which returns the error.
 func (pl *Platform) CompileCanonical(prog *ir.Program) *Compiled {
-	return pl.CompileCanonicalT(nil, prog)
+	c, err := pl.CompileCanonicalT(nil, prog)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // CompileCanonicalT is CompileCanonical with a telemetry registry
-// threaded in: the vendor pipeline records a per-vendor "compile
-// <vendor>" span, the gpu.compiles counters, and its wall-clock duration
-// in the gpu.compile histogram (whose sum is a sweep's total driver-
-// compile time). A nil registry records nothing; instrumentation never
-// changes the compile.
-func (pl *Platform) CompileCanonicalT(reg *telemetry.Registry, prog *ir.Program) *Compiled {
+// threaded in and the ingestion error returned: the vendor pipeline
+// records a per-vendor "compile <vendor>" span, the gpu.compiles
+// counters, and its wall-clock duration in the gpu.compile histogram
+// (whose sum is a sweep's total driver-compile time). A nil registry
+// records nothing; instrumentation never changes the compile.
+func (pl *Platform) CompileCanonicalT(reg *telemetry.Registry, prog *ir.Program) (*Compiled, error) {
 	if reg == nil {
 		return pl.compileCanonical(prog)
 	}
 	span := reg.StartSpan("compile "+pl.Vendor, "gpu")
 	start := time.Now()
-	c := pl.compileCanonical(prog)
+	c, err := pl.compileCanonical(prog)
 	reg.Histogram("gpu.compile").Observe(time.Since(start))
 	reg.Counter("gpu.compiles").Inc()
 	reg.Counter("gpu.compiles." + pl.Vendor).Inc()
 	span.End()
-	return c
+	return c, err
 }
 
 // compileCanonical is the vendor-specific tail of the driver pipeline:
 // everything after the opening canonicalization.
-func (pl *Platform) compileCanonical(prog *ir.Program) *Compiled {
-	prog = pl.ingest(prog)
+func (pl *Platform) compileCanonical(prog *ir.Program) (*Compiled, error) {
+	prog, err := pl.ingest(prog)
+	if err != nil {
+		return nil, err
+	}
 	d := pl.Driver
 	if d.UnrollMaxTrips > 0 {
 		maxInstrs := d.UnrollMaxInstrs
@@ -199,7 +211,7 @@ func (pl *Platform) compileCanonical(prog *ir.Program) *Compiled {
 	stats := isa.Analyze(prog, pl.ISA)
 	c := &Compiled{Platform: pl, Stats: stats}
 	pl.Cost.fill(c)
-	return c
+	return c, nil
 }
 
 // ingest passes the program through the platform's preferred ingestion
@@ -211,19 +223,20 @@ func (pl *Platform) compileCanonical(prog *ir.Program) *Compiled {
 // and the session compile cache all reach compileCanonical — so the
 // harness-equivalence suite holds without per-path wiring.
 //
-// A reingest failure panics: the backends are total over the verified IR
-// subset (pinned corpus-wide by the backend-differential suite), so a
-// failure here is an emitter or front-end bug, not an input condition a
-// caller could handle.
-func (pl *Platform) ingest(prog *ir.Program) *ir.Program {
+// A failed round trip is returned, not panicked: the backends are total
+// over the verified IR subset the corpus exercises (pinned by the
+// backend-differential suite), but a sweep service compiles whatever a
+// client uploads, and one shader outside that subset must fail its own
+// measurement, not the process.
+func (pl *Platform) ingest(prog *ir.Program) (*ir.Program, error) {
 	re, err := crossc.Reingest(prog, pl.Vendor, pl.Ingest)
 	if err != nil {
-		panic(fmt.Sprintf("gpu: %s driver ingest (%s): %v", pl.Vendor, pl.Ingest, err))
+		return nil, fmt.Errorf("%s driver ingest (%s): %w", pl.Vendor, pl.Ingest, err)
 	}
 	if re != prog {
 		passes.Canonicalize(re)
 	}
-	return re
+	return re, nil
 }
 
 // DrawNS returns the modelled true (noise-free) GPU time for one draw call

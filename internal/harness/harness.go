@@ -123,7 +123,11 @@ func MeasureProgram(pl *gpu.Platform, prog *ir.Program, srcForSeed string, cfg C
 			return nil, err
 		}
 	} else {
-		compiled = pl.Compile(prog)
+		var err error
+		compiled, err = pl.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
 	}
 	return MeasureCompiled(pl, compiled, srcForSeed, cfg), nil
 }

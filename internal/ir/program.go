@@ -78,6 +78,13 @@ func (p *Program) RenumberIDs() {
 // an operand anywhere in the program (loop bounds included).
 func (p *Program) UseCounts() map[*Instr]int {
 	uses := make(map[*Instr]int)
+	p.CountUses(uses)
+	return uses
+}
+
+// CountUses adds UseCounts' per-instruction counts into uses, so a caller
+// that counts repeatedly can reuse one cleared map.
+func (p *Program) CountUses(uses map[*Instr]int) {
 	var walk func(b *Block)
 	walk = func(b *Block) {
 		for _, it := range b.Items {
@@ -105,7 +112,6 @@ func (p *Program) UseCounts() map[*Instr]int {
 		}
 	}
 	walk(p.Body)
-	return uses
 }
 
 // Verify checks structural invariants:

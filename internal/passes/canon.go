@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -17,22 +16,42 @@ import (
 // enabled for every flag combination ("some were necessary passes to
 // canonicalize instructions", §III-A); all measurements are relative to
 // output that has been through this pipeline.
+//
+// Each fixed-point round does work linear in the program size, because
+// no sub-pass rewrites uses eagerly. Folding, load forwarding and CSE
+// record a replacement old → new in a forwarding table, and the walk
+// resolves each instruction's operands through the table when it reaches
+// the instruction. That is exact because the replaced instruction is
+// always the one being visited: every use of it lies later in program
+// order, so the walk resolves it before looking at it. Region headers
+// (If.Cond, Loop bounds, While.CondVal), which no sub-pass inspects, are
+// resolved together with every operand in one walk at the end of the
+// sub-pass. Dead code goes in one use count plus a worklist that
+// decrements operand counts as instructions die; removal only lowers
+// counts, so this reaches the same fixed point as re-counting until
+// nothing changes. The tables live in one scratch value (a rewriter)
+// reused, cleared rather than reallocated, for the whole call.
 func Canonicalize(p *ir.Program) {
+	s := newRewriter()
 	for i := 0; i < 16; i++ {
 		changed := false
-		if foldBlock(p, p.Body) {
+		if foldBlock(p, s, p.Body) {
 			changed = true
 		}
-		if forwardLoads(p, p.Body, map[*ir.Var]*ir.Instr{}) {
+		s.flush(p)
+		s.facts.reset()
+		if forwardLoads(s, p.Body) {
 			changed = true
 		}
-		if localCSE(p) {
+		s.flush(p)
+		if localCSE(p, s) {
 			changed = true
 		}
-		if removeDeadStores(p) {
+		s.flush(p)
+		if removeDeadStores(p, s) {
 			changed = true
 		}
-		if trivialDCE(p) {
+		if s.dce(p) {
 			changed = true
 		}
 		if simplifyRegions(p) {
@@ -45,37 +64,170 @@ func Canonicalize(p *ir.Program) {
 	p.RenumberIDs()
 }
 
+// rewriter is the scratch state of one Canonicalize call (and of the
+// flagged passes that share its sub-passes): the pending-replacement
+// forwarding table, pending insertions, the value-numbering tables, the
+// loaded-variable set, and the dead-code use counts and worklist. A call
+// allocates one and clears its tables between sub-passes, so the fixed
+// point's rounds reuse them rather than allocating their own.
+type rewriter struct {
+	fwd     map[*ir.Instr]*ir.Instr
+	inserts []insertion
+	facts   loadFacts
+	cse     *valueTable
+	scopes  []*valueTable // GVN's enclosing-scope tables, by depth
+	loaded  map[*ir.Var]bool
+	uses    map[*ir.Instr]int
+	work    []*ir.Instr
+}
+
+// insertion is a pending insertBefore: items go immediately before the
+// instruction before, in its block.
+type insertion struct {
+	before *ir.Instr
+	items  []*ir.Instr
+}
+
+func newRewriter() *rewriter {
+	return &rewriter{
+		fwd:    map[*ir.Instr]*ir.Instr{},
+		facts:  loadFacts{known: map[*ir.Var]*ir.Instr{}},
+		cse:    newValueTable(),
+		loaded: map[*ir.Var]bool{},
+		uses:   map[*ir.Instr]int{},
+	}
+}
+
+// replace records that every use of old reads new instead. The caller is
+// visiting old, so every use still lies ahead of the walk.
+func (s *rewriter) replace(old, new *ir.Instr) {
+	s.fwd[old] = new
+}
+
+// resolve follows the forwarding chain from in to the value that
+// finally replaces it (in itself when it was never replaced).
+func (s *rewriter) resolve(in *ir.Instr) *ir.Instr {
+	for {
+		next, ok := s.fwd[in]
+		if !ok {
+			return in
+		}
+		in = next
+	}
+}
+
+// resolveArgs rewrites in's operands to their final replacements.
+func (s *rewriter) resolveArgs(in *ir.Instr) {
+	if len(s.fwd) == 0 {
+		return
+	}
+	for i, a := range in.Args {
+		in.Args[i] = s.resolve(a)
+	}
+}
+
+// flush applies every pending replacement to the whole program — all
+// operands and region headers — in one walk, then empties the table.
+func (s *rewriter) flush(p *ir.Program) {
+	if len(s.fwd) == 0 {
+		return
+	}
+	var walk func(b *ir.Block)
+	walk = func(b *ir.Block) {
+		for _, it := range b.Items {
+			switch it := it.(type) {
+			case *ir.Instr:
+				s.resolveArgs(it)
+			case *ir.If:
+				it.Cond = s.resolve(it.Cond)
+				walk(it.Then)
+				if it.Else != nil {
+					walk(it.Else)
+				}
+			case *ir.Loop:
+				it.Start = s.resolve(it.Start)
+				it.End = s.resolve(it.End)
+				it.Step = s.resolve(it.Step)
+				walk(it.Body)
+			case *ir.While:
+				walk(it.Cond)
+				it.CondVal = s.resolve(it.CondVal)
+				walk(it.Body)
+			}
+		}
+	}
+	walk(p.Body)
+	clear(s.fwd)
+}
+
 // --- constant folding & instruction simplification ---
 
-func foldBlock(p *ir.Program, b *ir.Block) bool {
+// foldBlock folds every instruction of the block tree in program order.
+// Replacements go to s; the caller flushes them.
+func foldBlock(p *ir.Program, s *rewriter, b *ir.Block) bool {
+	mark := len(s.inserts)
 	changed := false
 	for _, it := range b.Items {
 		switch it := it.(type) {
 		case *ir.Instr:
-			if foldInstr(p, it) {
+			s.resolveArgs(it)
+			if foldInstr(p, s, it) {
 				changed = true
 			}
 		case *ir.If:
-			if foldBlock(p, it.Then) {
+			if foldBlock(p, s, it.Then) {
 				changed = true
 			}
-			if it.Else != nil && foldBlock(p, it.Else) {
+			if it.Else != nil && foldBlock(p, s, it.Else) {
 				changed = true
 			}
 		case *ir.Loop:
-			if foldBlock(p, it.Body) {
+			if foldBlock(p, s, it.Body) {
 				changed = true
 			}
 		case *ir.While:
-			if foldBlock(p, it.Cond) {
+			if foldBlock(p, s, it.Cond) {
 				changed = true
 			}
-			if foldBlock(p, it.Body) {
+			if foldBlock(p, s, it.Body) {
 				changed = true
 			}
 		}
 	}
+	if len(s.inserts) > mark {
+		b.Items = spliceInserts(b.Items, s.inserts[mark:])
+		clear(s.inserts[mark:])
+		s.inserts = s.inserts[:mark]
+	}
 	return changed
+}
+
+// insertBefore records that items go immediately before in, which the
+// folding walk is visiting. The walk splices them into in's block once
+// it has finished the block — as if inserted at once, since the walk
+// never visits instructions inserted behind it.
+func (s *rewriter) insertBefore(in *ir.Instr, items ...*ir.Instr) {
+	s.inserts = append(s.inserts, insertion{before: in, items: items})
+}
+
+// spliceInserts returns items with each insertion placed before its
+// instruction. ins is in item order.
+func spliceInserts(items []ir.Item, ins []insertion) []ir.Item {
+	n := len(items)
+	for _, x := range ins {
+		n += len(x.items)
+	}
+	out := make([]ir.Item, 0, n)
+	for _, it := range items {
+		if len(ins) > 0 && it == ir.Item(ins[0].before) {
+			for _, ni := range ins[0].items {
+				out = append(out, ni)
+			}
+			ins = ins[1:]
+		}
+		out = append(out, it)
+	}
+	return out
 }
 
 func allConst(args []*ir.Instr) bool {
@@ -95,9 +247,10 @@ func constArgs(args []*ir.Instr) []*ir.ConstVal {
 	return out
 }
 
-// foldInstr folds or simplifies one instruction in place. It returns true
-// when something changed.
-func foldInstr(p *ir.Program, in *ir.Instr) bool {
+// foldInstr folds or simplifies one instruction in place, recording a
+// replacement of in itself in s. in's operands must already be resolved.
+// It returns true when something changed.
+func foldInstr(p *ir.Program, s *rewriter, in *ir.Instr) bool {
 	switch in.Op {
 	case ir.OpBin:
 		// Canonical commutative order: constant second, else lower ID first.
@@ -126,7 +279,7 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 		}
 		// Double negation.
 		if a := in.Args[0]; a.Op == ir.OpUn && a.UnOp == in.UnOp {
-			replaceUses(p, in, a.Args[0])
+			s.replace(in, a.Args[0])
 			return true
 		}
 	case ir.OpCall:
@@ -143,7 +296,7 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 		}
 		// construct T(x) where x already has type T is a copy.
 		if len(in.Args) == 1 && in.Args[0].Type.Equal(in.Type) {
-			replaceUses(p, in, in.Args[0])
+			s.replace(in, in.Args[0])
 			return true
 		}
 		// Reconstruction of a whole vector from its own components in
@@ -151,7 +304,7 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 		if in.Type.IsVector() && len(in.Args) == in.Type.Vec {
 			src := reconstructSource(in)
 			if src != nil {
-				replaceUses(p, in, src)
+				s.replace(in, src)
 				return true
 			}
 		}
@@ -164,7 +317,7 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 		case src.Op == ir.OpConstruct:
 			// Map the component through the construct operands.
 			if arg, off, exact := constructComponent(src, in.Index, elemWidth(src.Type)); exact {
-				replaceUses(p, in, arg)
+				s.replace(in, arg)
 				return true
 			} else if arg != nil && arg.Type.IsVector() && elemWidth(src.Type) == 1 {
 				in.Args[0] = arg
@@ -178,7 +331,7 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 		case src.Op == ir.OpInsert:
 			if src.Index == in.Index {
 				if src.Args[1].Type.Equal(in.Type) {
-					replaceUses(p, in, src.Args[1])
+					s.replace(in, src.Args[1])
 					return true
 				}
 			} else {
@@ -189,7 +342,7 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 			// extract(select(c, k1, k2)) -> select(c, k1[i], k2[i])
 			a := newConst(p, in.Type, ir.EvalExtract(src.Type, src.Args[1].Const, in.Index))
 			bc := newConst(p, in.Type, ir.EvalExtract(src.Type, src.Args[2].Const, in.Index))
-			insertBefore(p.Body, in, a, bc)
+			s.insertBefore(in, a, bc)
 			in.Op = ir.OpSelect
 			in.Args = []*ir.Instr{src.Args[0], a, bc}
 			in.Index = 0
@@ -249,21 +402,21 @@ func foldInstr(p *ir.Program, in *ir.Instr) bool {
 				}
 			}
 			if id {
-				replaceUses(p, in, src)
+				s.replace(in, src)
 				return true
 			}
 		}
 	case ir.OpSelect:
 		if in.Args[0].Op == ir.OpConst {
 			if in.Args[0].Const.B[0] {
-				replaceUses(p, in, in.Args[1])
+				s.replace(in, in.Args[1])
 			} else {
-				replaceUses(p, in, in.Args[2])
+				s.replace(in, in.Args[2])
 			}
 			return true
 		}
 		if in.Args[1] == in.Args[2] {
-			replaceUses(p, in, in.Args[1])
+			s.replace(in, in.Args[1])
 			return true
 		}
 	}
@@ -381,261 +534,434 @@ func tryInsertBefore(b *ir.Block, target *ir.Instr, newItems []*ir.Instr) bool {
 
 // forwardLoads replaces loads with the most recent stored value when that
 // value is known on every path, walking the region tree with appropriate
-// invalidation.
-func forwardLoads(p *ir.Program, b *ir.Block, known map[*ir.Var]*ir.Instr) bool {
+// invalidation. Replacements go to s; the caller flushes them. What a
+// region learns is private to it: the walk rolls s.facts back to the
+// region's entry instead of handing each region a copy.
+func forwardLoads(s *rewriter, b *ir.Block) bool {
+	f := &s.facts
 	changed := false
 	for _, item := range b.Items {
 		switch item := item.(type) {
 		case *ir.Instr:
 			switch item.Op {
 			case ir.OpLoad:
-				if v, ok := known[item.Var]; ok && v != nil {
-					replaceUses(p, item, v)
+				if v, ok := f.known[item.Var]; ok && v != nil {
+					s.replace(item, v)
 					changed = true
 				}
 			case ir.OpStore:
-				known[item.Var] = item.Args[0]
+				s.resolveArgs(item)
+				f.set(item.Var, item.Args[0])
 			}
 		case *ir.If:
-			thenKnown := copyMap(known)
-			if forwardLoads(p, item.Then, thenKnown) {
+			entry := f.mark()
+			if forwardLoads(s, item.Then) {
 				changed = true
 			}
+			f.rollback(entry)
 			if item.Else != nil {
-				elseKnown := copyMap(known)
-				if forwardLoads(p, item.Else, elseKnown) {
+				if forwardLoads(s, item.Else) {
 					changed = true
 				}
+				f.rollback(entry)
+				f.forgetStores(item.Else)
 			}
-			for v := range storedVars(item.Then) {
-				delete(known, v)
-			}
-			if item.Else != nil {
-				for v := range storedVars(item.Else) {
-					delete(known, v)
-				}
-			}
+			f.forgetStores(item.Then)
 		case *ir.Loop:
-			bodyStores := storedVars(item.Body)
-			bodyKnown := copyMap(known)
-			delete(bodyKnown, item.Counter)
-			for v := range bodyStores {
-				delete(bodyKnown, v)
-			}
-			if forwardLoads(p, item.Body, bodyKnown) {
+			entry := f.mark()
+			f.forgetStores(item.Body)
+			f.forget(item.Counter)
+			if forwardLoads(s, item.Body) {
 				changed = true
 			}
-			for v := range bodyStores {
-				delete(known, v)
-			}
-			delete(known, item.Counter)
+			f.rollback(entry)
+			f.forgetStores(item.Body)
+			f.forget(item.Counter)
 		case *ir.While:
-			stores := storedVars(item.Body)
-			for v := range storedVars(item.Cond) {
-				stores[v] = true
-			}
-			innerKnown := copyMap(known)
-			for v := range stores {
-				delete(innerKnown, v)
-			}
-			if forwardLoads(p, item.Cond, copyMap(innerKnown)) {
+			entry := f.mark()
+			f.forgetStores(item.Cond)
+			f.forgetStores(item.Body)
+			inner := f.mark()
+			if forwardLoads(s, item.Cond) {
 				changed = true
 			}
-			if forwardLoads(p, item.Body, innerKnown) {
+			f.rollback(inner)
+			if forwardLoads(s, item.Body) {
 				changed = true
 			}
-			for v := range stores {
-				delete(known, v)
-			}
+			f.rollback(entry)
+			f.forgetStores(item.Cond)
+			f.forgetStores(item.Body)
 		}
 	}
 	return changed
 }
 
-func copyMap(m map[*ir.Var]*ir.Instr) map[*ir.Var]*ir.Instr {
-	out := make(map[*ir.Var]*ir.Instr, len(m))
-	for k, v := range m {
-		out[k] = v
+// loadFacts is forwardLoads' knowledge of the value each variable holds,
+// with an undo journal: rollback(mark()) restores the facts as they were
+// at the mark.
+type loadFacts struct {
+	known map[*ir.Var]*ir.Instr
+	undo  []varFact
+}
+
+// varFact is one journalled prior state: v held val (had) or nothing.
+type varFact struct {
+	v   *ir.Var
+	val *ir.Instr
+	had bool
+}
+
+func (f *loadFacts) reset() {
+	clear(f.known)
+	clear(f.undo)
+	f.undo = f.undo[:0]
+}
+
+func (f *loadFacts) set(v *ir.Var, val *ir.Instr) {
+	old, had := f.known[v]
+	f.undo = append(f.undo, varFact{v, old, had})
+	f.known[v] = val
+}
+
+func (f *loadFacts) forget(v *ir.Var) {
+	if old, had := f.known[v]; had {
+		f.undo = append(f.undo, varFact{v, old, true})
+		delete(f.known, v)
 	}
-	return out
+}
+
+// forgetStores forgets every variable the block tree may write, loop
+// counters included.
+func (f *loadFacts) forgetStores(b *ir.Block) {
+	for _, it := range b.Items {
+		switch it := it.(type) {
+		case *ir.Instr:
+			if it.Op == ir.OpStore {
+				f.forget(it.Var)
+			}
+		case *ir.If:
+			f.forgetStores(it.Then)
+			if it.Else != nil {
+				f.forgetStores(it.Else)
+			}
+		case *ir.Loop:
+			f.forget(it.Counter)
+			f.forgetStores(it.Body)
+		case *ir.While:
+			f.forgetStores(it.Cond)
+			f.forgetStores(it.Body)
+		}
+	}
+}
+
+func (f *loadFacts) mark() int { return len(f.undo) }
+
+func (f *loadFacts) rollback(mark int) {
+	for len(f.undo) > mark {
+		x := f.undo[len(f.undo)-1]
+		f.undo = f.undo[:len(f.undo)-1]
+		if x.had {
+			f.known[x.v] = x.val
+		} else {
+			delete(f.known, x.v)
+		}
+	}
 }
 
 // --- local CSE ---
 
 // localCSE merges identical pure instructions within each straight-line
 // block (the always-on subset of value numbering; the GVN flag extends it
-// across nested regions).
-func localCSE(p *ir.Program) bool {
+// across nested regions). Replacements go to s; the caller flushes them.
+// Blocks are visited pre-order, so every operand defined in an enclosing
+// block has been resolved before a nested block reads it.
+func localCSE(p *ir.Program, s *rewriter) bool {
 	changed := false
 	p.Body.WalkBlocks(func(b *ir.Block) {
-		seen := map[vnKey]*ir.Instr{}
+		s.cse.reset()
 		for _, it := range b.Items {
 			in, ok := it.(*ir.Instr)
 			if !ok || !in.IsPure() || !in.HasResult() {
 				continue
 			}
-			key := instrKey(in)
-			if prev, dup := seen[key]; dup {
-				replaceUses(p, in, prev)
+			s.resolveArgs(in)
+			h := valueHash(in)
+			if prev := s.cse.find(in, h); prev != nil {
+				s.replace(in, prev)
 				changed = true
 			} else {
-				seen[key] = in
+				s.cse.add(in, h)
 			}
 		}
 	})
 	return changed
 }
 
-// vnKey is the structural value-numbering key: two pure instructions with
-// equal keys compute the same value. It is a comparable struct rather
-// than a formatted string because key construction sits on the hottest
-// path of the study (256 canonicalizations per shader enumeration).
-type vnKey struct {
-	op     ir.Op
-	typ    sem.Type
-	binUn  string
-	callee string
-	index  int
-	global *ir.Global
-	// extra packs the variable-length fields (swizzle indices, constant
-	// payload, operand IDs) as length-prefixed varints, so distinct field
-	// combinations can never collide.
-	extra string
+// valueTable maps each pure instruction added to it by the value it
+// computes, for local CSE and GVN. Instructions are bucketed by
+// valueHash and matched by sameValue, so a lookup allocates nothing and a
+// hash collision can never merge two different values. Value numbering
+// runs on every canonicalization round of every enumeration step, so the
+// table is reset and reused rather than rebuilt.
+type valueTable struct {
+	first    map[uint64]*ir.Instr // first instruction added per hash
+	collided []*ir.Instr          // later ones whose hash was taken
+	added    []uint64             // keys of first, for a reset in O(entries)
 }
 
-// instrKey builds the structural key for value numbering.
-func instrKey(in *ir.Instr) vnKey {
-	k := vnKey{
-		op:     in.Op,
-		typ:    in.Type,
-		binUn:  in.BinOp + in.UnOp,
-		callee: in.Callee,
-		index:  in.Index,
-		global: in.Global,
+func newValueTable() *valueTable {
+	return &valueTable{first: map[uint64]*ir.Instr{}}
+}
+
+func (t *valueTable) reset() {
+	for _, h := range t.added {
+		delete(t.first, h)
 	}
-	buf := make([]byte, 0, 32)
-	buf = binary.AppendUvarint(buf, uint64(len(in.Indices)))
+	t.added = t.added[:0]
+	clear(t.collided)
+	t.collided = t.collided[:0]
+}
+
+// find returns the instruction in the table computing the same value as
+// in, whose valueHash is h, or nil.
+func (t *valueTable) find(in *ir.Instr, h uint64) *ir.Instr {
+	if prev, ok := t.first[h]; ok && sameValue(prev, in) {
+		return prev
+	}
+	for _, prev := range t.collided {
+		if sameValue(prev, in) {
+			return prev
+		}
+	}
+	return nil
+}
+
+// add records in, whose valueHash is h and which find did not match.
+func (t *valueTable) add(in *ir.Instr, h uint64) {
+	if _, taken := t.first[h]; taken {
+		t.collided = append(t.collided, in)
+		return
+	}
+	t.first[h] = in
+	t.added = append(t.added, h)
+}
+
+// sameValue reports whether two pure instructions compute the same value:
+// same opcode, result type and attributes, bit-identical constant
+// payload, and the same operands.
+func sameValue(a, b *ir.Instr) bool {
+	if a.Op != b.Op || a.Type != b.Type || a.BinOp != b.BinOp || a.UnOp != b.UnOp ||
+		a.Callee != b.Callee || a.Index != b.Index || a.Global != b.Global ||
+		len(a.Indices) != len(b.Indices) || len(a.Args) != len(b.Args) ||
+		!sameConst(a.Const, b.Const) {
+		return false
+	}
+	for i, ix := range a.Indices {
+		if b.Indices[i] != ix {
+			return false
+		}
+	}
+	for i, x := range a.Args {
+		if b.Args[i] != x {
+			return false
+		}
+	}
+	return true
+}
+
+func sameConst(a, b *ir.ConstVal) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if len(a.F) != len(b.F) || len(a.I) != len(b.I) || len(a.B) != len(b.B) {
+		return false
+	}
+	for i, f := range a.F {
+		if math.Float64bits(b.F[i]) != math.Float64bits(f) {
+			return false
+		}
+	}
+	for i, v := range a.I {
+		if b.I[i] != v {
+			return false
+		}
+	}
+	for i, v := range a.B {
+		if b.B[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// valueHash hashes the fields sameValue compares (operands by ID, the
+// global by name), so instructions with the same value hash equal.
+func valueHash(in *ir.Instr) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	word := func(v uint64) {
+		h = (h ^ v) * 1099511628211
+	}
+	str := func(s string) {
+		for i := 0; i < len(s); i++ {
+			word(uint64(s[i]))
+		}
+		word(uint64(len(s)))
+	}
+	t := in.Type
+	word(uint64(in.Op))
+	word(uint64(t.Kind) | uint64(t.Vec)<<8 | uint64(t.Mat)<<16 | uint64(t.ArrayLen)<<24)
+	str(t.Dim)
+	str(in.BinOp)
+	str(in.UnOp)
+	str(in.Callee)
+	word(uint64(in.Index))
+	if in.Global != nil {
+		str(in.Global.Name)
+	}
 	for _, ix := range in.Indices {
-		buf = binary.AppendVarint(buf, int64(ix))
+		word(uint64(ix))
 	}
 	if c := in.Const; c != nil {
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(c.F)))
 		for _, f := range c.F {
-			buf = binary.AppendUvarint(buf, math.Float64bits(f))
+			word(math.Float64bits(f))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(c.I)))
 		for _, v := range c.I {
-			buf = binary.AppendVarint(buf, v)
+			word(uint64(v))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(c.B)))
 		for _, v := range c.B {
 			if v {
-				buf = append(buf, 1)
+				word(1)
 			} else {
-				buf = append(buf, 0)
+				word(2)
 			}
 		}
-	} else {
-		buf = append(buf, 0)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(in.Args)))
 	for _, a := range in.Args {
-		buf = binary.AppendVarint(buf, int64(a.ID))
+		word(uint64(a.ID))
 	}
-	k.extra = string(buf)
-	return k
+	return h
 }
 
 // --- dead store & dead code elimination ---
 
 // removeDeadStores drops stores to non-output vars that are never loaded,
 // and stores immediately overwritten within the same block.
-func removeDeadStores(p *ir.Program) bool {
-	loaded := loadedVars(p.Body)
+func removeDeadStores(p *ir.Program, s *rewriter) bool {
+	clear(s.loaded)
+	p.Body.WalkInstrs(func(in *ir.Instr) {
+		if in.Op == ir.OpLoad {
+			s.loaded[in.Var] = true
+		}
+	})
 	changed := false
 	p.Body.WalkBlocks(func(b *ir.Block) {
-		var out []ir.Item
-		for i, it := range b.Items {
+		b.Items = filterItems(b.Items, func(i int, it ir.Item) bool {
 			in, ok := it.(*ir.Instr)
 			if !ok || in.Op != ir.OpStore {
-				out = append(out, it)
-				continue
+				return false
 			}
-			if !in.Var.IsOutput && !loaded[in.Var] {
+			if !in.Var.IsOutput && !s.loaded[in.Var] {
 				changed = true
-				continue
+				return true
 			}
 			// Overwritten before any possible read: scan forward within the
 			// block for a store to the same var with no load of it or
 			// region in between.
-			dead := false
 			for j := i + 1; j < len(b.Items); j++ {
 				next, ok := b.Items[j].(*ir.Instr)
 				if !ok {
-					break // region: anything may read
+					return false // region: anything may read
 				}
 				if next.Op == ir.OpLoad && next.Var == in.Var {
-					break
+					return false
 				}
 				if next.Op == ir.OpDiscard {
-					break
+					return false
 				}
 				if next.Op == ir.OpStore && next.Var == in.Var {
-					dead = true
-					break
+					changed = true
+					return true
 				}
 			}
-			if dead {
-				changed = true
-				continue
-			}
-			out = append(out, it)
-		}
-		b.Items = out
+			return false
+		})
 	})
 	return changed
 }
 
-// trivialDCE removes pure instructions with no uses, iterating to a fixed
+// filterItems returns items without those drop reports, in order; drop
+// sees every item once, in order. When nothing is dropped it returns
+// items itself; otherwise the survivors go to a fresh slice, so a backing
+// array another block may share is never written.
+func filterItems(items []ir.Item, drop func(i int, it ir.Item) bool) []ir.Item {
+	var out []ir.Item
+	for i, it := range items {
+		if drop(i, it) {
+			if out == nil {
+				out = make([]ir.Item, i, len(items)-1)
+				copy(out, items[:i])
+			}
+			continue
+		}
+		if out != nil {
+			out = append(out, it)
+		}
+	}
+	if out == nil {
+		return items
+	}
+	return out
+}
+
+// trivialDCE removes pure instructions and loads with no uses, to a fixed
 // point (LLVM's isTriviallyDead loop — always on, which is why the ADCE
 // flag never changes the output in practice, §VI-D1).
 func trivialDCE(p *ir.Program) bool {
-	changed := false
-	for {
-		uses := p.UseCounts()
-		removed := false
-		p.Body.WalkBlocks(func(b *ir.Block) {
-			var out []ir.Item
-			for _, it := range b.Items {
-				if in, ok := it.(*ir.Instr); ok && in.IsPure() && in.HasResult() && uses[in] == 0 {
-					removed = true
-					continue
-				}
-				out = append(out, it)
-			}
-			b.Items = out
-		})
-		// Loads with no uses are also trivially dead (reads have no side
-		// effects).
-		usesAfter := p.UseCounts()
-		p.Body.WalkBlocks(func(b *ir.Block) {
-			var out []ir.Item
-			for _, it := range b.Items {
-				if in, ok := it.(*ir.Instr); ok && in.Op == ir.OpLoad && usesAfter[in] == 0 {
-					removed = true
-					continue
-				}
-				out = append(out, it)
-			}
-			b.Items = out
-		})
-		if !removed {
-			break
+	return newRewriter().dce(p)
+}
+
+// dce is trivialDCE on s's scratch tables: one use count, then a worklist
+// that retires each dead instruction's operand uses, so an operand whose
+// count reaches zero dies in the same call. Removal only ever lowers
+// counts, so this reaches the same fixed point as re-counting after every
+// sweep.
+func (s *rewriter) dce(p *ir.Program) bool {
+	clear(s.uses)
+	p.CountUses(s.uses)
+	s.work = s.work[:0]
+	p.Body.WalkInstrs(func(in *ir.Instr) {
+		if triviallyDead(in) && s.uses[in] == 0 {
+			s.work = append(s.work, in)
 		}
-		changed = true
+	})
+	if len(s.work) == 0 {
+		return false
 	}
-	return changed
+	for len(s.work) > 0 {
+		in := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		for _, a := range in.Args {
+			s.uses[a]--
+			if s.uses[a] == 0 && triviallyDead(a) {
+				s.work = append(s.work, a)
+			}
+		}
+	}
+	p.Body.WalkBlocks(func(b *ir.Block) {
+		b.Items = filterItems(b.Items, func(_ int, it ir.Item) bool {
+			in, ok := it.(*ir.Instr)
+			return ok && triviallyDead(in) && s.uses[in] == 0
+		})
+	})
+	return true
+}
+
+// triviallyDead reports whether in may be removed once it has no uses:
+// pure value-producing instructions and loads (reads have no side
+// effects).
+func triviallyDead(in *ir.Instr) bool {
+	return in.Op == ir.OpLoad || (in.IsPure() && in.HasResult())
 }
 
 // simplifyRegions folds constant-condition ifs, removes empty regions, and
@@ -645,8 +971,21 @@ func simplifyRegions(p *ir.Program) bool {
 	var walk func(b *ir.Block) bool
 	walk = func(b *ir.Block) bool {
 		local := false
+		// out stays nil until the first item is dropped or rewritten; a
+		// block with no change keeps its slice.
 		var out []ir.Item
-		for _, it := range b.Items {
+		edit := func(i int) {
+			local = true
+			if out == nil {
+				out = append(make([]ir.Item, 0, len(b.Items)), b.Items[:i]...)
+			}
+		}
+		keep := func(it ir.Item) {
+			if out != nil {
+				out = append(out, it)
+			}
+		}
+		for i, it := range b.Items {
 			switch item := it.(type) {
 			case *ir.If:
 				if walk(item.Then) {
@@ -656,46 +995,46 @@ func simplifyRegions(p *ir.Program) bool {
 					local = true
 				}
 				if item.Cond.Op == ir.OpConst {
+					edit(i)
 					if item.Cond.Const.B[0] {
 						out = append(out, item.Then.Items...)
 					} else if item.Else != nil {
 						out = append(out, item.Else.Items...)
 					}
-					local = true
 					continue
 				}
 				emptyThen := len(item.Then.Items) == 0
 				emptyElse := item.Else == nil || len(item.Else.Items) == 0
 				if emptyThen && emptyElse {
-					local = true
+					edit(i)
 					continue
 				}
 				if emptyThen && !emptyElse {
 					// Invert: if(!c) else-branch.
+					edit(i)
 					neg := p.NewInstr(ir.OpUn, sem.Bool, item.Cond)
 					neg.UnOp = "!"
 					out = append(out, neg)
 					item.Cond = neg
 					item.Then = item.Else
 					item.Else = nil
-					local = true
 					out = append(out, item)
 					continue
 				}
-				out = append(out, item)
+				keep(item)
 			case *ir.Loop:
 				if walk(item.Body) {
 					local = true
 				}
 				if n, ok := item.TripCount(); ok && n == 0 {
-					local = true
+					edit(i)
 					continue
 				}
 				if len(item.Body.Items) == 0 {
-					local = true
+					edit(i)
 					continue
 				}
-				out = append(out, item)
+				keep(item)
 			case *ir.While:
 				if walk(item.Cond) {
 					local = true
@@ -705,15 +1044,17 @@ func simplifyRegions(p *ir.Program) bool {
 				}
 				condPure := len(storedVars(item.Cond)) == 0 && !hasDiscard(item.Cond)
 				if item.CondVal.Op == ir.OpConst && !item.CondVal.Const.B[0] && condPure {
-					local = true
+					edit(i)
 					continue
 				}
-				out = append(out, item)
+				keep(item)
 			default:
-				out = append(out, it)
+				keep(it)
 			}
 		}
-		b.Items = out
+		if out != nil {
+			b.Items = out
+		}
 		return local
 	}
 	for walk(p.Body) {

@@ -10,54 +10,65 @@ import (
 // across conditional arms and loop bodies. As in the paper, it "applies
 // mainly to the few more complex shaders" — straight-line duplicates are
 // already gone by the time GVN runs (§VI-D2).
+//
+// Merges are recorded in a forwarding table and resolved as the walk
+// reaches each use (see Canonicalize), then applied to the whole program
+// in one final walk.
 func GVN(p *ir.Program) bool {
+	s := newRewriter()
 	changed := false
-	type scope struct {
-		table  map[vnKey]*ir.Instr
-		parent *scope
-	}
-	lookup := func(s *scope, key vnKey) (*ir.Instr, bool) {
-		for ; s != nil; s = s.parent {
-			if v, ok := s.table[key]; ok {
-				return v, true
-			}
+	// s.scopes[d] is the table of the block being walked at depth d; the
+	// enclosing scopes are exactly s.scopes[:d], and a sibling block
+	// resets and reuses its predecessor's table.
+	var walk func(b *ir.Block, depth int)
+	walk = func(b *ir.Block, depth int) {
+		if depth == len(s.scopes) {
+			s.scopes = append(s.scopes, newValueTable())
 		}
-		return nil, false
-	}
-
-	var walk func(b *ir.Block, parent *scope)
-	walk = func(b *ir.Block, parent *scope) {
-		cur := &scope{table: map[vnKey]*ir.Instr{}, parent: parent}
+		cur := s.scopes[depth]
+		cur.reset()
 		for _, it := range b.Items {
 			switch it := it.(type) {
 			case *ir.Instr:
 				if !it.IsPure() || !it.HasResult() {
 					continue
 				}
-				key := instrKey(it)
-				if prev, ok := lookup(cur, key); ok && prev != it {
-					replaceUses(p, it, prev)
+				s.resolveArgs(it)
+				h := valueHash(it)
+				if prev := lookupScopes(s.scopes[:depth+1], it, h); prev != nil {
+					s.replace(it, prev)
 					changed = true
 					continue
 				}
-				cur.table[key] = it
+				cur.add(it, h)
 			case *ir.If:
-				walk(it.Then, cur)
+				walk(it.Then, depth+1)
 				if it.Else != nil {
-					walk(it.Else, cur)
+					walk(it.Else, depth+1)
 				}
 			case *ir.Loop:
-				walk(it.Body, cur)
+				walk(it.Body, depth+1)
 			case *ir.While:
-				walk(it.Cond, cur)
-				walk(it.Body, cur)
+				walk(it.Cond, depth+1)
+				walk(it.Body, depth+1)
 			}
 		}
 	}
-	walk(p.Body, nil)
+	walk(p.Body, 0)
+	s.flush(p)
 	if changed {
-		trivialDCE(p)
+		s.dce(p)
 		p.RenumberIDs()
 	}
 	return changed
+}
+
+// lookupScopes finds in's value in the innermost scope that has it.
+func lookupScopes(scopes []*valueTable, in *ir.Instr, h uint64) *ir.Instr {
+	for d := len(scopes) - 1; d >= 0; d-- {
+		if prev := scopes[d].find(in, h); prev != nil {
+			return prev
+		}
+	}
+	return nil
 }

@@ -118,17 +118,6 @@ func hasDiscard(b *ir.Block) bool {
 	return found
 }
 
-// loadedVars returns the set of Vars read anywhere in the block tree.
-func loadedVars(b *ir.Block) map[*ir.Var]bool {
-	out := map[*ir.Var]bool{}
-	b.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpLoad {
-			out[in.Var] = true
-		}
-	})
-	return out
-}
-
 // isCommutative reports whether a binary operator commutes.
 func isCommutative(op string) bool {
 	switch op {

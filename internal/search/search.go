@@ -611,26 +611,30 @@ func (s *Session) frontEndFor(src, hash string, handle *core.Shader, convertES b
 // variant's reuses its compile, once per platform instead of once per
 // (variant, platform). The opening canonicalization of the vendor
 // pipeline is skipped (CompileCanonical): the input is already the fixed
-// point. The bool reports a cache hit.
-func (s *Session) compiledFor(pl *gpu.Platform, fe *frontEnd) (*gpu.Compiled, bool) {
+// point. The bool reports a cache hit; the error is a failed ingestion
+// round trip, which is never cached.
+func (s *Session) compiledFor(pl *gpu.Platform, fe *frontEnd) (*gpu.Compiled, bool, error) {
 	// Hit/miss accounting rides on the cache's lru stats sink
 	// (cache.compile.{hits,misses}): this lookup is the cache's only
 	// reader, so the sink counts exactly these events.
 	key := compiledKey{vendor: pl.Vendor, fp: fe.fp}
 	if c, ok := s.compiled.Get(key); ok {
-		return c, true
+		return c, true, nil
 	}
 	if c, ok := s.storeGetCompiled(pl, fe.fp); ok {
 		// Persistent-layer hit: another session (or a previous run of
 		// this one) already ran this vendor compile. Promote it into the
 		// memory cache; the vendor pipeline is skipped, so this is a hit.
 		s.compiled.Add(key, c, 1)
-		return c, true
+		return c, true, nil
 	}
-	c := pl.CompileCanonicalT(s.reg, fe.prog.Clone())
+	c, err := pl.CompileCanonicalT(s.reg, fe.prog.Clone())
+	if err != nil {
+		return nil, false, err
+	}
 	s.compiled.Add(key, c, 1)
 	s.storePutCompiled(pl, fe.fp, c)
-	return c, false
+	return c, false, nil
 }
 
 func parseForDriver(src string) (*ir.Program, error) {
@@ -660,8 +664,7 @@ func (s *Session) resolveCompiled(pl *gpu.Platform, src, hash string, handle *co
 			return nil, false, fmt.Errorf("%s driver: %w", pl.Vendor, err)
 		}
 	}
-	compiled, hit := s.compiledFor(pl, fe)
-	return compiled, hit, nil
+	return s.compiledFor(pl, fe)
 }
 
 // Sweep runs the exhaustive study over compiled handles: every distinct

@@ -212,7 +212,26 @@ func (s *Server) Handler() http.Handler {
 // streaming progress as newline-delimited JSON. The response status is
 // always 200 once streaming starts; failures end the stream with an
 // {"error": ...} line (the transport-level contract of chunked streams).
+// A failed driver compile, ingestion included, arrives as the sweep's
+// error. A panic on the request goroutine is the last line of defence:
+// it is recovered, counted in sweepd.panics, and reported the same way
+// (or as a 500 before streaming starts), so one bad request never takes
+// the daemon down.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var emit func(StreamLine)
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		s.reg.Counter("sweepd.panics").Inc()
+		msg := fmt.Sprintf("internal error: %v", v)
+		if emit != nil {
+			emit(StreamLine{Error: msg})
+			return
+		}
+		http.Error(w, msg, http.StatusInternalServerError)
+	}()
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
@@ -251,7 +270,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	var writeErr error
-	emit := func(line StreamLine) {
+	emit = func(line StreamLine) {
 		// Session event callbacks are serialized, and the final line is
 		// emitted after Sweep returns, so writes never interleave (no
 		// mutex needed). Once a write fails the client is gone: stop

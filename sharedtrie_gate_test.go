@@ -16,7 +16,8 @@ import (
 // gates run over: the GLSL tonemap family and its hand-ported HLSL
 // twins, which lower to alpha-equivalent IRs and so exercise every
 // sharing tier (exact adoption within a family, no-op adoption and
-// rename transport across the frontend boundary).
+// rename transport across the frontend boundary). Corpus order puts
+// every hlsl/ shader before its tonemap/ twin.
 func twinFamilies(t *testing.T) []*corpus.Shader {
 	t.Helper()
 	var out []*corpus.Shader
@@ -27,6 +28,30 @@ func twinFamilies(t *testing.T) []*corpus.Shader {
 	}
 	if len(out) < 4 {
 		t.Fatalf("twin families missing from corpus: found %d shaders", len(out))
+	}
+	return out
+}
+
+// twinPairs returns the first n tonemap instances, each followed by its
+// HLSL twin: a prefix of the corpus would hold only HLSL shaders, none
+// of which has a twin to share with.
+func twinPairs(t *testing.T, n int) []*corpus.Shader {
+	t.Helper()
+	all := corpus.MustLoad()
+	var out []*corpus.Shader
+	for _, s := range twinFamilies(t) {
+		inst, ok := strings.CutPrefix(s.Name, "tonemap/")
+		if !ok || len(out) == 2*n {
+			continue
+		}
+		twin := corpus.ByName(all, "hlsl/"+inst)
+		if twin == nil {
+			t.Fatalf("%s has no HLSL twin", s.Name)
+		}
+		out = append(out, s, twin)
+	}
+	if len(out) != 2*n {
+		t.Fatalf("found %d twin pairs, want %d", len(out)/2, n)
 	}
 	return out
 }
@@ -48,7 +73,7 @@ func compileCorpus(t *testing.T, shaders []*corpus.Shader) []*core.Shader {
 
 // TestSharedEnumerationMatchesPrivate is the corpus-wide byte-identity
 // gate for the cross-shader trie: every shader in the twin families
-// (the sweep subset under -short, both full families otherwise)
+// (two whole twin pairs under -short, both full families otherwise)
 // enumerated through one shared table must produce a variant set
 // byte-identical to a private walk — sharing lives strictly at the
 // transform level — and the table must actually have answered
@@ -57,7 +82,7 @@ func compileCorpus(t *testing.T, shaders []*corpus.Shader) []*core.Shader {
 func TestSharedEnumerationMatchesPrivate(t *testing.T) {
 	shaders := twinFamilies(t)
 	if testing.Short() {
-		shaders = shaders[:4]
+		shaders = twinPairs(t, 2)
 	}
 	reg := telemetry.NewRegistry()
 	shared := core.NewSharedTrie(0)
@@ -179,16 +204,7 @@ func TestSharedEnumerationSpeedupRegression(t *testing.T) {
 	// of the committed repeat count per path.
 	sharedPass()
 	privatePass()
-	best := func(pass func() time.Duration) time.Duration {
-		min := time.Duration(0)
-		for i := 0; i < base.Repeats; i++ {
-			if d := pass(); min == 0 || d < min {
-				min = d
-			}
-		}
-		return min
-	}
-	private, sharedD := best(privatePass), best(sharedPass)
+	private, sharedD := fastestInterleaved(base.Repeats, privatePass, sharedPass)
 	speedup := float64(private) / float64(sharedD)
 	t.Logf("private %v, shared %v: %.2fx (gate %.1fx)", private, sharedD, speedup, base.MinSpeedup)
 	stepSummary(t, gateSummary("Cross-shader enumeration gate (warm shared trie vs private walk)",
