@@ -23,7 +23,7 @@ func renderEvent(ev shaderopt.SweepEvent) string {
 }
 
 // sweepStats is the cache summary a finished sweep prints, decoupled from
-// the Session accessors so the golden test can feed fixed values.
+// the session's metrics snapshot so the golden test can feed fixed values.
 type sweepStats struct {
 	measHits, measMisses       int64
 	compileHits, compileMisses int64
@@ -34,12 +34,19 @@ type sweepStats struct {
 }
 
 func sessionStats(sess *shaderopt.Session) sweepStats {
-	var st sweepStats
-	st.measHits, st.measMisses = sess.CacheStats()
-	st.compileHits, st.compileMisses, _, _ = sess.CompileCacheStats()
-	st.enumEntries, st.enumVariants, st.enumBound = sess.EnumCacheStats()
-	st.scoreEntries, st.scoreBound, st.scoreEvicted = sess.MeasCacheStats()
-	return st
+	m := sess.Metrics()
+	return sweepStats{
+		measHits:      m.Counters["session.measure.hits"],
+		measMisses:    m.Counters["session.measure.misses"],
+		compileHits:   m.Counters["cache.compile.hits"],
+		compileMisses: m.Counters["cache.compile.misses"],
+		enumEntries:   int(m.Gauges["cache.enum.entries"]),
+		enumVariants:  int(m.Gauges["cache.enum.cost"]),
+		enumBound:     int(m.Gauges["cache.enum.bound"]),
+		scoreEntries:  int(m.Gauges["cache.scores.entries"]),
+		scoreBound:    int(m.Gauges["cache.scores.bound"]),
+		scoreEvicted:  m.Counters["cache.scores.evictions"],
+	}
 }
 
 // renderAggregate formats the sweep's final one-line aggregate: corpus

@@ -279,43 +279,18 @@ func (s *Session) Platforms() []*Platform { return s.inner.Platforms() }
 // Workers returns the session's worker-pool size.
 func (s *Session) Workers() int { return s.inner.Workers() }
 
-// CacheStats returns how many measurements the session served from cache
-// and how many it actually ran.
-func (s *Session) CacheStats() (hits, misses int64) { return s.inner.CacheStats() }
-
-// MeasCacheStats reports the measurement-score cache: cached scores, the
-// configured bound (0 = unbounded), and how many scores have been evicted
-// since the session was created. Evicted scores are re-measured
-// bit-identically on their next use.
-func (s *Session) MeasCacheStats() (entries, bound int, evicted int64) {
-	return s.inner.MeasCacheStats()
-}
-
-// CompileCacheStats reports the driver-compile cache keyed by (vendor, IR
-// fingerprint): compiles served from cache vs run, occupancy, and bound
-// (0 = unbounded). A hit means a variant's canonicalized lowering
-// converged with an already-compiled variant's, so the vendor pipeline
-// and cost model were skipped for it.
-func (s *Session) CompileCacheStats() (hits, misses int64, entries, bound int) {
-	return s.inner.CompileCacheStats()
-}
-
-// EnumCacheStats reports the enumeration cache's occupancy: cached
-// enumerations, their summed variant count (the LRU eviction metric), and
-// the configured bound (0 = unbounded).
-func (s *Session) EnumCacheStats() (entries, variants, bound int) {
-	return s.inner.EnumCacheStats()
-}
-
 // Telemetry returns the session's registry — the one passed through
-// WithTelemetry, or the private registry the session created. All the
-// *CacheStats accessors above are thin wrappers over its counters.
+// WithTelemetry, or the private registry the session created.
 func (s *Session) Telemetry() *Telemetry { return s.inner.Telemetry() }
 
 // Metrics refreshes the cache-occupancy gauges and snapshots the
 // session's telemetry registry: every counter, gauge, and duration
-// histogram the pipeline layers recorded. Render it with
-// TelemetrySnapshot.Table.
+// histogram the pipeline layers recorded. Cache accounting lives there:
+// session.measure.{hits,misses} count measurements served from cache vs
+// run, cache.<name>.{hits,misses,evictions} count each session cache's
+// traffic (scores, lowered, compile, enum), and the
+// cache.<name>.{entries,cost,bound} gauges give its occupancy (bound 0 =
+// unbounded). Render it with TelemetrySnapshot.Table.
 func (s *Session) Metrics() *TelemetrySnapshot { return s.inner.Metrics() }
 
 // Variants returns a shader's variant enumeration through the session's

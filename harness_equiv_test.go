@@ -243,7 +243,8 @@ func TestSweepBatchedMatchesLegacy(t *testing.T) {
 	if !reflect.DeepEqual(sweepScores(first), sweepScores(second)) {
 		t.Fatal("warm re-sweep on the same session changed scores")
 	}
-	hits, misses := sess.CacheStats()
+	m := sess.Metrics()
+	hits, misses := m.Counters["session.measure.hits"], m.Counters["session.measure.misses"]
 	if hits == 0 || misses == 0 {
 		t.Fatalf("warm re-sweep should mix cache hits and misses, got hits=%d misses=%d", hits, misses)
 	}

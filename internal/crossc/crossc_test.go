@@ -9,7 +9,6 @@ import (
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
 	"shaderopt/internal/lower"
-	"shaderopt/internal/spirv"
 )
 
 const desktopSrc = `#version 330
@@ -57,7 +56,7 @@ func TestToESNameLossArtefact(t *testing.T) {
 	// Original names are gone — the §III-C(d) artefact.
 	for _, lost := range []string{"tint", "gain", "acc"} {
 		if strings.Contains(out, lost) {
-			t.Errorf("name %q survived the SPIR-V round trip:\n%s", lost, out)
+			t.Errorf("name %q survived the ES conversion:\n%s", lost, out)
 		}
 	}
 }
@@ -124,54 +123,6 @@ func TestToESSemanticsPreserved(t *testing.T) {
 	}
 }
 
-func TestSpirvRoundTripExact(t *testing.T) {
-	prog, err := lower.Lower(glsl.MustParse(desktopSrc), "rt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := spirv.Encode(prog)
-	if words[0] != spirv.Magic {
-		t.Errorf("magic = %#x", words[0])
-	}
-	decoded, err := spirv.Decode(words, "rt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Body.CountInstrs() != prog.Body.CountInstrs() {
-		t.Errorf("instr count changed: %d -> %d", prog.Body.CountInstrs(), decoded.Body.CountInstrs())
-	}
-	if len(decoded.Uniforms) != len(prog.Uniforms) ||
-		len(decoded.Inputs) != len(prog.Inputs) ||
-		len(decoded.Outputs) != len(prog.Outputs) {
-		t.Error("interface counts changed")
-	}
-	// Re-encoding the decoded module must produce identical words
-	// (canonical encoding).
-	words2 := spirv.Encode(decoded)
-	if len(words) != len(words2) {
-		t.Fatalf("re-encode length %d != %d", len(words2), len(words))
-	}
-	for i := range words {
-		if words[i] != words2[i] {
-			t.Fatalf("word %d differs: %#x vs %#x", i, words[i], words2[i])
-		}
-	}
-}
-
-func TestSpirvDecodeErrors(t *testing.T) {
-	cases := [][]uint32{
-		{},
-		{1, 2, 3, 4, 5},
-		{spirv.Magic, 99, 0, 0, 0},
-		{spirv.Magic, spirv.Version, 0, 0, 0, 0xffff0000},
-	}
-	for i, w := range cases {
-		if _, err := spirv.Decode(w, "bad"); err == nil {
-			t.Errorf("case %d: want error", i)
-		}
-	}
-}
-
 func TestWhileSurvivesRoundTrip(t *testing.T) {
 	src := `#version 330
 uniform float k;
@@ -188,15 +139,5 @@ void main() {
 	}
 	if !strings.Contains(out, "while") {
 		t.Errorf("while loop lost:\n%s", out)
-	}
-}
-
-func TestWordsAccessor(t *testing.T) {
-	w, err := Words(desktopSrc, "w")
-	if err != nil || len(w) < 10 {
-		t.Fatalf("Words: %v, %d", err, len(w))
-	}
-	if _, err := Words("garbage((", "w"); err == nil {
-		t.Error("want error for bad source")
 	}
 }

@@ -29,7 +29,7 @@ const (
 // ingestion format: the program is serialized by the named backend and
 // re-ingested by the matching front end, exactly the translation step a
 // runtime performs before the vendor JIT sees the shader. Like the ES
-// conversion above, the round trip is render-lossless (pinned by the
+// conversion, the round trip is render-lossless (pinned by the
 // backend-differential suite) but re-structures the program — the
 // artefacts the vendor pipeline then consumes are real consequences of
 // the interchange, not hard-coded.

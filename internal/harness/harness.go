@@ -80,8 +80,8 @@ type Measurement struct {
 // times, like the paper's aggregation of noisy timer queries).
 func (m *Measurement) Score() float64 { return m.MedianNS }
 
-// MeasureSource compiles desktop GLSL on the platform (converting through
-// the SPIR-V path first on mobile, §III-C(d)) and measures it under the
+// MeasureSource compiles desktop GLSL on the platform (converting to GLES
+// first on mobile, §III-C(d)) and measures it under the
 // protocol. The noise stream is seeded from (seed, platform, source hash):
 // measurement order never affects results.
 func MeasureSource(pl *gpu.Platform, src string, cfg Config) (*Measurement, error) {

@@ -36,16 +36,18 @@ func (p *Program) CloneBlock(b *Block, subst map[*Instr]*Instr, varSubst map[*Va
 // CloneRemapped deep-copies the program while substituting every Global
 // and Var reference through the given maps: the declaration lists and
 // every instruction operand are rewritten to the mapped slots, and IDs
-// are renumbered densely in program order. It exists for cross-shader
-// trie transport: when two alpha-equivalent programs differ only in
-// interface spellings, a transform result computed for one becomes the
-// result for the other by mapping each slot positionally onto the
-// other's. The substitution is strict — a Global or Var the program
-// declares or references that is absent from its map (e.g. one a pass
-// synthesized after the maps were built) fails the clone, returning
-// (nil, false) so the caller recomputes instead of transporting a
+// are renumbered densely in program order. It has two callers.
+// Cross-shader trie transport maps each slot positionally onto an
+// alpha-equivalent program's, so a transform result computed for one
+// becomes the result for the other. The mobile ES conversion
+// (crossc.ESFromIR) maps every slot onto a fresh one with a synthetic
+// name, the name loss of the paper's SPIR-V tool chain. The
+// substitution is strict — a Global or Var the program declares or
+// references that is absent from its map (e.g. one a pass synthesized
+// after the maps were built) fails the clone, returning (nil, false) so
+// the caller recomputes or reports an error instead of keeping a
 // wrongly-named slot. Name and Version still carry the receiver's
-// values; the caller overwrites them with the adopting program's.
+// values; the caller overwrites them.
 func (p *Program) CloneRemapped(globals map[*Global]*Global, vars map[*Var]*Var) (*Program, bool) {
 	np := &Program{Name: p.Name, Version: p.Version}
 	c := &cloner{p: np, subst: map[*Instr]*Instr{}, varSubst: vars, globalSubst: globals, strict: true}

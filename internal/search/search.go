@@ -319,12 +319,10 @@ type Session struct {
 	// the counters below are its pre-resolved handles for the hot paths.
 	// session.measure.{hits,misses} count measurement-cache traffic at
 	// the session level (an inflight wait is a hit, though the scores
-	// lru never saw it); cache.compile.{hits,misses} are fed by the
-	// compile cache's lru sink, compiledFor being its only reader.
-	reg                        *telemetry.Registry
-	measHits, measMisses       *telemetry.Counter
-	compileHits, compileMisses *telemetry.Counter
-	scoreEvicts                *telemetry.Counter
+	// lru never saw it); the cache.<name>.* counters are fed by each
+	// cache's lru sink (instrumentCache).
+	reg                  *telemetry.Registry
+	measHits, measMisses *telemetry.Counter
 }
 
 // frontEnd is the driver front end's cached work for one distinct source
@@ -409,9 +407,6 @@ func NewSession(platforms []*gpu.Platform, opts Options) *Session {
 		storeWriteErrs: reg.Counter("store.write_errors"),
 		measHits:       reg.Counter("session.measure.hits"),
 		measMisses:     reg.Counter("session.measure.misses"),
-		compileHits:    reg.Counter("cache.compile.hits"),
-		compileMisses:  reg.Counter("cache.compile.misses"),
-		scoreEvicts:    reg.Counter("cache.scores.evictions"),
 	}
 	instrumentCache(s.scores, reg, "scores")
 	instrumentCache(s.lowered, reg, "lowered")
@@ -461,8 +456,11 @@ func (s *Session) Telemetry() *telemetry.Registry { return s.reg }
 // Metrics refreshes the cache.<name>.{entries,cost,bound} occupancy
 // gauges and returns a snapshot of the session's telemetry registry —
 // the consolidated form of every per-layer counter and histogram the
-// pipeline recorded, and the source of truth the legacy *CacheStats
-// accessors now read through.
+// pipeline recorded. Cache accounting reads from it: the
+// session.measure.{hits,misses} counters (measurements served from cache,
+// including waits on a measurement another shader had in flight, vs
+// actually run), the cache.<name>.{hits,misses,evictions} counters, and
+// the occupancy gauges (bound 0 = unbounded).
 func (s *Session) Metrics() *telemetry.Snapshot {
 	occupancy := func(name string, entries, cost, bound int) {
 		s.reg.Gauge("cache." + name + ".entries").Set(int64(entries))
@@ -485,50 +483,6 @@ func (s *Session) Platforms() []*gpu.Platform { return s.platforms }
 // Workers returns the session's worker-pool size: the shader fan-out of
 // Sweep and the shard width of the memoized variant enumeration.
 func (s *Session) Workers() int { return s.workers }
-
-// CacheStats returns how many measurements the session served from cache
-// (including waits on a measurement another shader had in flight) and how
-// many it actually ran. Superseded by the telemetry registry — this is a
-// thin wrapper over the session.measure.{hits,misses} counters, kept so
-// existing callers read the same numbers from the consolidated source.
-func (s *Session) CacheStats() (hits, misses int64) {
-	return s.measHits.Value(), s.measMisses.Value()
-}
-
-// MeasCacheStats reports the measurement-score cache's occupancy: cached
-// scores, the configured bound (0 = unbounded), and how many scores have
-// been evicted since the session was created. An evicted score is
-// re-measured bit-identically on its next use, so eviction never changes
-// a result. Superseded by the telemetry registry — the eviction count is
-// the cache.scores.evictions counter fed by the cache's stats sink.
-func (s *Session) MeasCacheStats() (entries, bound int, evicted int64) {
-	return s.scores.Len(), s.scores.Bound(), s.scoreEvicts.Value()
-}
-
-// CompileCacheStats reports the driver-compile cache: how many vendor
-// compiles were served from cache vs run, its occupancy, and its bound
-// (0 = unbounded). A hit means a variant's canonicalized lowering
-// converged to a (vendor, IR fingerprint) pair some other variant already
-// compiled, so the vendor pipeline and cost model were skipped entirely.
-// Superseded by the telemetry registry — a thin wrapper over the
-// cache.compile.{hits,misses} counters (compiledFor is that cache's only
-// reader, so the lru-level sink counts exactly these events).
-func (s *Session) CompileCacheStats() (hits, misses int64, entries, bound int) {
-	return s.compileHits.Value(), s.compileMisses.Value(), s.compiled.Len(), s.compiled.Bound()
-}
-
-// EnumCacheStats reports the enumeration cache's occupancy: cached
-// enumerations, their summed variant count (the eviction cost metric),
-// and the configured bound (0 = unbounded).
-func (s *Session) EnumCacheStats() (entries, variants, bound int) {
-	return s.enums.Len(), s.enums.Cost(), s.enums.Bound()
-}
-
-// LoweredCacheStats reports the driver-lowering cache's occupancy and
-// bound (0 = unbounded).
-func (s *Session) LoweredCacheStats() (entries, bound int) {
-	return s.lowered.Len(), s.lowered.Bound()
-}
 
 // Variants returns the handle's variant enumeration through the session's
 // LRU cache, enumerating on a miss with the trie walk sharded across the

@@ -335,14 +335,14 @@ func TestSessionCacheAcrossSweeps(t *testing.T) {
 	if _, err := sess.Sweep(handles, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, missesBefore := sess.CacheStats()
+	missesBefore := sess.Metrics().Counters["session.measure.misses"]
 	if missesBefore == 0 {
 		t.Fatal("first sweep measured nothing")
 	}
 	if _, err := sess.Sweep(handles, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfter := sess.CacheStats()
+	missesAfter := sess.Metrics().Counters["session.measure.misses"]
 	if missesAfter != missesBefore {
 		t.Errorf("second sweep measured %d new variants, want 0", missesAfter-missesBefore)
 	}
@@ -369,7 +369,8 @@ func TestSessionWGSLOriginalShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := sess.CacheStats()
+	m := sess.Metrics()
+	hits, misses := m.Counters["session.measure.hits"], m.Counters["session.measure.misses"]
 	unique := sweep.Results[0].Variants.Unique()
 	wantMisses := int64(unique * len(gpu.Platforms()))
 	if misses != wantMisses {
@@ -565,14 +566,16 @@ func TestEnumCacheNeverExceedsBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess.Variants(h)
-		if _, variants, b := sess.EnumCacheStats(); b != bound || variants > bound {
+		g := sess.Metrics().Gauges
+		if variants, b := g["cache.enum.cost"], g["cache.enum.bound"]; b != bound || variants > bound {
 			t.Fatalf("after %s: cached variants %d exceed bound %d", s.Name, variants, b)
 		}
 	}
-	if entries, _, _ := sess.EnumCacheStats(); entries == 0 {
+	g := sess.Metrics().Gauges
+	if g["cache.enum.entries"] == 0 {
 		t.Fatal("cache should retain the most recent enumerations")
 	}
-	if entries, b := sess.LoweredCacheStats(); b != DefaultCacheBound && entries > b {
+	if entries, b := g["cache.lowered.entries"], g["cache.lowered.bound"]; b != DefaultCacheBound && entries > b {
 		t.Fatalf("lowered cache %d entries exceeds bound %d", entries, b)
 	}
 }
@@ -676,7 +679,8 @@ func TestMeasCacheBoundedAndEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, b, evicted := sess.MeasCacheStats()
+	m := sess.Metrics()
+	entries, b, evicted := m.Gauges["cache.scores.entries"], m.Gauges["cache.scores.bound"], m.Counters["cache.scores.evictions"]
 	if b != bound {
 		t.Fatalf("meas cache bound = %d, want %d", b, bound)
 	}
@@ -686,7 +690,7 @@ func TestMeasCacheBoundedAndEvicts(t *testing.T) {
 	if evicted == 0 {
 		t.Fatal("sweep across the subset should have evicted scores from a bound-4 cache")
 	}
-	if _, _, centries, cbound := sess.CompileCacheStats(); cbound != bound || centries > bound {
+	if centries, cbound := m.Gauges["cache.compile.entries"], m.Gauges["cache.compile.bound"]; cbound != bound || centries > bound {
 		t.Fatalf("compile cache %d entries exceeds bound %d", centries, cbound)
 	}
 

@@ -93,13 +93,16 @@ type globalInfo struct {
 
 // sblock is a raw SPIR-V basic block: instructions, an optional merge
 // declaration, and a terminator. next is the sequentially following block,
-// used to resume after OpKill.
+// used to resume after OpKill. decoded marks a block region has entered:
+// structured control flow reaches each block once, so a second visit is
+// a cycle the decoder rejects instead of following forever.
 type sblock struct {
-	id     uint32
-	instrs [][]uint32
-	merge  []uint32
-	term   []uint32
-	next   uint32
+	id      uint32
+	instrs  [][]uint32
+	merge   []uint32
+	term    []uint32
+	next    uint32
+	decoded bool
 }
 
 type scope struct {
@@ -142,6 +145,20 @@ func (d *decoder) name(id uint32, prefix string) string {
 	return fmt.Sprintf("%s%d", prefix, id)
 }
 
+// minWords is the smallest word count (opcode word included) of each
+// opcode whose operands module, region and loop read directly. module
+// checks it once per instruction, so those readers index operands
+// without guards of their own; function-body instructions decoded by
+// instr check their own counts with need.
+var minWords = map[uint32]int{
+	opSource: 3, opName: 3, opExtInstImport: 3, opVariable: 4,
+	opTypeVoid: 2, opTypeBool: 2, opTypeInt: 4, opTypeFloat: 3,
+	opTypeVector: 4, opTypeMatrix: 4, opTypeImage: 9, opTypeSampledImage: 3,
+	opTypeArray: 4, opTypePointer: 4,
+	opConstantTrue: 3, opConstantFalse: 3, opConstant: 5, opConstantComposite: 3,
+	opLabel: 2, opSelectionMerge: 3, opLoopMerge: 4, opBranch: 2, opBranchConditional: 4,
+}
+
 // module scans the module-level instructions, registering types,
 // constants, and interface variables, and splits the function body into
 // basic blocks.
@@ -162,15 +179,15 @@ func (d *decoder) module(words []uint32) error {
 		}
 		w := words[pos : pos+wc]
 		pos += wc
+		if wc < minWords[opc] {
+			return fmt.Errorf("spirvgen: opcode %d: want %d words, got %d", opc, minWords[opc], wc)
+		}
 
 		if inFunction {
 			switch opc {
 			case opFunctionEnd:
 				inFunction = false
 			case opLabel:
-				if len(w) < 2 {
-					return fmt.Errorf("spirvgen: short OpLabel")
-				}
 				nb := &sblock{id: w[1]}
 				if blk != nil {
 					return fmt.Errorf("spirvgen: label %d inside unterminated block", w[1])
@@ -207,47 +224,41 @@ func (d *decoder) module(words []uint32) error {
 		case opCapability, opMemoryModel, opEntryPoint, opExecutionMode, opDecorate:
 			// Checked by Validate; not needed for reconstruction.
 		case opSource:
-			if len(w) >= 3 {
-				if w[1] == sourceLangESSL {
-					d.p.Version = fmt.Sprintf("%d es", w[2])
-				} else {
-					d.p.Version = fmt.Sprintf("%d", w[2])
-				}
+			if w[1] == sourceLangESSL {
+				d.p.Version = fmt.Sprintf("%d es", w[2])
+			} else {
+				d.p.Version = fmt.Sprintf("%d", w[2])
 			}
 		case opName:
-			if len(w) >= 3 {
-				s, _ := decodeString(w[2:])
-				d.names[w[1]] = s
-			}
+			s, _ := decodeString(w[2:])
+			d.names[w[1]] = s
 		case opExtInstImport:
-			if len(w) >= 3 {
-				if s, _ := decodeString(w[2:]); s == glslStd450 {
-					d.extSet = w[1]
-				}
+			if s, _ := decodeString(w[2:]); s == glslStd450 {
+				d.extSet = w[1]
 			}
 		case opTypeVoid:
 			d.types[w[1]] = sem.Void
 		case opTypeBool:
 			d.types[w[1]] = sem.Bool
 		case opTypeInt:
-			if len(w) < 4 || w[2] != 64 || w[3] != 1 {
+			if w[2] != 64 || w[3] != 1 {
 				return fmt.Errorf("spirvgen: only signed 64-bit integers supported")
 			}
 			d.types[w[1]] = sem.Int
 		case opTypeFloat:
-			if len(w) < 3 || w[2] != 64 {
+			if w[2] != 64 {
 				return fmt.Errorf("spirvgen: only 64-bit floats supported")
 			}
 			d.types[w[1]] = sem.Float
 		case opTypeVector:
 			comp, ok := d.types[w[2]]
-			if !ok || len(w) < 4 {
+			if !ok || !comp.IsScalar() || w[3] < 2 || w[3] > 4 {
 				return fmt.Errorf("spirvgen: bad vector type")
 			}
 			d.types[w[1]] = sem.VecType(comp.Kind, int(w[3]))
 		case opTypeMatrix:
 			col, ok := d.types[w[2]]
-			if !ok || len(w) < 4 || !col.IsVector() {
+			if !ok || !col.IsVector() {
 				return fmt.Errorf("spirvgen: bad matrix type")
 			}
 			if int(w[3]) != col.Vec {
@@ -257,16 +268,13 @@ func (d *decoder) module(words []uint32) error {
 		case opTypeArray:
 			elem, ok := d.types[w[2]]
 			lenC, ok2 := d.consts[w[3]]
-			if !ok || !ok2 || len(w) < 4 {
+			if !ok || !ok2 || lenC.t != sem.Int || lenC.c.Int(0) < 1 || elem.IsArray() {
 				return fmt.Errorf("spirvgen: bad array type")
 			}
 			t := elem
 			t.ArrayLen = int(lenC.c.Int(0))
 			d.types[w[1]] = t
 		case opTypeImage:
-			if len(w) < 9 {
-				return fmt.Errorf("spirvgen: short OpTypeImage")
-			}
 			dim, err := dimName(w[3], w[4], w[5])
 			if err != nil {
 				return err
@@ -280,7 +288,7 @@ func (d *decoder) module(words []uint32) error {
 			d.types[w[1]] = img
 		case opTypePointer:
 			t, ok := d.types[w[3]]
-			if !ok || len(w) < 4 {
+			if !ok {
 				return fmt.Errorf("spirvgen: bad pointer type")
 			}
 			d.ptrs[w[1]] = ptrInfo{storage: w[2], t: t}
@@ -294,7 +302,7 @@ func (d *decoder) module(words []uint32) error {
 			d.consts[w[2]] = constInfo{t: t, c: ir.BoolConst(opc == opConstantTrue)}
 		case opConstant:
 			t, ok := d.types[w[1]]
-			if !ok || len(w) < 5 {
+			if !ok {
 				return fmt.Errorf("spirvgen: bad OpConstant")
 			}
 			bits := uint64(w[3]) | uint64(w[4])<<32
@@ -327,7 +335,7 @@ func (d *decoder) module(words []uint32) error {
 			d.consts[w[2]] = constInfo{t: t, c: c}
 		case opVariable:
 			pi, ok := d.ptrs[w[1]]
-			if !ok || len(w) < 4 {
+			if !ok {
 				return fmt.Errorf("spirvgen: bad module variable")
 			}
 			id := w[2]
@@ -383,6 +391,10 @@ func (d *decoder) region(bid, stop uint32) error {
 		if blk == nil {
 			return fmt.Errorf("spirvgen: branch to unknown block %d", bid)
 		}
+		if blk.decoded {
+			return fmt.Errorf("spirvgen: block %d reached twice", bid)
+		}
+		blk.decoded = true
 		for _, iw := range blk.instrs {
 			if err := d.instr(iw); err != nil {
 				return err
@@ -456,9 +468,6 @@ func (d *decoder) region(bid, stop uint32) error {
 func (d *decoder) loop(headerID uint32) (uint32, error) {
 	hdr := d.blocks[headerID]
 	mw := hdr.merge
-	if len(mw) < 4 {
-		return 0, fmt.Errorf("spirvgen: short OpLoopMerge")
-	}
 	merge, cont, control := mw[1], mw[2], mw[3]
 	if hdr.term[0]&0xffff != opBranch {
 		return 0, fmt.Errorf("spirvgen: loop header must end in OpBranch")
@@ -645,10 +654,10 @@ func (d *decoder) instr(w []uint32) error {
 
 	switch opc {
 	case opVariable:
-		pi, ok := d.ptrs[w[1]]
 		if err := need(4); err != nil {
 			return err
 		}
+		pi, ok := d.ptrs[w[1]]
 		if !ok || w[3] != storageFunction {
 			return fmt.Errorf("spirvgen: function-scope variable with bad pointer/storage")
 		}
@@ -733,6 +742,9 @@ func (d *decoder) instr(w []uint32) error {
 		}
 		record(emitCall(callee, t, args...))
 	case opCompositeConstruct:
+		if err := need(3); err != nil {
+			return err
+		}
 		t, err := rt()
 		if err != nil {
 			return err

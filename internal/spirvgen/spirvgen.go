@@ -4,8 +4,7 @@
 // emitted stream uses the real SPIR-V instruction set — standard opcodes,
 // GLSL.std.450 extended instructions, structured control flow with
 // OpSelectionMerge/OpLoopMerge, and OpName debug instructions so the
-// decoder recovers interface names exactly (unlike internal/spirv, the
-// legacy compact encoding, which strips names by design).
+// decoder recovers interface names exactly.
 //
 // Where the IR's semantics do not line up with the SPIR-V spec the emitter
 // takes documented liberties rather than inventing opcodes:

@@ -411,7 +411,8 @@ func TestSessionConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses := sess.CacheStats()
+	m := sess.Metrics()
+	hits, misses := m.Counters["session.measure.hits"], m.Counters["session.measure.misses"]
 	if misses == 0 || hits == 0 {
 		t.Errorf("cache stats hits=%d misses=%d: expected both non-zero under contention", hits, misses)
 	}

@@ -4,9 +4,9 @@ package shaderopt
 //
 //   - instrumentation is inert: a fully-traced sweep (registry + tracer
 //     attached) produces scores byte-identical to an untraced one;
-//   - the consolidated registry is the source of truth: the legacy
-//     *CacheStats accessors and the metrics snapshot report the same
-//     numbers, and the trace contains spans for every pipeline stage.
+//   - the consolidated registry is the source of truth: the sweep's
+//     PipelineStats and the metrics snapshot report the same numbers,
+//     and the trace contains spans for every pipeline stage.
 //
 // Both run under -race in CI's quick matrix, so they double as a
 // concurrency hammer on the registry through the real worker pool.
@@ -108,45 +108,20 @@ func TestSweepTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-func TestMetricsMatchCacheStatsAccessors(t *testing.T) {
+// TestMetricsMatchPipelineStats checks the sweep's aggregate stats
+// against the session's metrics snapshot (one sweep on a fresh session:
+// per-sweep totals are the session totals).
+func TestMetricsMatchPipelineStats(t *testing.T) {
 	sess, sweep := telemetrySweep(t, NewTelemetry())
 	snap := sess.Metrics()
 
-	measHits, measMisses := sess.CacheStats()
-	if got := snap.Counters["session.measure.hits"]; got != measHits {
-		t.Errorf("session.measure.hits %d != CacheStats hits %d", got, measHits)
-	}
-	if got := snap.Counters["session.measure.misses"]; got != measMisses {
-		t.Errorf("session.measure.misses %d != CacheStats misses %d", got, measMisses)
-	}
-
-	cHits, cMisses, cEntries, _ := sess.CompileCacheStats()
-	if got := snap.Counters["cache.compile.hits"]; got != cHits {
-		t.Errorf("cache.compile.hits %d != CompileCacheStats hits %d", got, cHits)
-	}
-	if got := snap.Counters["cache.compile.misses"]; got != cMisses {
-		t.Errorf("cache.compile.misses %d != CompileCacheStats misses %d", got, cMisses)
-	}
-	if got := snap.Gauges["cache.compile.entries"]; got != int64(cEntries) {
-		t.Errorf("cache.compile.entries gauge %d != CompileCacheStats entries %d", got, cEntries)
-	}
-
-	sEntries, _, sEvicted := sess.MeasCacheStats()
-	if got := snap.Counters["cache.scores.evictions"]; got != sEvicted {
-		t.Errorf("cache.scores.evictions %d != MeasCacheStats evicted %d", got, sEvicted)
-	}
-	if got := snap.Gauges["cache.scores.entries"]; got != int64(sEntries) {
-		t.Errorf("cache.scores.entries gauge %d != MeasCacheStats entries %d", got, sEntries)
-	}
-
-	// The sweep's aggregate stats agree with the session accessors (one
-	// sweep on a fresh session: per-sweep totals are the session totals).
+	measHits, measMisses := snap.Counters["session.measure.hits"], snap.Counters["session.measure.misses"]
 	if sweep.Stats.Measured != measMisses || sweep.Stats.CacheHits != measHits {
-		t.Errorf("PipelineStats measured/hits (%d, %d) != CacheStats (%d, %d)",
+		t.Errorf("PipelineStats measured/hits (%d, %d) != session.measure misses/hits (%d, %d)",
 			sweep.Stats.Measured, sweep.Stats.CacheHits, measMisses, measHits)
 	}
-	if sweep.Stats.CompileHits != cHits {
-		t.Errorf("PipelineStats.CompileHits %d != CompileCacheStats hits %d", sweep.Stats.CompileHits, cHits)
+	if cHits := snap.Counters["cache.compile.hits"]; sweep.Stats.CompileHits != cHits {
+		t.Errorf("PipelineStats.CompileHits %d != cache.compile.hits %d", sweep.Stats.CompileHits, cHits)
 	}
 	if sweep.Stats.Shaders != len(sweep.Results) {
 		t.Errorf("PipelineStats.Shaders %d != %d results", sweep.Stats.Shaders, len(sweep.Results))
