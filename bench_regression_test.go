@@ -158,7 +158,7 @@ func TestEnumerationSpeedupRegression(t *testing.T) {
 	}
 	memoPass := func() {
 		for _, s := range shaders {
-			compile(s).VariantsN(1)
+			compile(s).VariantsSharedT(nil, 1, nil)
 		}
 	}
 

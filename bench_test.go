@@ -66,10 +66,11 @@ func BenchmarkFig3Motivating(b *testing.B) {
 	cfg := harness.FastConfig()
 	var gains map[string]float64
 	for i := 0; i < b.N; i++ {
-		vs, err := core.EnumerateVariants(me.Source, me.Name)
+		h, err := core.Compile(me.Source, me.Name, core.LangAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
+		vs := h.Variants()
 		gains = map[string]float64{}
 		for _, pl := range gpu.Platforms() {
 			orig, err := harness.MeasureSource(pl, me.Source, cfg)
@@ -419,13 +420,13 @@ func BenchmarkEnumerateCorpusLegacy(b *testing.B) {
 
 // BenchmarkEnumerateCorpusMemoized is the trie walk, inline (1 worker).
 func BenchmarkEnumerateCorpusMemoized(b *testing.B) {
-	benchEnumerate(b, func(h *core.Shader) *core.VariantSet { return h.VariantsN(1) })
+	benchEnumerate(b, func(h *core.Shader) *core.VariantSet { return h.VariantsSharedT(nil, 1, nil) })
 }
 
 // BenchmarkEnumerateCorpusMemoizedSharded shards the walk across 8
 // workers, the way a Session-driven sweep runs it.
 func BenchmarkEnumerateCorpusMemoizedSharded(b *testing.B) {
-	benchEnumerate(b, func(h *core.Shader) *core.VariantSet { return h.VariantsN(8) })
+	benchEnumerate(b, func(h *core.Shader) *core.VariantSet { return h.VariantsSharedT(nil, 8, nil) })
 }
 
 // --- component micro-benchmarks ---
@@ -451,18 +452,22 @@ func BenchmarkLowerBlur(b *testing.B) {
 func BenchmarkOptimizeBlurAllFlags(b *testing.B) {
 	src := corpus.MotivatingExample().Source
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(src, "bench", core.AllFlags); err != nil {
+		h, err := core.Compile(src, "bench", core.LangAuto)
+		if err != nil {
 			b.Fatal(err)
 		}
+		h.Optimize(core.AllFlags)
 	}
 }
 
-func BenchmarkEnumerateVariantsBlur(b *testing.B) {
+func BenchmarkVariantsBlur(b *testing.B) {
 	src := corpus.MotivatingExample().Source
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EnumerateVariants(src, "bench"); err != nil {
+		h, err := core.Compile(src, "bench", core.LangAuto)
+		if err != nil {
 			b.Fatal(err)
 		}
+		h.Variants()
 	}
 }
 
@@ -489,10 +494,11 @@ func BenchmarkDriverCompile(b *testing.B) {
 }
 
 func BenchmarkInterpretBlur(b *testing.B) {
-	prog, err := core.Lower(corpus.MotivatingExample().Source, "bench")
+	h, err := core.Compile(corpus.MotivatingExample().Source, "bench", core.LangAuto)
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog := h.IR()
 	env := harness.DefaultEnv(prog)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

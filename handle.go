@@ -16,13 +16,12 @@ import (
 type Option func(*options)
 
 type options struct {
-	lang       Lang
-	cfg        Protocol
-	workers    int
-	cacheBound int
-	platforms  []*Platform
-	telemetry  *Telemetry
-	store      *store.Store
+	lang      Lang
+	cfg       Protocol
+	workers   int
+	platforms []*Platform
+	telemetry *Telemetry
+	store     *store.Store
 }
 
 func defaultOptions() options {
@@ -40,23 +39,6 @@ func WithProtocol(cfg Protocol) Option { return func(o *options) { o.cfg = cfg }
 // shader fan-out of Sweep and the shard width of the memoized variant
 // enumeration.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// DefaultCacheBound is the session cache budget WithCacheBound(0)
-// selects: up to this many variants in the enumeration cache and the
-// same number of programs in the driver-lowering cache.
-const DefaultCacheBound = search.DefaultCacheBound
-
-// WithCacheBound bounds the session's LRU caches: the variant-enumeration
-// cache holds at most n variants (summed over cached shaders), the
-// driver front-end cache at most n lowered programs, the driver-compile
-// cache at most n compiles, and the measurement cache at most n scores.
-// 0 uses DefaultCacheBound; a negative value disables eviction. Evicted
-// entries are recomputed bit-identically on their next use, so the bound
-// trades only time for memory. A single shader whose unique-variant count
-// exceeds n is never admitted to the enumeration cache (admitting it
-// would evict the entire cache), so its enumeration is memoized only on
-// its own handle — keep n at least the 256 worst case per shader.
-func WithCacheBound(n int) Option { return func(o *options) { o.cacheBound = n } }
 
 // WithPlatforms sets the session's platform roster (the default is all
 // five).
@@ -149,7 +131,7 @@ func (s *Shader) Variants() *VariantSet { return s.h.Variants() }
 // VariantsT is Variants with a telemetry registry observing the
 // enumeration: the walk that actually runs (the first per handle)
 // records its span and the trie's node/merge/collapse counters.
-func (s *Shader) VariantsT(reg *Telemetry) *VariantSet { return s.h.VariantsT(reg, 1) }
+func (s *Shader) VariantsT(reg *Telemetry) *VariantSet { return s.h.VariantsSharedT(reg, 1, nil) }
 
 // ToGLSL returns the driver-visible desktop GLSL: the original text for
 // GLSL input, or the cached unoptimized translation for WGSL and HLSL
@@ -167,15 +149,10 @@ func (s *Shader) EmitOptimized(flags Flags, b Backend) ([]byte, error) {
 	return s.h.EmitOptimized(flags, b)
 }
 
-// Measure times the shader on a platform under the protocol, reusing the
-// cached IR: GLSL input feeds the driver compiler directly from the
-// lowered program, WGSL and HLSL input is measured via its cached GLSL
-// translation (the text a driver would see). Scores are identical to the
-// string facade's Measure.
+// Measure times the shader's driver-visible GLSL on a platform under the
+// protocol: the original text for GLSL input, the cached unoptimized
+// translation for WGSL and HLSL input (the text a driver would see).
 func (s *Shader) Measure(pl *Platform, cfg Protocol) (*Measurement, error) {
-	if s.h.GLSLIsSource() {
-		return harness.MeasureProgram(pl, s.h.IR(), s.h.Source, cfg)
-	}
 	return harness.MeasureSource(pl, s.h.GLSL(), cfg)
 }
 
@@ -253,11 +230,10 @@ func NewSession(opts ...Option) *Session {
 	}
 	return &Session{
 		inner: search.NewSession(platforms, search.Options{
-			Cfg:        o.cfg,
-			Workers:    o.workers,
-			CacheBound: o.cacheBound,
-			Telemetry:  o.telemetry,
-			Store:      o.store,
+			Cfg:       o.cfg,
+			Workers:   o.workers,
+			Telemetry: o.telemetry,
+			Store:     o.store,
 		}),
 		lang: o.lang,
 	}
@@ -289,8 +265,8 @@ func (s *Session) Telemetry() *Telemetry { return s.inner.Telemetry() }
 // session.measure.{hits,misses} count measurements served from cache vs
 // run, cache.<name>.{hits,misses,evictions} count each session cache's
 // traffic (scores, lowered, compile, enum), and the
-// cache.<name>.{entries,cost,bound} gauges give its occupancy (bound 0 =
-// unbounded). Render it with TelemetrySnapshot.Table.
+// cache.<name>.{entries,cost,bound} gauges give its occupancy. Render it
+// with TelemetrySnapshot.Table.
 func (s *Session) Metrics() *TelemetrySnapshot { return s.inner.Metrics() }
 
 // Variants returns a shader's variant enumeration through the session's

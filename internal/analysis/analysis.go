@@ -101,11 +101,11 @@ type Uniqueness struct {
 func UniqueVariants(shaders []*corpus.Shader) ([]Uniqueness, error) {
 	out := make([]Uniqueness, 0, len(shaders))
 	for _, s := range shaders {
-		vs, err := core.EnumerateVariantsLang(s.Source, s.Name, s.Lang)
+		h, err := core.Compile(s.Source, s.Name, s.Lang)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
-		out = append(out, Uniqueness{Name: s.Name, Unique: vs.Unique(), MaxSets: 256})
+		out = append(out, Uniqueness{Name: s.Name, Unique: h.Variants().Unique(), MaxSets: 256})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Unique != out[j].Unique {

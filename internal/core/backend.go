@@ -87,7 +87,7 @@ func EmitIR(p *ir.Program, b Backend) ([]byte, error) {
 func ReparseBackend(data []byte, name string, b Backend) (*ir.Program, error) {
 	switch b {
 	case BackendGLSL:
-		return LowerLang(string(data), name, LangGLSL)
+		return lowerLang(nil, string(data), name, LangGLSL)
 	case BackendMSL:
 		return msl.Compile(string(data), name)
 	case BackendSPIRV:
@@ -105,14 +105,4 @@ func (s *Shader) Emit(b Backend) ([]byte, error) {
 // with the given flags through the given backend.
 func (s *Shader) EmitOptimized(flags Flags, b Backend) ([]byte, error) {
 	return EmitIR(s.OptimizeIR(flags), b)
-}
-
-// EmitLang compiles source in the given language and serializes it
-// through the given backend — the one-shot frontend×backend crossbar.
-func EmitLang(src, name string, lang Lang, b Backend) ([]byte, error) {
-	p, err := LowerLang(src, name, lang)
-	if err != nil {
-		return nil, err
-	}
-	return EmitIR(p, b)
 }

@@ -40,19 +40,6 @@ const (
 	NoFlags           = passes.NoFlags
 )
 
-// Optimize runs the offline optimizer on fragment shader source (GLSL or
-// WGSL, auto-detected) and returns the optimized desktop GLSL.
-func Optimize(src, name string, flags Flags) (string, error) {
-	return OptimizeLang(src, name, LangAuto, flags)
-}
-
-// Lower parses and lowers source to IR (exposed for tools that want to
-// inspect or analyze the IR directly). The language is auto-detected; use
-// LowerLang to pin it.
-func Lower(src, name string) (*ir.Program, error) {
-	return LowerLang(src, name, LangAuto)
-}
-
 func lowerGLSL(reg *telemetry.Registry, src, name string) (*ir.Program, error) {
 	countParse(reg, LangGLSL)
 	span := reg.StartSpan("parse glsl", "frontend").Arg("shader", name)
@@ -132,14 +119,6 @@ func (vs *VariantSet) FlagChangesOutput(f Flags) bool {
 		}
 	}
 	return false
-}
-
-// EnumerateVariants optimizes src (GLSL or WGSL, auto-detected) under all
-// 256 flag combinations and deduplicates identical outputs. The lowering
-// happens once; each combination optimizes a fresh clone, so enumeration
-// is deterministic and far cheaper than 256 full compilations.
-func EnumerateVariants(src, name string) (*VariantSet, error) {
-	return EnumerateVariantsLang(src, name, LangAuto)
 }
 
 // HashSource returns a stable content hash for generated source.

@@ -21,44 +21,43 @@ void main() {
 }
 `
 
+// mustCompile compiles src (language auto-detected) into a fresh handle,
+// failing the test on error.
+func mustCompile(t *testing.T, src string) *Shader {
+	t.Helper()
+	h, err := Compile(src, "t", LangAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestOptimizeProducesValidGLSL(t *testing.T) {
 	for _, flags := range []Flags{NoFlags, DefaultFlags, AllFlags} {
-		out, err := Optimize(src, "t", flags)
-		if err != nil {
-			t.Fatalf("flags %v: %v", flags, err)
-		}
+		out := mustCompile(t, src).Optimize(flags)
 		if !strings.HasPrefix(out, "#version 330") {
 			t.Errorf("flags %v: missing version", flags)
 		}
 		// Output must itself lower.
-		if _, err := Lower(out, "re"); err != nil {
+		if _, err := Compile(out, "re", LangAuto); err != nil {
 			t.Fatalf("flags %v: output does not lower: %v\n%s", flags, err, out)
 		}
 	}
 }
 
 func TestOptimizeUnrollRemovesLoop(t *testing.T) {
-	out, err := Optimize(src, "t", FlagUnroll)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := mustCompile(t, src).Optimize(FlagUnroll)
 	if strings.Contains(out, "for (") {
 		t.Errorf("loop survived:\n%s", out)
 	}
-	noopt, err := Optimize(src, "t", NoFlags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noopt := mustCompile(t, src).Optimize(NoFlags)
 	if !strings.Contains(noopt, "for (") {
 		t.Errorf("all-off baseline should keep the loop:\n%s", noopt)
 	}
 }
 
 func TestEnumerateVariantsComplete(t *testing.T) {
-	vs, err := EnumerateVariants(src, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vs := mustCompile(t, src).Variants()
 	if len(vs.ByFlags) != 256 {
 		t.Fatalf("mapped %d flag sets", len(vs.ByFlags))
 	}
@@ -79,10 +78,7 @@ func TestEnumerateVariantsComplete(t *testing.T) {
 
 func TestVariantDedupSoundness(t *testing.T) {
 	// Same hash must mean same source.
-	vs, err := EnumerateVariants(src, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vs := mustCompile(t, src).Variants()
 	seen := map[string]string{}
 	for _, v := range vs.Variants {
 		if prev, ok := seen[v.Hash]; ok && prev != v.Source {
@@ -93,10 +89,7 @@ func TestVariantDedupSoundness(t *testing.T) {
 }
 
 func TestFlagChangesOutput(t *testing.T) {
-	vs, err := EnumerateVariants(src, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vs := mustCompile(t, src).Variants()
 	if !vs.FlagChangesOutput(FlagUnroll) {
 		t.Error("unroll must change this shader")
 	}
@@ -116,14 +109,8 @@ func TestHasFlagInAll(t *testing.T) {
 }
 
 func TestEnumerateDeterministic(t *testing.T) {
-	a, err := EnumerateVariants(src, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EnumerateVariants(src, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustCompile(t, src).Variants()
+	b := mustCompile(t, src).Variants()
 	if a.Unique() != b.Unique() {
 		t.Fatal("unique count differs")
 	}
@@ -135,10 +122,10 @@ func TestEnumerateDeterministic(t *testing.T) {
 }
 
 func TestOptimizeErrors(t *testing.T) {
-	if _, err := Optimize("not glsl", "t", NoFlags); err == nil {
+	if _, err := Compile("not glsl", "t", LangAuto); err == nil {
 		t.Error("want parse error")
 	}
-	if _, err := EnumerateVariants("void main() { break; }", "t"); err == nil {
+	if _, err := Compile("void main() { break; }", "t", LangAuto); err == nil {
 		t.Error("want lower error")
 	}
 }

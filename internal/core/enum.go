@@ -247,7 +247,9 @@ func distinctNodes(assign []*enumNode) []*enumNode {
 }
 
 // parallelFor runs fn(0..n-1) across at most `workers` goroutines,
-// inline when the pool is trivial or the work is a single item.
+// inline when the pool is trivial or the work is a single item. A panic
+// in fn is re-raised on the calling goroutine once every worker has
+// stopped, so the caller's recover sees it instead of the process dying.
 func parallelFor(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -261,10 +263,21 @@ func parallelFor(workers, n int, fn func(i int)) {
 	var next int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	var panicVal any // the first worker panic; recover never yields nil
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if panicVal == nil {
+						panicVal = r
+					}
+					next = n // stop the other workers claiming more
+					mu.Unlock()
+				}
+			}()
 			for {
 				mu.Lock()
 				i := next
@@ -278,6 +291,9 @@ func parallelFor(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
 }
 
 // legacyEnumerateFromIR is the pre-trie reference implementation: every

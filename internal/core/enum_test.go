@@ -80,7 +80,7 @@ func TestMemoizedEnumerationMatchesLegacy(t *testing.T) {
 				t.Fatal(err)
 			}
 			legacy := h.LegacyVariants()
-			memo := h.VariantsN(1)
+			memo := h.Variants()
 			assertVariantSetsEqual(t, s.Name, legacy, memo)
 		})
 	}
@@ -102,15 +102,15 @@ func TestEnumerationWorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertVariantSetsEqual(t, s.Name, h1.VariantsN(1), h8.VariantsN(8))
+			assertVariantSetsEqual(t, s.Name, h1.Variants(), h8.VariantsSharedT(nil, 8, nil))
 		})
 	}
 }
 
-// TestVariantsNSharesHandleCache checks that the worker count does not
+// TestVariantsSharesHandleCache checks that the worker count does not
 // fragment the handle cache: whichever enumeration runs first is the one
 // every later call returns.
-func TestVariantsNSharesHandleCache(t *testing.T) {
+func TestVariantsSharesHandleCache(t *testing.T) {
 	all, err := corpus.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func TestVariantsNSharesHandleCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := h.VariantsN(4)
-	if h.Variants() != first || h.VariantsN(1) != first {
-		t.Fatal("VariantsN results not shared through the handle cache")
+	first := h.VariantsSharedT(nil, 4, nil)
+	if h.Variants() != first || h.VariantsSharedT(nil, 1, nil) != first {
+		t.Fatal("enumerations at different worker counts not shared through the handle cache")
 	}
 }

@@ -34,10 +34,11 @@ func FuzzGLSLCompileRoundTrip(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := Lower(src, "fuzz")
+		h, err := Compile(src, "fuzz", LangAuto)
 		if err != nil {
 			return // rejected inputs just must not panic
 		}
+		prog := h.IR()
 		if err := prog.Verify(); err != nil {
 			t.Fatalf("accepted GLSL lowered to invalid IR: %v\nsource:\n%s", err, src)
 		}

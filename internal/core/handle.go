@@ -56,7 +56,7 @@ func Compile(src, name string, lang Lang) (*Shader, error) {
 // registry records nothing.
 func CompileT(reg *telemetry.Registry, src, name string, lang Lang) (*Shader, error) {
 	resolved := lang.Resolve(src)
-	base, err := LowerLangT(reg, src, name, resolved)
+	base, err := lowerLang(reg, src, name, resolved)
 	if err != nil {
 		return nil, err
 	}
@@ -87,33 +87,21 @@ func (s *Shader) OptimizeIR(flags Flags) *ir.Program {
 }
 
 // Variants enumerates all 256 flag combinations from the cached IR and
-// deduplicates the outputs. The enumeration runs once per handle and is
-// cached; callers share the returned set and must not mutate it.
-func (s *Shader) Variants() *VariantSet { return s.VariantsN(1) }
+// deduplicates the outputs, walking the memoized trie inline with no
+// shared table. The enumeration runs once per handle and is cached;
+// callers share the returned set and must not mutate it.
+func (s *Shader) Variants() *VariantSet { return s.VariantsSharedT(nil, 1, nil) }
 
-// VariantsN is Variants with the memoized trie walk sharded across
-// `workers` goroutines (<= 1 runs inline). The result is independent of
-// the worker count; the first enumeration wins and is cached for the
-// handle's lifetime.
-func (s *Shader) VariantsN(workers int) *VariantSet {
-	return s.VariantsT(nil, workers)
-}
-
-// VariantsT is VariantsN with a telemetry registry threaded in: the
+// VariantsSharedT is Variants with its three knobs exposed: the
 // enumeration that actually runs (the first per handle — later calls
 // return the memo) records its span and the trie walk's node/merge/
-// collapse counters. A nil registry records nothing.
-func (s *Shader) VariantsT(reg *telemetry.Registry, workers int) *VariantSet {
-	return s.VariantsSharedT(reg, workers, nil)
-}
-
-// VariantsSharedT is VariantsT with a cross-shader trie-node table: the
-// walk consults `shared` before running a pass on an intermediate IR
-// another shader already pushed through that step, and feeds it with
-// what it computes privately. The variant set is byte-identical to a
-// private walk (sharing stays at the transform level), so the memo is
-// shared with every other Variants accessor. A nil table is a private
-// walk.
+// collapse counters into reg, shards the walk across `workers`
+// goroutines (<= 1 runs inline), and consults `shared` before running a
+// pass on an intermediate IR another shader already pushed through that
+// step, feeding it with what it computes privately. The variant set is
+// independent of the worker count and byte-identical to a private walk
+// (sharing stays at the transform level), so one memo serves every call.
+// A nil registry records nothing; a nil table is a private walk.
 func (s *Shader) VariantsSharedT(reg *telemetry.Registry, workers int, shared *SharedTrie) *VariantSet {
 	s.variantsOnce.Do(func() {
 		s.variants = enumerateFromIR(reg, s.base, s.Name, workers, shared)
@@ -142,10 +130,3 @@ func (s *Shader) GLSL() string {
 	})
 	return s.glslSrc
 }
-
-// GLSLIsSource reports whether GLSL() is exactly the text whose lowering
-// produced this handle's IR — true for GLSL input, where measuring the
-// cached IR directly is equivalent to re-parsing the text. For generated
-// translations (WGSL and HLSL input) the textual re-parse picks up
-// interchange artefacts, so measurement must go through the text.
-func (s *Shader) GLSLIsSource() bool { return s.Lang == LangGLSL }

@@ -32,8 +32,9 @@ fn main(@location(0) uv: vec2<f32>) -> @location(0) vec4<f32> {
 }
 `
 
-// TestHandleMatchesStringAPI checks the handle API produces byte-identical
-// artefacts to the one-shot string functions for both frontends.
+// TestHandleMatchesStringAPI checks a long-lived handle produces
+// byte-identical artefacts to fresh one-shot compiles and to the string
+// ToGLSL, for both frontends.
 func TestHandleMatchesStringAPI(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -55,12 +56,12 @@ func TestHandleMatchesStringAPI(t *testing.T) {
 				t.Error("source hash mismatch")
 			}
 			for _, flags := range []Flags{NoFlags, DefaultFlags, AllFlags, FlagUnroll | FlagGVN} {
-				want, err := OptimizeLang(tc.src, "h", tc.lang, flags)
+				fresh, err := Compile(tc.src, "h", tc.lang)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := h.Optimize(flags); got != want {
-					t.Errorf("flags %v: handle output differs from string API", flags)
+				if got, want := h.Optimize(flags), fresh.Optimize(flags); got != want {
+					t.Errorf("flags %v: handle output differs from a fresh compile", flags)
 				}
 			}
 			wantGLSL, err := ToGLSL(tc.src, "h", tc.lang)
@@ -70,14 +71,15 @@ func TestHandleMatchesStringAPI(t *testing.T) {
 			if got := h.GLSL(); got != wantGLSL {
 				t.Error("handle GLSL differs from ToGLSL")
 			}
-			if h.GLSLIsSource() != (tc.lang == LangGLSL) {
-				t.Error("GLSLIsSource wrong")
+			if (h.GLSL() == h.Source) != (tc.lang == LangGLSL) {
+				t.Error("GLSL() should be the source text exactly for GLSL input")
 			}
 
-			wantVS, err := EnumerateVariantsLang(tc.src, "h", tc.lang)
+			fresh, err := Compile(tc.src, "h", tc.lang)
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantVS := fresh.Variants()
 			vs := h.Variants()
 			if vs.Unique() != wantVS.Unique() {
 				t.Fatalf("unique = %d, want %d", vs.Unique(), wantVS.Unique())

@@ -206,16 +206,11 @@ func (l Lang) Resolve(src string) Lang {
 	return l
 }
 
-// LowerLang parses source in the given language (auto-detected when
-// LangAuto) and lowers it to the shared IR.
-func LowerLang(src, name string, lang Lang) (*ir.Program, error) {
-	return LowerLangT(nil, src, name, lang)
-}
-
-// LowerLangT is LowerLang with a telemetry registry threaded in: the
-// parse+lower run records a per-language "parse <lang>" span and the
-// frontend.parses counters. A nil registry records nothing.
-func LowerLangT(reg *telemetry.Registry, src, name string, lang Lang) (*ir.Program, error) {
+// lowerLang parses source in the given language (auto-detected when
+// LangAuto) and lowers it to the shared IR. The run records a
+// per-language "parse <lang>" span and the frontend.parses counters into
+// reg; a nil registry records nothing.
+func lowerLang(reg *telemetry.Registry, src, name string, lang Lang) (*ir.Program, error) {
 	switch lang.Resolve(src) {
 	case LangWGSL:
 		countParse(reg, LangWGSL)
@@ -249,18 +244,6 @@ func LowerLangT(reg *telemetry.Registry, src, name string, lang Lang) (*ir.Progr
 	}
 }
 
-// OptimizeLang runs the offline optimizer on source in the given language
-// and returns optimized desktop GLSL — the interchange form every
-// simulated driver consumes, regardless of the input language. It is a
-// convenience wrapper over Compile for one-shot use.
-func OptimizeLang(src, name string, lang Lang, flags Flags) (string, error) {
-	h, err := Compile(src, name, lang)
-	if err != nil {
-		return "", err
-	}
-	return h.Optimize(flags), nil
-}
-
 // ToGLSL returns the desktop-GLSL form of a shader: GLSL input passes
 // through untouched (the driver sees the author's original text), while
 // WGSL and HLSL input is lowered and regenerated with no optimization
@@ -278,16 +261,4 @@ func ToGLSL(src, name string, lang Lang) (string, error) {
 		return "", err
 	}
 	return h.GLSL(), nil
-}
-
-// EnumerateVariantsLang optimizes src under all 256 flag combinations and
-// deduplicates identical outputs, like EnumerateVariants, for any
-// supported language. It is a convenience wrapper over Compile for
-// one-shot use.
-func EnumerateVariantsLang(src, name string, lang Lang) (*VariantSet, error) {
-	h, err := Compile(src, name, lang)
-	if err != nil {
-		return nil, err
-	}
-	return h.Variants(), nil
 }

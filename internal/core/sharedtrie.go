@@ -48,11 +48,11 @@ import (
 // use; the table is LRU-bounded so a long-lived daemon's memory stays
 // flat.
 
-// DefaultSharedTrieBound is the shared table's entry bound when callers
-// pass 0: roomy enough for the distinct (step, parent) states of a
-// corpus-scale sweep (a shader contributes at most steps × nodes ≈ tens
-// of entries) while bounding a daemon that sees unbounded corpora.
-const DefaultSharedTrieBound = 4096
+// sharedTrieBound is the shared table's entry bound: roomy enough for
+// the distinct (step, parent) states of a corpus-scale sweep (a shader
+// contributes at most steps × nodes ≈ tens of entries) while bounding a
+// daemon that sees unbounded corpora.
+const sharedTrieBound = 4096
 
 // TriePersist is the optional persistent layer under a SharedTrie
 // (implemented by the search session over internal/store). Only the
@@ -108,16 +108,10 @@ type SharedTrie struct {
 	misses  *telemetry.Counter
 }
 
-// NewSharedTrie creates a shared table bounded to the given number of
-// entries. 0 means DefaultSharedTrieBound; negative disables eviction.
-func NewSharedTrie(bound int) *SharedTrie {
-	switch {
-	case bound == 0:
-		bound = DefaultSharedTrieBound
-	case bound < 0:
-		bound = 0 // lru treats 0 as unbounded
-	}
-	return &SharedTrie{table: lru.New[sharedKey, *sharedEntry](bound)}
+// NewSharedTrie creates an empty shared table, LRU-bounded to
+// sharedTrieBound entries.
+func NewSharedTrie() *SharedTrie {
+	return &SharedTrie{table: lru.New[sharedKey, *sharedEntry](sharedTrieBound)}
 }
 
 // Instrument attaches the table's hit/miss sinks (conventionally the
@@ -140,16 +134,6 @@ func (t *SharedTrie) SetPersist(p TriePersist) {
 
 // Len returns the number of resident entries.
 func (t *SharedTrie) Len() int { return t.table.Len() }
-
-// Bound returns the configured entry bound (0 = unbounded).
-func (t *SharedTrie) Bound() int { return t.table.Bound() }
-
-// Stats returns the table's cumulative raw lookup traffic (every Get,
-// whether or not the entry proved adoptable).
-func (t *SharedTrie) Stats() (hits, misses int64) {
-	h, m, _, _ := t.table.Stats()
-	return h, m
-}
 
 func (t *SharedTrie) sinks() (TriePersist, *telemetry.Counter, *telemetry.Counter) {
 	t.mu.Lock()

@@ -62,10 +62,11 @@ func TestEveryShaderCompilesEverywhere(t *testing.T) {
 	shaders := MustLoad()
 	platforms := gpu.Platforms()
 	for _, s := range shaders {
-		prog, err := core.Lower(s.Source, s.Name)
+		h, err := core.Compile(s.Source, s.Name, core.LangAuto)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
+		prog := h.IR()
 		env := harness.DefaultEnv(prog)
 		if _, err := exec.Run(prog, env); err != nil {
 			t.Fatalf("%s: interpreter: %v", s.Name, err)
@@ -103,10 +104,11 @@ func TestVariantEnumerationShape(t *testing.T) {
 		if s == nil {
 			t.Fatalf("missing %s", name)
 		}
-		vs, err := core.EnumerateVariants(s.Source, s.Name)
+		h, err := core.Compile(s.Source, s.Name, core.LangAuto)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		vs := h.Variants()
 		if vs.Unique() < 1 || vs.Unique() > 48 {
 			t.Errorf("%s: %d unique variants, want 1..48", name, vs.Unique())
 		}
@@ -126,10 +128,11 @@ func TestVariantEnumerationShape(t *testing.T) {
 func TestTrivialShaderHasFewVariants(t *testing.T) {
 	shaders := MustLoad()
 	s := ByName(shaders, "ui/flat")
-	vs, err := core.EnumerateVariants(s.Source, s.Name)
+	h, err := core.Compile(s.Source, s.Name, core.LangAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vs := h.Variants()
 	if vs.Unique() != 1 {
 		t.Errorf("ui/flat should have exactly 1 variant, got %d", vs.Unique())
 	}
@@ -140,10 +143,11 @@ func TestMotivatingExample(t *testing.T) {
 	if s == nil {
 		t.Fatal("missing motivating example")
 	}
-	vs, err := core.EnumerateVariants(s.Source, s.Name)
+	h, err := core.Compile(s.Source, s.Name, core.LangAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
+	vs := h.Variants()
 	if vs.Unique() < 4 {
 		t.Errorf("blur/v9 should respond to several flags, got %d variants", vs.Unique())
 	}

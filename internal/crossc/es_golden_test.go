@@ -55,7 +55,7 @@ func esLine(sh *corpus.Shader) (string, error) {
 			texts = append(texts, src)
 		}
 	}
-	if h.GLSLIsSource() {
+	if h.Lang == core.LangGLSL {
 		add(h.Source)
 	}
 	for _, v := range vs.Variants {
@@ -84,7 +84,7 @@ func esLine(sh *corpus.Shader) (string, error) {
 		sum.Write([]byte{0})
 	}
 	toES := "-"
-	if h.GLSLIsSource() {
+	if h.Lang == core.LangGLSL {
 		es, err := crossc.ToES(sh.Source, sh.Name)
 		if err != nil {
 			return "", err

@@ -219,9 +219,9 @@ func (pl *Platform) compileCanonical(prog *ir.Program) (*Compiled, error) {
 // performs before the vendor JIT sees the shader. GLSL ingestion is the
 // identity. The round trip can leave the canonicalization fixed point,
 // so a translated program is re-canonicalized before the vendor passes.
-// Every measurement path converges here — MeasureSource, MeasureProgram,
-// and the session compile cache all reach compileCanonical — so the
-// harness-equivalence suite holds without per-path wiring.
+// Every measurement path converges here — MeasureSource and the session
+// compile cache both reach compileCanonical — so the harness-equivalence
+// suite holds without per-path wiring.
 //
 // A failed round trip is returned, not panicked: the backends are total
 // over the verified IR subset the corpus exercises (pinned by the

@@ -100,38 +100,6 @@ func MeasureSource(pl *gpu.Platform, src string, cfg Config) (*Measurement, erro
 	return MeasureCompiled(pl, compiled, src, cfg), nil
 }
 
-// MeasureProgram measures an already-lowered program, skipping the driver
-// GLSL front end on desktop platforms: the vendor pipeline consumes the
-// program directly. Mobile platforms still receive the converted ES text
-// through their own front end, exactly as MeasureSource does, because the
-// paper's pipeline is textual past the conversion. srcForSeed must be the
-// driver-visible source text so the noise stream matches MeasureSource.
-//
-// When prog is the lowering of srcForSeed, the result is identical to
-// MeasureSource(pl, srcForSeed, cfg); for generated text whose re-parse
-// would pick up interchange artefacts, measure the text instead. The
-// driver pipeline transforms prog in place — pass a clone if it is shared.
-func MeasureProgram(pl *gpu.Platform, prog *ir.Program, srcForSeed string, cfg Config) (*Measurement, error) {
-	var compiled *gpu.Compiled
-	if pl.Mobile {
-		es, err := crossc.ESFromIR(prog, "mobile")
-		if err != nil {
-			return nil, fmt.Errorf("mobile conversion: %w", err)
-		}
-		compiled, err = pl.CompileSource(es)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		compiled, err = pl.Compile(prog)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MeasureCompiled(pl, compiled, srcForSeed, cfg), nil
-}
-
 // MeasureCompiled runs the timing protocol on an already-compiled shader.
 // It is the per-variant reference path: every call derives its seed, sets
 // up its noise stream, and allocates its sample and summary storage from

@@ -7,9 +7,7 @@ import (
 
 	"shaderopt/internal/core"
 	"shaderopt/internal/exec"
-	"shaderopt/internal/glsl"
 	"shaderopt/internal/gpu"
-	"shaderopt/internal/lower"
 )
 
 const testSrc = `#version 330
@@ -126,10 +124,11 @@ func TestGenerateVertexShader(t *testing.T) {
 }
 
 func TestDefaultEnvInitialization(t *testing.T) {
-	prog, err := core.Lower(testSrc, "env")
+	h, err := core.Compile(testSrc, "env", core.LangAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := h.IR()
 	env := DefaultEnv(prog)
 	if env.Uniforms["tint"] == nil || !env.Uniforms["tint"].IsSplat() || env.Uniforms["tint"].F[0] != 0.5 {
 		t.Errorf("tint default = %v, want 0.5 splat", env.Uniforms["tint"])
@@ -167,81 +166,6 @@ func TestConfigs(t *testing.T) {
 	f := FastConfig()
 	if f.Frames >= d.Frames {
 		t.Error("fast config should reduce frames")
-	}
-}
-
-// TestMeasureProgramMatchesMeasureSource: when the program is the lowering
-// of the measured text, the IR entry point must produce byte-identical
-// measurements to the string path on every platform — that equivalence is
-// what lets compiled handles skip the driver front end for originals.
-func TestMeasureProgramMatchesMeasureSource(t *testing.T) {
-	src := `#version 330
-uniform sampler2D tex;
-uniform vec4 tint;
-in vec2 uv;
-out vec4 color;
-void main() {
-    vec4 a = texture(tex, uv) * tint;
-    color = a * 2.0 + a / 4.0;
-}
-`
-	sh, err := glsl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lower.Lower(sh, "eq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FastConfig()
-	for _, pl := range gpu.Platforms() {
-		want, err := MeasureSource(pl, src, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.Vendor, err)
-		}
-		got, err := MeasureProgram(pl, prog.Clone(), src, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.Vendor, err)
-		}
-		if got.TrueNS != want.TrueNS {
-			t.Errorf("%s: TrueNS %v != %v", pl.Vendor, got.TrueNS, want.TrueNS)
-		}
-		if got.MedianNS != want.MedianNS || got.MeanNS != want.MeanNS {
-			t.Errorf("%s: aggregates differ: %+v vs %+v", pl.Vendor, got, want)
-		}
-		for i := range want.Samples {
-			if got.Samples[i] != want.Samples[i] {
-				t.Fatalf("%s: sample %d differs", pl.Vendor, i)
-			}
-		}
-	}
-}
-
-// TestMeasureProgramConsumesProgram: the driver pipeline transforms its
-// input in place, so repeat measurements must come from fresh clones and
-// still agree.
-func TestMeasureProgramConsumesProgram(t *testing.T) {
-	src := `#version 330
-out vec4 color;
-void main() { color = vec4(0.25); }
-`
-	prog, err := lower.Lower(glsl.MustParse(src), "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := gpu.NewIntel()
-	// Two measurements from two clones must agree even though the driver
-	// pipeline transforms its input in place.
-	a, err := MeasureProgram(pl, prog.Clone(), src, FastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MeasureProgram(pl, prog.Clone(), src, FastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MedianNS != b.MedianNS {
-		t.Error("repeat measurement differs")
 	}
 }
 

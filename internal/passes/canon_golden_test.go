@@ -57,7 +57,7 @@ func canonLine(sh *corpus.Shader) (string, error) {
 			texts = append(texts, src)
 		}
 	}
-	if h.GLSLIsSource() {
+	if h.Lang == core.LangGLSL {
 		add(h.Source)
 	}
 	for _, v := range vs.Variants {

@@ -153,7 +153,7 @@ type staticBest struct {
 }
 
 // SweepEvent is one progress report from a running sweep, streamed through
-// the Options.OnEvent / Session.Sweep callback as each shader completes.
+// the Session.Sweep callback as each shader completes.
 type SweepEvent struct {
 	// Shader is the completed shader's name.
 	Shader string
@@ -190,27 +190,19 @@ type SweepEvent struct {
 	MeasureMS float64
 }
 
-// DefaultCacheBound is the session cache budget when Options.CacheBound
-// is zero: the enumeration cache may hold this many variants (LRU by
-// variant count) and the driver-lowering cache the same number of
-// lowered programs. It is sized for a corpus-scale working set (64
-// shaders at the full 256 combinations) while keeping a long-lived
-// sweep service's memory flat.
-const DefaultCacheBound = 64 * 256
+// defaultCacheBound is the budget of every session LRU: the enumeration
+// cache may hold this many variants (LRU by variant count), and the
+// driver-lowering, compile, and score caches the same number of entries.
+// It is sized for a corpus-scale working set (64 shaders at the full 256
+// combinations) while keeping a long-lived sweep service's memory flat.
+const defaultCacheBound = 64 * 256
 
-// Options configures a sweep run.
+// Options configures a session.
 type Options struct {
 	Cfg harness.Config
 	// Workers bounds parallelism (0 = GOMAXPROCS): the shader fan-out of
 	// Sweep and the shard width of the memoized variant enumeration.
 	Workers int
-	// CacheBound bounds the session's enumeration cache (in variants) and
-	// driver-lowering cache (in programs). 0 means DefaultCacheBound;
-	// negative disables eviction.
-	CacheBound int
-	// OnEvent, when non-nil, receives a SweepEvent as each shader
-	// completes. Callbacks are serialized.
-	OnEvent func(SweepEvent)
 	// Telemetry, when non-nil, is the registry every pipeline layer the
 	// session drives reports into — frontend parses, enumeration trie
 	// counters, per-cache hits/misses/evictions, per-vendor compile
@@ -230,21 +222,6 @@ type Options struct {
 	// sound — entries are deterministic recomputations — but the sinks
 	// belong to the last session that attached.
 	Store *store.Store
-	// SharedTrie, when non-nil, is the cross-shader enumeration table the
-	// session's variant enumerations consult and feed (core.SharedTrie):
-	// inject one to share transform work across sessions, as sweepd does
-	// across its per-protocol sessions. Nil makes the session create a
-	// private table (unless DisableSharedTrie). The session instruments
-	// the table's usable-hit traffic into its registry
-	// (enum.shared.{hits,misses}) and, when a Store is attached, wires
-	// the table's persistent node layer; like Store sinks, both belong to
-	// the last session that attached.
-	SharedTrie *core.SharedTrie
-	// DisableSharedTrie turns cross-shader enumeration sharing off: every
-	// handle's trie walk runs private. The variant sets and scores are
-	// byte-identical either way (sharing stays at the transform level);
-	// the switch exists for A/B gates and benchmarks.
-	DisableSharedTrie bool
 }
 
 // Session owns the shared state of a measurement campaign: the protocol,
@@ -288,10 +265,9 @@ type Session struct {
 	compiled *lru.Cache[compiledKey, *gpu.Compiled]
 	enums    *lru.Cache[enumKey, *core.VariantSet]
 
-	// shared is the cross-shader trie-node table enumeration runs
-	// through (Options.SharedTrie, or a session-private one); nil when
-	// sharing is disabled. Sharing stays at the transform level, so every
-	// result is byte-identical to a private walk.
+	// shared is the session's cross-shader trie-node table, which every
+	// enumeration runs through. Sharing stays at the transform level, so
+	// every result is byte-identical to a private walk.
 	shared *core.SharedTrie
 
 	// anyMobile records whether the roster has a mobile platform, so the
@@ -372,16 +348,16 @@ type measEntry struct {
 
 // NewSession creates a measurement session for the given platforms.
 func NewSession(platforms []*gpu.Platform, opts Options) *Session {
+	return newSession(platforms, opts, defaultCacheBound)
+}
+
+// newSession is NewSession with every session LRU bounded to `bound`
+// entries (variants for the enumeration cache), so tests can drive
+// eviction with a tiny budget.
+func newSession(platforms []*gpu.Platform, opts Options, bound int) *Session {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	bound := opts.CacheBound
-	switch {
-	case bound == 0:
-		bound = DefaultCacheBound
-	case bound < 0:
-		bound = 0 // lru treats 0 as unbounded
 	}
 	anyMobile := false
 	for _, pl := range platforms {
@@ -399,6 +375,7 @@ func NewSession(platforms []*gpu.Platform, opts Options) *Session {
 		platforms:      platforms,
 		anyMobile:      anyMobile,
 		fingerprint:    core.FingerprintCanonical,
+		shared:         core.NewSharedTrie(),
 		scores:         lru.New[measKey, float64](bound),
 		lowered:        lru.New[string, *frontEnd](bound),
 		compiled:       lru.New[compiledKey, *gpu.Compiled](bound),
@@ -422,15 +399,9 @@ func NewSession(platforms []*gpu.Platform, opts Options) *Session {
 			reg.Counter("store.corrupt"),
 		)
 	}
-	if !opts.DisableSharedTrie {
-		s.shared = opts.SharedTrie
-		if s.shared == nil {
-			s.shared = core.NewSharedTrie(0)
-		}
-		s.shared.Instrument(reg.Counter("enum.shared.hits"), reg.Counter("enum.shared.misses"))
-		if s.store != nil {
-			s.shared.SetPersist(trieStore{st: s.store, writeErrs: s.storeWriteErrs})
-		}
+	s.shared.Instrument(reg.Counter("enum.shared.hits"), reg.Counter("enum.shared.misses"))
+	if s.store != nil {
+		s.shared.SetPersist(trieStore{st: s.store, writeErrs: s.storeWriteErrs})
 	}
 	return s
 }
@@ -460,7 +431,7 @@ func (s *Session) Telemetry() *telemetry.Registry { return s.reg }
 // session.measure.{hits,misses} counters (measurements served from cache,
 // including waits on a measurement another shader had in flight, vs
 // actually run), the cache.<name>.{hits,misses,evictions} counters, and
-// the occupancy gauges (bound 0 = unbounded).
+// the occupancy gauges.
 func (s *Session) Metrics() *telemetry.Snapshot {
 	occupancy := func(name string, entries, cost, bound int) {
 		s.reg.Gauge("cache." + name + ".entries").Set(int64(entries))
@@ -501,9 +472,8 @@ func (s *Session) Variants(h *core.Shader) (*core.VariantSet, bool) {
 	return vs, false
 }
 
-// SharedTrie returns the cross-shader enumeration table the session's
-// walks run through: Options.SharedTrie when one was injected, the
-// session-private table otherwise, nil when DisableSharedTrie was set.
+// SharedTrie returns the session's cross-shader enumeration table, the
+// one every Variants walk runs through.
 func (s *Session) SharedTrie() *core.SharedTrie { return s.shared }
 
 // frontEndFor returns the cached driver-front-end work for one distinct
@@ -671,7 +641,8 @@ func (s *Session) SweepLegacy(handles []*core.Shader, onEvent func(SweepEvent)) 
 // pool, error collection, and the serialized event stream, parameterized
 // by the per-shader measurement strategy. A canceled ctx stops shaders
 // that have not started yet and is threaded into each per-shader run's
-// own cancellation points.
+// own cancellation points. A panic in one shader's run becomes that
+// shader's error: the process (a sweep daemon, say) keeps serving.
 func (s *Session) sweep(ctx context.Context, handles []*core.Shader, onEvent func(SweepEvent), perShader func(context.Context, *core.Shader) (*ShaderResult, SweepEvent, error)) (*Sweep, error) {
 	results := make([]*ShaderResult, len(handles))
 	errs := make([]error, len(handles))
@@ -687,6 +658,11 @@ func (s *Session) sweep(ctx context.Context, handles []*core.Shader, onEvent fun
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = fmt.Errorf("panic: %v", r)
+				}
+			}()
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				return
@@ -783,7 +759,8 @@ func (s *Session) sweepShader(ctx context.Context, h *core.Shader) (r *ShaderRes
 // measured by a concurrently-sweeping shader — are reused; misses are
 // reserved in the inflight map, resolved through the compile cache, and
 // sampled together. Every reserved entry is completed exactly once, on
-// success or failure, so waiters never block past this call. ctx is
+// success, failure, or panic (which is re-raised once the entries it
+// stranded are failed), so waiters never block past this call. ctx is
 // consulted only while waiting on entries *other* sweeps own: an entry
 // this call reserved is always driven to completion regardless of
 // cancellation, because concurrent sweeps may already be blocked on it.
@@ -794,6 +771,7 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 		handle *core.Shader
 		entry  *measEntry // non-nil when owned or awaited
 		owned  bool
+		closed bool // owned entry completed
 		ns     float64
 		done   bool
 	}
@@ -803,10 +781,35 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 		slots = append(slots, slot{src: v.Source, hash: v.Hash})
 	}
 
+	// fail completes an owned entry with an error. The entry stays in the
+	// inflight map, failing later lookups the way the old error-caching
+	// did. A panic anywhere below fails every owned entry not yet
+	// completed before it propagates, so no waiter is stranded.
+	var owned []int
+	var firstErr error
+	fail := func(sl *slot, err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+		sl.entry.err = err
+		sl.closed = true
+		close(sl.entry.done)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("panic measuring on %s: %v", pl.Vendor, r)
+			for _, i := range owned {
+				if sl := &slots[i]; !sl.closed {
+					fail(sl, err)
+				}
+			}
+			panic(r)
+		}
+	}()
+
 	// Classify: cached score, our measurement to run, or someone else's
 	// in-flight measurement to wait for (which counts as a cache hit, as
 	// blocking on the old once-per-key entry did).
-	var owned []int
 	for i := range slots {
 		sl := &slots[i]
 		key := measKey{vendor: pl.Vendor, hash: sl.hash, cfg: s.cfg}
@@ -841,18 +844,9 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 	}
 
 	// Resolve and compile the owned slots, then sample them as one batch.
-	// A slot that fails to resolve completes its entry with the error (and
-	// keeps it in the inflight map, failing later lookups the way the old
-	// error-caching did); the rest of the batch still completes so other
-	// shaders waiting on shared variants are never stranded.
-	var firstErr error
-	fail := func(sl *slot, err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		sl.entry.err = err
-		close(sl.entry.done)
-	}
+	// A slot that fails to resolve fails its entry; the rest of the batch
+	// still completes so other shaders waiting on shared variants are
+	// never stranded.
 	items := make([]harness.BatchItem, 0, len(owned))
 	live := make([]int, 0, len(owned))
 	for _, i := range owned {
@@ -880,6 +874,7 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 		s.scores.Add(key, sl.ns, 1)
 		s.storePutScore(pl.Vendor, sl.hash, sl.ns)
 		sl.entry.ns = sl.ns
+		sl.closed = true
 		close(sl.entry.done)
 		s.inflight.Delete(key)
 	}
@@ -980,7 +975,7 @@ func Run(shaders []*corpus.Shader, platforms []*gpu.Platform, opts Options) (*Sw
 		}
 		handles[i] = h
 	}
-	sweep, err := NewSession(platforms, opts).Sweep(handles, opts.OnEvent)
+	sweep, err := NewSession(platforms, opts).Sweep(handles, nil)
 	if err != nil {
 		return nil, err
 	}

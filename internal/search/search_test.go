@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -297,10 +298,11 @@ func TestSessionSweepMatchesLegacyMeasurement(t *testing.T) {
 		if r.Name() != sh.Name {
 			t.Fatalf("order differs: %s vs %s", r.Name(), sh.Name)
 		}
-		vs, err := core.EnumerateVariantsLang(sh.Source, sh.Name, sh.Lang)
+		h, err := core.Compile(sh.Source, sh.Name, sh.Lang)
 		if err != nil {
 			t.Fatal(err)
 		}
+		vs := h.Variants()
 		origSrc := sh.Source
 		if sh.Lang.Resolve(sh.Source) == core.LangWGSL {
 			origSrc = vs.VariantFor(core.NoFlags).Source
@@ -559,7 +561,7 @@ func TestEnumCacheNeverExceedsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bound = 12 // small enough that the subset must evict
-	sess := NewSession(gpu.Platforms(), Options{Cfg: harness.FastConfig(), CacheBound: bound})
+	sess := newSession(gpu.Platforms(), Options{Cfg: harness.FastConfig()}, bound)
 	for _, s := range shaders {
 		h, err := core.Compile(s.Source, s.Name, s.Lang)
 		if err != nil {
@@ -575,7 +577,7 @@ func TestEnumCacheNeverExceedsBound(t *testing.T) {
 	if g["cache.enum.entries"] == 0 {
 		t.Fatal("cache should retain the most recent enumerations")
 	}
-	if entries, b := g["cache.lowered.entries"], g["cache.lowered.bound"]; b != DefaultCacheBound && entries > b {
+	if entries, b := g["cache.lowered.entries"], g["cache.lowered.bound"]; b != bound || entries > b {
 		t.Fatalf("lowered cache %d entries exceeds bound %d", entries, b)
 	}
 }
@@ -623,22 +625,34 @@ func TestEnumCacheServesRepeats(t *testing.T) {
 	}
 }
 
+// assertNoEvictions fails the test if any of the session's caches
+// evicted: the default bound must hold a test subset's whole working set,
+// so the session is an unbounded reference.
+func assertNoEvictions(t *testing.T, sess *Session) {
+	t.Helper()
+	for name, n := range sess.Metrics().Counters {
+		if strings.HasPrefix(name, "cache.") && strings.HasSuffix(name, ".evictions") && n != 0 {
+			t.Fatalf("default-bound session evicted: %s = %d", name, n)
+		}
+	}
+}
+
 // TestLoweredCacheBoundedUnderSweep runs a sweep with a tiny cache bound
-// and checks measurements still come out byte-identical to an unbounded
-// session: eviction must trade only time, never results.
+// and checks measurements still come out byte-identical to a session
+// whose default bound never evicts: eviction must trade only time, never
+// results.
 func TestLoweredCacheBoundedUnderSweep(t *testing.T) {
-	shaders, err := sweepSubset()
+	opts := Options{Cfg: harness.FastConfig()}
+	bounded, err := newSession(gpu.Platforms(), opts, 4).Sweep(compileSubset(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(shaders, gpu.Platforms(), Options{Cfg: harness.FastConfig(), CacheBound: 4})
+	unboundedSess := NewSession(gpu.Platforms(), opts)
+	unbounded, err := unboundedSess.Sweep(compileSubset(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded, err := Run(shaders, gpu.Platforms(), Options{Cfg: harness.FastConfig(), CacheBound: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	assertNoEvictions(t, unboundedSess)
 	for i, rb := range bounded.Results {
 		ru := unbounded.Results[i]
 		for _, pl := range bounded.Platforms {
@@ -655,7 +669,7 @@ func TestLoweredCacheBoundedUnderSweep(t *testing.T) {
 }
 
 // TestMeasCacheBoundedAndEvicts closes the ROADMAP's last unbounded-cache
-// item: with a tiny CacheBound the measurement-score cache must stay
+// item: with a tiny cache bound the measurement-score cache must stay
 // within its bound, actually evict under a multi-shader sweep, and — the
 // part that matters — re-measure evicted scores bit-identically, so a
 // bounded session's sweep equals an unbounded one's. The compile cache
@@ -666,7 +680,7 @@ func TestMeasCacheBoundedAndEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const bound = 4 // far below the subset's distinct (vendor, text) count
-	sess := NewSession(gpu.Platforms(), Options{Cfg: harness.FastConfig(), CacheBound: bound, Workers: 2})
+	sess := newSession(gpu.Platforms(), Options{Cfg: harness.FastConfig(), Workers: 2}, bound)
 	handles := make([]*core.Shader, len(shaders))
 	for i, s := range shaders {
 		h, err := core.Compile(s.Source, s.Name, s.Lang)
@@ -694,10 +708,12 @@ func TestMeasCacheBoundedAndEvicts(t *testing.T) {
 		t.Fatalf("compile cache %d entries exceeds bound %d", centries, cbound)
 	}
 
-	unbounded, err := NewSession(gpu.Platforms(), Options{Cfg: harness.FastConfig(), CacheBound: -1}).Sweep(handles, nil)
+	unboundedSess := NewSession(gpu.Platforms(), Options{Cfg: harness.FastConfig()})
+	unbounded, err := unboundedSess.Sweep(handles, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertNoEvictions(t, unboundedSess)
 	for i, rb := range bounded.Results {
 		ru := unbounded.Results[i]
 		for _, pl := range gpu.Platforms() {

@@ -86,22 +86,22 @@ func assertVariantSetsIdentical(t *testing.T, label string, got, want *core.Vari
 // TestSharedTrieRenamedTwins is the sharing pin for the cross-shader
 // node table: a session enumerating renamed twins must (a) answer part
 // of the second walk from the first (enum.shared.hits > 0) and (b)
-// produce variant sets and sweep scores byte-identical to a session
-// with the table disabled — sharing lives strictly at the transform
-// level.
+// produce variant sets and sweep scores byte-identical to fresh handles'
+// private walks (Shader.Variants, no table) — sharing lives strictly at
+// the transform level.
 func TestSharedTrieRenamedTwins(t *testing.T) {
 	desktop := gpu.Platforms()[:1]
 	sharedSess := NewSession(desktop, Options{Cfg: harness.FastConfig(), Workers: 1})
-	privateSess := NewSession(desktop, Options{Cfg: harness.FastConfig(), Workers: 1, DisableSharedTrie: true})
+	privateSess := NewSession(desktop, Options{Cfg: harness.FastConfig(), Workers: 1})
 	if sharedSess.SharedTrie() == nil {
 		t.Fatal("default session has no shared trie")
-	}
-	if privateSess.SharedTrie() != nil {
-		t.Fatal("DisableSharedTrie left a table attached")
 	}
 
 	sa, sb := compileTwins(t)
 	pa, pb := compileTwins(t)
+	// Enumerate the reference handles privately first: the handle memo
+	// then serves privateSess's sweep, so its walks never touch a table.
+	pvA, pvB := pa.Variants(), pb.Variants()
 	sharedSweep, err := sharedSess.Sweep([]*core.Shader{sa, sb}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +112,8 @@ func TestSharedTrieRenamedTwins(t *testing.T) {
 	}
 
 	svA, _ := sharedSess.Variants(sa)
-	pvA, _ := privateSess.Variants(pa)
 	assertVariantSetsIdentical(t, "twin/a", svA, pvA)
 	svB, _ := sharedSess.Variants(sb)
-	pvB, _ := privateSess.Variants(pb)
 	assertVariantSetsIdentical(t, "twin/b", svB, pvB)
 
 	hits := sharedSess.Telemetry().Counter("enum.shared.hits").Value()

@@ -77,13 +77,16 @@
 // name-insensitive half of each node (the no-op bit and the child's
 // canonical fingerprint) survives restarts, so a warm daemon skips
 // recorded no-op passes outright. The table is LRU-bounded, reports as
-// enum.shared.{hits,misses}, and is on by default (search's
-// DisableSharedTrie opts out).
+// enum.shared.{hits,misses}, and every session has one.
 //
-// A Session owns the measurement campaign — protocol, platforms, a measurement
-// cache that guarantees each distinct variant is measured exactly once,
-// and LRU-bounded enumeration/lowering caches (WithCacheBound) so a
-// long-lived sweep service's memory stays flat at corpus scale:
+// A Session owns the measurement campaign on a platform roster
+// (WithPlatforms), configured by four fields: the protocol
+// (WithProtocol), the worker count (WithWorkers), the telemetry registry
+// (WithTelemetry), and an optional persistent store (WithStore). It
+// keeps a measurement cache that guarantees each distinct variant is
+// measured exactly once, and LRU-bounded enumeration/lowering caches of
+// a fixed budget so a long-lived sweep service's memory stays flat at
+// corpus scale:
 //
 //	sh, _ := shaderopt.Compile(src, "myshader")
 //	out := sh.Optimize(shaderopt.AllFlags)
@@ -104,7 +107,7 @@
 // measurement harness itself: driver compiles and cost-model sampling
 // per (variant, platform). Session.Sweep therefore schedules work as
 // (platform → batch of distinct compiled variants) and leans on four
-// session caches, all bounded by WithCacheBound:
+// session caches, all LRU-bounded to the same fixed budget:
 //
 //   - Front-end cache: each distinct driver-visible text is parsed,
 //     lowered, converted to GLES (one parse serves both — the conversion
@@ -345,7 +348,11 @@ func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 // backend. Text backends return source bytes; BackendSPIRV returns a
 // little-endian binary module.
 func Emit(src, name string, b Backend) ([]byte, error) {
-	return core.EmitLang(src, name, LangAuto, b)
+	sh, err := Compile(src, name)
+	if err != nil {
+		return nil, err
+	}
+	return sh.Emit(b)
 }
 
 // EmitOptimized is Emit after running the optimizer with the given

@@ -85,14 +85,14 @@ func TestSharedEnumerationMatchesPrivate(t *testing.T) {
 		shaders = twinPairs(t, 2)
 	}
 	reg := telemetry.NewRegistry()
-	shared := core.NewSharedTrie(0)
+	shared := core.NewSharedTrie()
 	shared.Instrument(reg.Counter("enum.shared.hits"), reg.Counter("enum.shared.misses"))
 
 	sharedHandles := compileCorpus(t, shaders)
 	privateHandles := compileCorpus(t, shaders)
 	for i, h := range sharedHandles {
 		got := h.VariantsSharedT(reg, 1, shared)
-		want := privateHandles[i].VariantsT(nil, 1)
+		want := privateHandles[i].VariantsSharedT(nil, 1, nil)
 		if got.Unique() != want.Unique() {
 			t.Fatalf("%s: shared walk found %d unique variants, private %d", h.Name, got.Unique(), want.Unique())
 		}
@@ -178,7 +178,7 @@ func TestSharedEnumerationSpeedupRegression(t *testing.T) {
 	}
 	warmSet, timedSet := pick(base.WarmShaders), pick(base.Shaders)
 
-	shared := core.NewSharedTrie(0)
+	shared := core.NewSharedTrie()
 	for _, h := range compileCorpus(t, warmSet) {
 		h.VariantsSharedT(nil, 1, shared)
 	}
@@ -195,7 +195,7 @@ func TestSharedEnumerationSpeedupRegression(t *testing.T) {
 		handles := compileCorpus(t, timedSet)
 		start := time.Now()
 		for _, h := range handles {
-			h.VariantsT(nil, 1)
+			h.VariantsSharedT(nil, 1, nil)
 		}
 		return time.Since(start)
 	}
