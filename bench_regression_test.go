@@ -12,6 +12,7 @@ import (
 	"shaderopt/internal/corpus"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
+	"shaderopt/internal/oracle"
 	"shaderopt/internal/search"
 	"shaderopt/internal/telemetry"
 )
@@ -153,7 +154,7 @@ func TestEnumerationSpeedupRegression(t *testing.T) {
 	}
 	legacyPass := func() {
 		for _, s := range shaders {
-			compile(s).LegacyVariants()
+			oracle.Variants(compile(s))
 		}
 	}
 	memoPass := func() {
@@ -192,7 +193,7 @@ func TestEnumerationSpeedupRegression(t *testing.T) {
 // the enumeration gate: it times a cold sweep — fresh session, every
 // driver compile and every sample paid — through the batched,
 // compile-memoized pipeline (Session.Sweep) against the legacy
-// per-variant pipeline (Session.SweepLegacy, an independent
+// per-variant pipeline (oracle.Sweep, an independent
 // harness.MeasureSource per variant × platform) on the committed shader
 // list, and fails if the batched path does not win by the committed
 // min_speedup factor. Scores are byte-identical between the two paths
@@ -246,20 +247,20 @@ func TestHarnessSpeedupRegression(t *testing.T) {
 	// snapshot can feed the step summary's cache hit-rate table.
 	var lastBatched *search.Session
 	run := func(legacy bool) time.Duration {
-		// Fresh handles and a fresh session per pass: the sweep itself is
-		// cold, but handle compilation and enumeration stay outside the
+		// Fresh handles, platforms, and session per pass: the sweep itself
+		// is cold, but handle compilation and enumeration stay outside the
 		// timed window — they are identical in both pipelines.
 		handles := compileAll()
-		sess := search.NewSession(gpu.Platforms(), search.Options{Cfg: harness.FastConfig(), Workers: 1})
+		platforms := gpu.Platforms()
 		if !legacy {
-			lastBatched = sess
+			lastBatched = search.NewSession(platforms, search.Options{Cfg: harness.FastConfig(), Workers: 1})
 		}
 		start := time.Now()
 		var err error
 		if legacy {
-			_, err = sess.SweepLegacy(handles, nil)
+			_, err = oracle.Sweep(handles, platforms, harness.FastConfig())
 		} else {
-			_, err = sess.Sweep(handles, nil)
+			_, err = lastBatched.Sweep(handles, nil)
 		}
 		if err != nil {
 			t.Fatal(err)

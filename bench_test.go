@@ -23,6 +23,7 @@ import (
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
 	"shaderopt/internal/lower"
+	"shaderopt/internal/oracle"
 	"shaderopt/internal/passes"
 	"shaderopt/internal/search"
 )
@@ -249,10 +250,10 @@ func BenchmarkFig9FlagIsolation(b *testing.B) {
 	b.ReportMetric(qcFPRMax, "Qualcomm_fpreassoc_peak_pct")
 }
 
-// --- compile-once vs string-facade sweep ---
+// --- compiled-handle sweep through the facade ---
 
 // sweepBenchNames is a deliberately small cross-frontend subset so the
-// head-to-head sweep benchmarks stay CI-friendly at -benchtime=1x.
+// facade sweep benchmark stays CI-friendly at -benchtime=1x.
 var sweepBenchNames = []string{"blur/v9", "projtex/compose", "wgsl/ripple"}
 
 func sweepBenchShaders(b *testing.B) []*corpus.Shader {
@@ -269,51 +270,11 @@ func sweepBenchShaders(b *testing.B) []*corpus.Shader {
 	return out
 }
 
-// The head-to-head pair isolates the measurement pipeline — the part the
-// handle redesign changes. Variant enumeration is identical in both paths
-// (the same enumerateFromIR runs either way) and dominates a cold sweep,
-// so both benchmarks hoist it into setup and time the full
-// original+variants × 5-platform measurement study. Single-threaded so
-// the comparison isolates API cost, not scheduling.
-
-// BenchmarkSweepStringFacade is the pre-handle API consumer's study:
-// every measurement goes through the one-shot string functions, which
-// re-parse the source (and re-convert it on mobile) on every call.
-func BenchmarkSweepStringFacade(b *testing.B) {
-	shaders := sweepBenchShaders(b)
-	cfg := harness.FastConfig()
-	sets := make([]*VariantSet, len(shaders))
-	for i, s := range shaders {
-		vs, err := VariantsLang(s.Source, s.Name, s.Lang)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sets[i] = vs
-	}
-	parses0 := core.FrontendParses()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, s := range shaders {
-			for _, pl := range gpu.Platforms() {
-				if _, err := Measure(pl, s.Source, cfg); err != nil {
-					b.Fatal(err)
-				}
-				for _, v := range sets[j].Variants {
-					if _, err := Measure(pl, v.Source, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(core.FrontendParses()-parses0)/float64(b.N), "frontend_parses/op")
-}
-
-// BenchmarkSweepCompiledHandles is the same study through the handle API:
-// handles compiled once, a fresh Session per iteration owning the
-// measurement cache, the ES-conversion table, and the shared driver
-// front-end lowering. The parse-once speedup over
-// BenchmarkSweepStringFacade is the headline of the API redesign.
+// BenchmarkSweepCompiledHandles is the study through the facade's handle
+// API: handles compiled once (enumeration hoisted into setup), a fresh
+// Session per iteration owning the measurement cache, the ES-conversion
+// table, and the shared driver front-end lowering. Single-threaded, and
+// frontend_parses/op must stay 0: every sweep reuses the handles' IR.
 func BenchmarkSweepCompiledHandles(b *testing.B) {
 	shaders := sweepBenchShaders(b)
 	handles, err := CompileCorpus(shaders)
@@ -350,7 +311,7 @@ func BenchmarkSweepCompiledHandles(b *testing.B) {
 // subset. Single-threaded so the comparison isolates pipeline structure,
 // not scheduling.
 
-func benchSweepCold(b *testing.B, run func(s *search.Session, handles []*core.Shader) (*search.Sweep, error)) {
+func benchSweepCold(b *testing.B, run func(handles []*core.Shader) error) {
 	shaders := benchShaders(b)
 	handles := make([]*core.Shader, len(shaders))
 	for j, s := range shaders {
@@ -363,24 +324,28 @@ func benchSweepCold(b *testing.B, run func(s *search.Session, handles []*core.Sh
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := search.NewSession(gpu.Platforms(), search.Options{Cfg: harness.FastConfig(), Workers: 1})
-		if _, err := run(sess, handles); err != nil {
+		if err := run(handles); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSweepColdBatched is the batched measurement pipeline.
+// BenchmarkSweepColdBatched is the batched measurement pipeline, a fresh
+// session per iteration.
 func BenchmarkSweepColdBatched(b *testing.B) {
-	benchSweepCold(b, func(s *search.Session, handles []*core.Shader) (*search.Sweep, error) {
-		return s.Sweep(handles, nil)
+	benchSweepCold(b, func(handles []*core.Shader) error {
+		sess := search.NewSession(gpu.Platforms(), search.Options{Cfg: harness.FastConfig(), Workers: 1})
+		_, err := sess.Sweep(handles, nil)
+		return err
 	})
 }
 
-// BenchmarkSweepColdLegacy is the per-variant reference pipeline.
+// BenchmarkSweepColdLegacy is the per-variant reference pipeline
+// (oracle.Sweep).
 func BenchmarkSweepColdLegacy(b *testing.B) {
-	benchSweepCold(b, func(s *search.Session, handles []*core.Shader) (*search.Sweep, error) {
-		return s.SweepLegacy(handles, nil)
+	benchSweepCold(b, func(handles []*core.Shader) error {
+		_, err := oracle.Sweep(handles, gpu.Platforms(), harness.FastConfig())
+		return err
 	})
 }
 
@@ -415,7 +380,7 @@ func benchEnumerate(b *testing.B, enumerate func(h *core.Shader) *core.VariantSe
 // (clone + flagged passes + codegen) per shader, with only the
 // flag-independent prefix shared.
 func BenchmarkEnumerateCorpusLegacy(b *testing.B) {
-	benchEnumerate(b, func(h *core.Shader) *core.VariantSet { return h.LegacyVariants() })
+	benchEnumerate(b, oracle.Variants)
 }
 
 // BenchmarkEnumerateCorpusMemoized is the trie walk, inline (1 worker).

@@ -111,7 +111,11 @@ func TestDifferentialEquivalence(t *testing.T) {
 				// Re-parse the variant from its generated text — the bytes
 				// a driver would see — not from the in-memory IR, so the
 				// comparison also covers codegen faithfulness.
-				img, err := Render(v.Source, fmt.Sprintf("%s@%s", s.Name, v.Hash), diffW, diffH, NoFlags)
+				vh, err := Compile(v.Source, fmt.Sprintf("%s@%s", s.Name, v.Hash))
+				if err != nil {
+					t.Fatalf("variant %s (flags %v) failed to re-parse: %v", v.Hash, v.Canonical(), err)
+				}
+				img, err := vh.Render(diffW, diffH, NoFlags)
 				if err != nil {
 					t.Fatalf("variant %s (flags %v) failed to render: %v", v.Hash, v.Canonical(), err)
 				}

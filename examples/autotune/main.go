@@ -33,52 +33,44 @@ func main() {
 		log.Fatalf("unknown shader %q (try blur/v9, fxaa/hq, pbr/l2_spec)", *shaderName)
 	}
 
-	protocol := shaderopt.FastProtocol()
-	orig, err := shaderopt.Measure(pl, sh.Source, protocol)
+	handle, err := shaderopt.Compile(sh.Source, sh.Name)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One session sweep on the target platform measures the original and
+	// every distinct variant.
+	sess := shaderopt.NewSession(shaderopt.WithProtocol(shaderopt.FastProtocol()), shaderopt.WithPlatforms(pl))
+	sweep, err := sess.Sweep([]*shaderopt.Shader{handle}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r := sweep.Results[0]
+	origNS := r.OrigNS[pl.Vendor]
 	fmt.Printf("Tuning %s on %s (%s)\noriginal: %.3fms/frame\n\n",
-		sh.Name, pl.Vendor, pl.GPUName, orig.MedianNS/1e6)
+		sh.Name, pl.Vendor, pl.GPUName, origNS/1e6)
 
-	vs, err := shaderopt.Variants(sh.Source, sh.Name)
-	if err != nil {
-		log.Fatal(err)
-	}
 	type row struct {
 		flags shaderopt.Flags
 		ns    float64
 		nsets int
 	}
-	rows := make([]row, 0, vs.Unique())
-	for _, v := range vs.Variants {
-		m, err := shaderopt.Measure(pl, v.Source, protocol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows = append(rows, row{v.Canonical(), m.MedianNS, len(v.FlagSets)})
+	rows := make([]row, 0, r.Variants.Unique())
+	for _, v := range r.Variants.Variants {
+		rows = append(rows, row{v.Canonical(), r.VariantNS[pl.Vendor][v.Hash], len(v.FlagSets)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ns < rows[j].ns })
 
 	fmt.Printf("%d unique variants of 256 combinations:\n", len(rows))
-	for i, r := range rows {
+	for i, row := range rows {
 		marker := " "
 		if i == 0 {
 			marker = "*"
 		}
 		fmt.Printf("%s %-55v %9.3fms  %+7.2f%%  (%d flag sets)\n",
-			marker, r.flags, r.ns/1e6, shaderopt.Speedup(orig.MedianNS, r.ns), r.nsets)
+			marker, row.flags, row.ns/1e6, shaderopt.Speedup(origNS, row.ns), row.nsets)
 	}
 
-	def, err := shaderopt.Optimize(sh.Source, sh.Name, shaderopt.DefaultFlags)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dm, err := shaderopt.Measure(pl, def, protocol)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nper-shader tuned: %+.2f%%   default LunarGlass flags: %+.2f%%\n",
-		shaderopt.Speedup(orig.MedianNS, rows[0].ns),
-		shaderopt.Speedup(orig.MedianNS, dm.MedianNS))
+		shaderopt.Speedup(origNS, rows[0].ns),
+		shaderopt.Speedup(origNS, r.NSFor(pl.Vendor, shaderopt.DefaultFlags)))
 }

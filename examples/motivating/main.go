@@ -15,40 +15,37 @@ func main() {
 	fmt.Println("=== Listing 1 (original GFXBench-style blur) ===")
 	fmt.Println(me.Source)
 
-	vs, err := shaderopt.Variants(me.Source, me.Name)
+	sh, err := shaderopt.Compile(me.Source, me.Name)
 	if err != nil {
 		log.Fatal(err)
 	}
+	vs := sh.Variants()
 	fmt.Printf("256 flag combinations -> %d unique variants\n\n", vs.Unique())
 
-	best, err := shaderopt.Optimize(me.Source, me.Name, shaderopt.AllFlags)
+	fmt.Println("=== Listing 2 (after unroll + constant folding + unsafe FP reassociation + div-to-mul) ===")
+	fmt.Println(sh.Optimize(shaderopt.AllFlags))
+
+	fmt.Println("=== Figure 3: speed-up of the best variant per platform ===")
+	// Exhaustive per-shader search: one session sweep measures the
+	// original and every distinct variant on every platform.
+	sess := shaderopt.NewSession(shaderopt.WithProtocol(shaderopt.FastProtocol()))
+	sweep, err := sess.Sweep([]*shaderopt.Shader{sh}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("=== Listing 2 (after unroll + constant folding + unsafe FP reassociation + div-to-mul) ===")
-	fmt.Println(best)
-
-	fmt.Println("=== Figure 3: speed-up of the best variant per platform ===")
-	protocol := shaderopt.FastProtocol()
-	for _, pl := range shaderopt.Platforms() {
-		orig, err := shaderopt.Measure(pl, me.Source, protocol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Exhaustive per-shader search: best variant for this platform.
-		bestNS := orig.MedianNS
+	r := sweep.Results[0]
+	for _, pl := range sess.Platforms() {
+		// Best variant for this platform.
+		origNS := r.OrigNS[pl.Vendor]
+		bestNS := origNS
 		var bestFlags shaderopt.Flags
 		for _, v := range vs.Variants {
-			m, err := shaderopt.Measure(pl, v.Source, protocol)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if m.MedianNS < bestNS {
-				bestNS = m.MedianNS
+			if ns := r.VariantNS[pl.Vendor][v.Hash]; ns < bestNS {
+				bestNS = ns
 				bestFlags = v.Canonical()
 			}
 		}
 		fmt.Printf("  %-10s %+7.2f%%   (best flags: %v)\n",
-			pl.Vendor, shaderopt.Speedup(orig.MedianNS, bestNS), bestFlags)
+			pl.Vendor, shaderopt.Speedup(origNS, bestNS), bestFlags)
 	}
 }

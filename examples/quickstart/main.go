@@ -38,17 +38,28 @@ func main() {
 	fmt.Printf("original %d bytes; default-flags %d bytes; all-flags %d bytes; %d distinct variants\n\n",
 		len(src), len(defaultOut), len(allOut), sh.Variants().Unique())
 
+	// The optimized texts are shaders in their own right: compile each to
+	// a handle and measure it the same way as the original.
+	defaultSh, err := shaderopt.Compile(defaultOut, "quickstart-default")
+	if err != nil {
+		log.Fatal(err)
+	}
+	allSh, err := shaderopt.Compile(allOut, "quickstart-all")
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("%-10s %14s %14s %14s %10s\n", "Platform", "original", "default", "all flags", "best gain")
 	for _, pl := range shaderopt.Platforms() {
 		orig, err := sh.Measure(pl, protocol)
 		if err != nil {
 			log.Fatal(err)
 		}
-		def, err := shaderopt.Measure(pl, defaultOut, protocol)
+		def, err := defaultSh.Measure(pl, protocol)
 		if err != nil {
 			log.Fatal(err)
 		}
-		all, err := shaderopt.Measure(pl, allOut, protocol)
+		all, err := allSh.Measure(pl, protocol)
 		if err != nil {
 			log.Fatal(err)
 		}

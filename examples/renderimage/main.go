@@ -32,11 +32,15 @@ func main() {
 		log.Fatalf("unknown shader %q", *shaderName)
 	}
 
-	before, err := shaderopt.Render(sh.Source, sh.Name, *size, *size, shaderopt.NoFlags)
+	handle, err := shaderopt.Compile(sh.Source, sh.Name)
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := shaderopt.Render(sh.Source, sh.Name, *size, *size, shaderopt.AllFlags)
+	before, err := handle.Render(*size, *size, shaderopt.NoFlags)
+	if err != nil {
+		log.Fatal(err)
+	}
+	after, err := handle.Render(*size, *size, shaderopt.AllFlags)
 	if err != nil {
 		log.Fatal(err)
 	}

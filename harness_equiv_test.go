@@ -13,16 +13,26 @@ package shaderopt
 //     pinned sample-for-sample.
 //   - gpu.CompileCanonical vs gpu.Compile on canonical input: the
 //     idempotence assumption the session compile path rests on.
-//   - Session.Sweep vs Session.SweepLegacy: every score of the batched,
+//   - Session.Sweep vs oracle.Sweep: every score of the batched,
 //     compile-memoized, platform-grouped sweep identical to independent
 //     harness.MeasureSource calls, invariant under worker count, shader
-//     order, and cache hit/miss order.
+//     order, and cache hit/miss order, and every swept shader's score
+//     bits equal to its line in the benchmark's score golden.
 //
 // -short runs a fixed cross-frontend subset (also exercised by the CI
 // race job); CI runs the full corpus in a dedicated step.
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"os"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"shaderopt/internal/core"
@@ -30,6 +40,7 @@ import (
 	"shaderopt/internal/crossc"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
+	"shaderopt/internal/oracle"
 	"shaderopt/internal/passes"
 	"shaderopt/internal/search"
 )
@@ -161,61 +172,82 @@ func TestCompileCanonicalMatchesCompile(t *testing.T) {
 	}
 }
 
+// scoreKeys flattens one shader's scores into comparable
+// "orig/vendor" and "vendor/hash" keys.
+func scoreKeys(origNS map[string]float64, variantNS map[string]map[string]float64) map[string]float64 {
+	m := map[string]float64{}
+	for vendor, ns := range origNS {
+		m["orig/"+vendor] = ns
+	}
+	for vendor, per := range variantNS {
+		for hash, ns := range per {
+			m[vendor+"/"+hash] = ns
+		}
+	}
+	return m
+}
+
 // sweepScores flattens a sweep into comparable (shader, vendor, key) →
 // score maps.
 func sweepScores(sw *search.Sweep) map[string]map[string]float64 {
 	out := map[string]map[string]float64{}
 	for _, r := range sw.Results {
-		m := map[string]float64{}
-		for vendor, ns := range r.OrigNS {
-			m["orig/"+vendor] = ns
-		}
-		for vendor, per := range r.VariantNS {
-			for hash, ns := range per {
-				m[vendor+"/"+hash] = ns
-			}
-		}
-		out[r.Name()] = m
+		out[r.Name()] = scoreKeys(r.OrigNS, r.VariantNS)
 	}
 	return out
 }
 
-func equivSweep(t *testing.T, handles []*core.Shader, workers int, legacy bool) map[string]map[string]float64 {
+// equivSweep runs the batched pipeline over a fresh session.
+func equivSweep(t *testing.T, handles []*core.Shader, workers int) *search.Sweep {
 	t.Helper()
 	sess := search.NewSession(gpu.Platforms(), search.Options{Cfg: harness.FastConfig(), Workers: workers})
-	var sw *search.Sweep
-	var err error
-	if legacy {
-		sw, err = sess.SweepLegacy(handles, nil)
-	} else {
-		sw, err = sess.Sweep(handles, nil)
-	}
+	sw, err := sess.Sweep(handles, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sweepScores(sw)
+	return sw
+}
+
+// oracleScores runs the per-variant reference sweep, flattened like
+// sweepScores.
+func oracleScores(t *testing.T, handles []*core.Shader) map[string]map[string]float64 {
+	t.Helper()
+	results, err := oracle.Sweep(handles, gpu.Platforms(), harness.FastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string]float64{}
+	for _, r := range results {
+		out[r.Name] = scoreKeys(r.OrigNS, r.VariantNS)
+	}
+	return out
 }
 
 // TestSweepBatchedMatchesLegacy is the session-level oracle: the batched,
 // compile-memoized, platform-grouped Sweep must score every original and
 // every distinct variant of every corpus shader identically to the
-// per-variant legacy pipeline (independent harness.MeasureSource calls),
-// and the result must be invariant under worker count, shader order, and
-// cache hit/miss order (a second sweep on the same warm session serves
-// everything from cache and must not change a single score).
+// per-variant reference pipeline (oracle.Sweep: independent
+// harness.MeasureSource calls), and the result must be invariant under
+// worker count, shader order, and cache hit/miss order (a second sweep on
+// the same warm session serves everything from cache and must not change
+// a single score). Every swept shader's unique-variant count and score
+// digest must also match its line in the benchmark's score golden, so
+// tier-1 and the benchmark pin the same score bits.
 func TestSweepBatchedMatchesLegacy(t *testing.T) {
 	shaders := equivShaders(t)
 	handles := equivHandles(t, shaders)
 
-	legacy := equivSweep(t, handles, 1, true)
-	batched := equivSweep(t, handles, 1, false)
+	legacy := oracleScores(t, handles)
+	batchedSweep := equivSweep(t, handles, 1)
+	batched := sweepScores(batchedSweep)
 	if !reflect.DeepEqual(legacy, batched) {
 		reportScoreDiff(t, "batched vs legacy", legacy, batched)
 	}
+	checkScoresGolden(t, batchedSweep.Results)
 
 	// Worker invariance: the platform batches and the shader fan-out must
 	// not let scheduling touch a score.
-	if got := equivSweep(t, handles, 5, false); !reflect.DeepEqual(legacy, got) {
+	if got := sweepScores(equivSweep(t, handles, 5)); !reflect.DeepEqual(legacy, got) {
 		reportScoreDiff(t, "workers=5 vs legacy", legacy, got)
 	}
 
@@ -225,7 +257,7 @@ func TestSweepBatchedMatchesLegacy(t *testing.T) {
 	for i, h := range handles {
 		reversed[len(handles)-1-i] = h
 	}
-	if got := equivSweep(t, reversed, 3, false); !reflect.DeepEqual(legacy, got) {
+	if got := sweepScores(equivSweep(t, reversed, 3)); !reflect.DeepEqual(legacy, got) {
 		reportScoreDiff(t, "reversed order vs legacy", legacy, got)
 	}
 
@@ -248,6 +280,73 @@ func TestSweepBatchedMatchesLegacy(t *testing.T) {
 	if hits == 0 || misses == 0 {
 		t.Fatalf("warm re-sweep should mix cache hits and misses, got hits=%d misses=%d", hits, misses)
 	}
+}
+
+// scoresGoldenPath is the benchmark's full-corpus score golden, read in
+// place: one "name unique digest" line per corpus shader at the fast
+// protocol on all five platforms.
+const scoresGoldenPath = "bench/shaderbench/testdata/scores.golden"
+
+// checkScoresGolden compares each result's unique-variant count and score
+// digest with its line in the score golden.
+func checkScoresGolden(t *testing.T, results []*search.ShaderResult) {
+	t.Helper()
+	f, err := os.Open(scoresGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	type entry struct {
+		unique int
+		digest string
+	}
+	want := map[string]entry{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 3 || strings.HasPrefix(fields[0], "#") {
+			continue // header, blank, or the report-digest line
+		}
+		unique, err := strconv.Atoi(fields[1])
+		if err != nil {
+			t.Fatalf("%s: %q: %v", scoresGoldenPath, sc.Text(), err)
+		}
+		want[fields[0]] = entry{unique, fields[2]}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		w, ok := want[r.Name()]
+		if !ok {
+			t.Errorf("%s: no line in %s", r.Name(), scoresGoldenPath)
+			continue
+		}
+		if unique, digest := scoreDigest(r); unique != w.unique || digest != w.digest {
+			t.Errorf("%s: %d unique variants, score digest %s; golden has %d, %s",
+				r.Name(), unique, digest, w.unique, w.digest)
+		}
+	}
+}
+
+// scoreDigest returns a result's unique-variant count and the sha256 of
+// its sorted "vendor hash bits" tuples (hash "orig" for the baseline,
+// bits the score's float64 bits in %016x): the score golden's format.
+func scoreDigest(r *search.ShaderResult) (int, string) {
+	var tuples []string
+	distinct := map[string]bool{}
+	for vendor, ns := range r.OrigNS {
+		tuples = append(tuples, fmt.Sprintf("%s orig %016x", vendor, math.Float64bits(ns)))
+	}
+	for vendor, per := range r.VariantNS {
+		for hash, ns := range per {
+			distinct[hash] = true
+			tuples = append(tuples, fmt.Sprintf("%s %s %016x", vendor, hash, math.Float64bits(ns)))
+		}
+	}
+	sort.Strings(tuples)
+	sum := sha256.Sum256([]byte(strings.Join(tuples, "\n")))
+	return len(distinct), hex.EncodeToString(sum[:])
 }
 
 func reportScoreDiff(t *testing.T, label string, want, got map[string]map[string]float64) {

@@ -42,10 +42,8 @@ func TestFacadeDetectHLSL(t *testing.T) {
 // third frontend: parse → lower to IR → 256 flag combinations enumerated
 // and deduplicated → measured on all five platforms.
 func TestHLSLFullStudyRoundTrip(t *testing.T) {
-	vs, err := VariantsLang(hlslFacadeSrc, "hlsl-facade", LangHLSL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := mustCompile(t, hlslFacadeSrc, "hlsl-facade", WithLang(LangHLSL))
+	vs := sh.Variants()
 	if len(vs.ByFlags) != 256 {
 		t.Fatalf("flag mappings = %d, want 256", len(vs.ByFlags))
 	}
@@ -53,12 +51,13 @@ func TestHLSLFullStudyRoundTrip(t *testing.T) {
 		t.Fatalf("unique variants = %d", vs.Unique())
 	}
 	cfg := FastProtocol()
+	bestSh := mustCompile(t, vs.VariantFor(AllFlags).Source, "hlsl-facade-best")
 	for _, pl := range Platforms() {
-		orig, err := Measure(pl, hlslFacadeSrc, cfg)
+		orig, err := sh.Measure(pl, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Vendor, err)
 		}
-		best, err := Measure(pl, vs.VariantFor(AllFlags).Source, cfg)
+		best, err := bestSh.Measure(pl, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Vendor, err)
 		}
@@ -157,11 +156,11 @@ func TestHLSLCorpusTwinsRenderIdentically(t *testing.T) {
 		if src == nil || port == nil {
 			t.Fatalf("missing corpus twin for %s", inst)
 		}
-		gimg, err := Render(src.Source, src.Name, 8, 8, NoFlags)
+		gimg, err := mustCompile(t, src.Source, src.Name).Render(8, 8, NoFlags)
 		if err != nil {
 			t.Fatal(err)
 		}
-		himg, err := Render(port.Source, port.Name, 8, 8, NoFlags)
+		himg, err := mustCompile(t, port.Source, port.Name).Render(8, 8, NoFlags)
 		if err != nil {
 			t.Fatal(err)
 		}

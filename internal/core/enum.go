@@ -36,7 +36,8 @@ import (
 // shardable: within a level every pending step application is independent,
 // so they fan out across the worker pool; merging is sequential and
 // ordered, keeping the result deterministic and byte-identical to the
-// legacy path (pinned by TestMemoizedEnumerationMatchesLegacy).
+// clone-per-combination reference in internal/oracle (pinned by
+// TestMemoizedEnumerationMatchesLegacy).
 
 // enumNode is one distinct intermediate IR state in the enumeration DAG.
 // Nodes are immutable after creation: step application and leaf codegen
@@ -91,11 +92,12 @@ func FingerprintCanonical(p *ir.Program) string {
 // enumerateFromIR runs the exhaustive flag enumeration from an already
 // lowered base program, sharding the trie walk across `workers`
 // goroutines (<= 1 runs inline). The result is independent of the worker
-// count and byte-identical to legacyEnumerateFromIR. reg, when non-nil,
-// receives an "enumerate" span plus the walk's structural counters —
-// distinct nodes, step applications, no-op subtree collapses, and
-// fingerprint merges — which together say how hard the DAG collapse
-// worked for this shader; instrumentation never influences the walk.
+// count and byte-identical to the clone-per-combination reference
+// (internal/oracle). reg, when non-nil, receives an "enumerate" span
+// plus the walk's structural counters — distinct nodes, step
+// applications, no-op subtree collapses, and fingerprint merges — which
+// together say how hard the DAG collapse worked for this shader;
+// instrumentation never influences the walk.
 // shared, when non-nil, is the cross-shader node table the walk consults
 // before running a pass and feeds with what it computes (see SharedTrie);
 // the variant set stays byte-identical to a private walk either way.
@@ -196,7 +198,7 @@ func enumerateFromIR(reg *telemetry.Registry, base *ir.Program, name string, wor
 	reg.Counter("enum.merges").Add(merges)
 	reg.Counter("enum.leaves").Add(int64(len(leaves)))
 
-	// Assemble exactly like the legacy path: walk combinations in
+	// Assemble exactly like the reference: walk combinations in
 	// ascending order, deduplicating by generated-source hash (distinct
 	// leaf IRs can still print identical source). Hashes were computed
 	// once per leaf above — hashing per combination would redo each
@@ -294,31 +296,4 @@ func parallelFor(workers, n int, fn func(i int)) {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-}
-
-// legacyEnumerateFromIR is the pre-trie reference implementation: every
-// combination clones the prepared program and runs its flagged passes
-// from scratch. It is kept (and exported through Shader.LegacyVariants)
-// as the oracle the memoized path is differentially tested and
-// benchmarked against.
-func legacyEnumerateFromIR(base *ir.Program, name string) *VariantSet {
-	pre := base.Clone()
-	passes.Prepare(pre)
-	vs := &VariantSet{Name: name, ByFlags: make(map[Flags]*Variant, 256)}
-	byHash := map[string]*Variant{}
-	for _, flags := range passes.AllCombinations() {
-		prog := pre.Clone()
-		passes.RunFlagged(prog, flags)
-		out := glslgen.Generate(prog, glslgen.Desktop)
-		h := HashSource(out)
-		v, ok := byHash[h]
-		if !ok {
-			v = &Variant{Source: out, Hash: h}
-			byHash[h] = v
-			vs.Variants = append(vs.Variants, v)
-		}
-		v.FlagSets = append(v.FlagSets, flags)
-		vs.ByFlags[flags] = v
-	}
-	return vs
 }

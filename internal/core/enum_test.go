@@ -5,6 +5,7 @@ import (
 
 	"shaderopt/internal/core"
 	"shaderopt/internal/corpus"
+	"shaderopt/internal/oracle"
 )
 
 // enumCorpus returns the shaders the enumeration equivalence tests run
@@ -69,7 +70,8 @@ func assertVariantSetsEqual(t *testing.T, name string, want, got *core.VariantSe
 // TestMemoizedEnumerationMatchesLegacy is the tentpole's correctness pin:
 // for every corpus shader (GLSL and WGSL), the trie-memoized enumeration
 // produces byte-identical variants — sources, hashes, ordering, and
-// flag-set attribution — to the clone-per-combination reference path.
+// flag-set attribution — to the clone-per-combination reference
+// (oracle.Variants).
 func TestMemoizedEnumerationMatchesLegacy(t *testing.T) {
 	for _, s := range enumCorpus(t) {
 		s := s
@@ -79,7 +81,7 @@ func TestMemoizedEnumerationMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := h.LegacyVariants()
+			legacy := oracle.Variants(h)
 			memo := h.Variants()
 			assertVariantSetsEqual(t, s.Name, legacy, memo)
 		})
@@ -124,4 +126,37 @@ func TestVariantsSharesHandleCache(t *testing.T) {
 	if h.Variants() != first || h.VariantsSharedT(nil, 1, nil) != first {
 		t.Fatal("enumerations at different worker counts not shared through the handle cache")
 	}
+}
+
+// explodingPersist is a trie persistence layer that panics on every
+// access: a stand-in for any fault inside an enumeration walk.
+type explodingPersist struct{}
+
+func (explodingPersist) GetNode(string) (bool, string, bool) { panic("trie persist exploded") }
+func (explodingPersist) PutNode(string, bool, string)        { panic("trie persist exploded") }
+
+// TestVariantsRetriesAfterPanic pins that a panicking enumeration
+// memoizes nothing: the handle's next call enumerates afresh and returns
+// the full variant set, not a nil memo left behind by the failed walk.
+func TestVariantsRetriesAfterPanic(t *testing.T) {
+	s := corpus.ByName(corpus.MustLoad(), "blur/v9")
+	h, err := core.Compile(s.Source, s.Name, s.Lang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trie := core.NewSharedTrie()
+	trie.SetPersist(explodingPersist{})
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("enumeration through an exploding trie did not panic")
+			}
+		}()
+		h.VariantsSharedT(nil, 1, trie)
+	}()
+	vs := h.Variants()
+	if vs == nil {
+		t.Fatal("Variants returned nil after a panicking first enumeration")
+	}
+	assertVariantSetsEqual(t, s.Name, oracle.Variants(h), vs)
 }

@@ -38,8 +38,11 @@ type Shader struct {
 
 	base *ir.Program
 
-	variantsOnce sync.Once
-	variants     *VariantSet
+	// variantsMu guards variants, the memoized enumeration. It is set
+	// only when an enumeration completes, so a walk that panics leaves
+	// it nil and the next call retries.
+	variantsMu sync.Mutex
+	variants   *VariantSet
 
 	glslOnce sync.Once
 	glslSrc  string
@@ -101,20 +104,16 @@ func (s *Shader) Variants() *VariantSet { return s.VariantsSharedT(nil, 1, nil) 
 // step, feeding it with what it computes privately. The variant set is
 // independent of the worker count and byte-identical to a private walk
 // (sharing stays at the transform level), so one memo serves every call.
-// A nil registry records nothing; a nil table is a private walk.
+// A walk that panics memoizes nothing: the panic propagates, and the
+// next call enumerates afresh. A nil registry records nothing; a nil
+// table is a private walk.
 func (s *Shader) VariantsSharedT(reg *telemetry.Registry, workers int, shared *SharedTrie) *VariantSet {
-	s.variantsOnce.Do(func() {
+	s.variantsMu.Lock()
+	defer s.variantsMu.Unlock()
+	if s.variants == nil {
 		s.variants = enumerateFromIR(reg, s.base, s.Name, workers, shared)
-	})
+	}
 	return s.variants
-}
-
-// LegacyVariants runs the pre-memoization reference enumeration — every
-// combination cloned and optimized from scratch — bypassing the handle
-// cache. It exists as the differential-testing and benchmarking oracle
-// for the trie path; study code should use Variants.
-func (s *Shader) LegacyVariants() *VariantSet {
-	return legacyEnumerateFromIR(s.base, s.Name)
 }
 
 // GLSL returns the driver-visible desktop GLSL: the original text for GLSL

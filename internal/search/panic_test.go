@@ -72,3 +72,34 @@ func TestSweepWorkerPanicBecomesError(t *testing.T) {
 		}
 	}
 }
+
+// explodingPersist is a trie persistence layer that panics on every
+// access, so every enumeration walk through the session's shared trie
+// panics.
+type explodingPersist struct{}
+
+func (explodingPersist) GetNode(string) (bool, string, bool) { panic("trie persist exploded") }
+func (explodingPersist) PutNode(string, bool, string)        { panic("trie persist exploded") }
+
+// TestSweepEnumerationPanicBecomesError pins that a panic inside a
+// handle's enumeration is reported as that panic on every sweep of the
+// handle: the failed walk memoizes nothing, so a second sweep enumerates
+// again (and panics again) instead of dereferencing a nil variant set.
+func TestSweepEnumerationPanicBecomesError(t *testing.T) {
+	s := corpus.ByName(corpus.MustLoad(), "ui/flat")
+	h, err := core.Compile(s.Source, s.Name, s.Lang)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession([]*gpu.Platform{gpu.NewIntel()}, Options{Cfg: harness.FastConfig(), Workers: 1})
+	sess.SharedTrie().SetPersist(explodingPersist{})
+	for i := 1; i <= 2; i++ {
+		_, err := sess.Sweep([]*core.Shader{h}, nil)
+		if err == nil {
+			t.Fatalf("sweep %d with a panicking enumeration returned no error", i)
+		}
+		if !strings.Contains(err.Error(), "trie persist exploded") {
+			t.Fatalf("sweep %d: error does not carry the panic: %v", i, err)
+		}
+	}
+}

@@ -600,8 +600,9 @@ func (s *Session) resolveCompiled(pl *gpu.Platform, src, hash string, handle *co
 // harness.MeasureBatch pass. onEvent, when non-nil, receives per-shader
 // progress (serialized). Results are deterministic: noise streams are
 // seeded per (platform, source), independent of scheduling, batching, and
-// caching — and byte-identical to the per-variant legacy pipeline
-// (SweepLegacy), pinned corpus-wide by the harness-equivalence suite.
+// caching — and byte-identical to independent per-variant
+// harness.MeasureSource calls (the internal/oracle reference sweep),
+// pinned corpus-wide by the harness-equivalence suite.
 func (s *Session) Sweep(handles []*core.Shader, onEvent func(SweepEvent)) (*Sweep, error) {
 	return s.SweepContext(context.Background(), handles, onEvent)
 }
@@ -615,35 +616,16 @@ func (s *Session) Sweep(handles []*core.Shader, onEvent func(SweepEvent)) (*Swee
 // concurrent sweeps may be waiting on), so a canceled client can never
 // fail another client's measurements.
 func (s *Session) SweepContext(ctx context.Context, handles []*core.Shader, onEvent func(SweepEvent)) (*Sweep, error) {
-	return s.sweep(ctx, handles, onEvent, s.sweepShader)
+	return s.sweep(ctx, handles, onEvent)
 }
 
-// SweepLegacy runs the same study through the per-variant measurement
-// pipeline: every (variant, platform) pair is measured by an independent
-// harness.MeasureSource call — converted, parsed, lowered, canonicalized,
-// vendor-compiled, and sampled from scratch, with none of the session's
-// measurement caches. This is the original study loop (and what the
-// string facade's Measure still does per call), not the immediately
-// preceding Session.Sweep, which already shared front-end lowerings and
-// scores across platforms; the batched pipeline subsumes that sharing
-// and adds the compile cache, the single-parse front end, and the
-// batched harness pass on top. It is kept as the differential-testing
-// and benchmarking oracle for the batched pipeline (the LegacyVariants
-// pattern): scores are byte-identical to Sweep, pinned corpus-wide by
-// TestSweepBatchedMatchesLegacy, and the harness benchmark-regression
-// gate (testdata/harness_baseline.json) fails CI if Sweep stops beating
-// this path by the committed factor. Study code should use Sweep.
-func (s *Session) SweepLegacy(handles []*core.Shader, onEvent func(SweepEvent)) (*Sweep, error) {
-	return s.sweep(context.Background(), handles, onEvent, s.sweepShaderLegacy)
-}
-
-// sweep is the shared study driver: the shader fan-out across the worker
-// pool, error collection, and the serialized event stream, parameterized
-// by the per-shader measurement strategy. A canceled ctx stops shaders
-// that have not started yet and is threaded into each per-shader run's
-// own cancellation points. A panic in one shader's run becomes that
-// shader's error: the process (a sweep daemon, say) keeps serving.
-func (s *Session) sweep(ctx context.Context, handles []*core.Shader, onEvent func(SweepEvent), perShader func(context.Context, *core.Shader) (*ShaderResult, SweepEvent, error)) (*Sweep, error) {
+// sweep is the study driver: the shader fan-out across the worker pool,
+// error collection, and the serialized event stream around sweepShader.
+// A canceled ctx stops shaders that have not started yet and is threaded
+// into each per-shader run's own cancellation points. A panic in one
+// shader's run becomes that shader's error: the process (a sweep daemon,
+// say) keeps serving.
+func (s *Session) sweep(ctx context.Context, handles []*core.Shader, onEvent func(SweepEvent)) (*Sweep, error) {
 	results := make([]*ShaderResult, len(handles))
 	errs := make([]error, len(handles))
 
@@ -668,7 +650,7 @@ func (s *Session) sweep(ctx context.Context, handles []*core.Shader, onEvent fun
 				return
 			}
 			var ev SweepEvent
-			results[i], ev, errs[i] = perShader(ctx, h)
+			results[i], ev, errs[i] = s.sweepShader(ctx, h)
 			if errs[i] == nil {
 				eventMu.Lock()
 				ev.Shader = h.Name
@@ -915,50 +897,6 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 		perVariant[v.Hash] = slots[1+i].ns
 	}
 	return slots[0].ns, perVariant, nil
-}
-
-// sweepShaderLegacy is the per-variant reference: the original baseline
-// and every distinct variant measured per (variant, platform) through
-// harness.MeasureSource, with no session measurement caching. Kept as
-// the oracle sweepShader is differentially tested and benchmarked
-// against; see SweepLegacy for what it does and does not represent.
-func (s *Session) sweepShaderLegacy(ctx context.Context, h *core.Shader) (r *ShaderResult, ev SweepEvent, err error) {
-	enumStart := time.Now()
-	vs, enumCached := s.Variants(h)
-	ev.EnumCached = enumCached
-	ev.EnumMS = float64(time.Since(enumStart).Nanoseconds()) / 1e6
-	ev.UniqueVariants = vs.Unique()
-	origSrc, _, _ := origBaseline(h, vs)
-	r = &ShaderResult{
-		Handle:    h,
-		Variants:  vs,
-		OrigNS:    map[string]float64{},
-		VariantNS: map[string]map[string]float64{},
-	}
-	measStart := time.Now()
-	for _, pl := range s.platforms {
-		if err := ctx.Err(); err != nil {
-			return nil, ev, err
-		}
-		m, err := harness.MeasureSource(pl, origSrc, s.cfg)
-		if err != nil {
-			return nil, ev, fmt.Errorf("original on %s: %w", pl.Vendor, err)
-		}
-		ev.Measured++
-		r.OrigNS[pl.Vendor] = m.Score()
-		perVariant := make(map[string]float64, len(vs.Variants))
-		for _, v := range vs.Variants {
-			m, err := harness.MeasureSource(pl, v.Source, s.cfg)
-			if err != nil {
-				return nil, ev, fmt.Errorf("variant %s on %s: %w", v.Hash, pl.Vendor, err)
-			}
-			ev.Measured++
-			perVariant[v.Hash] = m.Score()
-		}
-		r.VariantNS[pl.Vendor] = perVariant
-	}
-	ev.MeasureMS = float64(time.Since(measStart).Nanoseconds()) / 1e6
-	return r, ev, nil
 }
 
 // Run executes the exhaustive study over the given corpus shaders and

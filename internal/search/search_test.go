@@ -10,6 +10,7 @@ import (
 	"shaderopt/internal/corpus"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
+	"shaderopt/internal/oracle"
 	"shaderopt/internal/passes"
 )
 
@@ -279,9 +280,9 @@ func compileSubset(t *testing.T) []*core.Shader {
 // TestSessionSweepMatchesLegacyMeasurement: the handle-based session sweep
 // must produce byte-identical scores to the pre-handle semantics — every
 // source measured through harness.MeasureSource, one call per (variant,
-// platform) with no caching. The session's measurement cache, shared
-// driver-front-end lowering, and IR-based measurement of originals must
-// not change a single number.
+// platform) with no caching (oracle.Sweep). The session's measurement
+// cache, shared driver-front-end lowering, and IR-based measurement of
+// originals must not change a single number.
 func TestSessionSweepMatchesLegacyMeasurement(t *testing.T) {
 	cfg := harness.FastConfig()
 	sess := NewSession(gpu.Platforms(), Options{Cfg: cfg})
@@ -289,40 +290,23 @@ func TestSessionSweepMatchesLegacyMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shaders, err := sweepSubset()
+	want, err := oracle.Sweep(compileSubset(t), gpu.Platforms(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range shaders {
+	for i, w := range want {
 		r := got.Results[i]
-		if r.Name() != sh.Name {
-			t.Fatalf("order differs: %s vs %s", r.Name(), sh.Name)
-		}
-		h, err := core.Compile(sh.Source, sh.Name, sh.Lang)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vs := h.Variants()
-		origSrc := sh.Source
-		if sh.Lang.Resolve(sh.Source) == core.LangWGSL {
-			origSrc = vs.VariantFor(core.NoFlags).Source
+		if r.Name() != w.Name {
+			t.Fatalf("order differs: %s vs %s", r.Name(), w.Name)
 		}
 		for _, pl := range gpu.Platforms() {
-			m, err := harness.MeasureSource(pl, origSrc, cfg)
-			if err != nil {
-				t.Fatal(err)
+			if r.OrigNS[pl.Vendor] != w.OrigNS[pl.Vendor] {
+				t.Errorf("%s orig on %s: %v != legacy %v", w.Name, pl.Vendor, r.OrigNS[pl.Vendor], w.OrigNS[pl.Vendor])
 			}
-			if r.OrigNS[pl.Vendor] != m.Score() {
-				t.Errorf("%s orig on %s: %v != legacy %v", sh.Name, pl.Vendor, r.OrigNS[pl.Vendor], m.Score())
-			}
-			for _, v := range vs.Variants {
-				vm, err := harness.MeasureSource(pl, v.Source, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.VariantNS[pl.Vendor][v.Hash] != vm.Score() {
+			for hash, ns := range w.VariantNS[pl.Vendor] {
+				if r.VariantNS[pl.Vendor][hash] != ns {
 					t.Errorf("%s variant %s on %s: %v != legacy %v",
-						sh.Name, v.Hash, pl.Vendor, r.VariantNS[pl.Vendor][v.Hash], vm.Score())
+						w.Name, hash, pl.Vendor, r.VariantNS[pl.Vendor][hash], ns)
 				}
 			}
 		}

@@ -25,18 +25,17 @@
 // across source languages (the hlsl corpus family is an
 // instance-for-instance port of the GLSL tonemap family with pinned
 // variant fingerprints, so the comparison is exact). Source language is
-// auto-detected by default and can be pinned with WithLang or the *Lang
-// functions.
+// auto-detected by default and can be pinned with WithLang.
 //
 // # Backends
 //
-// Emit and Shader.Emit serialize a compiled shader through any Backend:
-// textual desktop GLSL (BackendGLSL), textual Metal Shading Language
-// (BackendMSL, ingestible by the MSL frontend), or a genuine SPIR-V 1.0
-// binary module (BackendSPIRV, with an in-package decoder, structural
-// validator, and disassembler in internal/spirvgen). EmitOptimized runs
-// a flag set first, so any point of the 256-combination study can be
-// exported in any format. Each backend round-trips: its output
+// Shader.Emit serializes a compiled shader through any Backend: textual
+// desktop GLSL (BackendGLSL), textual Metal Shading Language (BackendMSL,
+// ingestible by the MSL frontend), or a genuine SPIR-V 1.0 binary module
+// (BackendSPIRV, with an in-package decoder, structural validator, and
+// disassembler in internal/spirvgen). Shader.EmitOptimized runs a flag
+// set first, so any point of the 256-combination study can be exported
+// in any format. Each backend round-trips: its output
 // re-ingests through the matching frontend to an IR that renders
 // bit-identically to the GLSL path — a zero-tolerance property pinned
 // corpus-wide, for every enumerated variant, by the
@@ -98,8 +97,12 @@
 //	    fmt.Println(pl.Vendor, sweep.Results[0].BestSpeedup(pl.Vendor))
 //	}
 //
-// The string functions (Optimize, Variants, Measure, Render, Sweep, …)
-// remain as one-shot convenience wrappers over Compile.
+// Every operation has exactly one entry point: a Shader method for
+// per-shader products (Optimize, Variants, ToGLSL, Emit, Measure,
+// Render) and Session.Sweep for the study. The remaining package-level
+// functions build handles (Compile, CompileCorpus) or do work no handle
+// method covers (ConvertToES, GenerateVertexShader, Speedup, Corpus,
+// Platforms, the Parse* helpers).
 //
 // # Measurement pipeline
 //
@@ -137,9 +140,10 @@
 // hoisted out of the Frames×Repeats inner loop. Every variant's noise
 // stream stays independently seeded from (protocol seed, vendor, source),
 // so batching, batch order, caching, eviction, and worker count cannot
-// move a single sample: results are byte-identical to the per-variant
-// legacy pipeline, which survives as Session.SweepLegacy (the
-// LegacyVariants pattern) and oracles the equivalence suite. SweepEvent
+// move a single sample: results are byte-identical to independent
+// per-variant harness.MeasureSource calls, the reference sweep
+// (oracle.Sweep, in the test-support package internal/oracle) the
+// equivalence suite checks against. SweepEvent
 // reports where the time went (EnumMS vs MeasureMS) and what the caches
 // absorbed (CacheHits, CompileHits); cmd/sweep renders both live.
 //
@@ -228,14 +232,15 @@
 //     emitted text and the SPIR-V structural validator accepting every
 //     module.
 //   - Reference-implementation pinning: the pre-memoization enumeration
-//     survives as Shader.LegacyVariants, and
+//     lives on as oracle.Variants in the test-support package
+//     internal/oracle (imported only by tests), and
 //     TestMemoizedEnumerationMatchesLegacy pins the trie path
 //     byte-identical to it corpus-wide — sources, hashes, ordering, and
 //     flag attribution. The harness-equivalence suite does the same for
 //     the measurement pipeline: MeasureBatch field-identical to
 //     per-variant MeasureCompiled (samples included), CompileCanonical
 //     identical to Compile on canonical input, and the batched
-//     Session.Sweep score-identical to Session.SweepLegacy corpus-wide,
+//     Session.Sweep score-identical to oracle.Sweep corpus-wide,
 //     invariant under worker count, shader order, and cache hit/miss
 //     order. Worker-invariance tests run under -race in CI, and
 //     cache-bound tests pin that LRU eviction — enumeration, lowering,
@@ -252,8 +257,8 @@
 //     checked-in goldens (regenerate with -update), so output changes are
 //     reviewed as diffs.
 //
-// Two benchmark-regression gates time the memoized paths against their
-// preserved legacy counterparts in-process and fail CI if the speedup
+// Two benchmark-regression gates time the memoized paths against the
+// internal/oracle references in-process and fail CI if the speedup
 // falls below the committed factor: TestEnumerationSpeedupRegression
 // (testdata/enum_baseline.json) for variant enumeration, and
 // TestHarnessSpeedupRegression (testdata/harness_baseline.json) for the
@@ -343,74 +348,6 @@ const (
 // ParseBackend parses a -backend flag value ("glsl", "msl", "spirv").
 func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 
-// Emit compiles fragment shader source (any supported language,
-// auto-detected) and serializes the unoptimized IR through the given
-// backend. Text backends return source bytes; BackendSPIRV returns a
-// little-endian binary module.
-func Emit(src, name string, b Backend) ([]byte, error) {
-	sh, err := Compile(src, name)
-	if err != nil {
-		return nil, err
-	}
-	return sh.Emit(b)
-}
-
-// EmitOptimized is Emit after running the optimizer with the given
-// flags.
-func EmitOptimized(src, name string, flags Flags, b Backend) ([]byte, error) {
-	sh, err := Compile(src, name)
-	if err != nil {
-		return nil, err
-	}
-	return sh.EmitOptimized(flags, b)
-}
-
-// Optimize runs the offline optimizer on fragment shader source (GLSL,
-// WGSL, or HLSL, auto-detected) and returns optimized desktop GLSL — the
-// interchange form every simulated driver consumes. Convenience wrapper
-// over Compile for one-shot use; compile a handle to reuse the parsed
-// form.
-func Optimize(src, name string, flags Flags) (string, error) {
-	return OptimizeLang(src, name, LangAuto, flags)
-}
-
-// OptimizeLang is Optimize with the source language pinned.
-func OptimizeLang(src, name string, lang Lang, flags Flags) (string, error) {
-	sh, err := Compile(src, name, WithLang(lang))
-	if err != nil {
-		return "", err
-	}
-	return sh.Optimize(flags), nil
-}
-
-// OptimizeWGSL runs the offline optimizer on a WGSL fragment shader and
-// returns optimized desktop GLSL. Convenience wrapper over Compile.
-func OptimizeWGSL(src, name string, flags Flags) (string, error) {
-	return OptimizeLang(src, name, LangWGSL, flags)
-}
-
-// OptimizeHLSL runs the offline optimizer on an HLSL pixel shader and
-// returns optimized desktop GLSL. Convenience wrapper over Compile.
-func OptimizeHLSL(src, name string, flags Flags) (string, error) {
-	return OptimizeLang(src, name, LangHLSL, flags)
-}
-
-// Variants enumerates all 256 flag combinations for a shader (GLSL,
-// WGSL, or HLSL, auto-detected) and deduplicates the distinct outputs
-// (Fig. 4c). Convenience wrapper over Compile for one-shot use.
-func Variants(src, name string) (*core.VariantSet, error) {
-	return VariantsLang(src, name, LangAuto)
-}
-
-// VariantsLang is Variants with the source language pinned.
-func VariantsLang(src, name string, lang Lang) (*core.VariantSet, error) {
-	sh, err := Compile(src, name, WithLang(lang))
-	if err != nil {
-		return nil, err
-	}
-	return sh.Variants(), nil
-}
-
 // Variant re-exports the deduplicated variant type.
 type Variant = core.Variant
 
@@ -440,20 +377,6 @@ func FastProtocol() Protocol { return harness.FastConfig() }
 // Measurement holds frame time samples and their aggregates.
 type Measurement = harness.Measurement
 
-// Measure times fragment shader source on a platform under the protocol.
-// GLSL is measured as written (mobile platforms receive it through the
-// GLES conversion pipeline); WGSL and HLSL input is auto-detected and
-// measured via its unoptimized GLSL translation, the form a driver would
-// see. Convenience wrapper over Compile for one-shot use; compile a
-// handle (or use a Session) to measure many variants without re-parsing.
-func Measure(pl *Platform, src string, cfg Protocol) (*Measurement, error) {
-	sh, err := Compile(src, "measure")
-	if err != nil {
-		return nil, err
-	}
-	return sh.Measure(pl, cfg)
-}
-
 // Speedup converts a baseline/variant time pair into the paper's
 // percentage speed-up metric.
 func Speedup(baselineNS, variantNS float64) float64 {
@@ -462,14 +385,6 @@ func Speedup(baselineNS, variantNS float64) float64 {
 
 // ConvertToES runs the glslang/SPIRV-Cross-style mobile conversion.
 func ConvertToES(src, name string) (string, error) { return crossc.ToES(src, name) }
-
-// ToGLSL returns the desktop-GLSL form of a shader: GLSL input passes
-// through untouched; WGSL and HLSL input is lowered and regenerated
-// unoptimized, the source a driver would actually receive. Convenience
-// wrapper over Compile for one-shot use.
-func ToGLSL(src, name string, lang Lang) (string, error) {
-	return core.ToGLSL(src, name, lang)
-}
 
 // GenerateVertexShader builds the §IV-B matching vertex shader for a
 // fragment shader.
@@ -500,13 +415,6 @@ func CompileCorpus(shaders []*corpus.Shader, opts ...Option) ([]*Shader, error) 
 	return out, nil
 }
 
-// Sweep runs the full exhaustive study (all shaders × 256 combinations ×
-// all platforms). Convenience wrapper over the handle API: it compiles
-// each corpus shader once and sweeps the handles through a fresh Session.
-func Sweep(shaders []*corpus.Shader, platforms []*Platform, cfg Protocol) (*search.Sweep, error) {
-	return search.Run(shaders, platforms, search.Options{Cfg: cfg})
-}
-
 // SweepResult re-exports the study result type.
 type SweepResult = search.Sweep
 
@@ -534,17 +442,3 @@ func NewTracer() *Tracer { return telemetry.NewTracer() }
 // TelemetrySnapshot is a point-in-time copy of a registry's metrics,
 // mergeable across registries and renderable with Table.
 type TelemetrySnapshot = telemetry.Snapshot
-
-// Render interprets a fragment shader (GLSL, WGSL, or HLSL,
-// auto-detected) functionally for every pixel of a w×h image with
-// default-initialized uniforms (0.5 floats, the patterned texture) and uv
-// varying over [0,1]². It returns RGBA rows — handy for visually
-// confirming optimization equivalence, including across frontends.
-// Convenience wrapper over Compile for one-shot use.
-func Render(src, name string, w, h int, flags Flags) ([][][4]float64, error) {
-	sh, err := Compile(src, name)
-	if err != nil {
-		return nil, err
-	}
-	return sh.Render(w, h, flags)
-}

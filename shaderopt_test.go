@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"shaderopt/internal/core"
+	"shaderopt/internal/harness"
 )
 
 const facadeSrc = `#version 330
@@ -17,21 +20,30 @@ void main() {
 }
 `
 
-func TestFacadeOptimizeAndMeasure(t *testing.T) {
-	out, err := Optimize(facadeSrc, "facade", AllFlags)
+// mustCompile compiles src into a handle or fails the test.
+func mustCompile(tb testing.TB, src, name string, opts ...Option) *Shader {
+	tb.Helper()
+	sh, err := Compile(src, name, opts...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sh
+}
+
+func TestFacadeOptimizeAndMeasure(t *testing.T) {
+	sh := mustCompile(t, facadeSrc, "facade")
+	out := sh.Optimize(AllFlags)
 	if !strings.Contains(out, "#version 330") {
 		t.Error("bad output")
 	}
+	optSh := mustCompile(t, out, "facade-opt")
 	cfg := FastProtocol()
 	for _, pl := range Platforms() {
-		orig, err := Measure(pl, facadeSrc, cfg)
+		orig, err := sh.Measure(pl, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Vendor, err)
 		}
-		opt, err := Measure(pl, out, cfg)
+		opt, err := optSh.Measure(pl, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Vendor, err)
 		}
@@ -42,11 +54,7 @@ func TestFacadeOptimizeAndMeasure(t *testing.T) {
 }
 
 func TestFacadeVariants(t *testing.T) {
-	vs, err := Variants(facadeSrc, "facade")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs.Unique() < 1 {
+	if vs := mustCompile(t, facadeSrc, "facade").Variants(); vs.Unique() < 1 {
 		t.Error("no variants")
 	}
 }
@@ -110,11 +118,12 @@ void main() {
     color = acc * 2.0 * vec4(0.5, 0.6, 0.7, 1.0);
 }
 `
-	before, err := Render(src, "r", 16, 16, NoFlags)
+	sh := mustCompile(t, src, "r")
+	before, err := sh.Render(16, 16, NoFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Render(src, "r", 16, 16, AllFlags)
+	after, err := sh.Render(16, 16, AllFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +146,11 @@ func TestFacadeSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := Sweep(shaders[:3], Platforms(), FastProtocol())
+	handles, err := CompileCorpus(shaders[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := NewSession(WithProtocol(FastProtocol())).Sweep(handles, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +197,8 @@ func TestFacadeDetectLang(t *testing.T) {
 // lower to IR → 256 flag combinations enumerated and deduplicated →
 // measured on all five platforms.
 func TestWGSLFullStudyRoundTrip(t *testing.T) {
-	vs, err := VariantsLang(wgslFacadeSrc, "wgsl-facade", LangWGSL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := mustCompile(t, wgslFacadeSrc, "wgsl-facade", WithLang(LangWGSL))
+	vs := sh.Variants()
 	if len(vs.ByFlags) != 256 {
 		t.Fatalf("flag mappings = %d, want 256", len(vs.ByFlags))
 	}
@@ -195,12 +206,13 @@ func TestWGSLFullStudyRoundTrip(t *testing.T) {
 		t.Fatalf("unique variants = %d", vs.Unique())
 	}
 	cfg := FastProtocol()
+	bestSh := mustCompile(t, vs.VariantFor(AllFlags).Source, "wgsl-facade-best")
 	for _, pl := range Platforms() {
-		orig, err := Measure(pl, wgslFacadeSrc, cfg)
+		orig, err := sh.Measure(pl, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Vendor, err)
 		}
-		best, err := Measure(pl, vs.VariantFor(AllFlags).Source, cfg)
+		best, err := bestSh.Measure(pl, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Vendor, err)
 		}
@@ -214,11 +226,11 @@ func TestWGSLFullStudyRoundTrip(t *testing.T) {
 // GLSL and in WGSL and requires bit-identical images at NoFlags.
 func TestRenderPixelExactAcrossFrontends(t *testing.T) {
 	const w, h = 16, 16
-	gimg, err := Render(glslLumaSrc, "pair-glsl", w, h, NoFlags)
+	gimg, err := mustCompile(t, glslLumaSrc, "pair-glsl").Render(w, h, NoFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wimg, err := Render(wgslFacadeSrc, "pair-wgsl", w, h, NoFlags)
+	wimg, err := mustCompile(t, wgslFacadeSrc, "pair-wgsl").Render(w, h, NoFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +258,11 @@ func TestRenderPixelExactAcrossFrontends(t *testing.T) {
 	if gs == nil || ws == nil {
 		t.Fatal("missing luma corpus twins")
 	}
-	gimg, err = Render(gs.Source, gs.Name, 8, 8, NoFlags)
+	gimg, err = mustCompile(t, gs.Source, gs.Name).Render(8, 8, NoFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wimg, err = Render(ws.Source, ws.Name, 8, 8, NoFlags)
+	wimg, err = mustCompile(t, ws.Source, ws.Name).Render(8, 8, NoFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,10 +276,7 @@ func TestRenderPixelExactAcrossFrontends(t *testing.T) {
 }
 
 func TestFacadeOptimizeWGSL(t *testing.T) {
-	out, err := OptimizeWGSL(wgslFacadeSrc, "wgsl-facade", AllFlags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := mustCompile(t, wgslFacadeSrc, "wgsl-facade", WithLang(LangWGSL)).Optimize(AllFlags)
 	if !strings.Contains(out, "void main") {
 		t.Errorf("output is not GLSL:\n%s", out)
 	}
@@ -282,9 +291,12 @@ func TestFacadeOptimizeWGSL(t *testing.T) {
 
 // --- Compiled-handle API acceptance ---
 
-// TestHandleEquivalentToStringFacade: Compile → Optimize/Variants/ToGLSL/
-// Measure/Render must reproduce the legacy string facade exactly —
-// byte-identical GLSL and identical measurement scores for a fixed seed —
+// TestHandleEquivalentToStringFacade: a handle's products are pure
+// functions of its source text. After the handle has memoized its
+// variant enumeration, Optimize, Variants, and Render must still match
+// a fresh handle per product. ToGLSL and Measure must match the
+// string-level pipeline on the source text: core.ToGLSL and
+// harness.MeasureSource (identical scores for a fixed seed). Checked
 // for both frontends.
 func TestHandleEquivalentToStringFacade(t *testing.T) {
 	cfg := FastProtocol()
@@ -292,28 +304,17 @@ func TestHandleEquivalentToStringFacade(t *testing.T) {
 		name, src string
 	}{{"glsl", facadeSrc}, {"wgsl", wgslFacadeSrc}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, err := Compile(tc.src, "eq")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, flags := range []Flags{NoFlags, DefaultFlags, AllFlags} {
-				want, err := Optimize(tc.src, "eq", flags)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := sh.Optimize(flags); got != want {
-					t.Errorf("flags %v: handle GLSL differs from string facade", flags)
-				}
-			}
-			wantVS, err := Variants(tc.src, "eq")
-			if err != nil {
-				t.Fatal(err)
-			}
+			sh := mustCompile(t, tc.src, "eq")
 			vs := sh.Variants()
-			if vs.Unique() != wantVS.Unique() {
-				t.Errorf("unique = %d, want %d", vs.Unique(), wantVS.Unique())
+			for _, flags := range []Flags{NoFlags, DefaultFlags, AllFlags} {
+				if sh.Optimize(flags) != mustCompile(t, tc.src, "eq").Optimize(flags) {
+					t.Errorf("flags %v: handle GLSL differs from a fresh handle's", flags)
+				}
 			}
-			wantGLSL, err := ToGLSL(tc.src, "eq", LangAuto)
+			if want := mustCompile(t, tc.src, "eq").Variants().Unique(); vs.Unique() != want {
+				t.Errorf("unique = %d, want %d", vs.Unique(), want)
+			}
+			wantGLSL, err := core.ToGLSL(tc.src, "eq", LangAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +322,7 @@ func TestHandleEquivalentToStringFacade(t *testing.T) {
 				t.Error("ToGLSL differs")
 			}
 			for _, pl := range Platforms() {
-				want, err := Measure(pl, tc.src, cfg)
+				want, err := harness.MeasureSource(pl, wantGLSL, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -333,7 +334,7 @@ func TestHandleEquivalentToStringFacade(t *testing.T) {
 					t.Errorf("%s: handle measurement differs: %v vs %v", pl.Vendor, got.MedianNS, want.MedianNS)
 				}
 			}
-			wantImg, err := Render(tc.src, "eq", 8, 8, AllFlags)
+			wantImg, err := mustCompile(t, tc.src, "eq").Render(8, 8, AllFlags)
 			if err != nil {
 				t.Fatal(err)
 			}
