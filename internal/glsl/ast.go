@@ -29,6 +29,9 @@ func (t TypeSpec) String() string {
 type Shader struct {
 	Version string // contents of the #version directive, e.g. "330" or "300 es"
 	Decls   []Decl
+	// Tokens is the number of tokens Parse read the shader from, 0 for a
+	// shader built another way. The checker sizes its tables from it.
+	Tokens int
 }
 
 // Decl is a top-level declaration.

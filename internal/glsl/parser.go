@@ -22,7 +22,7 @@ func Parse(src string) (*Shader, error) {
 		return nil, err
 	}
 	p := &Parser{toks: toks}
-	sh := &Shader{}
+	sh := &Shader{Tokens: len(toks)}
 	for p.cur().Kind == PPLine {
 		line := strings.TrimSpace(p.cur().Text)
 		switch {

@@ -32,7 +32,6 @@ func Generate(p *ir.Program, d Dialect) string {
 		dialect: d,
 		names:   map[any]string{},
 		used:    map[string]bool{},
-		uses:    p.UseCounts(),
 	}
 	return g.run()
 }
@@ -45,7 +44,6 @@ type gen struct {
 
 	names map[any]string // *ir.Var / *ir.Global / *ir.Instr -> GLSL name
 	used  map[string]bool
-	uses  map[*ir.Instr]int
 }
 
 func (g *gen) run() string {

@@ -117,9 +117,10 @@ func (pl *Platform) CompileSource(src string) (*Compiled, error) {
 
 // Compile runs the vendor JIT on an already-lowered program, skipping the
 // driver front end — the entry point for callers that hold a compiled IR
-// handle. The driver pipeline transforms prog in place; pass a clone if
-// the program is shared. The error reports a failed ingestion round trip
-// (see Platform.Ingest).
+// handle. The opening canonicalization transforms prog in place, and on a
+// platform that CompilesInPlace so does the rest of the driver pipeline;
+// pass a clone if the program is shared. The error reports a failed
+// ingestion round trip (see Platform.Ingest).
 func (pl *Platform) Compile(prog *ir.Program) (*Compiled, error) {
 	// Driver-internal pipeline. Every driver folds constants and cleans up
 	// (canonicalize); the rest is vendor-specific.
@@ -133,8 +134,9 @@ func (pl *Platform) Compile(prog *ir.Program) (*Compiled, error) {
 // input the result is identical to Compile on a clone of the same program
 // (pinned by TestCompileCanonicalMatchesCompile) while the fixed-point
 // verification sweep runs once per distinct program instead of once per
-// platform. For input of unknown provenance use Compile. Transforms prog
-// in place; pass a clone if the program is shared.
+// platform. For input of unknown provenance use Compile. On a platform
+// that CompilesInPlace it transforms prog in place, so pass a clone if the
+// program is shared; a translating platform only reads prog.
 //
 // CompileCanonical panics if the ingestion round trip fails, which for
 // GLSL ingestion (the identity) it never does; callers compiling for a
@@ -152,7 +154,8 @@ func (pl *Platform) CompileCanonical(prog *ir.Program) *Compiled {
 // records a per-vendor "compile <vendor>" span, the gpu.compiles
 // counters, and its wall-clock duration in the gpu.compile histogram
 // (whose sum is a sweep's total driver-compile time). A nil registry
-// records nothing; instrumentation never changes the compile.
+// records nothing; instrumentation never changes the compile. prog is
+// transformed in place exactly when the platform CompilesInPlace.
 func (pl *Platform) CompileCanonicalT(reg *telemetry.Registry, prog *ir.Program) (*Compiled, error) {
 	if reg == nil {
 		return pl.compileCanonical(prog)
@@ -212,6 +215,15 @@ func (pl *Platform) compileCanonical(prog *ir.Program) (*Compiled, error) {
 	c := &Compiled{Platform: pl, Stats: stats}
 	pl.Cost.fill(c)
 	return c, nil
+}
+
+// CompilesInPlace reports whether the vendor pipeline after the opening
+// canonicalization (CompileCanonical) transforms its input program in
+// place. It does for GLSL ingestion, the identity. A translating platform
+// (MSL or SPIR-V ingestion) serializes the input, re-ingests it into a
+// fresh program and compiles that, so the input is only read.
+func (pl *Platform) CompilesInPlace() bool {
+	return pl.Ingest == "" || pl.Ingest == crossc.IngestGLSL
 }
 
 // ingest passes the program through the platform's preferred ingestion

@@ -231,7 +231,10 @@ func (l *Lexer) lexNumber(start Pos) Token {
 // EOF.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// Presized from the source length. Corpus sources run 3.5 to 4.0
+	// bytes per token, so a third of the length never regrows on the
+	// corpus.
+	toks := make([]Token, 0, len(src)/3)
 	for {
 		t := l.Next()
 		if t.Kind == EOF {

@@ -32,7 +32,7 @@ func (p *Program) PrintAlpha(w io.Writer) {
 		w:       w,
 		globals: make(map[*Global]string, len(p.Uniforms)+len(p.Inputs)),
 		vars:    make(map[*Var]string, len(p.Vars)),
-		ids:     make(map[*Instr]int),
+		ids:     make(map[*Instr]int, p.MaxID()),
 	}
 	io.WriteString(w, "program @\n")
 	for i, g := range p.Uniforms {

@@ -3,7 +3,9 @@ package ir
 // Clone deep-copies the whole program. Interface globals and Var slots are
 // shared (they are identity-keyed and never mutated by passes; passes only
 // add new ones), while every instruction and block is duplicated, so the
-// clone can be optimized independently of the original.
+// clone can be optimized independently of the original. The clone's
+// instructions are numbered densely in program order, as RenumberIDs
+// would number them.
 func (p *Program) Clone() *Program {
 	np := &Program{
 		Name:     p.Name,
@@ -12,10 +14,9 @@ func (p *Program) Clone() *Program {
 		Inputs:   append([]*Global(nil), p.Inputs...),
 		Outputs:  append([]*Var(nil), p.Outputs...),
 		Vars:     append([]*Var(nil), p.Vars...),
-		nextID:   p.nextID,
 	}
-	np.Body = np.CloneBlock(p.Body, map[*Instr]*Instr{}, map[*Var]*Var{})
-	np.RenumberIDs()
+	c := &cloner{p: np, byID: make([]clonedInstr, p.nextID+1)}
+	np.Body = c.block(p.Body)
 	return np
 }
 
@@ -36,7 +37,7 @@ func (p *Program) CloneBlock(b *Block, subst map[*Instr]*Instr, varSubst map[*Va
 // CloneRemapped deep-copies the program while substituting every Global
 // and Var reference through the given maps: the declaration lists and
 // every instruction operand are rewritten to the mapped slots, and IDs
-// are renumbered densely in program order. It has two callers.
+// are numbered densely in program order. It has two callers.
 // Cross-shader trie transport maps each slot positionally onto an
 // alpha-equivalent program's, so a transform result computed for one
 // becomes the result for the other. The mobile ES conversion
@@ -50,7 +51,7 @@ func (p *Program) CloneBlock(b *Block, subst map[*Instr]*Instr, varSubst map[*Va
 // values; the caller overwrites them.
 func (p *Program) CloneRemapped(globals map[*Global]*Global, vars map[*Var]*Var) (*Program, bool) {
 	np := &Program{Name: p.Name, Version: p.Version}
-	c := &cloner{p: np, subst: map[*Instr]*Instr{}, varSubst: vars, globalSubst: globals, strict: true}
+	c := &cloner{p: np, byID: make([]clonedInstr, p.nextID+1), varSubst: vars, globalSubst: globals, strict: true}
 	np.Uniforms = make([]*Global, len(p.Uniforms))
 	for i, g := range p.Uniforms {
 		np.Uniforms[i] = c.globalRef(g)
@@ -71,13 +72,20 @@ func (p *Program) CloneRemapped(globals map[*Global]*Global, vars map[*Var]*Var)
 	if c.failed {
 		return nil, false
 	}
-	np.RenumberIDs()
 	return np, true
 }
 
+// A cloner copies instructions into p, which numbers the copies in the
+// order the walk makes them: program order, for a whole-program clone
+// into a fresh program.
 type cloner struct {
-	p        *Program
+	p *Program
+	// subst maps each instruction cloned so far, and any the caller
+	// seeded, to its replacement (CloneBlock). A whole-program clone
+	// uses byID instead: the source's IDs are distinct and within
+	// 1..MaxID, so a table indexed by ID replaces the map.
 	subst    map[*Instr]*Instr
+	byID     []clonedInstr
 	varSubst map[*Var]*Var
 
 	// globalSubst, strict, and failed serve CloneRemapped: globalSubst
@@ -89,7 +97,16 @@ type cloner struct {
 	failed      bool
 }
 
+// clonedInstr is a byID entry: the source instruction and its copy.
+type clonedInstr struct{ from, to *Instr }
+
 func (c *cloner) resolve(in *Instr) *Instr {
+	if c.byID != nil {
+		if in.ID < len(c.byID) && c.byID[in.ID].from == in {
+			return c.byID[in.ID].to
+		}
+		return in
+	}
 	if r, ok := c.subst[in]; ok {
 		return r
 	}
@@ -173,6 +190,10 @@ func (c *cloner) instr(in *Instr) *Instr {
 	for i, a := range in.Args {
 		ni.Args[i] = c.resolve(a)
 	}
-	c.subst[in] = ni
+	if c.byID != nil {
+		c.byID[in.ID] = clonedInstr{in, ni}
+	} else {
+		c.subst[in] = ni
+	}
 	return ni
 }

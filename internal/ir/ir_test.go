@@ -352,11 +352,11 @@ func TestUseCounts(t *testing.T) {
 	p := buildSimple()
 	uses := p.UseCounts()
 	k := p.Body.Items[1].(*Instr)
-	if uses[k] != 2 {
-		t.Errorf("k used %d times, want 2", uses[k])
+	if uses.Of(k) != 2 {
+		t.Errorf("k used %d times, want 2", uses.Of(k))
 	}
 	st := p.Body.Items[6].(*Instr)
-	if uses[st] != 0 {
+	if uses.Of(st) != 0 {
 		t.Error("store should have no uses")
 	}
 }
@@ -428,5 +428,48 @@ func TestWalkAndCounts(t *testing.T) {
 	p.Body.WalkBlocks(func(*Block) { blocks++ })
 	if blocks != 1 {
 		t.Errorf("blocks = %d", blocks)
+	}
+}
+
+func TestVerifyRejectsBadIDs(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(p *Program)
+		want    string
+	}{
+		{"duplicate", func(p *Program) { p.Body.Items[4].(*Instr).ID = p.Body.Items[1].(*Instr).ID }, "duplicate instruction ID"},
+		{"zero", func(p *Program) { p.Body.Items[0].(*Instr).ID = 0 }, "outside 1.."},
+		{"above MaxID", func(p *Program) { p.Body.Items[6].(*Instr).ID = p.MaxID() + 1 }, "outside 1.."},
+	}
+	for _, tc := range cases {
+		p := buildSimple()
+		tc.corrupt(p)
+		err := p.Verify()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCloneAllocatesOnlyCopies pins that a whole-program clone allocates
+// the copies and nothing per instruction beyond them: its substitution is
+// one table indexed by ID, not a map that grows with the program. The
+// program is n reads of one uniform, instructions with no operands,
+// attributes or constants, so each copy is exactly one allocation.
+func TestCloneAllocatesOnlyCopies(t *testing.T) {
+	for _, n := range []int{1, 64, 1024} {
+		p := NewProgram("wide")
+		u := p.AddUniform("u", sem.Float)
+		for i := 0; i < n; i++ {
+			in := p.NewInstr(OpUniform, sem.Float)
+			in.Global = u
+			p.Body.Append(in)
+		}
+		// The Program, its Uniforms list, the ID table, the body Block
+		// and its item slice, then one Instr per instruction.
+		want := float64(5 + n)
+		if got := testing.AllocsPerRun(10, func() { p.Clone() }); got != want {
+			t.Errorf("n=%d: Clone made %v allocations, want %v", n, got, want)
+		}
 	}
 }

@@ -74,47 +74,74 @@ func (p *Program) RenumberIDs() {
 	p.nextID = id
 }
 
-// UseCounts returns the number of times each instruction's value is used as
-// an operand anywhere in the program (loop bounds included).
-func (p *Program) UseCounts() map[*Instr]int {
-	uses := make(map[*Instr]int)
-	p.CountUses(uses)
-	return uses
+// MaxID bounds the program's instruction IDs. Every instruction comes
+// from NewInstr, which numbers it MaxID()+1, and RenumberIDs and the
+// cloners number a body's instructions 1, 2, … in program order, so the
+// instructions of the body have distinct IDs in 1..MaxID (Verify checks
+// it). A table indexed by ID with MaxID()+1 entries covers them all.
+func (p *Program) MaxID() int { return p.nextID }
+
+// Uses is a per-instruction operand use count indexed by instruction ID,
+// as UseCounts builds it.
+type Uses []int
+
+// Of returns in's use count. An instruction created after the count was
+// taken has none.
+func (u Uses) Of(in *Instr) int {
+	if in.ID < len(u) {
+		return u[in.ID]
+	}
+	return 0
 }
 
-// CountUses adds UseCounts' per-instruction counts into uses, so a caller
-// that counts repeatedly can reuse one cleared map.
-func (p *Program) CountUses(uses map[*Instr]int) {
+// UseCounts returns the number of times each instruction's value is used as
+// an operand anywhere in the program (loop bounds included).
+func (p *Program) UseCounts() Uses {
+	return p.CountUses(nil)
+}
+
+// CountUses is UseCounts counting into buf's storage when it is large
+// enough, so a caller that counts repeatedly reuses one table.
+func (p *Program) CountUses(buf Uses) Uses {
+	uses := buf[:0]
+	if n := p.nextID + 1; cap(uses) < n {
+		uses = make(Uses, n)
+	} else {
+		uses = uses[:n]
+		clear(uses)
+	}
 	var walk func(b *Block)
 	walk = func(b *Block) {
 		for _, it := range b.Items {
 			switch it := it.(type) {
 			case *Instr:
 				for _, a := range it.Args {
-					uses[a]++
+					uses[a.ID]++
 				}
 			case *If:
-				uses[it.Cond]++
+				uses[it.Cond.ID]++
 				walk(it.Then)
 				if it.Else != nil {
 					walk(it.Else)
 				}
 			case *Loop:
-				uses[it.Start]++
-				uses[it.End]++
-				uses[it.Step]++
+				uses[it.Start.ID]++
+				uses[it.End.ID]++
+				uses[it.Step.ID]++
 				walk(it.Body)
 			case *While:
 				walk(it.Cond)
-				uses[it.CondVal]++
+				uses[it.CondVal.ID]++
 				walk(it.Body)
 			}
 		}
 	}
 	walk(p.Body)
+	return uses
 }
 
 // Verify checks structural invariants:
+//   - every instruction has its own ID, in 1..MaxID
 //   - every operand is an instruction visible at its use site (defined
 //     earlier in the same block or in an enclosing block before the region)
 //   - operand and result types obey each opcode's typing rule
@@ -133,14 +160,24 @@ func (p *Program) Verify() error {
 	for _, g := range p.Inputs {
 		globals[g] = true
 	}
-	v := &verifier{vars: vars, globals: globals, visible: map[*Instr]bool{}}
+	n := p.nextID + 1
+	v := &verifier{vars: vars, globals: globals, seen: make([]bool, n), visible: make([]*Instr, n)}
 	return v.block(p.Body)
 }
 
 type verifier struct {
 	vars    map[*Var]bool
 	globals map[*Global]bool
-	visible map[*Instr]bool
+	// seen marks every ID defined so far; visible holds, by ID, each
+	// instruction visible at the current point of the walk.
+	seen    []bool
+	visible []*Instr
+}
+
+// isVisible reports whether in is defined before the current point of
+// the walk, in the current block or an enclosing one.
+func (v *verifier) isVisible(in *Instr) bool {
+	return in.ID > 0 && in.ID < len(v.visible) && v.visible[in.ID] == in
 }
 
 func (v *verifier) block(b *Block) error {
@@ -149,19 +186,26 @@ func (v *verifier) block(b *Block) error {
 	var defined []*Instr
 	defer func() {
 		for _, in := range defined {
-			delete(v.visible, in)
+			v.visible[in.ID] = nil
 		}
 	}()
 	for _, it := range b.Items {
 		switch it := it.(type) {
 		case *Instr:
+			if it.ID < 1 || it.ID >= len(v.seen) {
+				return fmt.Errorf("%%%d %s: ID outside 1..%d", it.ID, it.Op, len(v.seen)-1)
+			}
+			if v.seen[it.ID] {
+				return fmt.Errorf("%%%d %s: duplicate instruction ID", it.ID, it.Op)
+			}
+			v.seen[it.ID] = true
 			if err := v.instr(it); err != nil {
 				return err
 			}
-			v.visible[it] = true
+			v.visible[it.ID] = it
 			defined = append(defined, it)
 		case *If:
-			if !v.visible[it.Cond] {
+			if !v.isVisible(it.Cond) {
 				return fmt.Errorf("if condition %%%d not visible", it.Cond.ID)
 			}
 			if !it.Cond.Type.Equal(sem.Bool) {
@@ -177,7 +221,7 @@ func (v *verifier) block(b *Block) error {
 			}
 		case *Loop:
 			for _, bound := range []*Instr{it.Start, it.End, it.Step} {
-				if !v.visible[bound] {
+				if !v.isVisible(bound) {
 					return fmt.Errorf("loop bound %%%d not visible", bound.ID)
 				}
 				if !bound.Type.Equal(sem.Int) {
@@ -223,7 +267,7 @@ func (v *verifier) instr(in *Instr) error {
 		if a == nil {
 			return fmt.Errorf("%%%d %s: nil operand", in.ID, in.Op)
 		}
-		if !v.visible[a] {
+		if !v.isVisible(a) {
 			return fmt.Errorf("%%%d %s: operand %%%d not visible at use", in.ID, in.Op, a.ID)
 		}
 		if !a.HasResult() {

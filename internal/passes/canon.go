@@ -33,11 +33,15 @@ import (
 // reused, cleared rather than reallocated, for the whole call.
 func Canonicalize(p *ir.Program) {
 	s := newRewriter()
+	// Local CSE holds one block's pure instructions at a time; half the
+	// program's IDs allocated the least over a corpus sweep.
+	s.cse = newValueTable(p.MaxID() / 2)
 	for i := 0; i < 16; i++ {
 		changed := false
 		if foldBlock(p, s, p.Body) {
 			changed = true
 		}
+		s.splice(p)
 		s.flush(p)
 		s.facts.reset()
 		if forwardLoads(s, p.Body) {
@@ -69,7 +73,8 @@ func Canonicalize(p *ir.Program) {
 // forwarding table, pending insertions, the value-numbering tables, the
 // loaded-variable set, and the dead-code use counts and worklist. A call
 // allocates one and clears its tables between sub-passes, so the fixed
-// point's rounds reuse them rather than allocating their own.
+// point's rounds reuse them rather than allocating their own. cse is
+// local CSE's table, which only Canonicalize sets.
 type rewriter struct {
 	fwd     map[*ir.Instr]*ir.Instr
 	inserts []insertion
@@ -77,7 +82,7 @@ type rewriter struct {
 	cse     *valueTable
 	scopes  []*valueTable // GVN's enclosing-scope tables, by depth
 	loaded  map[*ir.Var]bool
-	uses    map[*ir.Instr]int
+	uses    ir.Uses
 	work    []*ir.Instr
 }
 
@@ -88,13 +93,65 @@ type insertion struct {
 	items  []*ir.Instr
 }
 
+// splice places each insertion before its instruction in one walk of the
+// program. ins must be in program order (the order WalkInstrs visits the
+// instructions they go before), which is the order a walk that queues
+// insertions for the instruction it is visiting produces. A pass that
+// rewrites many roots queues each root's new instructions and splices
+// them all at once, rather than searching the tree and copying a block
+// per root.
+func splice(p *ir.Program, ins []insertion) {
+	if rest := spliceBlock(p.Body, ins); len(rest) > 0 {
+		panic(fmt.Sprintf("splice: target %%%d not found", rest[0].before.ID))
+	}
+}
+
+// spliceBlock splices into the block tree b the leading insertions of ins
+// whose instructions it holds, and returns the rest. Only a block that
+// receives instructions gets a new item slice.
+func spliceBlock(b *ir.Block, ins []insertion) []insertion {
+	var out []ir.Item
+	for i, it := range b.Items {
+		if len(ins) == 0 && out == nil {
+			return ins
+		}
+		switch it := it.(type) {
+		case *ir.Instr:
+			for len(ins) > 0 && ins[0].before == it {
+				if out == nil {
+					out = append(make([]ir.Item, 0, len(b.Items)+len(ins[0].items)), b.Items[:i]...)
+				}
+				for _, ni := range ins[0].items {
+					out = append(out, ni)
+				}
+				ins = ins[1:]
+			}
+		case *ir.If:
+			ins = spliceBlock(it.Then, ins)
+			if it.Else != nil {
+				ins = spliceBlock(it.Else, ins)
+			}
+		case *ir.Loop:
+			ins = spliceBlock(it.Body, ins)
+		case *ir.While:
+			ins = spliceBlock(it.Cond, ins)
+			ins = spliceBlock(it.Body, ins)
+		}
+		if out != nil {
+			out = append(out, it)
+		}
+	}
+	if out != nil {
+		b.Items = out
+	}
+	return ins
+}
+
 func newRewriter() *rewriter {
 	return &rewriter{
 		fwd:    map[*ir.Instr]*ir.Instr{},
 		facts:  loadFacts{known: map[*ir.Var]*ir.Instr{}},
-		cse:    newValueTable(),
 		loaded: map[*ir.Var]bool{},
-		uses:   map[*ir.Instr]int{},
 	}
 }
 
@@ -163,9 +220,9 @@ func (s *rewriter) flush(p *ir.Program) {
 // --- constant folding & instruction simplification ---
 
 // foldBlock folds every instruction of the block tree in program order.
-// Replacements go to s; the caller flushes them.
+// Replacements and insertions go to s; the caller splices and flushes
+// them.
 func foldBlock(p *ir.Program, s *rewriter, b *ir.Block) bool {
-	mark := len(s.inserts)
 	changed := false
 	for _, it := range b.Items {
 		switch it := it.(type) {
@@ -194,40 +251,25 @@ func foldBlock(p *ir.Program, s *rewriter, b *ir.Block) bool {
 			}
 		}
 	}
-	if len(s.inserts) > mark {
-		b.Items = spliceInserts(b.Items, s.inserts[mark:])
-		clear(s.inserts[mark:])
-		s.inserts = s.inserts[:mark]
-	}
 	return changed
 }
 
 // insertBefore records that items go immediately before in, which the
-// folding walk is visiting. The walk splices them into in's block once
-// it has finished the block — as if inserted at once, since the walk
-// never visits instructions inserted behind it.
+// folding walk is visiting. Canonicalize splices them once the walk has
+// finished — as if inserted at once, since the walk never visits
+// instructions inserted behind it.
 func (s *rewriter) insertBefore(in *ir.Instr, items ...*ir.Instr) {
 	s.inserts = append(s.inserts, insertion{before: in, items: items})
 }
 
-// spliceInserts returns items with each insertion placed before its
-// instruction. ins is in item order.
-func spliceInserts(items []ir.Item, ins []insertion) []ir.Item {
-	n := len(items)
-	for _, x := range ins {
-		n += len(x.items)
+// splice applies the pending insertions and empties the queue.
+func (s *rewriter) splice(p *ir.Program) {
+	if len(s.inserts) == 0 {
+		return
 	}
-	out := make([]ir.Item, 0, n)
-	for _, it := range items {
-		if len(ins) > 0 && it == ir.Item(ins[0].before) {
-			for _, ni := range ins[0].items {
-				out = append(out, ni)
-			}
-			ins = ins[1:]
-		}
-		out = append(out, it)
-	}
-	return out
+	splice(p, s.inserts)
+	clear(s.inserts)
+	s.inserts = s.inserts[:0]
 }
 
 func allConst(args []*ir.Instr) bool {
@@ -710,8 +752,9 @@ type valueTable struct {
 	added    []uint64             // keys of first, for a reset in O(entries)
 }
 
-func newValueTable() *valueTable {
-	return &valueTable{first: map[uint64]*ir.Instr{}}
+// newValueTable returns a table with room for n instructions.
+func newValueTable(n int) *valueTable {
+	return &valueTable{first: make(map[uint64]*ir.Instr, n)}
 }
 
 func (t *valueTable) reset() {
@@ -927,11 +970,10 @@ func trivialDCE(p *ir.Program) bool {
 // counts, so this reaches the same fixed point as re-counting after every
 // sweep.
 func (s *rewriter) dce(p *ir.Program) bool {
-	clear(s.uses)
-	p.CountUses(s.uses)
+	s.uses = p.CountUses(s.uses)
 	s.work = s.work[:0]
 	p.Body.WalkInstrs(func(in *ir.Instr) {
-		if triviallyDead(in) && s.uses[in] == 0 {
+		if triviallyDead(in) && s.uses[in.ID] == 0 {
 			s.work = append(s.work, in)
 		}
 	})
@@ -942,8 +984,8 @@ func (s *rewriter) dce(p *ir.Program) bool {
 		in := s.work[len(s.work)-1]
 		s.work = s.work[:len(s.work)-1]
 		for _, a := range in.Args {
-			s.uses[a]--
-			if s.uses[a] == 0 && triviallyDead(a) {
+			s.uses[a.ID]--
+			if s.uses[a.ID] == 0 && triviallyDead(a) {
 				s.work = append(s.work, a)
 			}
 		}
@@ -951,7 +993,7 @@ func (s *rewriter) dce(p *ir.Program) bool {
 	p.Body.WalkBlocks(func(b *ir.Block) {
 		b.Items = filterItems(b.Items, func(_ int, it ir.Item) bool {
 			in, ok := it.(*ir.Instr)
-			return ok && triviallyDead(in) && s.uses[in] == 0
+			return ok && triviallyDead(in) && s.uses[in.ID] == 0
 		})
 	})
 	return true

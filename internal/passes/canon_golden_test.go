@@ -31,7 +31,7 @@ import (
 	"shaderopt/internal/passes"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/canon.golden from the full corpus")
+var update = flag.Bool("update", false, "rewrite the golden files of the tests that run from the full corpus")
 
 const canonGolden = "testdata/canon.golden"
 

@@ -184,6 +184,7 @@ func TestFoldExtractOfSelectInsertsMidWalk(t *testing.T) {
 	if !foldBlock(p, s, p.Body) {
 		t.Fatal("foldBlock reported no change")
 	}
+	s.splice(p)
 	s.flush(p)
 	if ext.Op != ir.OpSelect || st.Args[0] != ext {
 		t.Fatalf("extract not rewritten in place or copy not forwarded:\n%s", p)
@@ -242,7 +243,7 @@ func TestValueTableSeparatesHashCollisions(t *testing.T) {
 	dupB := binInstr(p, "+", sem.Float, x, two)
 
 	// Force a and b into one bucket: each must still match only itself.
-	tab := newValueTable()
+	tab := newValueTable(0)
 	const h = 42
 	tab.add(a, h)
 	if got := tab.find(b, h); got != nil {

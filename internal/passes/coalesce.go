@@ -12,7 +12,7 @@ import (
 func Coalesce(p *ir.Program) bool {
 	changed := false
 	uses := p.UseCounts()
-	users := userMap(p)
+	users := soleUsers(p, uses)
 
 	p.Body.WalkBlocks(func(b *ir.Block) {
 		for idx := 0; idx < len(b.Items); idx++ {
@@ -22,7 +22,7 @@ func Coalesce(p *ir.Program) bool {
 			}
 			// Only rewrite chain heads: inserts whose value feeds another
 			// insert in the chain are interior links.
-			if isChainLink(in, uses, users) {
+			if isChainLink(in, users) {
 				continue
 			}
 			// Walk head -> tail; the first write seen per component is the
@@ -37,7 +37,7 @@ func Coalesce(p *ir.Program) bool {
 				}
 				links++
 				next := cur.Args[0]
-				if next.Op == ir.OpInsert && next.Type.Equal(in.Type) && uses[next] == 1 {
+				if next.Op == ir.OpInsert && next.Type.Equal(in.Type) && uses.Of(next) == 1 {
 					cur = next
 					continue
 				}
@@ -78,25 +78,34 @@ func Coalesce(p *ir.Program) bool {
 	return changed
 }
 
-// userMap returns, for every instruction, the instructions that use it as
-// an operand.
-func userMap(p *ir.Program) map[*ir.Instr][]*ir.Instr {
-	users := map[*ir.Instr][]*ir.Instr{}
+// soleUsers returns, indexed by instruction ID, the instruction that uses
+// each one as an operand when that is its only use (uses[id] == 1), and
+// nil otherwise. uses is p's current use count.
+func soleUsers(p *ir.Program, uses ir.Uses) []*ir.Instr {
+	users := make([]*ir.Instr, len(uses))
 	p.Body.WalkInstrs(func(in *ir.Instr) {
 		for _, a := range in.Args {
-			users[a] = append(users[a], in)
+			if uses[a.ID] == 1 {
+				users[a.ID] = in
+			}
 		}
 	})
 	return users
 }
 
+// soleUser returns in's entry of a soleUsers table: nil for an
+// instruction created after the table was built.
+func soleUser(users []*ir.Instr, in *ir.Instr) *ir.Instr {
+	if in.ID < len(users) {
+		return users[in.ID]
+	}
+	return nil
+}
+
 // isChainLink reports whether the insert's only use is a following insert
 // that consumes it as the aggregate operand — interior links are handled
 // when their chain head is processed.
-func isChainLink(in *ir.Instr, uses map[*ir.Instr]int, users map[*ir.Instr][]*ir.Instr) bool {
-	if uses[in] != 1 || len(users[in]) != 1 {
-		return false
-	}
-	u := users[in][0]
-	return u.Op == ir.OpInsert && u.Args[0] == in && u.Type.Equal(in.Type)
+func isChainLink(in *ir.Instr, users []*ir.Instr) bool {
+	u := soleUser(users, in)
+	return u != nil && u.Op == ir.OpInsert && u.Args[0] == in && u.Type.Equal(in.Type)
 }

@@ -11,7 +11,7 @@ import (
 // the last bits — an unsafe transform no conformant driver may perform,
 // which is exactly why it lives in the offline optimizer.
 func DivToMul(p *ir.Program) bool {
-	changed := false
+	var inserts []insertion
 	p.Body.WalkInstrs(func(in *ir.Instr) {
 		if in.Op != ir.OpBin || in.BinOp != "/" || in.Type.Kind != sem.KindFloat {
 			return
@@ -30,13 +30,14 @@ func DivToMul(p *ir.Program) bool {
 			inv[i] = 1 / v
 		}
 		c := newConst(p, den.Type, &ir.ConstVal{Kind: sem.KindFloat, F: inv})
-		insertBefore(p.Body, in, c)
+		inserts = append(inserts, insertion{before: in, items: []*ir.Instr{c}})
 		in.BinOp = "*"
 		in.Args[1] = c
-		changed = true
 	})
-	if changed {
-		p.RenumberIDs()
+	if len(inserts) == 0 {
+		return false
 	}
-	return changed
+	splice(p, inserts)
+	p.RenumberIDs()
+	return true
 }

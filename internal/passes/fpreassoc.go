@@ -1,10 +1,9 @@
 package passes
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"shaderopt/internal/ir"
 	"shaderopt/internal/sem"
@@ -36,8 +35,7 @@ func FPReassoc(p *ir.Program) bool {
 	// to a "no change" fixed point would not terminate.
 	for round := 0; round < 3; round++ {
 		uses := p.UseCounts()
-		users := userMap(p)
-		r := &fpRewriter{p: p, uses: uses, users: users}
+		r := &fpRewriter{p: p, uses: uses, users: soleUsers(p, uses)}
 		var roots []*ir.Instr
 		p.Body.WalkInstrs(func(in *ir.Instr) {
 			if r.isRoot(in) {
@@ -53,16 +51,24 @@ func FPReassoc(p *ir.Program) bool {
 		if !any {
 			break
 		}
+		splice(p, r.inserts)
 		changed = true
 		Canonicalize(p)
 	}
 	return changed
 }
 
+// fpRewriter is one round's state. uses and users are counted before
+// the round's first rewrite. Each rewritten root's new instructions are
+// queued in inserts, in root order, and spliced when the round ends. The
+// uses of a rewritten root are redirected at once (replaceUses), and a
+// later root's leaves always precede it, so the final item order is the
+// same as placing each root's instructions as it is rewritten.
 type fpRewriter struct {
-	p     *ir.Program
-	uses  map[*ir.Instr]int
-	users map[*ir.Instr][]*ir.Instr
+	p       *ir.Program
+	uses    ir.Uses
+	users   []*ir.Instr
+	inserts []insertion
 }
 
 // floatArith reports whether in is a float +,-,* on scalars or vectors
@@ -83,13 +89,8 @@ func (r *fpRewriter) isRoot(in *ir.Instr) bool {
 	if !floatArith(in) {
 		return false
 	}
-	if r.uses[in] == 1 && len(r.users[in]) == 1 {
-		u := r.users[in][0]
-		if floatArith(u) && u.Type.Equal(in.Type) {
-			return false
-		}
-	}
-	return true
+	u := soleUser(r.users, in)
+	return u == nil || !floatArith(u) || !u.Type.Equal(in.Type)
 }
 
 // term is one summand: coeff × Π factors.
@@ -98,13 +99,21 @@ type term struct {
 	factors []*ir.Instr
 }
 
+// termKey identifies a factor multiset by its sorted instruction IDs,
+// which are distinct for the program's instructions and the ones a round
+// has created.
 func termKey(factors []*ir.Instr) string {
-	ids := make([]string, len(factors))
+	ids := make([]int, len(factors))
 	for i, f := range factors {
-		ids[i] = fmt.Sprintf("%p", f)
+		ids[i] = f.ID
 	}
-	sort.Strings(ids)
-	return strings.Join(ids, ",")
+	sort.Ints(ids)
+	key := make([]byte, 0, 6*len(ids))
+	for _, id := range ids {
+		key = strconv.AppendInt(key, int64(id), 10)
+		key = append(key, ',')
+	}
+	return string(key)
 }
 
 // rewrite flattens the tree rooted at root and rebuilds it canonically.
@@ -150,17 +159,17 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 			return in.Const.F[0], nil
 		case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Kind == sem.KindFloat &&
 			!in.Args[0].Type.IsMatrix() && !in.Args[1].Type.IsMatrix() &&
-			(in == root || (r.uses[in] == 1 && !in.Type.IsMatrix())):
+			(in == root || (r.uses.Of(in) == 1 && !in.Type.IsMatrix())):
 			consumed++
 			c1, f1 := flattenMul(in.Args[0])
 			c2, f2 := flattenMul(in.Args[1])
 			return c1 * c2, append(f1, f2...)
-		case in.Op == ir.OpUn && in.UnOp == "-" && r.uses[in] == 1:
+		case in.Op == ir.OpUn && in.UnOp == "-" && r.uses.Of(in) == 1:
 			consumed++
 			c, f := flattenMul(in.Args[0])
 			return -c, f
 		default:
-			if s, ok := splatThrough(in); ok && r.uses[in] == 1 {
+			if s, ok := splatThrough(in); ok && r.uses.Of(in) == 1 {
 				// Splat of a scalar: descend so scalar factors group before
 				// vectorization.
 				consumed++
@@ -182,7 +191,7 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 				constAcc[i] += coeff * in.Const.F[ci]
 			}
 		case in.Op == ir.OpBin && (in.BinOp == "+" || in.BinOp == "-") && in.Type.Equal(t) &&
-			(in == root || r.uses[in] == 1):
+			(in == root || r.uses.Of(in) == 1):
 			consumed++
 			flattenLinear(in.Args[0], coeff, extra)
 			if in.BinOp == "+" {
@@ -190,7 +199,7 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 			} else {
 				flattenLinear(in.Args[1], -coeff, extra)
 			}
-		case in.Op == ir.OpUn && in.UnOp == "-" && in.Type.Equal(t) && r.uses[in] == 1:
+		case in.Op == ir.OpUn && in.UnOp == "-" && in.Type.Equal(t) && r.uses.Of(in) == 1:
 			consumed++
 			flattenLinear(in.Args[0], -coeff, extra)
 		case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Kind == sem.KindFloat &&
@@ -200,7 +209,7 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 			var sub *ir.Instr
 			rest := factors[:0:0]
 			for _, f := range factors {
-				if sub == nil && f.Type.Equal(t) && r.uses[f] == 1 &&
+				if sub == nil && f.Type.Equal(t) && r.uses.Of(f) == 1 &&
 					f.Op == ir.OpBin && (f.BinOp == "+" || f.BinOp == "-") {
 					sub = f
 					continue
@@ -312,7 +321,7 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 		return false
 	}
 	if len(b.emitted) > 0 {
-		insertBefore(r.p.Body, root, b.emitted...)
+		r.inserts = append(r.inserts, insertion{before: root, items: b.emitted})
 	}
 	if total != root {
 		replaceUses(r.p, root, total)

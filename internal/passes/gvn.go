@@ -23,7 +23,7 @@ func GVN(p *ir.Program) bool {
 	var walk func(b *ir.Block, depth int)
 	walk = func(b *ir.Block, depth int) {
 		if depth == len(s.scopes) {
-			s.scopes = append(s.scopes, newValueTable())
+			s.scopes = append(s.scopes, newValueTable(0))
 		}
 		cur := s.scopes[depth]
 		cur.reset()

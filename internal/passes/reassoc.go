@@ -36,18 +36,21 @@ func reassocIntSums(p *ir.Program) bool {
 	uses := p.UseCounts()
 
 	var roots []*ir.Instr
-	users := userMap(p)
+	users := soleUsers(p, uses)
 	p.Body.WalkInstrs(func(in *ir.Instr) {
 		if !isIntAddSub(in) {
 			return
 		}
 		// Roots: not consumed solely by another int add/sub (those are
 		// interior nodes of the same tree).
-		interior := len(users[in]) == 1 && isIntAddSub(users[in][0]) && uses[in] == 1
-		if !interior {
+		if u := soleUser(users, in); u == nil || !isIntAddSub(u) {
 			roots = append(roots, in)
 		}
 	})
+
+	// Each root's new instructions are queued and spliced once, after
+	// the loop; see fpRewriter for why the order is unchanged.
+	var inserts []insertion
 
 	for _, root := range roots {
 		terms := map[*ir.Instr]int64{}
@@ -61,7 +64,7 @@ func reassocIntSums(p *ir.Program) bool {
 			case in.Op == ir.OpConst:
 				constant += sign * in.Const.Int(0)
 				return
-			case isIntAddSub(in) && (in == root || uses[in] == 1):
+			case isIntAddSub(in) && (in == root || uses.Of(in) == 1):
 				flatten(in.Args[0], sign)
 				if in.BinOp == "+" {
 					flatten(in.Args[1], sign)
@@ -69,11 +72,11 @@ func reassocIntSums(p *ir.Program) bool {
 					flatten(in.Args[1], -sign)
 				}
 				return
-			case in.Op == ir.OpUn && in.UnOp == "-" && in.Type.Equal(sem.Int) && uses[in] == 1:
+			case in.Op == ir.OpUn && in.UnOp == "-" && in.Type.Equal(sem.Int) && uses.Of(in) == 1:
 				flatten(in.Args[0], -sign)
 				return
 			case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Equal(sem.Int) &&
-				in.Args[1].Op == ir.OpConst && uses[in] == 1:
+				in.Args[1].Op == ir.OpConst && uses.Of(in) == 1:
 				flatten(in.Args[0], sign*in.Args[1].Const.Int(0))
 				return
 			}
@@ -160,11 +163,12 @@ func reassocIntSums(p *ir.Program) bool {
 			continue
 		}
 		if len(emitted) > 0 {
-			insertBefore(p.Body, root, emitted...)
+			inserts = append(inserts, insertion{before: root, items: emitted})
 		}
 		replaceUses(p, root, total)
 		changed = true
 	}
+	splice(p, inserts)
 	return changed
 }
 

@@ -492,8 +492,9 @@ func (s *Session) SharedTrie() *core.SharedTrie { return s.shared }
 // instead of re-parsing; generated text always goes through the driver
 // front end so it keeps the paper's textual-interchange artefacts.
 // convertES is false for texts that are themselves GLES conversions (the
-// mobile drivers' effective sources — never converted again). Callers
-// must clone fe.prog before handing it to a driver pipeline. The cache is
+// mobile drivers' effective sources — never converted again). fe.prog is
+// shared, so callers must clone it before handing it to a driver pipeline
+// that transforms it in place (see compiledFor). The cache is
 // LRU-bounded: after eviction (or on a racing miss) the work is redone,
 // bit-identically, so eviction trades only time for memory.
 func (s *Session) frontEndFor(src, hash string, handle *core.Shader, convertES bool) (*frontEnd, error) {
@@ -535,8 +536,10 @@ func (s *Session) frontEndFor(src, hash string, handle *core.Shader, convertES b
 // variant's reuses its compile, once per platform instead of once per
 // (variant, platform). The opening canonicalization of the vendor
 // pipeline is skipped (CompileCanonical): the input is already the fixed
-// point. The bool reports a cache hit; the error is a failed ingestion
-// round trip, which is never cached.
+// point. fe.prog is shared by every platform and worker, so it is cloned
+// for a platform that CompilesInPlace; a translating platform only reads
+// it. The bool reports a cache hit; the error is a failed ingestion round
+// trip, which is never cached.
 func (s *Session) compiledFor(pl *gpu.Platform, fe *frontEnd) (*gpu.Compiled, bool, error) {
 	// Hit/miss accounting rides on the cache's lru stats sink
 	// (cache.compile.{hits,misses}): this lookup is the cache's only
@@ -552,7 +555,11 @@ func (s *Session) compiledFor(pl *gpu.Platform, fe *frontEnd) (*gpu.Compiled, bo
 		s.compiled.Add(key, c, 1)
 		return c, true, nil
 	}
-	c, err := pl.CompileCanonicalT(s.reg, fe.prog.Clone())
+	prog := fe.prog
+	if pl.CompilesInPlace() {
+		prog = prog.Clone()
+	}
+	c, err := pl.CompileCanonicalT(s.reg, prog)
 	if err != nil {
 		return nil, false, err
 	}

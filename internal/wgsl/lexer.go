@@ -236,7 +236,10 @@ func (l *Lexer) lexNumber(start Pos) Token {
 // EOF.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// Presized from the source length. Corpus sources run 2.7 to 2.9
+	// bytes per token, so two fifths of the length never regrows on the
+	// corpus.
+	toks := make([]Token, 0, len(src)*2/5)
 	for {
 		t := l.Next()
 		if t.Kind == EOF {
