@@ -275,6 +275,13 @@ func (l *Lexer) lexNumber(start Pos) Token {
 	return Token{Kind: IntLit, Text: text, Pos: start}
 }
 
+// maxPresizedTokens caps the token slice LexAll reserves from the source
+// length, so a long source that is mostly comments or whitespace reserves
+// at most this many tokens up front; a longer token stream grows the
+// slice by append. The largest corpus text, an emitted MSL of about 17500
+// tokens, fits under it.
+const maxPresizedTokens = 1 << 15
+
 // LexAll tokenizes the whole input, returning tokens up to and excluding EOF.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
@@ -282,7 +289,7 @@ func LexAll(src string) ([]Token, error) {
 	// Presized from the source length. Corpus sources run 2.9 to 5.0
 	// bytes per token and generated texts 3.5 to 4.7, so two fifths of
 	// the length never regrows on the corpus.
-	toks := make([]Token, 0, len(src)*2/5)
+	toks := make([]Token, 0, min(len(src)*2/5, maxPresizedTokens))
 	for {
 		t := l.Next()
 		if t.Kind == EOF {

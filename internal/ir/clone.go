@@ -20,17 +20,19 @@ func (p *Program) Clone() *Program {
 	return np
 }
 
-// CloneBlock deep-copies a block tree. Instructions defined inside the
-// block are duplicated with fresh IDs; operand references to instructions
-// defined outside the block (per the subst map) are preserved, and the
-// subst map can pre-seed replacements (unrolling substitutes the loop
-// counter's loads this way, by mapping the counter Var in varSubst).
-//
-// subst maps original instruction -> replacement for instructions defined
-// outside the cloned region. varSubst maps Vars to replacement Vars (nil
-// entries keep the original).
-func (p *Program) CloneBlock(b *Block, subst map[*Instr]*Instr, varSubst map[*Var]*Var) *Block {
-	c := &cloner{p: p, subst: subst, varSubst: varSubst}
+// CloneBlock deep-copies a block tree of p into p. Instructions defined
+// inside the block are duplicated with fresh IDs above MaxID; operand
+// references to instructions defined outside the block are preserved.
+// varSubst maps Vars to replacement Vars (nil entries keep the original).
+func (p *Program) CloneBlock(b *Block, varSubst map[*Var]*Var) *Block {
+	// The substitution table spans only the block's own IDs: unrolling
+	// clones a small loop body of a large program once per iteration.
+	lo, hi := p.nextID+1, 0
+	b.WalkInstrs(func(in *Instr) {
+		lo = min(lo, in.ID)
+		hi = max(hi, in.ID)
+	})
+	c := &cloner{p: p, base: lo, byID: make([]clonedInstr, max(hi-lo+1, 0)), varSubst: varSubst}
 	return c.block(b)
 }
 
@@ -80,12 +82,14 @@ func (p *Program) CloneRemapped(globals map[*Global]*Global, vars map[*Var]*Var)
 // into a fresh program.
 type cloner struct {
 	p *Program
-	// subst maps each instruction cloned so far, and any the caller
-	// seeded, to its replacement (CloneBlock). A whole-program clone
-	// uses byID instead: the source's IDs are distinct and within
-	// 1..MaxID, so a table indexed by ID replaces the map.
-	subst    map[*Instr]*Instr
+	// byID maps each instruction cloned so far to its copy, indexed by
+	// the source's ID less base. The source's IDs are distinct and
+	// within 1..MaxID: a whole-program clone uses MaxID+1 entries from
+	// base 0, CloneBlock only the span of the block's IDs. An
+	// instruction without an entry, one defined outside the cloned
+	// block, resolves to itself.
 	byID     []clonedInstr
+	base     int
 	varSubst map[*Var]*Var
 
 	// globalSubst, strict, and failed serve CloneRemapped: globalSubst
@@ -101,14 +105,8 @@ type cloner struct {
 type clonedInstr struct{ from, to *Instr }
 
 func (c *cloner) resolve(in *Instr) *Instr {
-	if c.byID != nil {
-		if in.ID < len(c.byID) && c.byID[in.ID].from == in {
-			return c.byID[in.ID].to
-		}
-		return in
-	}
-	if r, ok := c.subst[in]; ok {
-		return r
+	if i := in.ID - c.base; uint(i) < uint(len(c.byID)) && c.byID[i].from == in {
+		return c.byID[i].to
 	}
 	return in
 }
@@ -190,10 +188,6 @@ func (c *cloner) instr(in *Instr) *Instr {
 	for i, a := range in.Args {
 		ni.Args[i] = c.resolve(a)
 	}
-	if c.byID != nil {
-		c.byID[in.ID] = clonedInstr{in, ni}
-	} else {
-		c.subst[in] = ni
-	}
+	c.byID[in.ID-c.base] = clonedInstr{in, ni}
 	return ni
 }

@@ -350,7 +350,7 @@ func TestTripCount(t *testing.T) {
 
 func TestUseCounts(t *testing.T) {
 	p := buildSimple()
-	uses := p.UseCounts()
+	uses := p.CountUses(nil)
 	k := p.Body.Items[1].(*Instr)
 	if uses.Of(k) != 2 {
 		t.Errorf("k used %d times, want 2", uses.Of(k))
@@ -364,7 +364,7 @@ func TestUseCounts(t *testing.T) {
 func TestCloneBlock(t *testing.T) {
 	p := buildSimple()
 	orig := p.Body.CountInstrs()
-	clone := p.CloneBlock(p.Body, map[*Instr]*Instr{}, map[*Var]*Var{})
+	clone := p.CloneBlock(p.Body, map[*Var]*Var{})
 	if clone.CountInstrs() != orig {
 		t.Fatalf("clone has %d instrs, want %d", clone.CountInstrs(), orig)
 	}
@@ -388,9 +388,45 @@ func TestCloneBlockVarSubst(t *testing.T) {
 	st := p.NewInstr(OpStore, sem.Void, c)
 	st.Var = a
 	p.Body.Append(c, st)
-	clone := p.CloneBlock(p.Body, map[*Instr]*Instr{}, map[*Var]*Var{a: b})
+	clone := p.CloneBlock(p.Body, map[*Var]*Var{a: b})
 	if clone.Items[1].(*Instr).Var != b {
 		t.Error("var substitution not applied")
+	}
+}
+
+// TestCloneBlockKeepsOuterOperands clones a block whose operand is defined
+// outside it, with an ID between the block's own: the copy must reference
+// the outer instruction itself and the copies of the inner ones.
+func TestCloneBlockKeepsOuterOperands(t *testing.T) {
+	p := NewProgram("outer")
+	v := p.AddVar("v", sem.Float)
+	a := p.NewInstr(OpConst, sem.Float)
+	a.Const = FloatConst(1)
+	outer := p.NewInstr(OpConst, sem.Float)
+	outer.Const = FloatConst(2)
+	sum := p.NewInstr(OpBin, sem.Float, a, outer)
+	sum.BinOp = "+"
+	st := p.NewInstr(OpStore, sem.Void, sum)
+	st.Var = v
+	body := &Block{}
+	body.Append(a, sum, st)
+	p.Body.Append(outer, &Loop{Counter: p.AddVar("i", sem.Int), Start: outer, End: outer, Step: outer, Body: body})
+
+	clone := p.CloneBlock(body, nil)
+	ca, csum, cst := clone.Items[0].(*Instr), clone.Items[1].(*Instr), clone.Items[2].(*Instr)
+	if ca == a || csum == sum || cst == st {
+		t.Fatal("clone shares instruction pointers")
+	}
+	if csum.Args[0] != ca || csum.Args[1] != outer {
+		t.Errorf("sum operands = %v, want the copy of a and the outer instruction", csum.Args)
+	}
+	if cst.Args[0] != csum {
+		t.Error("store does not use the copy of sum")
+	}
+	for _, in := range []*Instr{ca, csum, cst} {
+		if in.ID <= st.ID {
+			t.Errorf("copy has ID %d, want one above the source's %d", in.ID, st.ID)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func (p *Program) RenumberIDs() {
 func (p *Program) MaxID() int { return p.nextID }
 
 // Uses is a per-instruction operand use count indexed by instruction ID,
-// as UseCounts builds it.
+// as CountUses builds it.
 type Uses []int
 
 // Of returns in's use count. An instruction created after the count was
@@ -94,14 +94,10 @@ func (u Uses) Of(in *Instr) int {
 	return 0
 }
 
-// UseCounts returns the number of times each instruction's value is used as
-// an operand anywhere in the program (loop bounds included).
-func (p *Program) UseCounts() Uses {
-	return p.CountUses(nil)
-}
-
-// CountUses is UseCounts counting into buf's storage when it is large
-// enough, so a caller that counts repeatedly reuses one table.
+// CountUses returns the number of times each instruction's value is used
+// as an operand anywhere in the program (loop bounds included). It counts
+// into buf's storage when that is large enough, so a caller that counts
+// repeatedly reuses one table; a nil buf allocates a fresh one.
 func (p *Program) CountUses(buf Uses) Uses {
 	uses := buf[:0]
 	if n := p.nextID + 1; cap(uses) < n {

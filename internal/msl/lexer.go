@@ -187,13 +187,20 @@ func (lx *Lexer) lexNumber(p Pos) Token {
 	return Token{Kind: IntLit, Text: text, Pos: p}
 }
 
+// maxPresizedTokens caps the token slice LexAll reserves from the source
+// length, so a long source that is mostly comments or whitespace reserves
+// at most this many tokens up front; a longer token stream grows the
+// slice by append. The largest corpus text, an emitted MSL of about 17500
+// tokens, fits under it.
+const maxPresizedTokens = 1 << 15
+
 // LexAll tokenizes the whole source.
 func LexAll(src string) ([]Token, error) {
 	lx := NewLexer(src)
 	// Presized from the source length, with room for EOF: emitted MSL
 	// of the corpus runs 3.9 to 4.9 bytes per token, so this never
 	// regrows on it.
-	toks := make([]Token, 0, len(src)/3+1)
+	toks := make([]Token, 0, min(len(src)/3+1, maxPresizedTokens))
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

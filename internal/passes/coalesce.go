@@ -11,7 +11,7 @@ import (
 // partial chains keep the surviving components as extracts of the base.
 func Coalesce(p *ir.Program) bool {
 	changed := false
-	uses := p.UseCounts()
+	uses := p.CountUses(nil)
 	users := soleUsers(p, uses)
 
 	p.Body.WalkBlocks(func(b *ir.Block) {
@@ -80,7 +80,8 @@ func Coalesce(p *ir.Program) bool {
 
 // soleUsers returns, indexed by instruction ID, the instruction that uses
 // each one as an operand when that is its only use (uses[id] == 1), and
-// nil otherwise. uses is p's current use count.
+// nil otherwise. uses is p's current use count. Callers look up only
+// instructions that existed when the table was built.
 func soleUsers(p *ir.Program, uses ir.Uses) []*ir.Instr {
 	users := make([]*ir.Instr, len(uses))
 	p.Body.WalkInstrs(func(in *ir.Instr) {
@@ -93,19 +94,10 @@ func soleUsers(p *ir.Program, uses ir.Uses) []*ir.Instr {
 	return users
 }
 
-// soleUser returns in's entry of a soleUsers table: nil for an
-// instruction created after the table was built.
-func soleUser(users []*ir.Instr, in *ir.Instr) *ir.Instr {
-	if in.ID < len(users) {
-		return users[in.ID]
-	}
-	return nil
-}
-
 // isChainLink reports whether the insert's only use is a following insert
 // that consumes it as the aggregate operand — interior links are handled
 // when their chain head is processed.
 func isChainLink(in *ir.Instr, users []*ir.Instr) bool {
-	u := soleUser(users, in)
+	u := users[in.ID]
 	return u != nil && u.Op == ir.OpInsert && u.Args[0] == in && u.Type.Equal(in.Type)
 }

@@ -34,7 +34,7 @@ func FPReassoc(p *ir.Program) bool {
 	// already-canonical tree rebuilds to an identical shape, so iterating
 	// to a "no change" fixed point would not terminate.
 	for round := 0; round < 3; round++ {
-		uses := p.UseCounts()
+		uses := p.CountUses(nil)
 		r := &fpRewriter{p: p, uses: uses, users: soleUsers(p, uses)}
 		var roots []*ir.Instr
 		p.Body.WalkInstrs(func(in *ir.Instr) {
@@ -89,7 +89,7 @@ func (r *fpRewriter) isRoot(in *ir.Instr) bool {
 	if !floatArith(in) {
 		return false
 	}
-	u := soleUser(r.users, in)
+	u := r.users[in.ID]
 	return u == nil || !floatArith(u) || !u.Type.Equal(in.Type)
 }
 

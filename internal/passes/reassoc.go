@@ -33,7 +33,7 @@ func Reassociate(p *ir.Program) bool {
 // reassocIntSums rewrites scalar-int +/- trees as canonical linear sums.
 func reassocIntSums(p *ir.Program) bool {
 	changed := false
-	uses := p.UseCounts()
+	uses := p.CountUses(nil)
 
 	var roots []*ir.Instr
 	users := soleUsers(p, uses)
@@ -43,7 +43,7 @@ func reassocIntSums(p *ir.Program) bool {
 		}
 		// Roots: not consumed solely by another int add/sub (those are
 		// interior nodes of the same tree).
-		if u := soleUser(users, in); u == nil || !isIntAddSub(u) {
+		if u := users[in.ID]; u == nil || !isIntAddSub(u) {
 			roots = append(roots, in)
 		}
 	})

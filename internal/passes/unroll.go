@@ -49,8 +49,7 @@ func UnrollWithLimit(p *ir.Program, maxTrips, maxInstrs int) bool {
 				step := item.Step.Const.Int(0)
 				iv := start
 				for n := 0; n < trips; n++ {
-					subst := map[*ir.Instr]*ir.Instr{}
-					clone := p.CloneBlock(item.Body, subst, map[*ir.Var]*ir.Var{})
+					clone := p.CloneBlock(item.Body, nil)
 					// Replace loads of the counter with this iteration's
 					// constant.
 					clone.WalkInstrs(func(in *ir.Instr) {
