@@ -181,15 +181,15 @@ func (it *interp) instr(in *ir.Instr) error {
 		}
 		it.values[in] = v
 	case ir.OpBin:
-		r, ok := ir.EvalBinTyped(in.BinOp, in.Args[0].Type, in.Args[1].Type, arg(0), arg(1))
+		r, ok := ir.EvalBinTyped(in.Sym, in.Args[0].Type, in.Args[1].Type, arg(0), arg(1))
 		if !ok {
-			return fmt.Errorf("%%%d: cannot evaluate %q on %s", in.ID, in.BinOp, arg(0))
+			return fmt.Errorf("%%%d: cannot evaluate %q on %s", in.ID, in.Sym, arg(0))
 		}
 		it.values[in] = r
 	case ir.OpUn:
-		r, ok := ir.EvalUn(in.UnOp, arg(0))
+		r, ok := ir.EvalUn(in.Sym, arg(0))
 		if !ok {
-			return fmt.Errorf("%%%d: cannot evaluate unary %q", in.ID, in.UnOp)
+			return fmt.Errorf("%%%d: cannot evaluate unary %q", in.ID, in.Sym)
 		}
 		it.values[in] = r
 	case ir.OpCall:
@@ -262,7 +262,7 @@ func clamp(v, lo, hi int) int {
 }
 
 func (it *interp) call(in *ir.Instr) error {
-	switch in.Callee {
+	switch in.Sym {
 	case "texture", "texture2D", "textureCube", "textureLod", "texelFetch":
 		sampName := ""
 		if in.Args[0].Op == ir.OpUniform {
@@ -294,9 +294,9 @@ func (it *interp) call(in *ir.Instr) error {
 	for i := range in.Args {
 		args[i] = it.values[in.Args[i]]
 	}
-	r, ok := ir.EvalBuiltin(in.Callee, args)
+	r, ok := ir.EvalBuiltin(in.Sym, args)
 	if !ok {
-		return fmt.Errorf("%%%d: cannot evaluate builtin %q", in.ID, in.Callee)
+		return fmt.Errorf("%%%d: cannot evaluate builtin %q", in.ID, in.Sym)
 	}
 	it.values[in] = r
 	return nil

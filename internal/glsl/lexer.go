@@ -11,8 +11,8 @@ import (
 type Lexer struct {
 	src  string
 	pos  int
-	line int
-	col  int
+	line int32
+	col  int32
 
 	// KeepDirectives causes '#' lines to be emitted as PPLine tokens
 	// instead of raising an error.

@@ -54,8 +54,8 @@ func (k Kind) String() string {
 
 // Pos is a line/column source position (1-based).
 type Pos struct {
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }

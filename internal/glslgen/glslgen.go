@@ -321,15 +321,15 @@ func (g *gen) expr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	case ir.OpLoad:
 		return g.varName(in.Var)
 	case ir.OpBin:
-		return fmt.Sprintf("%s %s %s", operand(in.Args[0]), in.BinOp, operand(in.Args[1]))
+		return fmt.Sprintf("%s %s %s", operand(in.Args[0]), in.Sym, operand(in.Args[1]))
 	case ir.OpUn:
-		return in.UnOp + operand(in.Args[0])
+		return in.Sym + operand(in.Args[0])
 	case ir.OpCall:
 		args := make([]string, len(in.Args))
 		for i, a := range in.Args {
 			args[i] = g.argString(a, inline)
 		}
-		return in.Callee + "(" + strings.Join(args, ", ") + ")"
+		return in.Sym + "(" + strings.Join(args, ", ") + ")"
 	case ir.OpConstruct:
 		return g.constructExpr(in, inline)
 	case ir.OpExtract:

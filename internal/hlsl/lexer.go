@@ -11,8 +11,8 @@ import (
 type Lexer struct {
 	src  string
 	pos  int
-	line int
-	col  int
+	line int32
+	col  int32
 
 	// KeepComments causes comments to be emitted as Comment tokens.
 	KeepComments bool

@@ -63,13 +63,13 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 	case "bool":
 		return sem.Bool, nil
 	case "Texture2D":
-		return sem.SamplerType("2D"), nil
+		return sem.SamplerType(sem.Dim2D), nil
 	case "Texture3D":
-		return sem.SamplerType("3D"), nil
+		return sem.SamplerType(sem.Dim3D), nil
 	case "TextureCube":
-		return sem.SamplerType("Cube"), nil
+		return sem.SamplerType(sem.DimCube), nil
 	case "Texture2DArray":
-		return sem.SamplerType("2DArray"), nil
+		return sem.SamplerType(sem.Dim2DArray), nil
 	case "SamplerState", "SamplerComparisonState", "sampler":
 		return sem.Void, fmt.Errorf("sampler state cannot be used as a value type")
 	}

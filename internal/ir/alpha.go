@@ -1,11 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
+import "io"
 
 // PrintAlpha writes the program as alpha-renamed canonical text IR: the
 // same structure Print emits, with every name-bearing element replaced
@@ -28,171 +23,79 @@ import (
 // *text*, where spelling matters, so it stays on the name-sensitive
 // print (see core.FingerprintIR).
 func (p *Program) PrintAlpha(w io.Writer) {
-	a := &alphaPrinter{
-		w:       w,
-		globals: make(map[*Global]string, len(p.Uniforms)+len(p.Inputs)),
-		vars:    make(map[*Var]string, len(p.Vars)),
-		ids:     make(map[*Instr]int, p.MaxID()),
-	}
-	io.WriteString(w, "program @\n")
+	pr := printer{w: w, buf: make([]byte, 0, printBufSize), alpha: true}
+	pr.program(p)
+}
+
+// startAlpha sets up the canonical renaming state of one PrintAlpha run.
+// The tables fill in deterministic declaration/print order, so the
+// output is a pure function of program structure.
+func (pr *printer) startAlpha(p *Program) {
+	pr.globals = make(map[*Global]int, len(p.Uniforms)+len(p.Inputs))
 	for i, g := range p.Uniforms {
-		a.globals[g] = "u" + strconv.Itoa(i)
-		fmt.Fprintf(w, "  uniform %s u%d\n", g.Type, i)
+		pr.globals[g] = i
 	}
 	for i, g := range p.Inputs {
-		a.globals[g] = "i" + strconv.Itoa(i)
-		fmt.Fprintf(w, "  input %s i%d\n", g.Type, i)
+		pr.globals[g] = -(i + 1)
 	}
-	for _, v := range p.Vars {
-		kind := "var"
-		if v.IsOutput {
-			kind = "output"
-		}
-		fmt.Fprintf(w, "  %s %s %s\n", kind, v.Type, a.varName(v))
-	}
-	a.block(p.Body, 1)
+	pr.vars = make(map[*Var]int, len(p.Vars))
+	pr.ids = make([]int, p.MaxID()+1)
 }
 
-// alphaPrinter carries the canonical renaming state of one PrintAlpha
-// run: the maps are filled in deterministic declaration/print order, so
-// the output is a pure function of program structure.
-type alphaPrinter struct {
-	w       io.Writer
-	globals map[*Global]string
-	vars    map[*Var]string
-	nextVar int
-	ids     map[*Instr]int
-	nextID  int
-}
-
-// varName returns the slot's canonical token, assigning the next one on
-// first sight (loop counters introduced by passes may not be in
-// p.Vars; they are named at first appearance, which is deterministic).
-func (a *alphaPrinter) varName(v *Var) string {
-	if n, ok := a.vars[v]; ok {
-		return n
+// globalName appends an interface global's name, or its canonical token
+// (u<k> for uniform k, i<k> for input k) when alpha-renaming.
+func (pr *printer) globalName(g *Global) {
+	if !pr.alpha {
+		pr.str(g.Name)
+		return
 	}
-	n := "v" + strconv.Itoa(a.nextVar)
-	a.nextVar++
-	a.vars[v] = n
-	return n
-}
-
-// id returns the instruction's dense print-order ID, assigning at the
-// definition site. A reference that somehow precedes its definition
-// still gets a deterministic number (assignment order is print order).
-func (a *alphaPrinter) id(in *Instr) int {
-	if n, ok := a.ids[in]; ok {
-		return n
-	}
-	n := a.nextID
-	a.nextID++
-	a.ids[in] = n
-	return n
-}
-
-func (a *alphaPrinter) block(b *Block, depth int) {
-	ind := strings.Repeat("  ", depth)
-	for _, it := range b.Items {
-		switch it := it.(type) {
-		case *Instr:
-			io.WriteString(a.w, ind)
-			a.instr(it)
-			io.WriteString(a.w, "\n")
-		case *If:
-			fmt.Fprintf(a.w, "%sif %%%d {\n", ind, a.id(it.Cond))
-			a.block(it.Then, depth+1)
-			if it.Else != nil && len(it.Else.Items) > 0 {
-				fmt.Fprintf(a.w, "%s} else {\n", ind)
-				a.block(it.Else, depth+1)
-			}
-			fmt.Fprintf(a.w, "%s}\n", ind)
-		case *Loop:
-			fmt.Fprintf(a.w, "%sloop %s = %%%d; < %%%d; += %%%d {\n", ind,
-				a.varName(it.Counter), a.id(it.Start), a.id(it.End), a.id(it.Step))
-			a.block(it.Body, depth+1)
-			fmt.Fprintf(a.w, "%s}\n", ind)
-		case *While:
-			fmt.Fprintf(a.w, "%swhile {\n", ind)
-			a.block(it.Cond, depth+1)
-			fmt.Fprintf(a.w, "%s} %%%d {\n", ind, a.id(it.CondVal))
-			a.block(it.Body, depth+1)
-			fmt.Fprintf(a.w, "%s}\n", ind)
-		}
-	}
-}
-
-// instr mirrors Instr.print with canonical tokens substituted for every
-// name and ID.
-func (a *alphaPrinter) instr(in *Instr) {
-	if in.HasResult() {
-		fmt.Fprintf(a.w, "%%%d:%s = ", a.id(in), in.Type)
-	}
-	writeArgs := func() {
-		for i, arg := range in.Args {
-			if i > 0 {
-				io.WriteString(a.w, ", ")
-			}
-			io.WriteString(a.w, "%")
-			io.WriteString(a.w, strconv.Itoa(a.id(arg)))
-		}
-	}
-	switch in.Op {
-	case OpConst:
-		io.WriteString(a.w, "const ")
-		in.Const.print(a.w)
-	case OpUniform:
-		io.WriteString(a.w, "uniform ")
-		io.WriteString(a.w, a.globals[in.Global])
-	case OpInput:
-		io.WriteString(a.w, "input ")
-		io.WriteString(a.w, a.globals[in.Global])
-	case OpBin:
-		fmt.Fprintf(a.w, "bin %q ", in.BinOp)
-		writeArgs()
-	case OpUn:
-		fmt.Fprintf(a.w, "un %q ", in.UnOp)
-		writeArgs()
-	case OpCall:
-		fmt.Fprintf(a.w, "call %s(", in.Callee)
-		writeArgs()
-		io.WriteString(a.w, ")")
-	case OpConstruct:
-		fmt.Fprintf(a.w, "construct %s(", in.Type)
-		writeArgs()
-		io.WriteString(a.w, ")")
-	case OpExtract:
-		io.WriteString(a.w, "extract ")
-		writeArgs()
-		fmt.Fprintf(a.w, "[%d]", in.Index)
-	case OpExtractDyn:
-		io.WriteString(a.w, "extractdyn ")
-		writeArgs()
-	case OpSwizzle:
-		io.WriteString(a.w, "swizzle ")
-		writeArgs()
-		fmt.Fprintf(a.w, "%v", in.Indices)
-	case OpInsert:
-		io.WriteString(a.w, "insert ")
-		writeArgs()
-		fmt.Fprintf(a.w, " at %d", in.Index)
-	case OpInsertDyn:
-		io.WriteString(a.w, "insertdyn ")
-		writeArgs()
-	case OpSelect:
-		io.WriteString(a.w, "select ")
-		writeArgs()
-	case OpLoad:
-		io.WriteString(a.w, "load ")
-		io.WriteString(a.w, a.varName(in.Var))
-	case OpStore:
-		fmt.Fprintf(a.w, "store %s <- ", a.varName(in.Var))
-		writeArgs()
-	case OpDiscard:
-		io.WriteString(a.w, "discard")
+	k, ok := pr.globals[g]
+	switch {
+	case !ok:
+	case k >= 0:
+		pr.str("u")
+		pr.num(k)
 	default:
-		io.WriteString(a.w, in.Op.String())
-		io.WriteString(a.w, " ")
-		writeArgs()
+		pr.str("i")
+		pr.num(-k - 1)
 	}
+}
+
+// varName appends a slot's name, or its canonical token when
+// alpha-renaming, assigning the next one on first sight (loop counters
+// introduced by passes may not be in p.Vars; they are named at first
+// appearance, which is deterministic).
+func (pr *printer) varName(v *Var) {
+	if !pr.alpha {
+		pr.str(v.Name)
+		return
+	}
+	n, ok := pr.vars[v]
+	if !ok {
+		n = pr.nextVar
+		pr.nextVar++
+		pr.vars[v] = n
+	}
+	pr.str("v")
+	pr.num(n)
+}
+
+// id returns the instruction's printed ID: its own, or when
+// alpha-renaming its dense print-order ID, assigned at the definition
+// site. A reference that somehow precedes its definition still gets a
+// deterministic number (assignment order is print order).
+func (pr *printer) id(in *Instr) int {
+	if !pr.alpha {
+		return in.ID
+	}
+	for in.ID >= len(pr.ids) {
+		pr.ids = append(pr.ids, 0)
+	}
+	if n := pr.ids[in.ID]; n > 0 {
+		return n - 1
+	}
+	n := pr.nextID
+	pr.nextID++
+	pr.ids[in.ID] = n + 1
+	return n
 }

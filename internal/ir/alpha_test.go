@@ -40,7 +40,7 @@ func buildAlphaProg(names map[string]string, idGap int) *Program {
 	s := p.NewInstr(OpUniform, sem.Float)
 	s.Global = scale
 	sum := p.NewInstr(OpBin, sem.Float, ld, s)
-	sum.BinOp = "+"
+	sum.Sym = "+"
 	wr := p.NewInstr(OpStore, sem.Float, sum)
 	wr.Var = acc
 	body := &Block{}
@@ -52,7 +52,7 @@ func buildAlphaProg(names map[string]string, idGap int) *Program {
 	in.Global = uv
 	x := p.NewInstr(OpExtract, sem.Float, in)
 	cond := p.NewInstr(OpBin, sem.Bool, x, zero)
-	cond.BinOp = ">"
+	cond.Sym = ">"
 	final := p.NewInstr(OpLoad, sem.Float)
 	final.Var = acc
 	v4 := p.NewInstr(OpConstruct, sem.Vec4, final, final, final, final)
@@ -101,8 +101,8 @@ func TestPrintAlphaSeparatesStructure(t *testing.T) {
 	// the alpha print even though no name differs.
 	mut := buildAlphaProg(names, 0)
 	mut.Body.WalkInstrs(func(in *Instr) {
-		if in.Op == OpBin && in.BinOp == "+" {
-			in.BinOp = "*"
+		if in.Op == OpBin && in.Sym == "+" {
+			in.Sym = "*"
 		}
 	})
 	if alphaText(base) == alphaText(mut) {
@@ -118,7 +118,7 @@ func TestPrintAlphaSeparatesStructure(t *testing.T) {
 	lb := two.NewInstr(OpUniform, sem.Float)
 	lb.Global = ub
 	d := two.NewInstr(OpBin, sem.Float, la, lb)
-	d.BinOp = "-"
+	d.Sym = "-"
 	two.Body.Append(la, lb, d)
 
 	swapped := NewProgram("p")
@@ -129,7 +129,7 @@ func TestPrintAlphaSeparatesStructure(t *testing.T) {
 	l2b := swapped.NewInstr(OpUniform, sem.Float)
 	l2b.Global = sb2
 	d2 := swapped.NewInstr(OpBin, sem.Float, l2a, l2b)
-	d2.BinOp = "-"
+	d2.Sym = "-"
 	swapped.Body.Append(l2a, l2b, d2)
 
 	if alphaText(two) == alphaText(swapped) {

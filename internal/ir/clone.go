@@ -172,9 +172,7 @@ func (c *cloner) block(b *Block) *Block {
 
 func (c *cloner) instr(in *Instr) *Instr {
 	ni := c.p.NewInstr(in.Op, in.Type)
-	ni.BinOp = in.BinOp
-	ni.UnOp = in.UnOp
-	ni.Callee = in.Callee
+	ni.Sym = in.Sym
 	ni.Index = in.Index
 	ni.Indices = append([]int(nil), in.Indices...)
 	if in.Var != nil {

@@ -65,15 +65,17 @@ type Var struct {
 
 // Instr is an instruction. Instructions are identified by pointer; ID is a
 // stable ordinal for printing and deterministic iteration.
+//
+// Every instruction is its own heap object, so the layout is kept to 144
+// bytes (a size class of its own): the operator, unary operator and
+// callee share Sym, which the opcode disambiguates.
 type Instr struct {
 	ID   int
 	Op   Op
 	Type sem.Type // result type; Void for store/discard
 	Args []*Instr
 
-	BinOp   string    // OpBin
-	UnOp    string    // OpUn
-	Callee  string    // OpCall
+	Sym     string    // OpBin: operator; OpUn: "-" or "!"; OpCall: builtin name
 	Index   int       // OpExtract / OpInsert
 	Indices []int     // OpSwizzle
 	Var     *Var      // OpLoad / OpStore

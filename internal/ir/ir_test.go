@@ -256,7 +256,7 @@ func buildSimple() *Program {
 	k.Global = kG
 	splat := p.NewInstr(OpConstruct, sem.Vec2, k, k)
 	mul := p.NewInstr(OpBin, sem.Vec2, uv, splat)
-	mul.BinOp = "*"
+	mul.Sym = "*"
 	one := p.NewInstr(OpConst, sem.Float)
 	one.Const = FloatConst(1)
 	vec := p.NewInstr(OpConstruct, sem.Vec4, mul, one, one)
@@ -405,7 +405,7 @@ func TestCloneBlockKeepsOuterOperands(t *testing.T) {
 	outer := p.NewInstr(OpConst, sem.Float)
 	outer.Const = FloatConst(2)
 	sum := p.NewInstr(OpBin, sem.Float, a, outer)
-	sum.BinOp = "+"
+	sum.Sym = "+"
 	st := p.NewInstr(OpStore, sem.Void, sum)
 	st.Var = v
 	body := &Block{}

@@ -305,51 +305,51 @@ func (v *verifier) instr(in *Instr) error {
 		if x.IsMatrix() || y.IsMatrix() {
 			// Matrix algebra keeps GLSL's mixed-operand forms; the offline
 			// scalarization pass removes them before codegen.
-			res, err := sem.BinaryResult(in.BinOp, x, y)
+			res, err := sem.BinaryResult(in.Sym, x, y)
 			if err != nil {
-				return fmt.Errorf("%%%d bin %q: %v", in.ID, in.BinOp, err)
+				return fmt.Errorf("%%%d bin %q: %v", in.ID, in.Sym, err)
 			}
 			if !in.Type.Equal(res) {
-				return fmt.Errorf("%%%d bin %q: result %s, want %s", in.ID, in.BinOp, in.Type, res)
+				return fmt.Errorf("%%%d bin %q: result %s, want %s", in.ID, in.Sym, in.Type, res)
 			}
 			return nil
 		}
 		if !x.Equal(y) {
-			return fmt.Errorf("%%%d bin %q: operand types %s and %s differ", in.ID, in.BinOp, x, y)
+			return fmt.Errorf("%%%d bin %q: operand types %s and %s differ", in.ID, in.Sym, x, y)
 		}
-		switch in.BinOp {
+		switch in.Sym {
 		case "+", "-", "*", "/", "%":
 			if !in.Type.Equal(x) {
-				return fmt.Errorf("%%%d bin %q: result %s != operand %s", in.ID, in.BinOp, in.Type, x)
+				return fmt.Errorf("%%%d bin %q: result %s != operand %s", in.ID, in.Sym, in.Type, x)
 			}
 		case "<", ">", "<=", ">=", "==", "!=", "&&", "||", "^^":
 			if !in.Type.Equal(sem.Bool) {
-				return fmt.Errorf("%%%d bin %q: result %s, want bool", in.ID, in.BinOp, in.Type)
+				return fmt.Errorf("%%%d bin %q: result %s, want bool", in.ID, in.Sym, in.Type)
 			}
 		default:
-			return fmt.Errorf("%%%d bin: unknown operator %q", in.ID, in.BinOp)
+			return fmt.Errorf("%%%d bin: unknown operator %q", in.ID, in.Sym)
 		}
 	case OpUn:
 		if err := nargs(1); err != nil {
 			return err
 		}
 		if !in.Type.Equal(in.Args[0].Type) {
-			return fmt.Errorf("%%%d un %q: result %s != operand %s", in.ID, in.UnOp, in.Type, in.Args[0].Type)
+			return fmt.Errorf("%%%d un %q: result %s != operand %s", in.ID, in.Sym, in.Type, in.Args[0].Type)
 		}
 	case OpCall:
-		if !sem.IsBuiltin(in.Callee) {
-			return fmt.Errorf("%%%d call: unknown builtin %q", in.ID, in.Callee)
+		if !sem.IsBuiltin(in.Sym) {
+			return fmt.Errorf("%%%d call: unknown builtin %q", in.ID, in.Sym)
 		}
 		argTypes := make([]sem.Type, len(in.Args))
 		for i, a := range in.Args {
 			argTypes[i] = a.Type
 		}
-		res, err := sem.ResolveBuiltin(in.Callee, argTypes)
+		res, err := sem.ResolveBuiltin(in.Sym, argTypes)
 		if err != nil {
-			return fmt.Errorf("%%%d call %s: %v", in.ID, in.Callee, err)
+			return fmt.Errorf("%%%d call %s: %v", in.ID, in.Sym, err)
 		}
 		if !res.Equal(in.Type) {
-			return fmt.Errorf("%%%d call %s: result %s, want %s", in.ID, in.Callee, in.Type, res)
+			return fmt.Errorf("%%%d call %s: result %s, want %s", in.ID, in.Sym, in.Type, res)
 		}
 	case OpConstruct:
 		total := 0

@@ -180,10 +180,10 @@ func (a *analyzer) instr(in *ir.Instr, w float64) {
 			}
 			nn := float64(n * n)
 			switch {
-			case in.BinOp == "*" && xt.IsMatrix() && yt.IsMatrix():
+			case in.Sym == "*" && xt.IsMatrix() && yt.IsMatrix():
 				a.stats.ALUScalarOps += w * nn * float64(n)
 				a.stats.ALUVecSlots += w * nn
-			case in.BinOp == "*" && (xt.IsVector() || yt.IsVector()):
+			case in.Sym == "*" && (xt.IsVector() || yt.IsVector()):
 				a.stats.ALUScalarOps += w * nn
 				a.stats.ALUVecSlots += w * float64(n)
 			default: // mat±mat, mat*scalar, mat/scalar
@@ -192,7 +192,7 @@ func (a *analyzer) instr(in *ir.Instr, w float64) {
 			}
 			return
 		}
-		switch in.BinOp {
+		switch in.Sym {
 		case "/":
 			if in.Type.Kind == sem.KindFloat {
 				// rcp per component + multiply.
@@ -216,12 +216,12 @@ func (a *analyzer) instr(in *ir.Instr, w float64) {
 		a.stats.ALUScalarOps += w * width
 		a.stats.ALUVecSlots += w
 	case ir.OpCall:
-		cls, _ := sem.BuiltinClassOf(in.Callee)
+		cls, _ := sem.BuiltinClassOf(in.Sym)
 		switch cls {
 		case sem.ClassTexture:
 			a.stats.TextureOps += w
 		default:
-			c, ok := builtinCost[in.Callee]
+			c, ok := builtinCost[in.Sym]
 			if !ok {
 				c = struct{ alu, sfu float64 }{1, 0}
 			}
@@ -272,34 +272,32 @@ func staticInstrs(p *ir.Program) int {
 
 // peakRegisters runs a linear-scan live-interval approximation over the
 // flattened program and returns the peak number of simultaneously live
-// scalar components (values + variable slots).
+// scalar components (values + variable slots). Positions and last uses
+// are tables indexed by instruction ID (IDs are distinct and at most
+// p.MaxID()), and the sweep's deltas a table indexed by position.
 func peakRegisters(p *ir.Program) int {
 	// Assign linear positions.
-	pos := map[*ir.Instr]int{}
-	order := []*ir.Instr{}
+	pos := make([]int, p.MaxID()+1)
+	var order []*ir.Instr
 	p.Body.WalkInstrs(func(in *ir.Instr) {
-		pos[in] = len(order)
+		pos[in.ID] = len(order)
 		order = append(order, in)
 	})
 
-	type interval struct {
-		start, end, width int
-	}
-	var intervals []interval
-
-	// Value intervals: def to last use.
-	lastUse := map[*ir.Instr]int{}
+	// Value intervals: def to last use. A value's last use is after its
+	// definition, so 0 means unused.
+	lastUse := make([]int, len(pos))
 	useAt := func(v *ir.Instr, at int) {
-		if at > lastUse[v] {
-			lastUse[v] = at
+		if at > lastUse[v.ID] {
+			lastUse[v.ID] = at
 		}
 	}
 	var regionEnd func(b *ir.Block) int
 	regionEnd = func(b *ir.Block) int {
 		end := 0
 		b.WalkInstrs(func(in *ir.Instr) {
-			if pos[in] > end {
-				end = pos[in]
+			if pos[in.ID] > end {
+				end = pos[in.ID]
 			}
 		})
 		return end
@@ -310,10 +308,10 @@ func peakRegisters(p *ir.Program) int {
 			switch it := it.(type) {
 			case *ir.Instr:
 				for _, a := range it.Args {
-					useAt(a, pos[it])
+					useAt(a, pos[it.ID])
 				}
 			case *ir.If:
-				useAt(it.Cond, pos[it.Cond]+1)
+				useAt(it.Cond, pos[it.Cond.ID]+1)
 				end := regionEnd(it.Then)
 				if it.Else != nil {
 					if e := regionEnd(it.Else); e > end {
@@ -344,8 +342,17 @@ func peakRegisters(p *ir.Program) int {
 	}
 	walkUses(p.Body)
 
-	for in, end := range lastUse {
-		if !in.HasResult() {
+	// The sweep: each interval adds its width at its start and removes it
+	// after its end. An end is at most len(order) (an If's condition used
+	// just past the last instruction), so end+1 fits.
+	deltas := make([]int, len(order)+2)
+	interval := func(start, end, width int) {
+		deltas[start] += width
+		deltas[end+1] -= width
+	}
+	for _, in := range order {
+		end := lastUse[in.ID]
+		if end == 0 || !in.HasResult() {
 			continue
 		}
 		w := in.Type.Components()
@@ -356,7 +363,7 @@ func peakRegisters(p *ir.Program) int {
 			// Small immediates rematerialize; don't hold registers.
 			continue
 		}
-		intervals = append(intervals, interval{pos[in], end, w})
+		interval(pos[in.ID], end, w)
 	}
 
 	// Variable slot intervals: first touch to last touch.
@@ -368,31 +375,19 @@ func peakRegisters(p *ir.Program) int {
 		}
 		v := in.Var
 		if _, ok := firstTouch[v]; !ok {
-			firstTouch[v] = pos[in]
+			firstTouch[v] = pos[in.ID]
 		}
-		lastTouch[v] = pos[in]
+		lastTouch[v] = pos[in.ID]
 	})
 	for _, v := range p.Vars {
-		f, ok := firstTouch[v]
-		if !ok {
-			continue
+		if f, ok := firstTouch[v]; ok {
+			interval(f, lastTouch[v], v.Type.Components())
 		}
-		intervals = append(intervals, interval{f, lastTouch[v], v.Type.Components()})
 	}
 
-	// Sweep.
-	if len(intervals) == 0 {
-		return 0
-	}
-	deltas := map[int]int{}
-	for _, iv := range intervals {
-		deltas[iv.start] += iv.width
-		deltas[iv.end+1] -= iv.width
-	}
 	peak, cur := 0, 0
-	maxPos := len(order) + 2
-	for i := 0; i <= maxPos; i++ {
-		cur += deltas[i]
+	for _, d := range deltas {
+		cur += d
 		if cur > peak {
 			peak = cur
 		}

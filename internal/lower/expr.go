@@ -72,7 +72,7 @@ func (lw *lowerer) unary(e *glsl.UnaryExpr) (*ir.Instr, error) {
 		return nil, err
 	}
 	in := lw.emit(ir.OpUn, x.Type, x)
-	in.UnOp = e.Op
+	in.Sym = e.Op
 	return in, nil
 }
 
@@ -90,7 +90,7 @@ func (lw *lowerer) binop(op string, x, y *ir.Instr, resType sem.Type) (*ir.Instr
 			return nil, err
 		}
 		in := lw.emit(ir.OpBin, res, x, y)
-		in.BinOp = op
+		in.Sym = op
 		return in, nil
 	case xt.IsVector() && yt.IsScalar():
 		y = lw.splat(y, xt.Vec)
@@ -103,7 +103,7 @@ func (lw *lowerer) binop(op string, x, y *ir.Instr, resType sem.Type) (*ir.Instr
 		return lw.bin(op, x.Type, x, y), nil
 	case "<", ">", "<=", ">=", "==", "!=", "&&", "||", "^^":
 		in := lw.emit(ir.OpBin, sem.Bool, x, y)
-		in.BinOp = op
+		in.Sym = op
 		return in, nil
 	}
 	return nil, fmt.Errorf("unknown binary operator %q", op)
@@ -239,7 +239,7 @@ func (lw *lowerer) call(e *glsl.CallExpr) (*ir.Instr, error) {
 			args[i] = v
 		}
 		in := lw.emit(ir.OpCall, lw.info.TypeOf(e), args...)
-		in.Callee = e.Callee
+		in.Sym = e.Callee
 		return in, nil
 	}
 	return lw.inlineCall(e)

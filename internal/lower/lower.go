@@ -152,7 +152,7 @@ func (lw *lowerer) intConst(v int64) *ir.Instr {
 
 func (lw *lowerer) bin(op string, t sem.Type, x, y *ir.Instr) *ir.Instr {
 	in := lw.emit(ir.OpBin, t, x, y)
-	in.BinOp = op
+	in.Sym = op
 	return in
 }
 

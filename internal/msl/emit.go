@@ -204,9 +204,9 @@ func (g *mslgen) helperPrelude() {
 	need := map[string]bool{}
 	g.p.Body.WalkInstrs(func(in *ir.Instr) {
 		if in.Op == ir.OpCall {
-			switch in.Callee {
+			switch in.Sym {
 			case "mod", "radians", "degrees":
-				need[in.Callee] = true
+				need[in.Sym] = true
 			}
 		}
 	})
@@ -329,15 +329,15 @@ func (g *mslgen) typeName(t sem.Type) string {
 // textureType renders the MSL texture type for a sampler dimensionality.
 func (g *mslgen) textureType(t sem.Type) string {
 	switch t.Dim {
-	case "2D":
+	case sem.Dim2D:
 		return "texture2d<float>"
-	case "3D":
+	case sem.Dim3D:
 		return "texture3d<float>"
-	case "Cube":
+	case sem.DimCube:
 		return "texturecube<float>"
-	case "2DShadow":
+	case sem.Dim2DShadow:
 		return "depth2d<float>"
-	case "2DArray":
+	case sem.Dim2DArray:
 		return "texture2d_array<float>"
 	}
 	g.fail("sampler dimensionality %q has no MSL texture type", t.Dim)
@@ -504,13 +504,13 @@ func (g *mslgen) expr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	case ir.OpLoad:
 		return g.varName(in.Var)
 	case ir.OpBin:
-		op := in.BinOp
+		op := in.Sym
 		if op == "^^" {
 			op = "!=" // C++ has no ^^; != is exact XOR on bools
 		}
 		return fmt.Sprintf("%s %s %s", operand(in.Args[0]), op, operand(in.Args[1]))
 	case ir.OpUn:
-		return in.UnOp + operand(in.Args[0])
+		return in.Sym + operand(in.Args[0])
 	case ir.OpCall:
 		return g.callExpr(in, inline)
 	case ir.OpConstruct:
@@ -555,12 +555,12 @@ func isAtomicExpr(in *ir.Instr) bool {
 // semantics line up 1:1, a glsl_ helper otherwise, and the texture method
 // forms for sampling ops.
 func (g *mslgen) callExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
-	switch in.Callee {
+	switch in.Sym {
 	case "texture", "texture2D", "textureCube", "textureLod", "texelFetch":
 		return g.textureExpr(in, inline)
 	}
-	name := in.Callee
-	switch in.Callee {
+	name := in.Sym
+	switch in.Sym {
 	case "inversesqrt":
 		name = "rsqrt"
 	case "dFdx":
@@ -598,7 +598,7 @@ func (g *mslgen) textureExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	co := g.operand(in.Args[1], inline)
 	dim := samp.Type.Dim
 
-	switch in.Callee {
+	switch in.Sym {
 	case "texelFetch":
 		// The subset's texelFetch carries the lod at the coordinate's
 		// width; Metal's read takes a scalar, so emit the first component
@@ -618,9 +618,9 @@ func (g *mslgen) textureExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	}
 	// texture / texture2D / textureCube
 	switch dim {
-	case "2DShadow":
+	case sem.Dim2DShadow:
 		return fmt.Sprintf("%s.sample_compare(%s, %s.xy, %s.z)", tex, smp, co, co)
-	case "2DArray":
+	case sem.Dim2DArray:
 		return fmt.Sprintf("%s.sample(%s, %s.xy, uint(%s.z))", tex, smp, co, co)
 	}
 	if len(in.Args) == 3 {

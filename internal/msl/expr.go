@@ -370,7 +370,7 @@ func (tr *translator) sampleCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type)
 	}
 	coord, ct = tr.promote(coord, ct, sem.Float)
 
-	if rt.Dim == "2DArray" {
+	if rt.Dim == sem.Dim2DArray {
 		// The layer argument rejoins the coordinate as the z component.
 		if len(e.Args) != 3 {
 			return nil, sem.Void, errf(e.Pos, ".sample on a texture2d_array needs a layer argument")

@@ -8,8 +8,8 @@ import "fmt"
 type Lexer struct {
 	src  string
 	pos  int
-	line int
-	col  int
+	line int32
+	col  int32
 	err  error
 }
 

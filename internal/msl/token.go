@@ -38,7 +38,7 @@ func (k Kind) String() string {
 
 // Pos is a source position.
 type Pos struct {
-	Line, Col int
+	Line, Col int32
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }

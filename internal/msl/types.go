@@ -81,15 +81,15 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 	case "void":
 		return sem.Void, nil
 	case "texture2d":
-		return sem.SamplerType("2D"), nil
+		return sem.SamplerType(sem.Dim2D), nil
 	case "texture3d":
-		return sem.SamplerType("3D"), nil
+		return sem.SamplerType(sem.Dim3D), nil
 	case "texturecube":
-		return sem.SamplerType("Cube"), nil
+		return sem.SamplerType(sem.DimCube), nil
 	case "depth2d":
-		return sem.SamplerType("2DShadow"), nil
+		return sem.SamplerType(sem.Dim2DShadow), nil
 	case "texture2d_array":
-		return sem.SamplerType("2DArray"), nil
+		return sem.SamplerType(sem.Dim2DArray), nil
 	case "sampler":
 		return sem.Void, fmt.Errorf("sampler state cannot be used as a value type")
 	case "array":

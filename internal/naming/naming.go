@@ -36,7 +36,7 @@ func SemToSpec(t sem.Type) (glsl.TypeSpec, error) {
 	name := ""
 	switch {
 	case t.IsSampler():
-		name = "sampler" + t.Dim
+		name = "sampler" + t.Dim.String()
 	case t.IsMatrix():
 		name = fmt.Sprintf("mat%d", t.Mat)
 	case t.IsVector():

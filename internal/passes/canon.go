@@ -297,7 +297,7 @@ func foldInstr(p *ir.Program, s *rewriter, in *ir.Instr) bool {
 	case ir.OpBin:
 		// Canonical commutative order: constant second, else lower ID first.
 		// Matrix multiplication does not commute; leave matrix forms alone.
-		if isCommutative(in.BinOp) &&
+		if isCommutative(in.Sym) &&
 			!in.Args[0].Type.IsMatrix() && !in.Args[1].Type.IsMatrix() {
 			x, y := in.Args[0], in.Args[1]
 			if (x.Op == ir.OpConst && y.Op != ir.OpConst) ||
@@ -307,26 +307,26 @@ func foldInstr(p *ir.Program, s *rewriter, in *ir.Instr) bool {
 			}
 		}
 		if allConst(in.Args) {
-			if v, ok := ir.EvalBinTyped(in.BinOp, in.Args[0].Type, in.Args[1].Type, in.Args[0].Const, in.Args[1].Const); ok {
+			if v, ok := ir.EvalBinTyped(in.Sym, in.Args[0].Type, in.Args[1].Type, in.Args[0].Const, in.Args[1].Const); ok {
 				makeConst(in, v)
 				return true
 			}
 		}
 	case ir.OpUn:
 		if allConst(in.Args) {
-			if v, ok := ir.EvalUn(in.UnOp, in.Args[0].Const); ok {
+			if v, ok := ir.EvalUn(in.Sym, in.Args[0].Const); ok {
 				makeConst(in, v)
 				return true
 			}
 		}
 		// Double negation.
-		if a := in.Args[0]; a.Op == ir.OpUn && a.UnOp == in.UnOp {
+		if a := in.Args[0]; a.Op == ir.OpUn && a.Sym == in.Sym {
 			s.replace(in, a.Args[0])
 			return true
 		}
 	case ir.OpCall:
 		if allConst(in.Args) {
-			if v, ok := ir.EvalBuiltin(in.Callee, constArgs(in.Args)); ok {
+			if v, ok := ir.EvalBuiltin(in.Sym, constArgs(in.Args)); ok {
 				makeConst(in, v)
 				return true
 			}
@@ -794,8 +794,7 @@ func (t *valueTable) add(in *ir.Instr, h uint64) {
 // same opcode, result type and attributes, bit-identical constant
 // payload, and the same operands.
 func sameValue(a, b *ir.Instr) bool {
-	if a.Op != b.Op || a.Type != b.Type || a.BinOp != b.BinOp || a.UnOp != b.UnOp ||
-		a.Callee != b.Callee || a.Index != b.Index || a.Global != b.Global ||
+	if a.Op != b.Op || a.Type != b.Type || a.Sym != b.Sym || a.Index != b.Index || a.Global != b.Global ||
 		len(a.Indices) != len(b.Indices) || len(a.Args) != len(b.Args) ||
 		!sameConst(a.Const, b.Const) {
 		return false
@@ -853,11 +852,8 @@ func valueHash(in *ir.Instr) uint64 {
 	}
 	t := in.Type
 	word(uint64(in.Op))
-	word(uint64(t.Kind) | uint64(t.Vec)<<8 | uint64(t.Mat)<<16 | uint64(t.ArrayLen)<<24)
-	str(t.Dim)
-	str(in.BinOp)
-	str(in.UnOp)
-	str(in.Callee)
+	word(uint64(t.Kind) | uint64(t.Dim)<<8 | uint64(t.Vec)<<16 | uint64(t.Mat)<<24 | uint64(t.ArrayLen)<<32)
+	str(in.Sym)
 	word(uint64(in.Index))
 	if in.Global != nil {
 		str(in.Global.Name)
@@ -1055,7 +1051,7 @@ func simplifyRegions(p *ir.Program) bool {
 					// Invert: if(!c) else-branch.
 					edit(i)
 					neg := p.NewInstr(ir.OpUn, sem.Bool, item.Cond)
-					neg.UnOp = "!"
+					neg.Sym = "!"
 					out = append(out, neg)
 					item.Cond = neg
 					item.Then = item.Else

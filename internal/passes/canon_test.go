@@ -20,13 +20,13 @@ func uniformInstr(p *ir.Program, name string, t sem.Type) *ir.Instr {
 
 func unInstr(p *ir.Program, op string, x *ir.Instr) *ir.Instr {
 	in := p.NewInstr(ir.OpUn, x.Type, x)
-	in.UnOp = op
+	in.Sym = op
 	return in
 }
 
 func binInstr(p *ir.Program, op string, t sem.Type, x, y *ir.Instr) *ir.Instr {
 	in := p.NewInstr(ir.OpBin, t, x, y)
-	in.BinOp = op
+	in.Sym = op
 	return in
 }
 

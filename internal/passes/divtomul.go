@@ -13,7 +13,7 @@ import (
 func DivToMul(p *ir.Program) bool {
 	var inserts []insertion
 	p.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op != ir.OpBin || in.BinOp != "/" || in.Type.Kind != sem.KindFloat {
+		if in.Op != ir.OpBin || in.Sym != "/" || in.Type.Kind != sem.KindFloat {
 			return
 		}
 		den := in.Args[1]
@@ -31,7 +31,7 @@ func DivToMul(p *ir.Program) bool {
 		}
 		c := newConst(p, den.Type, &ir.ConstVal{Kind: sem.KindFloat, F: inv})
 		inserts = append(inserts, insertion{before: in, items: []*ir.Instr{c}})
-		in.BinOp = "*"
+		in.Sym = "*"
 		in.Args[1] = c
 	})
 	if len(inserts) == 0 {

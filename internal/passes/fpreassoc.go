@@ -80,7 +80,7 @@ func floatArith(in *ir.Instr) bool {
 	if in.Args[0].Type.IsMatrix() || in.Args[1].Type.IsMatrix() {
 		return false
 	}
-	return in.BinOp == "+" || in.BinOp == "-" || in.BinOp == "*"
+	return in.Sym == "+" || in.Sym == "-" || in.Sym == "*"
 }
 
 // isRoot selects maximal arithmetic trees: float arith nodes not consumed
@@ -157,14 +157,14 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 		case in.Op == ir.OpConst && in.Const.Kind == sem.KindFloat && in.Const.IsSplat() && in.Const.Len() > 0:
 			consumed++
 			return in.Const.F[0], nil
-		case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Kind == sem.KindFloat &&
+		case in.Op == ir.OpBin && in.Sym == "*" && in.Type.Kind == sem.KindFloat &&
 			!in.Args[0].Type.IsMatrix() && !in.Args[1].Type.IsMatrix() &&
 			(in == root || (r.uses.Of(in) == 1 && !in.Type.IsMatrix())):
 			consumed++
 			c1, f1 := flattenMul(in.Args[0])
 			c2, f2 := flattenMul(in.Args[1])
 			return c1 * c2, append(f1, f2...)
-		case in.Op == ir.OpUn && in.UnOp == "-" && r.uses.Of(in) == 1:
+		case in.Op == ir.OpUn && in.Sym == "-" && r.uses.Of(in) == 1:
 			consumed++
 			c, f := flattenMul(in.Args[0])
 			return -c, f
@@ -190,19 +190,19 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 				}
 				constAcc[i] += coeff * in.Const.F[ci]
 			}
-		case in.Op == ir.OpBin && (in.BinOp == "+" || in.BinOp == "-") && in.Type.Equal(t) &&
+		case in.Op == ir.OpBin && (in.Sym == "+" || in.Sym == "-") && in.Type.Equal(t) &&
 			(in == root || r.uses.Of(in) == 1):
 			consumed++
 			flattenLinear(in.Args[0], coeff, extra)
-			if in.BinOp == "+" {
+			if in.Sym == "+" {
 				flattenLinear(in.Args[1], coeff, extra)
 			} else {
 				flattenLinear(in.Args[1], -coeff, extra)
 			}
-		case in.Op == ir.OpUn && in.UnOp == "-" && in.Type.Equal(t) && r.uses.Of(in) == 1:
+		case in.Op == ir.OpUn && in.Sym == "-" && in.Type.Equal(t) && r.uses.Of(in) == 1:
 			consumed++
 			flattenLinear(in.Args[0], -coeff, extra)
-		case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Kind == sem.KindFloat &&
+		case in.Op == ir.OpBin && in.Sym == "*" && in.Type.Kind == sem.KindFloat &&
 			!in.Args[0].Type.IsMatrix() && !in.Args[1].Type.IsMatrix():
 			c, factors := flattenMul(in)
 			// Distribute over a single-use additive subtree if present.
@@ -210,7 +210,7 @@ func (r *fpRewriter) rewrite(root *ir.Instr) bool {
 			rest := factors[:0:0]
 			for _, f := range factors {
 				if sub == nil && f.Type.Equal(t) && r.uses.Of(f) == 1 &&
-					f.Op == ir.OpBin && (f.BinOp == "+" || f.BinOp == "-") {
+					f.Op == ir.OpBin && (f.Sym == "+" || f.Sym == "-") {
 					sub = f
 					continue
 				}
@@ -407,7 +407,7 @@ func (b *fpBuilder) emit(in *ir.Instr) *ir.Instr {
 
 func (b *fpBuilder) bin(op string, t sem.Type, x, y *ir.Instr) *ir.Instr {
 	in := b.p.NewInstr(ir.OpBin, t, x, y)
-	in.BinOp = op
+	in.Sym = op
 	return b.emit(in)
 }
 

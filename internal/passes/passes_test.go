@@ -190,7 +190,7 @@ void main() {
 	Canonicalize(p)
 	muls := 0
 	p.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			muls++
 		}
 	})
@@ -224,7 +224,7 @@ void main() {
 	Canonicalize(p)
 	texCount := 0
 	p.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpCall && in.Callee == "texture" {
+		if in.Op == ir.OpCall && in.Sym == "texture" {
 			texCount++
 		}
 	})
@@ -402,7 +402,7 @@ void main() {
 	countMuls := func() int {
 		n := 0
 		p.Body.WalkInstrs(func(in *ir.Instr) {
-			if in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Equal(sem.Float) {
+			if in.Op == ir.OpBin && in.Sym == "*" && in.Type.Equal(sem.Float) {
 				n++
 			}
 		})
@@ -477,10 +477,10 @@ void main() { c = v / 4.0; }
 	opt := checkEquiv(t, src, FlagDivToMul, env, 1e-12)
 	divs, muls := 0, 0
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "/" {
+		if in.Op == ir.OpBin && in.Sym == "/" {
 			divs++
 		}
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			muls++
 		}
 	})
@@ -517,7 +517,7 @@ void main() { c = vec4(a * b + a * fc); }
 	opt := checkEquiv(t, src, FlagFPReassociate, env, 1e-9)
 	muls := 0
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			muls++
 		}
 	})
@@ -537,10 +537,10 @@ void main() { c = vec4(a + a + a); }
 	opt := checkEquiv(t, src, FlagFPReassociate, env, 1e-9)
 	adds, muls := 0, 0
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "+" {
+		if in.Op == ir.OpBin && in.Sym == "+" {
 			adds++
 		}
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			muls++
 		}
 	})
@@ -585,7 +585,7 @@ void main() { c = f1 * (f2 * v); }
 	opt := checkEquiv(t, src, FlagFPReassociate, env, 1e-9)
 	scalarMuls, vecMuls := 0, 0
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			if in.Type.IsScalar() {
 				scalarMuls++
 			} else {
@@ -609,7 +609,7 @@ void main() { c = 2.0 * (3.0 * v); }
 	opt := checkEquiv(t, src, FlagFPReassociate, env, 1e-9)
 	muls := 0
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			muls++
 		}
 	})
@@ -632,7 +632,7 @@ void main() { c = 0.21 * x + 0.21 * y; }
 	opt := checkEquiv(t, src, FlagFPReassociate, env, 1e-9)
 	muls := 0
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpBin && in.BinOp == "*" {
+		if in.Op == ir.OpBin && in.Sym == "*" {
 			muls++
 		}
 	})
@@ -709,11 +709,11 @@ void main() {
 	var loops, divs, texs, vecMuls int
 	opt.Body.WalkInstrs(func(in *ir.Instr) {
 		switch {
-		case in.Op == ir.OpBin && in.BinOp == "/":
+		case in.Op == ir.OpBin && in.Sym == "/":
 			divs++
-		case in.Op == ir.OpCall && in.Callee == "texture":
+		case in.Op == ir.OpCall && in.Sym == "texture":
 			texs++
-		case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.IsVector():
+		case in.Op == ir.OpBin && in.Sym == "*" && in.Type.IsVector():
 			vecMuls++
 		}
 	})

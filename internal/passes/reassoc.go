@@ -66,16 +66,16 @@ func reassocIntSums(p *ir.Program) bool {
 				return
 			case isIntAddSub(in) && (in == root || uses.Of(in) == 1):
 				flatten(in.Args[0], sign)
-				if in.BinOp == "+" {
+				if in.Sym == "+" {
 					flatten(in.Args[1], sign)
 				} else {
 					flatten(in.Args[1], -sign)
 				}
 				return
-			case in.Op == ir.OpUn && in.UnOp == "-" && in.Type.Equal(sem.Int) && uses.Of(in) == 1:
+			case in.Op == ir.OpUn && in.Sym == "-" && in.Type.Equal(sem.Int) && uses.Of(in) == 1:
 				flatten(in.Args[0], -sign)
 				return
-			case in.Op == ir.OpBin && in.BinOp == "*" && in.Type.Equal(sem.Int) &&
+			case in.Op == ir.OpBin && in.Sym == "*" && in.Type.Equal(sem.Int) &&
 				in.Args[1].Op == ir.OpConst && uses.Of(in) == 1:
 				flatten(in.Args[0], sign*in.Args[1].Const.Int(0))
 				return
@@ -104,12 +104,12 @@ func reassocIntSums(p *ir.Program) bool {
 			case -1:
 				if total == nil {
 					neg := p.NewInstr(ir.OpUn, sem.Int, v)
-					neg.UnOp = "-"
+					neg.Sym = "-"
 					emitted = append(emitted, neg)
 					term = neg
 				} else {
 					sub := p.NewInstr(ir.OpBin, sem.Int, total, v)
-					sub.BinOp = "-"
+					sub.Sym = "-"
 					emitted = append(emitted, sub)
 					total = sub
 					return
@@ -117,19 +117,19 @@ func reassocIntSums(p *ir.Program) bool {
 			default:
 				c := newConst(p, sem.Int, ir.IntConst(abs64(coeff)))
 				mul := p.NewInstr(ir.OpBin, sem.Int, v, c)
-				mul.BinOp = "*"
+				mul.Sym = "*"
 				emitted = append(emitted, c, mul)
 				term = mul
 				if coeff < 0 {
 					if total != nil {
 						sub := p.NewInstr(ir.OpBin, sem.Int, total, mul)
-						sub.BinOp = "-"
+						sub.Sym = "-"
 						emitted = append(emitted, sub)
 						total = sub
 						return
 					}
 					neg := p.NewInstr(ir.OpUn, sem.Int, mul)
-					neg.UnOp = "-"
+					neg.Sym = "-"
 					emitted = append(emitted, neg)
 					term = neg
 				}
@@ -138,7 +138,7 @@ func reassocIntSums(p *ir.Program) bool {
 				total = term
 			} else {
 				sum := p.NewInstr(ir.OpBin, sem.Int, total, term)
-				sum.BinOp = "+"
+				sum.Sym = "+"
 				emitted = append(emitted, sum)
 				total = sum
 			}
@@ -153,7 +153,7 @@ func reassocIntSums(p *ir.Program) bool {
 				total = c
 			} else {
 				sum := p.NewInstr(ir.OpBin, sem.Int, total, c)
-				sum.BinOp = "+"
+				sum.Sym = "+"
 				emitted = append(emitted, sum)
 				total = sum
 			}
@@ -173,7 +173,7 @@ func reassocIntSums(p *ir.Program) bool {
 }
 
 func isIntAddSub(in *ir.Instr) bool {
-	return in.Op == ir.OpBin && (in.BinOp == "+" || in.BinOp == "-") && in.Type.Equal(sem.Int)
+	return in.Op == ir.OpBin && (in.Sym == "+" || in.Sym == "-") && in.Type.Equal(sem.Int)
 }
 
 func abs64(v int64) int64 {
@@ -196,7 +196,7 @@ func floatIdentities(p *ir.Program) bool {
 		x, y := in.Args[0], in.Args[1]
 		xc, xok := splatConstOf(x)
 		yc, yok := splatConstOf(y)
-		switch in.BinOp {
+		switch in.Sym {
 		case "+":
 			if yok && yc == 0 {
 				replaceUses(p, in, x)

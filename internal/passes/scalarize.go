@@ -54,19 +54,19 @@ func expandMatrixOp(p *ir.Program, root *ir.Instr) {
 		x, y := root.Args[0], root.Args[1]
 		xt, yt := x.Type, y.Type
 		switch {
-		case root.BinOp == "*" && xt.IsMatrix() && yt.IsVector():
+		case root.Sym == "*" && xt.IsMatrix() && yt.IsVector():
 			result = e.matVec(x, y)
-		case root.BinOp == "*" && xt.IsVector() && yt.IsMatrix():
+		case root.Sym == "*" && xt.IsVector() && yt.IsMatrix():
 			result = e.vecMat(x, y)
-		case root.BinOp == "*" && xt.IsMatrix() && yt.IsMatrix():
+		case root.Sym == "*" && xt.IsMatrix() && yt.IsMatrix():
 			result = e.matMat(x, y)
-		case (root.BinOp == "+" || root.BinOp == "-") && xt.IsMatrix():
-			result = e.colwise(root.BinOp, x, y)
-		case root.BinOp == "*" && xt.IsMatrix() && yt.IsScalar():
+		case (root.Sym == "+" || root.Sym == "-") && xt.IsMatrix():
+			result = e.colwise(root.Sym, x, y)
+		case root.Sym == "*" && xt.IsMatrix() && yt.IsScalar():
 			result = e.scale("*", x, y)
-		case root.BinOp == "/" && xt.IsMatrix() && yt.IsScalar():
+		case root.Sym == "/" && xt.IsMatrix() && yt.IsScalar():
 			result = e.scale("/", x, y)
-		case root.BinOp == "*" && xt.IsScalar() && yt.IsMatrix():
+		case root.Sym == "*" && xt.IsScalar() && yt.IsMatrix():
 			result = e.scale("*", y, x)
 		default:
 			return // leave unknown forms intact (verifier rejects them anyway)
@@ -79,8 +79,7 @@ func expandMatrixOp(p *ir.Program, root *ir.Instr) {
 	// which canonicalization folds away.
 	root.Op = ir.OpConstruct
 	root.Args = []*ir.Instr{result}
-	root.BinOp = ""
-	root.UnOp = ""
+	root.Sym = ""
 }
 
 type expander struct {
@@ -110,7 +109,7 @@ func (e *expander) extract(agg *ir.Instr, idx int) *ir.Instr {
 
 func (e *expander) bin(op string, t sem.Type, x, y *ir.Instr) *ir.Instr {
 	in := e.p.NewInstr(ir.OpBin, t, x, y)
-	in.BinOp = op
+	in.Sym = op
 	return e.emit(in)
 }
 
@@ -227,7 +226,7 @@ func (e *expander) negate(m *ir.Instr) *ir.Instr {
 	cols := make([]*ir.Instr, n)
 	for j := 0; j < n; j++ {
 		neg := e.p.NewInstr(ir.OpUn, sem.VecType(sem.KindFloat, n), e.extract(m, j))
-		neg.UnOp = "-"
+		neg.Sym = "-"
 		cols[j] = e.emit(neg)
 	}
 	return e.construct(m.Type, cols...)

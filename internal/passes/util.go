@@ -61,9 +61,7 @@ func makeConst(in *ir.Instr, c *ir.ConstVal) {
 	in.Op = ir.OpConst
 	in.Const = c
 	in.Args = nil
-	in.BinOp = ""
-	in.UnOp = ""
-	in.Callee = ""
+	in.Sym = ""
 	in.Index = 0
 	in.Indices = nil
 	in.Var = nil

@@ -195,11 +195,11 @@ func matchSig(sig sigRule, args []Type) (Type, error) {
 				return Void, fmt.Errorf("arg %d: want vec3, got %s", i+1, a)
 			}
 		case pSamp2D:
-			if !a.IsSampler() || (a.Dim != "2D" && a.Dim != "2DArray" && a.Dim != "2DShadow" && a.Dim != "3D") {
+			if !a.IsSampler() || (a.Dim != Dim2D && a.Dim != Dim2DArray && a.Dim != Dim2DShadow && a.Dim != Dim3D) {
 				return Void, fmt.Errorf("arg %d: want sampler2D, got %s", i+1, a)
 			}
 		case pSampCube:
-			if !a.IsSampler() || a.Dim != "Cube" {
+			if !a.IsSampler() || a.Dim != DimCube {
 				return Void, fmt.Errorf("arg %d: want samplerCube, got %s", i+1, a)
 			}
 		case pSampAny:

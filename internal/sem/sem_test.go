@@ -42,7 +42,7 @@ func TestTypeStrings(t *testing.T) {
 	}{
 		{Float, "float"}, {Int, "int"}, {Bool, "bool"},
 		{Vec3, "vec3"}, {VecType(KindInt, 2), "ivec2"}, {VecType(KindBool, 4), "bvec4"},
-		{Mat3, "mat3"}, {SamplerType("2D"), "sampler2D"},
+		{Mat3, "mat3"}, {SamplerType(Dim2D), "sampler2D"},
 		{ArrayOf(Vec2, 9), "vec2[9]"},
 	}
 	for _, c := range cases {
@@ -68,7 +68,7 @@ func TestTypePredicates(t *testing.T) {
 	if ArrayOf(Vec4, 3).Components() != 12 {
 		t.Error("array components")
 	}
-	if !SamplerType("2D").IsSampler() {
+	if !SamplerType(Dim2D).IsSampler() {
 		t.Error("sampler predicate")
 	}
 }
@@ -109,7 +109,7 @@ func TestBinaryResultRules(t *testing.T) {
 		{"<", Vec2, Vec2},
 		{"%", Float, Float},
 		{"&&", Int, Int},
-		{"+", SamplerType("2D"), Float},
+		{"+", SamplerType(Dim2D), Float},
 	}
 	for _, c := range bad {
 		if _, err := BinaryResult(c.op, c.x, c.y); err == nil {
@@ -133,9 +133,9 @@ func TestResolveBuiltins(t *testing.T) {
 		{"clamp", []Type{Vec2, Float, Float}, Vec2},
 		{"max", []Type{Vec3, Float}, Vec3},
 		{"pow", []Type{Float, Float}, Float},
-		{"texture", []Type{SamplerType("2D"), Vec2}, Vec4},
-		{"texture", []Type{SamplerType("Cube"), Vec3}, Vec4},
-		{"textureLod", []Type{SamplerType("2D"), Vec2, Float}, Vec4},
+		{"texture", []Type{SamplerType(Dim2D), Vec2}, Vec4},
+		{"texture", []Type{SamplerType(DimCube), Vec3}, Vec4},
+		{"textureLod", []Type{SamplerType(Dim2D), Vec2, Float}, Vec4},
 		{"step", []Type{Float, Vec3}, Vec3},
 		{"length", []Type{Vec2}, Float},
 		{"atan", []Type{Float, Float}, Float},
@@ -202,7 +202,7 @@ func TestResolveConstructor(t *testing.T) {
 		{"vec2", []Type{Vec2, Vec2}},        // unused argument
 		{"vec4", nil},                       // no args
 		{"sampler2D", []Type{Float}},        // not constructible
-		{"vec3", []Type{SamplerType("2D")}}, // sampler arg
+		{"vec3", []Type{SamplerType(Dim2D)}}, // sampler arg
 	}
 	for _, c := range bad {
 		if _, err := ResolveConstructor(c.name, c.args); err == nil {

@@ -6,12 +6,13 @@ package sem
 
 import (
 	"fmt"
+	"strconv"
 
 	"shaderopt/internal/glsl"
 )
 
 // Kind is the scalar base kind of a type.
-type Kind int
+type Kind uint8
 
 // Base kinds.
 const (
@@ -38,6 +39,34 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// Dim is a sampler's dimensionality. The zero value is no dimensionality
+// (every non-sampler type).
+type Dim uint8
+
+// Sampler dimensionalities.
+const (
+	DimNone Dim = iota
+	Dim2D
+	Dim3D
+	DimCube
+	Dim2DShadow
+	Dim2DArray
+)
+
+var dimNames = [...]string{
+	DimNone: "", Dim2D: "2D", Dim3D: "3D", DimCube: "Cube",
+	Dim2DShadow: "2DShadow", Dim2DArray: "2DArray",
+}
+
+// String returns the GLSL spelling of the dimensionality, the suffix of
+// its sampler type name ("2D" for sampler2D).
+func (d Dim) String() string {
+	if int(d) < len(dimNames) {
+		return dimNames[d]
+	}
+	return "Dim(" + strconv.Itoa(int(d)) + ")"
+}
+
 // Type describes a GLSL value type.
 //
 //   - scalar:  Vec == 1, Mat == 0
@@ -45,12 +74,15 @@ func (k Kind) String() string {
 //   - matrix:  Kind == KindFloat, Mat in 2..4, Vec == Mat (column height)
 //   - sampler: Kind == KindSampler, Dim set
 //   - array:   ArrayLen >= 1 wrapping the element described by other fields
+//
+// Every pass, printer and emitter copies types by value, so the layout is
+// kept to 32 bytes (the one-byte Kind and Dim share the first word).
 type Type struct {
 	Kind     Kind
+	Dim      Dim // sampler dimensionality
 	Vec      int
 	Mat      int
-	Dim      string // sampler dimensionality: "2D", "3D", "Cube", ...
-	ArrayLen int    // 0 = not an array
+	ArrayLen int // 0 = not an array
 }
 
 // Convenient predefined types.
@@ -74,7 +106,7 @@ func VecType(k Kind, n int) Type { return Type{Kind: k, Vec: n} }
 func MatType(n int) Type { return Type{Kind: KindFloat, Vec: n, Mat: n} }
 
 // SamplerType returns a sampler type with the given dimensionality.
-func SamplerType(dim string) Type { return Type{Kind: KindSampler, Vec: 1, Dim: dim} }
+func SamplerType(dim Dim) Type { return Type{Kind: KindSampler, Vec: 1, Dim: dim} }
 
 // ArrayOf returns the array type of n elements of elem.
 func ArrayOf(elem Type, n int) Type {
@@ -135,29 +167,47 @@ func (t Type) Equal(o Type) bool { return t == o }
 
 // String renders the GLSL name of the type.
 func (t Type) String() string {
+	switch {
+	case t.IsArray():
+	case t.Kind == KindVoid:
+		return "void"
+	case t.Mat < 2 && t.Vec == 1 && t.Kind != KindSampler:
+		return t.Kind.String()
+	}
+	var buf [32]byte
+	return string(t.AppendText(buf[:0]))
+}
+
+// AppendText appends the GLSL name of the type, as String returns it, to
+// b. The IR printers render every instruction's type through it without
+// allocating.
+func (t Type) AppendText(b []byte) []byte {
 	if t.IsArray() {
-		return fmt.Sprintf("%s[%d]", t.Elem(), t.ArrayLen)
+		b = t.Elem().AppendText(b)
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(t.ArrayLen), 10)
+		return append(b, ']')
 	}
 	switch {
 	case t.Kind == KindVoid:
-		return "void"
+		return append(b, "void"...)
 	case t.Kind == KindSampler:
-		return "sampler" + t.Dim
+		return append(append(b, "sampler"...), t.Dim.String()...)
 	case t.Mat >= 2:
-		return fmt.Sprintf("mat%d", t.Mat)
+		return strconv.AppendInt(append(b, "mat"...), int64(t.Mat), 10)
 	case t.Vec == 1:
-		return t.Kind.String()
+		return append(b, t.Kind.String()...)
 	default:
 		switch t.Kind {
 		case KindFloat:
-			return fmt.Sprintf("vec%d", t.Vec)
+			return strconv.AppendInt(append(b, "vec"...), int64(t.Vec), 10)
 		case KindInt:
-			return fmt.Sprintf("ivec%d", t.Vec)
+			return strconv.AppendInt(append(b, "ivec"...), int64(t.Vec), 10)
 		case KindBool:
-			return fmt.Sprintf("bvec%d", t.Vec)
+			return strconv.AppendInt(append(b, "bvec"...), int64(t.Vec), 10)
 		}
 	}
-	return fmt.Sprintf("Type{%v,%d,%d}", t.Kind, t.Vec, t.Mat)
+	return fmt.Appendf(b, "Type{%v,%d,%d}", t.Kind, t.Vec, t.Mat)
 }
 
 // FromSpec resolves a syntactic type reference to a semantic Type.
@@ -210,15 +260,15 @@ func fromName(name string) (Type, error) {
 	case "mat4":
 		return Mat4, nil
 	case "sampler2D":
-		return SamplerType("2D"), nil
+		return SamplerType(Dim2D), nil
 	case "sampler3D":
-		return SamplerType("3D"), nil
+		return SamplerType(Dim3D), nil
 	case "samplerCube":
-		return SamplerType("Cube"), nil
+		return SamplerType(DimCube), nil
 	case "sampler2DShadow":
-		return SamplerType("2DShadow"), nil
+		return SamplerType(Dim2DShadow), nil
 	case "sampler2DArray":
-		return SamplerType("2DArray"), nil
+		return SamplerType(Dim2DArray), nil
 	}
 	return Void, fmt.Errorf("unknown type %q", name)
 }

@@ -603,7 +603,7 @@ func (d *decoder) instr(w []uint32) error {
 	// emitCall builds an OpCall instruction from resolved argument ids.
 	emitCall := func(callee string, t sem.Type, args ...*ir.Instr) *ir.Instr {
 		in := d.p.NewInstr(ir.OpCall, t, args...)
-		in.Callee = callee
+		in.Sym = callee
 		return in
 	}
 	record := func(in *ir.Instr) {
@@ -628,7 +628,7 @@ func (d *decoder) instr(w []uint32) error {
 			return err
 		}
 		in := d.p.NewInstr(ir.OpBin, t, a, b)
-		in.BinOp = s
+		in.Sym = s
 		record(in)
 		return nil
 	}
@@ -712,9 +712,9 @@ func (d *decoder) instr(w []uint32) error {
 		}
 		in := d.p.NewInstr(ir.OpUn, t, a)
 		if opc == opLogicalNot {
-			in.UnOp = "!"
+			in.Sym = "!"
 		} else {
-			in.UnOp = "-"
+			in.Sym = "-"
 		}
 		record(in)
 	case opExtInst:

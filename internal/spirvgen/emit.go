@@ -19,10 +19,11 @@ func Emit(p *ir.Program) ([]uint32, error) {
 	e := &emitter{
 		p:       p,
 		next:    1,
-		types:   map[string]uint32{},
-		images:  map[string]uint32{},
+		types:   map[typeKey]uint32{},
+		images:  map[sem.Dim]uint32{},
+		scalars: map[scalarKey]uint32{},
 		consts:  map[string]uint32{},
-		ptrs:    map[string]uint32{},
+		ptrs:    map[ptrKey]uint32{},
 		instrID: map[*ir.Instr]uint32{},
 		globVar: map[*ir.Global]uint32{},
 		varVar:  map[*ir.Var]uint32{},
@@ -53,10 +54,12 @@ type emitter struct {
 	tc    []uint32 // types, constants, module-scope variables
 	fn    []uint32 // the single function
 
-	types   map[string]uint32 // typeKey → id
-	images  map[string]uint32 // sampler dim → bare image type id
-	consts  map[string]uint32 // typeKey|payload → id
-	ptrs    map[string]uint32 // storage:typeKey → pointer type id
+	types   map[typeKey]uint32
+	images  map[sem.Dim]uint32 // sampler dim → bare image type id
+	scalars map[scalarKey]uint32
+	consts  map[string]uint32 // appendKey of the type, then the payload → id
+	ptrs    map[ptrKey]uint32
+	keyBuf  []byte // reused to build consts keys
 	instrID map[*ir.Instr]uint32
 	globVar map[*ir.Global]uint32
 	varVar  map[*ir.Var]uint32
@@ -191,7 +194,7 @@ func (e *emitter) moduleVar(t sem.Type, storage uint32, name string) uint32 {
 // resolve to the OpTypeSampledImage id; the bare image type is kept for
 // OpImage/OpImageFetch.
 func (e *emitter) typeID(t sem.Type) uint32 {
-	key := typeKey(t)
+	key := keyOf(t)
 	if id, ok := e.types[key]; ok {
 		return id
 	}
@@ -242,8 +245,22 @@ func (e *emitter) typeID(t sem.Type) uint32 {
 	return id
 }
 
+// ptrKey is the interning key of a pointer type.
+type ptrKey struct {
+	storage uint32
+	t       typeKey
+}
+
+// scalarKey is the interning key of a one-component constant: its type
+// and the bits of its payload (Float64bits, the int, or 0/1).
+type scalarKey struct {
+	t    typeKey
+	kind sem.Kind
+	bits uint64
+}
+
 func (e *emitter) ptrID(storage uint32, t sem.Type) uint32 {
-	key := fmt.Sprintf("%d:%s", storage, typeKey(t))
+	key := ptrKey{storage, keyOf(t)}
 	if id, ok := e.ptrs[key]; ok {
 		return id
 	}
@@ -256,11 +273,34 @@ func (e *emitter) ptrID(storage uint32, t sem.Type) uint32 {
 
 // constID interns a constant of the given type, emitting scalar leaves and
 // composites bottom-up. 64-bit literals are encoded low word first.
+// One-component constants are keyed by a scalarKey, the others by their
+// type's and payload's bytes; a lookup that hits allocates nothing.
 func (e *emitter) constID(t sem.Type, c *ir.ConstVal) uint32 {
-	key := typeKey(t) + "|" + constKeyOf(c)
-	if id, ok := e.consts[key]; ok {
+	if c.Len() == 1 {
+		key := scalarKey{keyOf(t), c.Kind, constBits(c, 0)}
+		if id, ok := e.scalars[key]; ok {
+			return id
+		}
+		id := e.newConst(t, c)
+		e.scalars[key] = id
 		return id
 	}
+	e.keyBuf = keyOf(t).appendKey(e.keyBuf[:0])
+	e.keyBuf = append(e.keyBuf, byte(c.Kind))
+	for i := 0; i < c.Len(); i++ {
+		e.keyBuf = binary.LittleEndian.AppendUint64(e.keyBuf, constBits(c, i))
+	}
+	if id, ok := e.consts[string(e.keyBuf)]; ok {
+		return id
+	}
+	key := string(e.keyBuf) // newConst reuses keyBuf for the components
+	id := e.newConst(t, c)
+	e.consts[key] = id
+	return id
+}
+
+// newConst emits the declaration of a constant constID did not find.
+func (e *emitter) newConst(t sem.Type, c *ir.ConstVal) uint32 {
 	var id uint32
 	switch {
 	case t.IsArray():
@@ -306,7 +346,6 @@ func (e *emitter) constID(t sem.Type, c *ir.ConstVal) uint32 {
 			e.fail("cannot emit constant of type %s", t)
 		}
 	}
-	e.consts[key] = id
 	return id
 }
 
@@ -321,19 +360,20 @@ func (e *emitter) intConst(v int64) uint32 {
 	return e.constID(sem.Int, ir.IntConst(v))
 }
 
-func constKeyOf(c *ir.ConstVal) string {
-	var sb strings.Builder
-	for i := 0; i < c.Len(); i++ {
-		switch c.Kind {
-		case sem.KindFloat:
-			fmt.Fprintf(&sb, "f%x,", math.Float64bits(c.F[i]))
-		case sem.KindInt:
-			fmt.Fprintf(&sb, "i%x,", uint64(c.I[i]))
-		case sem.KindBool:
-			fmt.Fprintf(&sb, "b%v,", c.B[i])
+// constBits returns component i of c as the 64 bits an interning key
+// compares.
+func constBits(c *ir.ConstVal, i int) uint64 {
+	switch c.Kind {
+	case sem.KindFloat:
+		return math.Float64bits(c.F[i])
+	case sem.KindInt:
+		return uint64(c.I[i])
+	case sem.KindBool:
+		if c.B[i] {
+			return 1
 		}
 	}
-	return sb.String()
+	return 0
 }
 
 // sliceConst extracts components [off, off+n) as a new ConstVal.
@@ -514,7 +554,7 @@ func (e *emitter) instr(in *ir.Instr) {
 	case ir.OpUn:
 		var opcode uint32
 		switch {
-		case in.UnOp == "!":
+		case in.Sym == "!":
 			opcode = opLogicalNot
 		case in.Type.Kind == sem.KindInt:
 			opcode = opSNegate
@@ -567,7 +607,7 @@ func (e *emitter) binInstr(in *ir.Instr) {
 	a, b := e.val(x), e.val(y)
 	kind := x.Type.Kind
 	var opcode uint32
-	switch in.BinOp {
+	switch in.Sym {
 	case "+":
 		opcode = pick(kind, opFAdd, opIAdd)
 	case "-":
@@ -621,7 +661,7 @@ func (e *emitter) binInstr(in *ir.Instr) {
 	case "^^":
 		opcode = opLogicalNotEqual
 	default:
-		e.fail("unknown binary operator %q", in.BinOp)
+		e.fail("unknown binary operator %q", in.Sym)
 		return
 	}
 	e.simple(in, opcode, a, b)
@@ -635,7 +675,7 @@ func pick(k sem.Kind, fop, iop uint32) uint32 {
 }
 
 func (e *emitter) callInstr(in *ir.Instr) {
-	callee := in.Callee
+	callee := in.Sym
 	switch callee {
 	case "texture", "texture2D", "textureCube", "textureLod", "texelFetch":
 		e.textureInstr(in)
@@ -687,7 +727,7 @@ func (e *emitter) textureInstr(in *ir.Instr) {
 	}
 	simg := e.val(samp)
 	coord := e.val(in.Args[1])
-	switch in.Callee {
+	switch in.Sym {
 	case "texture", "texture2D", "textureCube":
 		// texture2D/textureCube are legacy spellings of the same
 		// operation; both decode back as "texture".

@@ -32,6 +32,7 @@
 package spirvgen
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shaderopt/internal/sem"
@@ -205,39 +206,39 @@ var extInstNums = map[string]uint32{
 	"reflect": 71, "refract": 72, "saturate": extSaturate,
 }
 
-// dimOf maps the IR sampler dimension string to SPIR-V image type
+// dimOf maps an IR sampler dimensionality to SPIR-V image type
 // parameters (dim, depth, arrayed).
-func dimOf(d string) (dim, depth, arrayed uint32, err error) {
+func dimOf(d sem.Dim) (dim, depth, arrayed uint32, err error) {
 	switch d {
-	case "2D":
+	case sem.Dim2D:
 		return dim2D, 0, 0, nil
-	case "3D":
+	case sem.Dim3D:
 		return dim3D, 0, 0, nil
-	case "Cube":
+	case sem.DimCube:
 		return dimCube, 0, 0, nil
-	case "2DShadow":
+	case sem.Dim2DShadow:
 		return dim2D, 1, 0, nil
-	case "2DArray":
+	case sem.Dim2DArray:
 		return dim2D, 0, 1, nil
 	}
 	return 0, 0, 0, fmt.Errorf("spirvgen: unsupported sampler dim %q", d)
 }
 
 // dimName is the inverse of dimOf.
-func dimName(dim, depth, arrayed uint32) (string, error) {
+func dimName(dim, depth, arrayed uint32) (sem.Dim, error) {
 	switch {
 	case dim == dim2D && depth == 0 && arrayed == 0:
-		return "2D", nil
+		return sem.Dim2D, nil
 	case dim == dim3D:
-		return "3D", nil
+		return sem.Dim3D, nil
 	case dim == dimCube:
-		return "Cube", nil
+		return sem.DimCube, nil
 	case dim == dim2D && depth == 1:
-		return "2DShadow", nil
+		return sem.Dim2DShadow, nil
 	case dim == dim2D && arrayed == 1:
-		return "2DArray", nil
+		return sem.Dim2DArray, nil
 	}
-	return "", fmt.Errorf("spirvgen: unsupported image shape dim=%d depth=%d arrayed=%d", dim, depth, arrayed)
+	return sem.DimNone, fmt.Errorf("spirvgen: unsupported image shape dim=%d depth=%d arrayed=%d", dim, depth, arrayed)
 }
 
 // encodeString packs a string into NUL-terminated little-endian words.
@@ -269,23 +270,40 @@ func decodeString(words []uint32) (string, int) {
 	return string(b), len(words)
 }
 
-// typeKey returns a canonical dedup key for a sem.Type.
-func typeKey(t sem.Type) string {
-	if t.IsArray() {
-		e := t
-		e.ArrayLen = 0
-		return fmt.Sprintf("arr[%d]%s", t.ArrayLen, typeKey(e))
-	}
+// typeKey is the interning key of a sem.Type: the fields its SPIR-V
+// declaration depends on, with the others zeroed, so types that declare
+// alike share one id. A void type ignores its widths, a sampler keeps
+// only its dimensionality, a matrix only its order, and a vector or
+// scalar its kind and width.
+type typeKey struct {
+	kind     sem.Kind
+	dim      sem.Dim
+	vec, mat int
+	arrayLen int
+}
+
+func keyOf(t sem.Type) typeKey {
+	k := typeKey{arrayLen: t.ArrayLen}
 	switch {
 	case t.Kind == sem.KindVoid:
-		return "void"
 	case t.IsSampler():
-		return "samp:" + t.Dim
-	case t.IsMatrix():
-		return fmt.Sprintf("mat%d", t.Mat)
+		k.kind, k.dim = sem.KindSampler, t.Dim
+	case t.Mat >= 2:
+		k.mat = t.Mat
 	case t.Vec > 1:
-		return fmt.Sprintf("vec%d:%s", t.Vec, t.Kind.String())
+		k.kind, k.vec = t.Kind, t.Vec
 	default:
-		return t.Kind.String()
+		k.kind = t.Kind
 	}
+	return k
+}
+
+// appendKey appends k's fields at fixed widths, so distinct keys append
+// distinct bytes.
+func (k typeKey) appendKey(b []byte) []byte {
+	b = append(b, byte(k.kind), byte(k.dim))
+	for _, v := range [...]int{k.vec, k.mat, k.arrayLen} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
 }

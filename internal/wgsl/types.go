@@ -41,15 +41,15 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 		}
 		return sem.ArrayOf(elem, te.Len), nil
 	case "texture_2d":
-		return sem.SamplerType("2D"), nil
+		return sem.SamplerType(sem.Dim2D), nil
 	case "texture_3d":
-		return sem.SamplerType("3D"), nil
+		return sem.SamplerType(sem.Dim3D), nil
 	case "texture_cube":
-		return sem.SamplerType("Cube"), nil
+		return sem.SamplerType(sem.DimCube), nil
 	case "texture_depth_2d":
-		return sem.SamplerType("2DShadow"), nil
+		return sem.SamplerType(sem.Dim2DShadow), nil
 	case "texture_2d_array":
-		return sem.SamplerType("2DArray"), nil
+		return sem.SamplerType(sem.Dim2DArray), nil
 	case "sampler", "sampler_comparison":
 		return sem.Void, fmt.Errorf("sampler bindings cannot be used as value types")
 	case "vec2", "vec3", "vec4":
