@@ -20,12 +20,16 @@ import (
 	"shaderopt/internal/corpus"
 	"shaderopt/internal/exec"
 	"shaderopt/internal/glsl"
+	"shaderopt/internal/glslgen"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
+	"shaderopt/internal/ir"
 	"shaderopt/internal/lower"
+	"shaderopt/internal/msl"
 	"shaderopt/internal/oracle"
 	"shaderopt/internal/passes"
 	"shaderopt/internal/search"
+	"shaderopt/internal/spirvgen"
 )
 
 // benchNames is the fixed experiment subset: loop shaders, übershader
@@ -392,6 +396,35 @@ func BenchmarkEnumerateCorpusMemoized(b *testing.B) {
 // workers, the way a Session-driven sweep runs it.
 func BenchmarkEnumerateCorpusMemoizedSharded(b *testing.B) {
 	benchEnumerate(b, func(h *core.Shader) *core.VariantSet { return h.VariantsSharedT(nil, 8, nil) })
+}
+
+// BenchmarkPrintersCorpus runs each per-text printer and emitter over
+// every corpus shader's canonical driver lowering, once per iteration,
+// so -benchmem reports each layer's bytes and objects per corpus pass.
+func BenchmarkPrintersCorpus(b *testing.B) {
+	progs := canonicalLowerings(b)
+	for _, c := range []struct {
+		name string
+		f    func(*ir.Program) error
+	}{
+		{"FingerprintIR", func(p *ir.Program) error { core.FingerprintIR(p); return nil }},
+		{"FingerprintCanonical", func(p *ir.Program) error { core.FingerprintCanonical(p); return nil }},
+		{"GLSLDesktop", func(p *ir.Program) error { glslgen.Generate(p, glslgen.Desktop); return nil }},
+		{"GLSLES", func(p *ir.Program) error { glslgen.Generate(p, glslgen.ES); return nil }},
+		{"MSL", func(p *ir.Program) error { _, err := msl.Emit(p); return err }},
+		{"SPIRV", func(p *ir.Program) error { _, err := spirvgen.Emit(p); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range progs {
+					if err := c.f(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // --- component micro-benchmarks ---

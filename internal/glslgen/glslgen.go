@@ -7,7 +7,6 @@
 package glslgen
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -56,13 +55,13 @@ func (g *gen) run() string {
 	}
 
 	for _, u := range g.p.Uniforms {
-		g.line("uniform %s;", g.declString(g.globalName(u), u.Type))
+		g.line("uniform ", g.declString(g.globalName(u), u.Type), ";")
 	}
 	for _, in := range g.p.Inputs {
-		g.line("in %s;", g.declString(g.globalName(in), in.Type))
+		g.line("in ", g.declString(g.globalName(in), in.Type), ";")
 	}
 	for _, out := range g.p.Outputs {
-		g.line("out %s;", g.declString(g.varName(out), out.Type))
+		g.line("out ", g.declString(g.varName(out), out.Type), ";")
 	}
 
 	g.line("void main()")
@@ -83,7 +82,7 @@ func (g *gen) run() string {
 		if v.IsOutput || counters[v] {
 			continue
 		}
-		g.line("%s;", g.declString(g.varName(v), v.Type))
+		g.line(g.declString(g.varName(v), v.Type), ";")
 	}
 
 	g.block(g.p.Body)
@@ -93,11 +92,14 @@ func (g *gen) run() string {
 	return g.sb.String()
 }
 
-func (g *gen) line(format string, args ...any) {
+// line writes one indented line made of parts.
+func (g *gen) line(parts ...string) {
 	for i := 0; i < g.indent; i++ {
 		g.sb.WriteString("    ")
 	}
-	fmt.Fprintf(&g.sb, format, args...)
+	for _, s := range parts {
+		g.sb.WriteString(s)
+	}
 	g.sb.WriteByte('\n')
 }
 
@@ -145,9 +147,9 @@ func (g *gen) tempName(in *ir.Instr) string {
 // declString renders "type name" with array suffix placement.
 func (g *gen) declString(name string, t sem.Type) string {
 	if t.IsArray() {
-		return fmt.Sprintf("%s %s[%d]", t.Elem(), name, t.ArrayLen)
+		return t.Elem().String() + " " + name + "[" + strconv.Itoa(t.ArrayLen) + "]"
 	}
-	return fmt.Sprintf("%s %s", t, name)
+	return t.String() + " " + name
 }
 
 // --- blocks & statements ---
@@ -158,7 +160,7 @@ func (g *gen) block(b *ir.Block) {
 		case *ir.Instr:
 			g.instr(item)
 		case *ir.If:
-			g.line("if (%s)", g.ref(item.Cond))
+			g.line("if (", g.ref(item.Cond), ")")
 			g.line("{")
 			g.indent++
 			g.block(item.Then)
@@ -174,7 +176,7 @@ func (g *gen) block(b *ir.Block) {
 			g.line("}")
 		case *ir.Loop:
 			cn := g.varName(item.Counter)
-			g.line("for (int %s = %s; %s < %s; %s += %s)", cn, g.ref(item.Start), cn, g.ref(item.End), cn, g.ref(item.Step))
+			g.line("for (int ", cn, " = ", g.ref(item.Start), "; ", cn, " < ", g.ref(item.End), "; ", cn, " += ", g.ref(item.Step), ")")
 			g.line("{")
 			g.indent++
 			g.block(item.Body)
@@ -196,7 +198,7 @@ func (g *gen) while(w *ir.While) {
 		}
 	})
 	if pure && !w.Cond.HasControlFlow() {
-		g.line("while (%s)", g.inlineExpr(w.CondVal, w.Cond))
+		g.line("while (", g.inlineExpr(w.CondVal, w.Cond), ")")
 		g.line("{")
 		g.indent++
 		g.block(w.Body)
@@ -205,13 +207,13 @@ func (g *gen) while(w *ir.While) {
 		return
 	}
 	guard := g.unique("wcond")
-	g.line("bool %s = true;", guard)
-	g.line("while (%s)", guard)
+	g.line("bool ", guard, " = true;")
+	g.line("while (", guard, ")")
 	g.line("{")
 	g.indent++
 	g.block(w.Cond)
-	g.line("%s = %s;", guard, g.ref(w.CondVal))
-	g.line("if (%s)", guard)
+	g.line(guard, " = ", g.ref(w.CondVal), ";")
+	g.line("if (", guard, ")")
 	g.line("{")
 	g.indent++
 	g.block(w.Body)
@@ -228,7 +230,7 @@ func (g *gen) instr(in *ir.Instr) {
 		// Rendered inline at each use.
 		return
 	case ir.OpStore:
-		g.line("%s = %s;", g.varName(in.Var), g.ref(in.Args[0]))
+		g.line(g.varName(in.Var), " = ", g.ref(in.Args[0]), ";")
 		return
 	case ir.OpDiscard:
 		g.line("discard;")
@@ -236,22 +238,22 @@ func (g *gen) instr(in *ir.Instr) {
 	case ir.OpLoad:
 		// Loads must be materialized at their program point so later stores
 		// to the same variable do not change their value.
-		g.line("%s = %s;", g.declString(g.tempName(in), in.Type), g.varName(in.Var))
+		g.line(g.declString(g.tempName(in), in.Type), " = ", g.varName(in.Var), ";")
 		return
 	case ir.OpInsert, ir.OpInsertDyn:
 		// Copy + element assignment — the "individual vector element
 		// insertions" the Coalesce pass targets.
 		name := g.tempName(in)
-		g.line("%s = %s;", g.declString(name, in.Type), g.ref(in.Args[0]))
+		g.line(g.declString(name, in.Type), " = ", g.ref(in.Args[0]), ";")
 		if in.Op == ir.OpInsert {
-			g.line("%s%s = %s;", name, g.elemSuffix(in.Type, in.Index), g.ref(in.Args[1]))
+			g.line(name, g.elemSuffix(in.Type, in.Index), " = ", g.ref(in.Args[1]), ";")
 		} else {
-			g.line("%s[%s] = %s;", name, g.ref(in.Args[1]), g.ref(in.Args[2]))
+			g.line(name, "[", g.ref(in.Args[1]), "] = ", g.ref(in.Args[2]), ";")
 		}
 		return
 	}
 	// Pure value: single temp assignment.
-	g.line("%s = %s;", g.declString(g.tempName(in), in.Type), g.exprFor(in))
+	g.line(g.declString(g.tempName(in), in.Type), " = ", g.exprFor(in), ";")
 }
 
 // elemSuffix renders the access suffix for element Index of a type.
@@ -321,7 +323,7 @@ func (g *gen) expr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	case ir.OpLoad:
 		return g.varName(in.Var)
 	case ir.OpBin:
-		return fmt.Sprintf("%s %s %s", operand(in.Args[0]), in.Sym, operand(in.Args[1]))
+		return operand(in.Args[0]) + " " + in.Sym + " " + operand(in.Args[1])
 	case ir.OpUn:
 		return in.Sym + operand(in.Args[0])
 	case ir.OpCall:
@@ -347,7 +349,7 @@ func (g *gen) expr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 		}
 		return operand(in.Args[0]) + "." + sw.String()
 	case ir.OpSelect:
-		return fmt.Sprintf("%s ? %s : %s", operand(in.Args[0]), operand(in.Args[1]), operand(in.Args[2]))
+		return operand(in.Args[0]) + " ? " + operand(in.Args[1]) + " : " + operand(in.Args[2])
 	}
 	return "/*unsupported*/"
 }
@@ -383,7 +385,7 @@ func (g *gen) constructExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 			}
 		}
 		if same {
-			return fmt.Sprintf("%s(%s)", t, g.argString(in.Args[0], inline))
+			return t.String() + "(" + g.argString(in.Args[0], inline) + ")"
 		}
 	}
 	args := make([]string, len(in.Args))
@@ -392,9 +394,9 @@ func (g *gen) constructExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	}
 	joined := strings.Join(args, ", ")
 	if t.IsArray() {
-		return fmt.Sprintf("%s[](%s)", t.Elem(), joined)
+		return t.Elem().String() + "[](" + joined + ")"
 	}
-	return fmt.Sprintf("%s(%s)", t, joined)
+	return t.String() + "(" + joined + ")"
 }
 
 // constExpr renders a constant literal.
@@ -404,13 +406,13 @@ func (g *gen) constExpr(t sem.Type, c *ir.ConstVal) string {
 	}
 	if t.IsVector() || t.IsMatrix() {
 		if c.IsSplat() && t.IsVector() {
-			return fmt.Sprintf("%s(%s)", t, scalarLit(t.Kind, c, 0))
+			return t.String() + "(" + scalarLit(t.Kind, c, 0) + ")"
 		}
 		parts := make([]string, c.Len())
 		for i := range parts {
 			parts[i] = scalarLit(t.Kind, c, i)
 		}
-		return fmt.Sprintf("%s(%s)", t, strings.Join(parts, ", "))
+		return t.String() + "(" + strings.Join(parts, ", ") + ")"
 	}
 	if t.IsArray() {
 		elem := t.Elem()
@@ -418,7 +420,7 @@ func (g *gen) constExpr(t sem.Type, c *ir.ConstVal) string {
 		for i := range parts {
 			parts[i] = g.constExpr(elem, ir.EvalExtract(t, c, i))
 		}
-		return fmt.Sprintf("%s[](%s)", elem, strings.Join(parts, ", "))
+		return elem.String() + "[](" + strings.Join(parts, ", ") + ")"
 	}
 	return "/*const?*/"
 }

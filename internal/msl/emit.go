@@ -98,41 +98,41 @@ func (g *mslgen) run() string {
 
 	g.line("#include <metal_stdlib>")
 	g.line("#include <simd/simd.h>")
-	g.line("")
+	g.line()
 	g.line("using namespace metal;")
 
 	g.helperPrelude()
 
 	if len(g.p.Inputs) > 0 {
-		g.line("")
-		g.line("struct %s", g.inStruct)
+		g.line()
+		g.line("struct ", g.inStruct)
 		g.line("{")
 		g.indent++
 		for i, in := range g.p.Inputs {
-			g.line("%s [[user(locn%d)]];", g.declString(g.names[in], in.Type), i)
+			g.line(g.declString(g.names[in], in.Type), " [[user(locn", strconv.Itoa(i), ")]];")
 		}
 		g.indent--
 		g.line("};")
 	}
 	if len(valGlobals) > 0 {
-		g.line("")
-		g.line("struct %s", g.uStruct)
+		g.line()
+		g.line("struct ", g.uStruct)
 		g.line("{")
 		g.indent++
 		for _, u := range valGlobals {
-			g.line("%s;", g.declString(g.names[u], u.Type))
+			g.line(g.declString(g.names[u], u.Type), ";")
 		}
 		g.indent--
 		g.line("};")
 	}
 	multiOut := len(g.p.Outputs) > 1
 	if multiOut {
-		g.line("")
-		g.line("struct %s", g.outStruct)
+		g.line()
+		g.line("struct ", g.outStruct)
 		g.line("{")
 		g.indent++
 		for i, v := range g.p.Outputs {
-			g.line("%s [[color(%d)]];", g.declString(g.names[v]+"_0", v.Type), i)
+			g.line(g.declString(g.names[v]+"_0", v.Type), " [[color(", strconv.Itoa(i), ")]];")
 		}
 		g.indent--
 		g.line("};")
@@ -141,14 +141,14 @@ func (g *mslgen) run() string {
 	// Entry signature.
 	var params []string
 	if len(g.p.Inputs) > 0 {
-		params = append(params, fmt.Sprintf("%s %s [[stage_in]]", g.inStruct, g.inVar))
+		params = append(params, g.inStruct+" "+g.inVar+" [[stage_in]]")
 	}
 	if len(valGlobals) > 0 {
-		params = append(params, fmt.Sprintf("constant %s& %s [[buffer(0)]]", g.uStruct, g.uVar))
+		params = append(params, "constant "+g.uStruct+"& "+g.uVar+" [[buffer(0)]]")
 	}
 	for i, t := range texGlobals {
-		params = append(params, fmt.Sprintf("%s %s [[texture(%d)]]", g.textureType(t.Type), g.names[t], i))
-		params = append(params, fmt.Sprintf("sampler %s [[sampler(%d)]]", g.smpNames[t], i))
+		params = append(params, g.textureType(t.Type)+" "+g.names[t]+" [[texture("+strconv.Itoa(i)+")]]")
+		params = append(params, "sampler "+g.smpNames[t]+" [[sampler("+strconv.Itoa(i)+")]]")
 	}
 	ret := "void"
 	switch {
@@ -157,8 +157,8 @@ func (g *mslgen) run() string {
 	case len(g.p.Outputs) == 1:
 		ret = g.typeName(g.p.Outputs[0].Type)
 	}
-	g.line("")
-	g.line("fragment %s %s(%s)", ret, EntryName, strings.Join(params, ", "))
+	g.line()
+	g.line("fragment ", ret, " ", EntryName, "(", strings.Join(params, ", "), ")")
 	g.line("{")
 	g.indent++
 
@@ -174,20 +174,20 @@ func (g *mslgen) run() string {
 		if counters[v] {
 			continue
 		}
-		g.line("%s;", g.declString(g.names[v], v.Type))
+		g.line(g.declString(g.names[v], v.Type), ";")
 	}
 
 	g.block(g.p.Body)
 
 	switch {
 	case multiOut:
-		g.line("%s %s;", g.outStruct, g.outVar)
+		g.line(g.outStruct, " ", g.outVar, ";")
 		for _, v := range g.p.Outputs {
-			g.line("%s.%s_0 = %s;", g.outVar, g.names[v], g.names[v])
+			g.line(g.outVar, ".", g.names[v], "_0 = ", g.names[v], ";")
 		}
-		g.line("return %s;", g.outVar)
+		g.line("return ", g.outVar, ";")
 	case len(g.p.Outputs) == 1:
-		g.line("return %s;", g.names[g.p.Outputs[0]])
+		g.line("return ", g.names[g.p.Outputs[0]], ";")
 	}
 
 	g.indent--
@@ -211,27 +211,30 @@ func (g *mslgen) helperPrelude() {
 		}
 	})
 	if need["mod"] {
-		g.line("")
+		g.line()
 		g.line("template <typename T, typename U>")
 		g.line("static inline T glsl_mod(T x, U y) { return x - y * floor(x / y); }")
 	}
 	if need["radians"] {
-		g.line("")
+		g.line()
 		g.line("template <typename T>")
 		g.line("static inline T glsl_radians(T v) { return (v * 3.14159265358979323846) / 180.0; }")
 	}
 	if need["degrees"] {
-		g.line("")
+		g.line()
 		g.line("template <typename T>")
 		g.line("static inline T glsl_degrees(T v) { return (v * 180.0) / 3.14159265358979323846; }")
 	}
 }
 
-func (g *mslgen) line(format string, args ...any) {
+// line writes one indented line made of parts.
+func (g *mslgen) line(parts ...string) {
 	for i := 0; i < g.indent; i++ {
 		g.sb.WriteString("    ")
 	}
-	fmt.Fprintf(&g.sb, format, args...)
+	for _, s := range parts {
+		g.sb.WriteString(s)
+	}
 	g.sb.WriteByte('\n')
 }
 
@@ -296,21 +299,21 @@ func (g *mslgen) globalRef(gl *ir.Global) string {
 // typeName renders the MSL spelling of a sem type.
 func (g *mslgen) typeName(t sem.Type) string {
 	if t.IsArray() {
-		return fmt.Sprintf("array<%s, %d>", g.typeName(t.Elem()), t.ArrayLen)
+		return "array<" + g.typeName(t.Elem()) + ", " + strconv.Itoa(t.ArrayLen) + ">"
 	}
 	switch {
 	case t.IsSampler():
 		return g.textureType(t)
 	case t.IsMatrix():
-		return fmt.Sprintf("float%dx%d", t.Mat, t.Mat)
+		return "float" + strconv.Itoa(t.Mat) + "x" + strconv.Itoa(t.Mat)
 	case t.IsVector():
 		switch t.Kind {
 		case sem.KindFloat:
-			return fmt.Sprintf("float%d", t.Vec)
+			return "float" + strconv.Itoa(t.Vec)
 		case sem.KindInt:
-			return fmt.Sprintf("int%d", t.Vec)
+			return "int" + strconv.Itoa(t.Vec)
 		case sem.KindBool:
-			return fmt.Sprintf("bool%d", t.Vec)
+			return "bool" + strconv.Itoa(t.Vec)
 		}
 	case t.IsScalar():
 		switch t.Kind {
@@ -356,7 +359,7 @@ func (g *mslgen) block(b *ir.Block) {
 		case *ir.Instr:
 			g.instr(item)
 		case *ir.If:
-			g.line("if (%s)", g.ref(item.Cond))
+			g.line("if (", g.ref(item.Cond), ")")
 			g.line("{")
 			g.indent++
 			g.block(item.Then)
@@ -372,7 +375,7 @@ func (g *mslgen) block(b *ir.Block) {
 			g.line("}")
 		case *ir.Loop:
 			cn := g.varName(item.Counter)
-			g.line("for (int %s = %s; %s < %s; %s += %s)", cn, g.ref(item.Start), cn, g.ref(item.End), cn, g.ref(item.Step))
+			g.line("for (int ", cn, " = ", g.ref(item.Start), "; ", cn, " < ", g.ref(item.End), "; ", cn, " += ", g.ref(item.Step), ")")
 			g.line("{")
 			g.indent++
 			g.block(item.Body)
@@ -392,7 +395,7 @@ func (g *mslgen) while(w *ir.While) {
 		}
 	})
 	if pure && !w.Cond.HasControlFlow() {
-		g.line("while (%s)", g.inlineExpr(w.CondVal, w.Cond))
+		g.line("while (", g.inlineExpr(w.CondVal, w.Cond), ")")
 		g.line("{")
 		g.indent++
 		g.block(w.Body)
@@ -401,13 +404,13 @@ func (g *mslgen) while(w *ir.While) {
 		return
 	}
 	guard := g.unique("wcond")
-	g.line("bool %s = true;", guard)
-	g.line("while (%s)", guard)
+	g.line("bool ", guard, " = true;")
+	g.line("while (", guard, ")")
 	g.line("{")
 	g.indent++
 	g.block(w.Cond)
-	g.line("%s = %s;", guard, g.ref(w.CondVal))
-	g.line("if (%s)", guard)
+	g.line(guard, " = ", g.ref(w.CondVal), ";")
+	g.line("if (", guard, ")")
 	g.line("{")
 	g.indent++
 	g.block(w.Body)
@@ -422,25 +425,25 @@ func (g *mslgen) instr(in *ir.Instr) {
 	case ir.OpConst, ir.OpUniform, ir.OpInput:
 		return // rendered inline at each use
 	case ir.OpStore:
-		g.line("%s = %s;", g.varName(in.Var), g.ref(in.Args[0]))
+		g.line(g.varName(in.Var), " = ", g.ref(in.Args[0]), ";")
 		return
 	case ir.OpDiscard:
 		g.line("discard_fragment();")
 		return
 	case ir.OpLoad:
-		g.line("%s = %s;", g.declString(g.tempName(in), in.Type), g.varName(in.Var))
+		g.line(g.declString(g.tempName(in), in.Type), " = ", g.varName(in.Var), ";")
 		return
 	case ir.OpInsert, ir.OpInsertDyn:
 		name := g.tempName(in)
-		g.line("%s = %s;", g.declString(name, in.Type), g.ref(in.Args[0]))
+		g.line(g.declString(name, in.Type), " = ", g.ref(in.Args[0]), ";")
 		if in.Op == ir.OpInsert {
-			g.line("%s%s = %s;", name, g.elemSuffix(in.Type, in.Index), g.ref(in.Args[1]))
+			g.line(name, g.elemSuffix(in.Type, in.Index), " = ", g.ref(in.Args[1]), ";")
 		} else {
-			g.line("%s[%s] = %s;", name, g.ref(in.Args[1]), g.ref(in.Args[2]))
+			g.line(name, "[", g.ref(in.Args[1]), "] = ", g.ref(in.Args[2]), ";")
 		}
 		return
 	}
-	g.line("%s = %s;", g.declString(g.tempName(in), in.Type), g.exprFor(in))
+	g.line(g.declString(g.tempName(in), in.Type), " = ", g.exprFor(in), ";")
 }
 
 func (g *mslgen) elemSuffix(t sem.Type, idx int) string {
@@ -508,7 +511,7 @@ func (g *mslgen) expr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 		if op == "^^" {
 			op = "!=" // C++ has no ^^; != is exact XOR on bools
 		}
-		return fmt.Sprintf("%s %s %s", operand(in.Args[0]), op, operand(in.Args[1]))
+		return operand(in.Args[0]) + " " + op + " " + operand(in.Args[1])
 	case ir.OpUn:
 		return in.Sym + operand(in.Args[0])
 	case ir.OpCall:
@@ -530,7 +533,7 @@ func (g *mslgen) expr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 		}
 		return operand(in.Args[0]) + "." + sw.String()
 	case ir.OpSelect:
-		return fmt.Sprintf("%s ? %s : %s", operand(in.Args[0]), operand(in.Args[1]), operand(in.Args[2]))
+		return operand(in.Args[0]) + " ? " + operand(in.Args[1]) + " : " + operand(in.Args[2])
 	}
 	g.fail("cannot render op %s", in.Op)
 	return "0.0"
@@ -611,22 +614,22 @@ func (g *mslgen) textureExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 		if in.Args[1].Type.IsVector() && in.Args[1].Type.Vec == 3 {
 			uvec = "uint3"
 		}
-		return fmt.Sprintf("%s.read(%s(%s), %s)", tex, uvec, coord, lod)
+		return tex + ".read(" + uvec + "(" + coord + "), " + lod + ")"
 	case "textureLod":
 		lod := g.argString(in.Args[2], inline)
-		return fmt.Sprintf("%s.sample(%s, %s, level(%s))", tex, smp, coord, lod)
+		return tex + ".sample(" + smp + ", " + coord + ", level(" + lod + "))"
 	}
 	// texture / texture2D / textureCube
 	switch dim {
 	case sem.Dim2DShadow:
-		return fmt.Sprintf("%s.sample_compare(%s, %s.xy, %s.z)", tex, smp, co, co)
+		return tex + ".sample_compare(" + smp + ", " + co + ".xy, " + co + ".z)"
 	case sem.Dim2DArray:
-		return fmt.Sprintf("%s.sample(%s, %s.xy, uint(%s.z))", tex, smp, co, co)
+		return tex + ".sample(" + smp + ", " + co + ".xy, uint(" + co + ".z))"
 	}
 	if len(in.Args) == 3 {
-		return fmt.Sprintf("%s.sample(%s, %s, bias(%s))", tex, smp, coord, g.argString(in.Args[2], inline))
+		return tex + ".sample(" + smp + ", " + coord + ", bias(" + g.argString(in.Args[2], inline) + "))"
 	}
-	return fmt.Sprintf("%s.sample(%s, %s)", tex, smp, coord)
+	return tex + ".sample(" + smp + ", " + coord + ")"
 }
 
 // constructExpr renders OpConstruct. Vector splats collapse to the
@@ -642,7 +645,7 @@ func (g *mslgen) constructExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 			}
 		}
 		if same {
-			return fmt.Sprintf("%s(%s)", g.typeName(t), g.argString(in.Args[0], inline))
+			return g.typeName(t) + "(" + g.argString(in.Args[0], inline) + ")"
 		}
 	}
 	if t.IsMatrix() {
@@ -654,9 +657,9 @@ func (g *mslgen) constructExpr(in *ir.Instr, inline map[*ir.Instr]bool) string {
 	}
 	joined := strings.Join(args, ", ")
 	if t.IsArray() {
-		return fmt.Sprintf("%s{%s}", g.typeName(t), joined)
+		return g.typeName(t) + "{" + joined + "}"
 	}
-	return fmt.Sprintf("%s(%s)", g.typeName(t), joined)
+	return g.typeName(t) + "(" + joined + ")"
 }
 
 // matrixConstruct renders a matrix constructor from column vectors. Args
@@ -680,7 +683,7 @@ func (g *mslgen) matrixConstruct(in *ir.Instr, inline map[*ir.Instr]bool) string
 			for i, a := range in.Args {
 				args[i] = g.argString(a, inline)
 			}
-			return fmt.Sprintf("%s(%s)", g.typeName(in.Type), strings.Join(args, ", "))
+			return g.typeName(in.Type) + "(" + strings.Join(args, ", ") + ")"
 		}
 	}
 
@@ -707,9 +710,9 @@ func (g *mslgen) matrixConstruct(in *ir.Instr, inline map[*ir.Instr]bool) string
 	}
 	cols := make([]string, n)
 	for c := 0; c < n; c++ {
-		cols[c] = fmt.Sprintf("%s(%s)", colType, strings.Join(comps[c*n:(c+1)*n], ", "))
+		cols[c] = colType + "(" + strings.Join(comps[c*n:(c+1)*n], ", ") + ")"
 	}
-	return fmt.Sprintf("%s(%s)", g.typeName(in.Type), strings.Join(cols, ", "))
+	return g.typeName(in.Type) + "(" + strings.Join(cols, ", ") + ")"
 }
 
 // constExpr renders a constant literal.
@@ -719,13 +722,13 @@ func (g *mslgen) constExpr(t sem.Type, c *ir.ConstVal) string {
 	}
 	if t.IsVector() {
 		if c.IsSplat() {
-			return fmt.Sprintf("%s(%s)", g.typeName(t), scalarLit(t.Kind, c, 0))
+			return g.typeName(t) + "(" + scalarLit(t.Kind, c, 0) + ")"
 		}
 		parts := make([]string, c.Len())
 		for i := range parts {
 			parts[i] = scalarLit(t.Kind, c, i)
 		}
-		return fmt.Sprintf("%s(%s)", g.typeName(t), strings.Join(parts, ", "))
+		return g.typeName(t) + "(" + strings.Join(parts, ", ") + ")"
 	}
 	if t.IsMatrix() {
 		n := t.Mat
@@ -736,9 +739,9 @@ func (g *mslgen) constExpr(t sem.Type, c *ir.ConstVal) string {
 			for j := 0; j < n; j++ {
 				parts[j] = scalarLit(t.Kind, c, ci*n+j)
 			}
-			cols[ci] = fmt.Sprintf("%s(%s)", colType, strings.Join(parts, ", "))
+			cols[ci] = colType + "(" + strings.Join(parts, ", ") + ")"
 		}
-		return fmt.Sprintf("%s(%s)", g.typeName(t), strings.Join(cols, ", "))
+		return g.typeName(t) + "(" + strings.Join(cols, ", ") + ")"
 	}
 	if t.IsArray() {
 		elem := t.Elem()
@@ -746,7 +749,7 @@ func (g *mslgen) constExpr(t sem.Type, c *ir.ConstVal) string {
 		for i := range parts {
 			parts[i] = g.constExpr(elem, ir.EvalExtract(t, c, i))
 		}
-		return fmt.Sprintf("%s{%s}", g.typeName(t), strings.Join(parts, ", "))
+		return g.typeName(t) + "{" + strings.Join(parts, ", ") + "}"
 	}
 	g.fail("constant of type %s", t)
 	return "0.0"

@@ -190,8 +190,9 @@ func (lx *Lexer) lexNumber(p Pos) Token {
 // maxPresizedTokens caps the token slice LexAll reserves from the source
 // length, so a long source that is mostly comments or whitespace reserves
 // at most this many tokens up front; a longer token stream grows the
-// slice by append. The largest corpus text, an emitted MSL of about 17500
-// tokens, fits under it.
+// slice by append. A token is 32 bytes (Pos holds int32s), so the cap
+// reserves at most 1 MB. The largest corpus text, an emitted MSL of
+// about 17500 tokens, fits under it.
 const maxPresizedTokens = 1 << 15
 
 // LexAll tokenizes the whole source.

@@ -36,7 +36,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Pos is a source position.
+// Pos is a source position. Positions only label diagnostics, so int32
+// fields keep a Token at 32 bytes.
 type Pos struct {
 	Line, Col int32
 }

@@ -198,10 +198,10 @@ func TestResolveConstructor(t *testing.T) {
 		name string
 		args []Type
 	}{
-		{"vec4", []Type{Vec2}},              // too few components
-		{"vec2", []Type{Vec2, Vec2}},        // unused argument
-		{"vec4", nil},                       // no args
-		{"sampler2D", []Type{Float}},        // not constructible
+		{"vec4", []Type{Vec2}},               // too few components
+		{"vec2", []Type{Vec2, Vec2}},         // unused argument
+		{"vec4", nil},                        // no args
+		{"sampler2D", []Type{Float}},         // not constructible
 		{"vec3", []Type{SamplerType(Dim2D)}}, // sampler arg
 	}
 	for _, c := range bad {

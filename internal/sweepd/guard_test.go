@@ -142,6 +142,38 @@ func TestValidateScores(t *testing.T) {
 	}
 }
 
+// TestValidateScoresFiniteAllocatesNothing pins the guard's cost on the
+// response it sees every time: a whole-corpus-shaped result (115
+// shaders, five vendors, a few variants each) with every score finite
+// is checked without allocating.
+func TestValidateScoresFiniteAllocatesNothing(t *testing.T) {
+	vendors := []string{"Intel", "AMD", "NVIDIA", "ARM", "Qualcomm"}
+	results := make([]ShaderScores, 115)
+	for i := range results {
+		r := ShaderScores{
+			Name:     fmt.Sprintf("family/v%d", i),
+			Orig:     map[string]float64{},
+			Variants: map[string]map[string]float64{},
+		}
+		for j, v := range vendors {
+			r.Orig[v] = float64(1000 + j)
+			m := map[string]float64{}
+			for k := 0; k < 6; k++ {
+				m[fmt.Sprintf("h%d", k)] = float64(900 + k)
+			}
+			r.Variants[v] = m
+		}
+		results[i] = r
+	}
+	var err error
+	if allocs := testing.AllocsPerRun(20, func() { err = validateScores(results) }); allocs != 0 {
+		t.Errorf("validateScores allocated %.0f objects per call on finite scores, want 0", allocs)
+	}
+	if err != nil {
+		t.Errorf("finite scores rejected: %v", err)
+	}
+}
+
 // countingTransport wraps a transport with a dialer that counts dials
 // and tracks open connections, so tests can pin connection reuse (the
 // observable benefit of draining response bodies) and the absence of

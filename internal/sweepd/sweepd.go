@@ -319,34 +319,51 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // validateScores scans a sweep's scores for non-finite values, returning
 // a diagnostic naming the first offender (in deterministic order) and
-// the total count.
+// the total count. The scan runs on every response, so it only counts;
+// the sorted walk that finds the first offender runs when there is one.
 func validateScores(results []ShaderScores) error {
 	bad := 0
-	first := ""
-	note := func(where string, ns float64) {
-		if !math.IsNaN(ns) && !math.IsInf(ns, 0) {
-			return
-		}
-		bad++
-		if first == "" {
-			first = fmt.Sprintf("%s = %v", where, ns)
-		}
-	}
 	for _, r := range results {
-		for _, vendor := range sortedKeys(r.Orig) {
-			note(fmt.Sprintf("%s orig on %s", r.Name, vendor), r.Orig[vendor])
+		for _, ns := range r.Orig {
+			if !finite(ns) {
+				bad++
+			}
 		}
-		for _, vendor := range sortedKeys(r.Variants) {
-			m := r.Variants[vendor]
-			for _, hash := range sortedKeys(m) {
-				note(fmt.Sprintf("%s variant %s on %s", r.Name, hash, vendor), m[hash])
+		for _, m := range r.Variants {
+			for _, ns := range m {
+				if !finite(ns) {
+					bad++
+				}
 			}
 		}
 	}
 	if bad == 0 {
 		return nil
 	}
-	return fmt.Errorf("sweep produced %d non-finite score(s); first: %s", bad, first)
+	return fmt.Errorf("sweep produced %d non-finite score(s); first: %s", bad, firstNonFinite(results))
+}
+
+func finite(ns float64) bool { return !math.IsNaN(ns) && !math.IsInf(ns, 0) }
+
+// firstNonFinite describes the first non-finite score in shader order,
+// then sorted vendor and variant hash, the originals before the variants.
+func firstNonFinite(results []ShaderScores) string {
+	for _, r := range results {
+		for _, vendor := range sortedKeys(r.Orig) {
+			if ns := r.Orig[vendor]; !finite(ns) {
+				return fmt.Sprintf("%s orig on %s = %v", r.Name, vendor, ns)
+			}
+		}
+		for _, vendor := range sortedKeys(r.Variants) {
+			m := r.Variants[vendor]
+			for _, hash := range sortedKeys(m) {
+				if ns := m[hash]; !finite(ns) {
+					return fmt.Sprintf("%s variant %s on %s = %v", r.Name, hash, vendor, ns)
+				}
+			}
+		}
+	}
+	return ""
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -53,7 +53,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Pos is a line/column source position (1-based).
+// Pos is a line/column source position (1-based). Positions only label
+// diagnostics, so int32 fields keep a Token at 32 bytes.
 type Pos struct {
 	Line int32
 	Col  int32
