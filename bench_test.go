@@ -23,6 +23,7 @@ import (
 	"shaderopt/internal/glslgen"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
+	"shaderopt/internal/hlsl"
 	"shaderopt/internal/ir"
 	"shaderopt/internal/lower"
 	"shaderopt/internal/msl"
@@ -30,6 +31,7 @@ import (
 	"shaderopt/internal/passes"
 	"shaderopt/internal/search"
 	"shaderopt/internal/spirvgen"
+	"shaderopt/internal/wgsl"
 )
 
 // benchNames is the fixed experiment subset: loop shaders, übershader
@@ -56,11 +58,7 @@ func benchShaders(b *testing.B) []*corpus.Shader {
 
 func benchSweep(b *testing.B) *search.Sweep {
 	b.Helper()
-	sweep, err := search.Run(benchShaders(b), gpu.Platforms(), search.Options{Cfg: harness.FastConfig()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sweep
+	return sweepHandles(b, compileHandles(b, benchShaders(b)), 0)
 }
 
 // BenchmarkFig3Motivating reproduces Figure 3: the Listing 1 blur shader's
@@ -419,6 +417,44 @@ func BenchmarkPrintersCorpus(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, p := range progs {
 					if err := c.f(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLexAllCorpus runs each frontend's LexAll over its language's
+// corpus sources, and the MSL lexer over every corpus shader's emitted
+// MSL (the text the NVIDIA re-ingest lexes), once per iteration, so
+// -benchmem reports each lexer's bytes and objects per corpus pass.
+func BenchmarkLexAllCorpus(b *testing.B) {
+	texts := map[core.Lang][]string{}
+	for _, s := range corpus.MustLoad() {
+		texts[s.Lang] = append(texts[s.Lang], s.Source)
+	}
+	for _, p := range canonicalLowerings(b) {
+		src, err := msl.Emit(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		texts[core.LangMSL] = append(texts[core.LangMSL], src)
+	}
+	for _, c := range []struct {
+		lang core.Lang
+		lex  func(string) error
+	}{
+		{core.LangGLSL, func(s string) error { _, err := glsl.LexAll(s); return err }},
+		{core.LangWGSL, func(s string) error { _, err := wgsl.LexAll(s); return err }},
+		{core.LangHLSL, func(s string) error { _, err := hlsl.LexAll(s); return err }},
+		{core.LangMSL, func(s string) error { _, err := msl.LexAll(s); return err }},
+	} {
+		b.Run(c.lang.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, src := range texts[c.lang] {
+					if err := c.lex(src); err != nil {
 						b.Fatal(err)
 					}
 				}

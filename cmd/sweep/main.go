@@ -384,7 +384,6 @@ func remoteSweep(addr, protocol string, reg *shaderopt.Telemetry, shaders []*cor
 		}
 		results[i] = &search.ShaderResult{
 			Handle:    h,
-			Shader:    s,
 			Variants:  h.VariantsSharedT(reg, workers, nil),
 			OrigNS:    scores[i].Orig,
 			VariantNS: scores[i].Variants,

@@ -72,13 +72,15 @@ func equivShaders(t *testing.T) []*corpus.Shader {
 	return out
 }
 
-func equivHandles(t *testing.T, shaders []*corpus.Shader) []*core.Shader {
-	t.Helper()
+// compileHandles compiles fresh handles (fresh every call: a handle
+// memoizes its variant set, so each enumeration pass needs its own).
+func compileHandles(tb testing.TB, shaders []*corpus.Shader) []*core.Shader {
+	tb.Helper()
 	handles := make([]*core.Shader, len(shaders))
 	for i, s := range shaders {
 		h, err := core.Compile(s.Source, s.Name, s.Lang)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
+			tb.Fatalf("%s: %v", s.Name, err)
 		}
 		handles[i] = h
 	}
@@ -197,13 +199,13 @@ func sweepScores(sw *search.Sweep) map[string]map[string]float64 {
 	return out
 }
 
-// equivSweep runs the batched pipeline over a fresh session.
-func equivSweep(t *testing.T, handles []*core.Shader, workers int) *search.Sweep {
-	t.Helper()
+// sweepHandles runs the batched pipeline over a fresh session.
+func sweepHandles(tb testing.TB, handles []*core.Shader, workers int) *search.Sweep {
+	tb.Helper()
 	sess := search.NewSession(gpu.Platforms(), search.Options{Cfg: harness.FastConfig(), Workers: workers})
 	sw, err := sess.Sweep(handles, nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sw
 }
@@ -235,10 +237,10 @@ func oracleScores(t *testing.T, handles []*core.Shader) map[string]map[string]fl
 // tier-1 and the benchmark pin the same score bits.
 func TestSweepBatchedMatchesLegacy(t *testing.T) {
 	shaders := equivShaders(t)
-	handles := equivHandles(t, shaders)
+	handles := compileHandles(t, shaders)
 
 	legacy := oracleScores(t, handles)
-	batchedSweep := equivSweep(t, handles, 1)
+	batchedSweep := sweepHandles(t, handles, 1)
 	batched := sweepScores(batchedSweep)
 	if !reflect.DeepEqual(legacy, batched) {
 		reportScoreDiff(t, "batched vs legacy", legacy, batched)
@@ -247,7 +249,7 @@ func TestSweepBatchedMatchesLegacy(t *testing.T) {
 
 	// Worker invariance: the platform batches and the shader fan-out must
 	// not let scheduling touch a score.
-	if got := sweepScores(equivSweep(t, handles, 5)); !reflect.DeepEqual(legacy, got) {
+	if got := sweepScores(sweepHandles(t, handles, 5)); !reflect.DeepEqual(legacy, got) {
 		reportScoreDiff(t, "workers=5 vs legacy", legacy, got)
 	}
 
@@ -257,7 +259,7 @@ func TestSweepBatchedMatchesLegacy(t *testing.T) {
 	for i, h := range handles {
 		reversed[len(handles)-1-i] = h
 	}
-	if got := sweepScores(equivSweep(t, reversed, 3)); !reflect.DeepEqual(legacy, got) {
+	if got := sweepScores(sweepHandles(t, reversed, 3)); !reflect.DeepEqual(legacy, got) {
 		reportScoreDiff(t, "reversed order vs legacy", legacy, got)
 	}
 

@@ -41,10 +41,6 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// Binary reports whether the backend's output is a binary format rather
-// than text (SPIR-V word streams vs. GLSL/MSL source).
-func (b Backend) Binary() bool { return b == BackendSPIRV }
-
 // Backends lists every supported backend, in flag-name order.
 func Backends() []Backend { return []Backend{BackendGLSL, BackendMSL, BackendSPIRV} }
 

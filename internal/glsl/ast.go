@@ -1,5 +1,7 @@
 package glsl
 
+import "shaderopt/internal/lex"
+
 // TypeSpec is a syntactic type reference: a builtin type name plus an
 // optional array length. ArrayLen < 0 means "not an array"; ArrayLen == 0
 // means an unsized array ("float[]"), which is only legal with an
@@ -69,7 +71,7 @@ func (q Qualifier) String() string {
 // GlobalVar is a module-scope variable declaration: uniforms, shader inputs
 // and outputs, and global constants.
 type GlobalVar struct {
-	Pos       Pos
+	Pos       lex.Pos
 	Qual      Qualifier
 	Precision string // "", "lowp", "mediump", "highp"
 	Layout    string // raw layout(...) contents, e.g. "location = 0"
@@ -80,7 +82,7 @@ type GlobalVar struct {
 
 // PrecisionDecl is a "precision mediump float;" statement.
 type PrecisionDecl struct {
-	Pos       Pos
+	Pos       lex.Pos
 	Precision string
 	Type      string
 }
@@ -94,7 +96,7 @@ type Param struct {
 
 // FuncDecl is a function definition. Prototypes (no body) have Body == nil.
 type FuncDecl struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Return TypeSpec
 	Name   string
 	Params []Param
@@ -110,13 +112,13 @@ type Stmt interface{ stmtNode() }
 
 // BlockStmt is a brace-delimited statement list.
 type BlockStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Stmts []Stmt
 }
 
 // DeclStmt declares a local variable, optionally const, optionally array.
 type DeclStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Const bool
 	Type  TypeSpec
 	Name  string
@@ -125,7 +127,7 @@ type DeclStmt struct {
 
 // AssignStmt assigns to an lvalue. Op is "=", "+=", "-=", "*=", "/=".
 type AssignStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	LHS Expr
 	Op  string
 	RHS Expr
@@ -133,7 +135,7 @@ type AssignStmt struct {
 
 // IfStmt is a conditional. Else is nil, a *BlockStmt, or a chained *IfStmt.
 type IfStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Then *BlockStmt
 	Else Stmt
@@ -145,7 +147,7 @@ type IfStmt struct {
 //
 // Init and Post may be nil (but the corpus always uses the canonical form).
 type ForStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Init Stmt // *DeclStmt or *AssignStmt
 	Cond Expr
 	Post Stmt // *AssignStmt
@@ -154,29 +156,29 @@ type ForStmt struct {
 
 // WhileStmt is a condition-only loop.
 type WhileStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Body *BlockStmt
 }
 
 // ReturnStmt returns from a function, with an optional result.
 type ReturnStmt struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Result Expr // may be nil
 }
 
 // DiscardStmt abandons the current fragment.
-type DiscardStmt struct{ Pos Pos }
+type DiscardStmt struct{ Pos lex.Pos }
 
 // BreakStmt exits the innermost loop.
-type BreakStmt struct{ Pos Pos }
+type BreakStmt struct{ Pos lex.Pos }
 
 // ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ Pos Pos }
+type ContinueStmt struct{ Pos lex.Pos }
 
 // ExprStmt evaluates an expression for side effects (function calls).
 type ExprStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	X   Expr
 }
 
@@ -197,46 +199,46 @@ type Expr interface{ exprNode() }
 
 // IdentExpr references a variable by name.
 type IdentExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 }
 
 // IntLitExpr is an integer literal.
 type IntLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value int64
 }
 
 // FloatLitExpr is a floating point literal.
 type FloatLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value float64
 }
 
 // BoolLitExpr is true or false.
 type BoolLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value bool
 }
 
 // BinaryExpr applies a binary operator. Op is one of
 // + - * / % < > <= >= == != && || ^^.
 type BinaryExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Op   string
 	X, Y Expr
 }
 
 // UnaryExpr applies a prefix operator: "-" or "!".
 type UnaryExpr struct {
-	Pos Pos
+	Pos lex.Pos
 	Op  string
 	X   Expr
 }
 
 // CondExpr is the ternary ?: operator.
 type CondExpr struct {
-	Pos        Pos
+	Pos        lex.Pos
 	Cond       Expr
 	Then, Else Expr
 }
@@ -244,7 +246,7 @@ type CondExpr struct {
 // CallExpr calls a builtin function, a type constructor (vec4(...)), or a
 // user-defined function.
 type CallExpr struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Callee string
 	Args   []Expr
 }
@@ -252,7 +254,7 @@ type CallExpr struct {
 // ArrayCtorExpr is a GLSL array constructor: float[3](a, b, c) or
 // vec2[](x, y). Len == 0 means the length comes from len(Elems).
 type ArrayCtorExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Elem  TypeSpec
 	Len   int
 	Elems []Expr
@@ -260,14 +262,14 @@ type ArrayCtorExpr struct {
 
 // IndexExpr subscripts an array, vector, or matrix.
 type IndexExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	X     Expr
 	Index Expr
 }
 
 // FieldExpr is a swizzle selection like v.xyz or v.r.
 type FieldExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	X    Expr
 	Name string
 }

@@ -3,10 +3,12 @@ package glsl
 import (
 	"strings"
 	"testing"
+
+	"shaderopt/internal/lex"
 )
 
-func kinds(toks []Token) []Kind {
-	out := make([]Kind, len(toks))
+func kinds(toks []Token) []lex.Kind {
+	out := make([]lex.Kind, len(toks))
 	for i, t := range toks {
 		out[i] = t.Kind
 	}
@@ -19,13 +21,13 @@ func TestLexBasicTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []struct {
-		kind Kind
+		kind lex.Kind
 		text string
 	}{
-		{TypeName, "vec4"}, {Ident, "color"}, {Punct, "="},
-		{Ident, "texture"}, {Punct, "("}, {Ident, "tex"}, {Punct, ","},
-		{Ident, "uv"}, {Punct, ")"}, {Punct, "*"}, {FloatLit, "2.0"},
-		{Punct, ";"},
+		{lex.TypeName, "vec4"}, {lex.Ident, "color"}, {lex.Punct, "="},
+		{lex.Ident, "texture"}, {lex.Punct, "("}, {lex.Ident, "tex"}, {lex.Punct, ","},
+		{lex.Ident, "uv"}, {lex.Punct, ")"}, {lex.Punct, "*"}, {lex.FloatLit, "2.0"},
+		{lex.Punct, ";"},
 	}
 	if len(toks) != len(want) {
 		t.Fatalf("got %d tokens, want %d: %v", len(toks), len(want), toks)
@@ -40,19 +42,19 @@ func TestLexBasicTokens(t *testing.T) {
 func TestLexNumberForms(t *testing.T) {
 	cases := []struct {
 		src  string
-		kind Kind
+		kind lex.Kind
 	}{
-		{"0", IntLit},
-		{"42", IntLit},
-		{"0x1F", IntLit},
-		{"7u", IntLit},
-		{"1.0", FloatLit},
-		{".5", FloatLit},
-		{"3.", FloatLit},
-		{"1e5", FloatLit},
-		{"1.5e-3", FloatLit},
-		{"2.0f", FloatLit},
-		{"1E+2", FloatLit},
+		{"0", lex.IntLit},
+		{"42", lex.IntLit},
+		{"0x1F", lex.IntLit},
+		{"7u", lex.IntLit},
+		{"1.0", lex.FloatLit},
+		{".5", lex.FloatLit},
+		{"3.", lex.FloatLit},
+		{"1e5", lex.FloatLit},
+		{"1.5e-3", lex.FloatLit},
+		{"2.0f", lex.FloatLit},
+		{"1E+2", lex.FloatLit},
 	}
 	for _, c := range cases {
 		toks, err := LexAll(c.src)
@@ -107,13 +109,13 @@ func TestLexDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != PPLine || !strings.HasPrefix(toks[0].Text, "#version") {
+	if toks[0].Kind != lex.PPLine || !strings.HasPrefix(toks[0].Text, "#version") {
 		t.Fatalf("token 0 = %v", toks[0])
 	}
-	if toks[1].Kind != PPLine || !strings.HasPrefix(toks[1].Text, "#define") {
+	if toks[1].Kind != lex.PPLine || !strings.HasPrefix(toks[1].Text, "#define") {
 		t.Fatalf("token 1 = %v", toks[1])
 	}
-	if toks[2].Kind != TypeName {
+	if toks[2].Kind != lex.TypeName {
 		t.Fatalf("token 2 = %v", toks[2])
 	}
 }
@@ -124,14 +126,14 @@ func TestLexDirectiveContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != PPLine || !strings.Contains(toks[0].Text, "b") {
+	if toks[0].Kind != lex.PPLine || !strings.Contains(toks[0].Text, "b") {
 		t.Fatalf("continuation not merged: %v", toks[0])
 	}
 }
 
 func TestLexDirectiveMidLineHash(t *testing.T) {
-	// '#' not at start of line is an error even in KeepDirectives mode... the
-	// lexer only treats line-leading '#' as a directive.
+	// The lexer only treats line-leading '#' as a directive; a '#' later
+	// on the line is an error.
 	_, err := LexAll("float x; # bogus")
 	if err == nil {
 		t.Fatal("want error for mid-line '#'")
@@ -145,7 +147,7 @@ func TestLexMultiCharOps(t *testing.T) {
 	}
 	var ops []string
 	for _, tok := range toks {
-		if tok.Kind == Punct && len(tok.Text) > 1 {
+		if tok.Kind == lex.Punct && len(tok.Text) > 1 {
 			ops = append(ops, tok.Text)
 		}
 	}
@@ -165,7 +167,7 @@ func TestLexPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPos := []Pos{{1, 1}, {2, 3}, {3, 4}}
+	wantPos := []lex.Pos{{Line: 1, Col: 1}, {Line: 2, Col: 3}, {Line: 3, Col: 4}}
 	for i, w := range wantPos {
 		if toks[i].Pos != w {
 			t.Errorf("token %d pos = %v, want %v", i, toks[i].Pos, w)
@@ -173,20 +175,8 @@ func TestLexPositions(t *testing.T) {
 	}
 }
 
-func TestLexErrorWithoutDirectiveMode(t *testing.T) {
-	l := NewLexer("#define X 1\n")
-	tok := l.Next()
-	// Without KeepDirectives the token is still produced but an error is set.
-	if tok.Kind != PPLine {
-		t.Fatalf("kind = %v", tok.Kind)
-	}
-	if l.Err() == nil {
-		t.Fatal("want error when directives not kept")
-	}
-}
-
 func TestLexKindString(t *testing.T) {
-	for k := EOF; k <= Comment; k++ {
+	for k := lex.EOF; k <= lex.PPLine; k++ {
 		if k.String() == "" {
 			t.Errorf("kind %d has empty string", k)
 		}

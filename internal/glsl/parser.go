@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"shaderopt/internal/lex"
 )
 
 // Parser is a recursive-descent parser for the GLSL subset. Input must be
 // preprocessed (no directives except an optional leading #version, which the
 // parser records on the Shader).
 type Parser struct {
-	toks []Token
-	pos  int
-	errs []error
+	lex.Cursor
 }
 
 // Parse parses a complete shader source.
@@ -21,31 +21,31 @@ func Parse(src string) (*Shader, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex.Cursor{Toks: toks}}
 	sh := &Shader{Tokens: len(toks)}
-	for p.cur().Kind == PPLine {
-		line := strings.TrimSpace(p.cur().Text)
+	for p.Cur().Kind == lex.PPLine {
+		line := strings.TrimSpace(p.Cur().Text)
 		switch {
 		case strings.HasPrefix(line, "#version"):
 			sh.Version = strings.TrimSpace(strings.TrimPrefix(line, "#version"))
 		case strings.HasPrefix(line, "#extension"), strings.HasPrefix(line, "#pragma"):
 			// Accepted and dropped; they do not affect the subset semantics.
 		default:
-			return nil, fmt.Errorf("%s: unpreprocessed directive %q", p.cur().Pos, firstLine(line))
+			return nil, fmt.Errorf("%s: unpreprocessed directive %q", p.Cur().Pos, firstLine(line))
 		}
-		p.next()
+		p.Next()
 	}
-	for p.cur().Kind != EOF {
+	for p.Cur().Kind != lex.EOF {
 		d := p.parseDecl()
 		if d != nil {
 			sh.Decls = append(sh.Decls, d)
 		}
-		if len(p.errs) > 8 {
+		if len(p.Errs) > 8 {
 			break
 		}
 	}
-	if len(p.errs) > 0 {
-		return nil, p.errs[0]
+	if len(p.Errs) > 0 {
+		return nil, p.Errs[0]
 	}
 	return sh, nil
 }
@@ -59,151 +59,91 @@ func MustParse(src string) *Shader {
 	return sh
 }
 
-func (p *Parser) cur() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: EOF}
-	}
-	return p.toks[p.pos]
-}
-
-func (p *Parser) peekTok(off int) Token {
-	if p.pos+off >= len(p.toks) {
-		return Token{Kind: EOF}
-	}
-	return p.toks[p.pos+off]
-}
-
-func (p *Parser) next() Token {
-	t := p.cur()
-	if p.pos < len(p.toks) {
-		p.pos++
-	}
-	return t
-}
-
-func (p *Parser) errorf(pos Pos, format string, args ...any) {
-	p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
-}
-
-// accept consumes the next token if it is punctuation or keyword text.
-func (p *Parser) accept(text string) bool {
-	t := p.cur()
-	if (t.Kind == Punct || t.Kind == Keyword) && t.Text == text {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *Parser) expect(text string) Token {
-	t := p.cur()
-	if (t.Kind == Punct || t.Kind == Keyword) && t.Text == text {
-		return p.next()
-	}
-	p.errorf(t.Pos, "expected %q, found %s", text, t)
-	return t
-}
-
-// sync skips tokens until after the next semicolon or closing brace, to
-// recover from a parse error.
-func (p *Parser) sync() {
-	for {
-		t := p.cur()
-		if t.Kind == EOF {
-			return
-		}
-		p.next()
-		if t.Kind == Punct && (t.Text == ";" || t.Text == "}") {
-			return
-		}
-	}
-}
-
 // --- Declarations ---
 
 func (p *Parser) parseDecl() Decl {
-	t := p.cur()
-	if t.Kind == Punct && t.Text == ";" {
-		p.next()
+	t := p.Cur()
+	if t.Kind == lex.Punct && t.Text == ";" {
+		p.Next()
 		return nil
 	}
 
 	// precision mediump float;
-	if t.Kind == Keyword && t.Text == "precision" {
-		p.next()
+	if t.Kind == lex.Keyword && t.Text == "precision" {
+		p.Next()
 		prec := p.parsePrecision()
-		ty := p.cur()
-		if ty.Kind != TypeName {
-			p.errorf(ty.Pos, "expected type in precision declaration, found %s", ty)
-			p.sync()
+		ty := p.Cur()
+		if ty.Kind != lex.TypeName {
+			p.Errorf(ty.Pos, "expected type in precision declaration, found %s", ty)
+			p.Sync()
 			return nil
 		}
-		p.next()
-		p.expect(";")
+		p.Next()
+		p.Expect(";")
 		return &PrecisionDecl{Pos: t.Pos, Precision: prec, Type: ty.Text}
 	}
 
 	layout := ""
-	if t.Kind == Keyword && t.Text == "layout" {
-		p.next()
+	if t.Kind == lex.Keyword && t.Text == "layout" {
+		p.Next()
 		layout = p.parseLayoutBody()
-		t = p.cur()
+		t = p.Cur()
 	}
 
 	qual := QualNone
 	// Interpolation qualifiers are parsed and dropped.
-	for p.cur().Kind == Keyword {
-		switch p.cur().Text {
+	for p.Cur().Kind == lex.Keyword {
+		switch p.Cur().Text {
 		case "flat", "smooth", "noperspective", "centroid", "invariant":
-			p.next()
+			p.Next()
 			continue
 		}
 		break
 	}
-	switch p.cur().Text {
+	switch p.Cur().Text {
 	case "const":
 		qual = QualConst
-		p.next()
+		p.Next()
 	case "uniform":
 		qual = QualUniform
-		p.next()
+		p.Next()
 	case "in", "varying", "attribute":
 		qual = QualIn
-		p.next()
+		p.Next()
 	case "out":
 		qual = QualOut
-		p.next()
+		p.Next()
 	}
 	prec := p.parsePrecision()
 
-	ty := p.cur()
-	if ty.Kind != TypeName {
-		p.errorf(ty.Pos, "expected type name, found %s", ty)
-		p.sync()
+	ty := p.Cur()
+	if ty.Kind != lex.TypeName {
+		p.Errorf(ty.Pos, "expected type name, found %s", ty)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	spec := p.parseArraySuffix(Scalar(ty.Text))
 
-	name := p.cur()
-	if name.Kind != Ident {
-		p.errorf(name.Pos, "expected identifier, found %s", name)
-		p.sync()
+	name := p.Cur()
+	if name.Kind != lex.Ident {
+		p.Errorf(name.Pos, "expected identifier, found %s", name)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 
 	// Function definition or prototype.
-	if p.cur().Text == "(" && p.cur().Kind == Punct {
+	if p.Cur().Text == "(" && p.Cur().Kind == lex.Punct {
 		return p.parseFuncRest(ty, spec, name)
 	}
 
 	spec = p.parseArraySuffix(spec)
 	var init Expr
-	if p.accept("=") {
+	if p.Accept("=") {
 		init = p.parseExpr()
 	}
-	p.expect(";")
+	p.Expect(";")
 	return &GlobalVar{
 		Pos: t.Pos, Qual: qual, Precision: prec, Layout: layout,
 		Type: spec, Name: name.Text, Init: init,
@@ -211,29 +151,29 @@ func (p *Parser) parseDecl() Decl {
 }
 
 func (p *Parser) parsePrecision() string {
-	t := p.cur()
-	if t.Kind == Keyword && (t.Text == "highp" || t.Text == "mediump" || t.Text == "lowp") {
-		p.next()
+	t := p.Cur()
+	if t.Kind == lex.Keyword && (t.Text == "highp" || t.Text == "mediump" || t.Text == "lowp") {
+		p.Next()
 		return t.Text
 	}
 	return ""
 }
 
 func (p *Parser) parseLayoutBody() string {
-	p.expect("(")
+	p.Expect("(")
 	depth := 1
 	var sb strings.Builder
 	for depth > 0 {
-		t := p.cur()
-		if t.Kind == EOF {
-			p.errorf(t.Pos, "unterminated layout(...)")
+		t := p.Cur()
+		if t.Kind == lex.EOF {
+			p.Errorf(t.Pos, "unterminated layout(...)")
 			break
 		}
-		p.next()
-		if t.Kind == Punct && t.Text == "(" {
+		p.Next()
+		if t.Kind == lex.Punct && t.Text == "(" {
 			depth++
 		}
-		if t.Kind == Punct && t.Text == ")" {
+		if t.Kind == lex.Punct && t.Text == ")" {
 			depth--
 			if depth == 0 {
 				break
@@ -249,18 +189,18 @@ func (p *Parser) parseLayoutBody() string {
 
 // parseArraySuffix parses zero or more "[N]" or "[]" suffixes onto spec.
 func (p *Parser) parseArraySuffix(spec TypeSpec) TypeSpec {
-	for p.cur().Kind == Punct && p.cur().Text == "[" {
+	for p.Cur().Kind == lex.Punct && p.Cur().Text == "[" {
 		// Only treat as array suffix if followed by int literal or ']'.
-		nt := p.peekTok(1)
-		if nt.Kind == IntLit {
-			p.next()
+		nt := p.PeekTok(1)
+		if nt.Kind == lex.IntLit {
+			p.Next()
 			n, _ := strconv.Atoi(nt.Text)
-			p.next()
-			p.expect("]")
+			p.Next()
+			p.Expect("]")
 			spec.ArrayLen = n
-		} else if nt.Kind == Punct && nt.Text == "]" {
-			p.next()
-			p.next()
+		} else if nt.Kind == lex.Punct && nt.Text == "]" {
+			p.Next()
+			p.Next()
 			spec.ArrayLen = 0
 		} else {
 			break
@@ -270,25 +210,25 @@ func (p *Parser) parseArraySuffix(spec TypeSpec) TypeSpec {
 }
 
 func (p *Parser) parseFuncRest(retTok Token, ret TypeSpec, name Token) Decl {
-	p.expect("(")
+	p.Expect("(")
 	var params []Param
-	if !p.accept(")") {
+	if !p.Accept(")") {
 		for {
 			prm, ok := p.parseParam()
 			if !ok {
-				p.sync()
+				p.Sync()
 				return nil
 			}
 			if prm.Type.Name != "void" {
 				params = append(params, prm)
 			}
-			if p.accept(")") {
+			if p.Accept(")") {
 				break
 			}
-			p.expect(",")
+			p.Expect(",")
 		}
 	}
-	if p.accept(";") {
+	if p.Accept(";") {
 		return &FuncDecl{Pos: retTok.Pos, Return: ret, Name: name.Text, Params: params}
 	}
 	body := p.parseBlock()
@@ -297,42 +237,42 @@ func (p *Parser) parseFuncRest(retTok Token, ret TypeSpec, name Token) Decl {
 
 func (p *Parser) parseParam() (Param, bool) {
 	var prm Param
-	for p.cur().Kind == Keyword {
-		switch p.cur().Text {
+	for p.Cur().Kind == lex.Keyword {
+		switch p.Cur().Text {
 		case "in":
 			prm.Qual = QualIn
-			p.next()
+			p.Next()
 			continue
 		case "out":
 			prm.Qual = QualOut
-			p.next()
+			p.Next()
 			continue
 		case "inout":
 			prm.Qual = QualInOut
-			p.next()
+			p.Next()
 			continue
 		case "const", "highp", "mediump", "lowp":
-			p.next()
+			p.Next()
 			continue
 		}
 		break
 	}
-	ty := p.cur()
-	if ty.Kind != TypeName {
-		p.errorf(ty.Pos, "expected parameter type, found %s", ty)
+	ty := p.Cur()
+	if ty.Kind != lex.TypeName {
+		p.Errorf(ty.Pos, "expected parameter type, found %s", ty)
 		return prm, false
 	}
-	p.next()
+	p.Next()
 	prm.Type = p.parseArraySuffix(Scalar(ty.Text))
 	if prm.Type.Name == "void" {
 		return prm, true
 	}
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected parameter name, found %s", nm)
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected parameter name, found %s", nm)
 		return prm, false
 	}
-	p.next()
+	p.Next()
 	prm.Name = nm.Text
 	prm.Type = p.parseArraySuffix(prm.Type)
 	return prm, true
@@ -341,37 +281,37 @@ func (p *Parser) parseParam() (Param, bool) {
 // --- Statements ---
 
 func (p *Parser) parseBlock() *BlockStmt {
-	open := p.expect("{")
+	open := p.Expect("{")
 	blk := &BlockStmt{Pos: open.Pos}
 	for {
-		t := p.cur()
-		if t.Kind == EOF {
-			p.errorf(t.Pos, "unterminated block")
+		t := p.Cur()
+		if t.Kind == lex.EOF {
+			p.Errorf(t.Pos, "unterminated block")
 			return blk
 		}
-		if t.Kind == Punct && t.Text == "}" {
-			p.next()
+		if t.Kind == lex.Punct && t.Text == "}" {
+			p.Next()
 			return blk
 		}
 		s := p.parseStmt()
 		if s != nil {
 			blk.Stmts = append(blk.Stmts, s)
 		}
-		if len(p.errs) > 8 {
+		if len(p.Errs) > 8 {
 			return blk
 		}
 	}
 }
 
 func (p *Parser) parseStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case t.Kind == Punct && t.Text == "{":
+	case t.Kind == lex.Punct && t.Text == "{":
 		return p.parseBlock()
-	case t.Kind == Punct && t.Text == ";":
-		p.next()
+	case t.Kind == lex.Punct && t.Text == ";":
+		p.Next()
 		return nil
-	case t.Kind == Keyword:
+	case t.Kind == lex.Keyword:
 		switch t.Text {
 		case "if":
 			return p.parseIf()
@@ -380,36 +320,36 @@ func (p *Parser) parseStmt() Stmt {
 		case "while":
 			return p.parseWhile()
 		case "return":
-			p.next()
+			p.Next()
 			var res Expr
-			if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+			if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 				res = p.parseExpr()
 			}
-			p.expect(";")
+			p.Expect(";")
 			return &ReturnStmt{Pos: t.Pos, Result: res}
 		case "discard":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &DiscardStmt{Pos: t.Pos}
 		case "break":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &BreakStmt{Pos: t.Pos}
 		case "continue":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &ContinueStmt{Pos: t.Pos}
 		case "const", "highp", "mediump", "lowp":
 			return p.parseDeclStmt()
 		default:
-			p.errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
-			p.sync()
+			p.Errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
+			p.Sync()
 			return nil
 		}
-	case t.Kind == TypeName:
+	case t.Kind == lex.TypeName:
 		// Type name followed by identifier: declaration. Otherwise it's a
 		// constructor expression statement (rare but legal).
-		if p.peekTok(1).Kind == Ident {
+		if p.PeekTok(1).Kind == lex.Ident {
 			return p.parseDeclStmt()
 		}
 		return p.parseSimpleStmtSemi()
@@ -419,61 +359,61 @@ func (p *Parser) parseStmt() Stmt {
 }
 
 func (p *Parser) parseDeclStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	isConst := false
-	for p.cur().Kind == Keyword {
-		switch p.cur().Text {
+	for p.Cur().Kind == lex.Keyword {
+		switch p.Cur().Text {
 		case "const":
 			isConst = true
-			p.next()
+			p.Next()
 			continue
 		case "highp", "mediump", "lowp":
-			p.next()
+			p.Next()
 			continue
 		}
 		break
 	}
-	ty := p.cur()
-	if ty.Kind != TypeName {
-		p.errorf(ty.Pos, "expected type in declaration, found %s", ty)
-		p.sync()
+	ty := p.Cur()
+	if ty.Kind != lex.TypeName {
+		p.Errorf(ty.Pos, "expected type in declaration, found %s", ty)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	spec := p.parseArraySuffix(Scalar(ty.Text))
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected name in declaration, found %s", nm)
-		p.sync()
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected name in declaration, found %s", nm)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	spec = p.parseArraySuffix(spec)
 	var init Expr
-	if p.accept("=") {
+	if p.Accept("=") {
 		init = p.parseExpr()
 	}
-	p.expect(";")
+	p.Expect(";")
 	return &DeclStmt{Pos: t.Pos, Const: isConst, Type: spec, Name: nm.Text, Init: init}
 }
 
 // parseSimpleStmt parses an assignment, inc/dec, or expression statement,
 // without consuming a trailing semicolon.
 func (p *Parser) parseSimpleStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	lhs := p.parseExpr()
-	cur := p.cur()
-	if cur.Kind == Punct {
+	cur := p.Cur()
+	if cur.Kind == lex.Punct {
 		switch cur.Text {
 		case "=", "+=", "-=", "*=", "/=":
-			p.next()
+			p.Next()
 			rhs := p.parseExpr()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
 		case "++":
-			p.next()
+			p.Next()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
 		case "--":
-			p.next()
+			p.Next()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
 		}
 	}
@@ -482,19 +422,19 @@ func (p *Parser) parseSimpleStmt() Stmt {
 
 func (p *Parser) parseSimpleStmtSemi() Stmt {
 	s := p.parseSimpleStmt()
-	p.expect(";")
+	p.Expect(";")
 	return s
 }
 
 func (p *Parser) parseIf() Stmt {
-	t := p.expect("if")
-	p.expect("(")
+	t := p.Expect("if")
+	p.Expect("(")
 	cond := p.parseExpr()
-	p.expect(")")
+	p.Expect(")")
 	then := p.parseBranchBody()
 	var els Stmt
-	if p.accept("else") {
-		if p.cur().Kind == Keyword && p.cur().Text == "if" {
+	if p.Accept("else") {
+		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
 			els = p.parseIf()
 		} else {
 			els = p.parseBranchBody()
@@ -506,11 +446,11 @@ func (p *Parser) parseIf() Stmt {
 // parseBranchBody parses either a block or a single statement wrapped into
 // a block, so downstream code only ever sees blocks.
 func (p *Parser) parseBranchBody() *BlockStmt {
-	if p.cur().Kind == Punct && p.cur().Text == "{" {
+	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
 		return p.parseBlock()
 	}
 	s := p.parseStmt()
-	blk := &BlockStmt{Pos: p.cur().Pos}
+	blk := &BlockStmt{Pos: p.Cur().Pos}
 	if s != nil {
 		blk.Stmts = append(blk.Stmts, s)
 	}
@@ -518,37 +458,37 @@ func (p *Parser) parseBranchBody() *BlockStmt {
 }
 
 func (p *Parser) parseFor() Stmt {
-	t := p.expect("for")
-	p.expect("(")
+	t := p.Expect("for")
+	p.Expect("(")
 	var init Stmt
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
-		if p.cur().Kind == TypeName || (p.cur().Kind == Keyword && p.cur().Text == "const") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
+		if p.Cur().Kind == lex.TypeName || (p.Cur().Kind == lex.Keyword && p.Cur().Text == "const") {
 			init = p.parseDeclStmt() // consumes ';'
 		} else {
 			init = p.parseSimpleStmtSemi()
 		}
 	} else {
-		p.next()
+		p.Next()
 	}
 	var cond Expr
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		cond = p.parseExpr()
 	}
-	p.expect(";")
+	p.Expect(";")
 	var post Stmt
-	if !(p.cur().Kind == Punct && p.cur().Text == ")") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ")") {
 		post = p.parseSimpleStmt()
 	}
-	p.expect(")")
+	p.Expect(")")
 	body := p.parseBranchBody()
 	return &ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
 }
 
 func (p *Parser) parseWhile() Stmt {
-	t := p.expect("while")
-	p.expect("(")
+	t := p.Expect("while")
+	p.Expect("(")
 	cond := p.parseExpr()
-	p.expect(")")
+	p.Expect(")")
 	body := p.parseBranchBody()
 	return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
 }
@@ -568,10 +508,10 @@ func (p *Parser) parseExpr() Expr { return p.parseTernary() }
 
 func (p *Parser) parseTernary() Expr {
 	cond := p.parseBinary(1)
-	if p.cur().Kind == Punct && p.cur().Text == "?" {
-		q := p.next()
+	if p.Cur().Kind == lex.Punct && p.Cur().Text == "?" {
+		q := p.Next()
 		thn := p.parseExpr()
-		p.expect(":")
+		p.Expect(":")
 		els := p.parseTernary()
 		return &CondExpr{Pos: q.Pos, Cond: cond, Then: thn, Else: els}
 	}
@@ -581,35 +521,35 @@ func (p *Parser) parseTernary() Expr {
 func (p *Parser) parseBinary(minPrec int) Expr {
 	lhs := p.parseUnary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
+		t := p.Cur()
+		if t.Kind != lex.Punct {
 			return lhs
 		}
 		prec, ok := binPrec[t.Text]
 		if !ok || prec < minPrec {
 			return lhs
 		}
-		p.next()
+		p.Next()
 		rhs := p.parseBinary(prec + 1)
 		lhs = &BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
-	t := p.cur()
-	if t.Kind == Punct {
+	t := p.Cur()
+	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
-			p.next()
+			p.Next()
 			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
 		case "+":
-			p.next()
+			p.Next()
 			return p.parseUnary()
 		case "++", "--":
 			// Pre-increment used as expression is outside the subset; parse
 			// operand and report.
-			p.errorf(t.Pos, "prefix %q not supported as expression", t.Text)
-			p.next()
+			p.Errorf(t.Pos, "prefix %q not supported as expression", t.Text)
+			p.Next()
 			return p.parseUnary()
 		}
 	}
@@ -619,24 +559,24 @@ func (p *Parser) parseUnary() Expr {
 func (p *Parser) parsePostfix() Expr {
 	x := p.parsePrimary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
+		t := p.Cur()
+		if t.Kind != lex.Punct {
 			return x
 		}
 		switch t.Text {
 		case "[":
-			p.next()
+			p.Next()
 			idx := p.parseExpr()
-			p.expect("]")
+			p.Expect("]")
 			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
-			p.next()
-			nm := p.cur()
-			if nm.Kind != Ident && nm.Kind != Keyword {
-				p.errorf(nm.Pos, "expected field name after '.', found %s", nm)
+			p.Next()
+			nm := p.Cur()
+			if nm.Kind != lex.Ident && nm.Kind != lex.Keyword {
+				p.Errorf(nm.Pos, "expected field name after '.', found %s", nm)
 				return x
 			}
-			p.next()
+			p.Next()
 			x = &FieldExpr{Pos: t.Pos, X: x, Name: nm.Text}
 		default:
 			return x
@@ -645,47 +585,47 @@ func (p *Parser) parsePostfix() Expr {
 }
 
 func (p *Parser) parsePrimary() Expr {
-	t := p.cur()
+	t := p.Cur()
 	switch t.Kind {
-	case IntLit:
-		p.next()
+	case lex.IntLit:
+		p.Next()
 		text := strings.TrimRight(t.Text, "uU")
 		var v int64
 		if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
 			u, err := strconv.ParseUint(text[2:], 16, 64)
 			if err != nil {
-				p.errorf(t.Pos, "bad hex literal %q", t.Text)
+				p.Errorf(t.Pos, "bad hex literal %q", t.Text)
 			}
 			v = int64(u)
 		} else {
 			var err error
 			v, err = strconv.ParseInt(text, 10, 64)
 			if err != nil {
-				p.errorf(t.Pos, "bad int literal %q", t.Text)
+				p.Errorf(t.Pos, "bad int literal %q", t.Text)
 			}
 		}
 		return &IntLitExpr{Pos: t.Pos, Value: v}
-	case FloatLit:
-		p.next()
+	case lex.FloatLit:
+		p.Next()
 		text := strings.TrimRight(t.Text, "fFlL")
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			p.errorf(t.Pos, "bad float literal %q", t.Text)
+			p.Errorf(t.Pos, "bad float literal %q", t.Text)
 		}
 		return &FloatLitExpr{Pos: t.Pos, Value: v}
-	case BoolLit:
-		p.next()
+	case lex.BoolLit:
+		p.Next()
 		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
-	case Ident:
-		p.next()
-		if p.cur().Kind == Punct && p.cur().Text == "(" {
+	case lex.Ident:
+		p.Next()
+		if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 			return p.parseCallArgs(t.Pos, t.Text)
 		}
 		return &IdentExpr{Pos: t.Pos, Name: t.Text}
-	case TypeName:
-		p.next()
+	case lex.TypeName:
+		p.Next()
 		// Array constructor: vec2[3](...) or vec2[](...).
-		if p.cur().Kind == Punct && p.cur().Text == "[" {
+		if p.Cur().Kind == lex.Punct && p.Cur().Text == "[" {
 			spec := p.parseArraySuffix(Scalar(t.Text))
 			call := p.parseCallArgs(t.Pos, t.Text)
 			c := call.(*CallExpr)
@@ -696,34 +636,41 @@ func (p *Parser) parsePrimary() Expr {
 			return &ArrayCtorExpr{Pos: t.Pos, Elem: Scalar(t.Text), Len: n, Elems: c.Args}
 		}
 		return p.parseCallArgs(t.Pos, t.Text)
-	case Punct:
+	case lex.Punct:
 		if t.Text == "(" {
-			p.next()
+			p.Next()
 			e := p.parseExpr()
-			p.expect(")")
+			p.Expect(")")
 			return e
 		}
 	}
-	p.errorf(t.Pos, "unexpected token %s in expression", t)
-	p.next()
+	p.Errorf(t.Pos, "unexpected token %s in expression", t)
+	p.Next()
 	return &IntLitExpr{Pos: t.Pos, Value: 0}
 }
 
-func (p *Parser) parseCallArgs(pos Pos, callee string) Expr {
-	p.expect("(")
+func (p *Parser) parseCallArgs(pos lex.Pos, callee string) Expr {
+	p.Expect("(")
 	call := &CallExpr{Pos: pos, Callee: callee}
-	if p.accept(")") {
+	if p.Accept(")") {
 		return call
 	}
 	for {
 		call.Args = append(call.Args, p.parseExpr())
-		if p.accept(")") {
+		if p.Accept(")") {
 			return call
 		}
-		p.expect(",")
-		if p.cur().Kind == EOF {
-			p.errorf(p.cur().Pos, "unterminated call to %q", callee)
+		p.Expect(",")
+		if p.Cur().Kind == lex.EOF {
+			p.Errorf(p.Cur().Pos, "unterminated call to %q", callee)
 			return call
 		}
 	}
+}
+
+func firstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"shaderopt/internal/lex"
 )
 
 const blurShader = `#version 330
@@ -345,11 +347,11 @@ func TestFormatFloatRoundTrip(t *testing.T) {
 		// Negative values lex as '-' followed by a literal.
 		idx := 0
 		neg := false
-		if toks[0].Kind == Punct && toks[0].Text == "-" {
+		if toks[0].Kind == lex.Punct && toks[0].Text == "-" {
 			neg = true
 			idx = 1
 		}
-		if len(toks) != idx+1 || toks[idx].Kind != FloatLit {
+		if len(toks) != idx+1 || toks[idx].Kind != lex.FloatLit {
 			return false
 		}
 		sh, err := Parse("void main() { float x = " + s + "; }")

@@ -1,6 +1,10 @@
 package hlsl
 
-import "strings"
+import (
+	"strings"
+
+	"shaderopt/internal/lex"
+)
 
 // Module is a parsed HLSL translation unit.
 type Module struct {
@@ -12,7 +16,7 @@ type Module struct {
 // Name "Texture2D" and Elem "float4"). Array-ness is C-style and lives on
 // the declarator, not the type.
 type TypeExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Elem string // template argument; "" when absent
 }
@@ -32,7 +36,7 @@ type Decl interface{ declNode() }
 
 // CBufferMember is one field of a cbuffer block.
 type CBufferMember struct {
-	Pos      Pos
+	Pos      lex.Pos
 	Type     *TypeExpr
 	Name     string
 	ArrayLen int // -1 when not an array
@@ -42,7 +46,7 @@ type CBufferMember struct {
 // The block structure is a binding detail: members lower to individual
 // uniforms, exactly as fxc assigns loose $Globals.
 type CBufferDecl struct {
-	Pos      Pos
+	Pos      lex.Pos
 	Name     string
 	Register string // raw register(...) argument, e.g. "b0"; "" when absent
 	Members  []CBufferMember
@@ -52,7 +56,7 @@ type CBufferDecl struct {
 // (Texture2D, SamplerState), a loose $Globals uniform, or a
 // static/static-const global.
 type GlobalVar struct {
-	Pos      Pos
+	Pos      lex.Pos
 	Static   bool
 	Const    bool
 	Type     *TypeExpr
@@ -75,7 +79,7 @@ type Param struct {
 // FnDecl is a function definition. Pixel-shader entry points carry an
 // SV_Target return semantic.
 type FnDecl struct {
-	Pos         Pos
+	Pos         lex.Pos
 	Ret         *TypeExpr
 	Name        string
 	Params      []Param
@@ -92,14 +96,14 @@ type Stmt interface{ stmtNode() }
 
 // BlockStmt is a brace-delimited statement list.
 type BlockStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Stmts []Stmt
 }
 
 // DeclStmt declares a C-style local variable, optionally const, optionally
 // array.
 type DeclStmt struct {
-	Pos      Pos
+	Pos      lex.Pos
 	Const    bool
 	Type     *TypeExpr
 	Name     string
@@ -109,7 +113,7 @@ type DeclStmt struct {
 
 // AssignStmt assigns to an lvalue. Op is "=", "+=", "-=", "*=", "/=".
 type AssignStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	LHS Expr
 	Op  string
 	RHS Expr
@@ -117,7 +121,7 @@ type AssignStmt struct {
 
 // IfStmt is a conditional. Else is nil, a *BlockStmt, or a chained *IfStmt.
 type IfStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Then *BlockStmt
 	Else Stmt
@@ -126,7 +130,7 @@ type IfStmt struct {
 // ForStmt is a `for (init; cond; post) { ... }` loop; any header part may
 // be nil.
 type ForStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Init Stmt
 	Cond Expr
 	Post Stmt
@@ -135,29 +139,29 @@ type ForStmt struct {
 
 // WhileStmt is a condition-only loop.
 type WhileStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Body *BlockStmt
 }
 
 // ReturnStmt returns from a function, with an optional result.
 type ReturnStmt struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Result Expr // may be nil
 }
 
 // DiscardStmt abandons the current fragment.
-type DiscardStmt struct{ Pos Pos }
+type DiscardStmt struct{ Pos lex.Pos }
 
 // BreakStmt exits the innermost loop.
-type BreakStmt struct{ Pos Pos }
+type BreakStmt struct{ Pos lex.Pos }
 
 // ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ Pos Pos }
+type ContinueStmt struct{ Pos lex.Pos }
 
 // ExprStmt evaluates an expression for side effects (function calls).
 type ExprStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	X   Expr
 }
 
@@ -178,46 +182,46 @@ type Expr interface{ exprNode() }
 
 // IdentExpr references a variable by name.
 type IdentExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 }
 
 // IntLitExpr is an integer literal (suffix already stripped).
 type IntLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value int64
 }
 
 // FloatLitExpr is a floating point literal (suffix already stripped).
 type FloatLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value float64
 }
 
 // BoolLitExpr is true or false.
 type BoolLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value bool
 }
 
 // BinaryExpr applies a binary operator. Op is one of
 // + - * / % < > <= >= == != && ||.
 type BinaryExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Op   string
 	X, Y Expr
 }
 
 // UnaryExpr applies a prefix operator: "-" or "!".
 type UnaryExpr struct {
-	Pos Pos
+	Pos lex.Pos
 	Op  string
 	X   Expr
 }
 
 // CondExpr is the ternary ?: operator.
 type CondExpr struct {
-	Pos        Pos
+	Pos        lex.Pos
 	Cond       Expr
 	Then, Else Expr
 }
@@ -225,7 +229,7 @@ type CondExpr struct {
 // CallExpr calls an intrinsic, a type constructor (float4(...)), or a
 // user function.
 type CallExpr struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Callee string
 	Args   []Expr
 }
@@ -233,7 +237,7 @@ type CallExpr struct {
 // MethodCallExpr is a resource method invocation such as
 // tex.Sample(samp, uv) or tex.SampleLevel(samp, uv, lod).
 type MethodCallExpr struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Recv   Expr
 	Method string
 	Args   []Expr
@@ -241,14 +245,14 @@ type MethodCallExpr struct {
 
 // IndexExpr subscripts an array, vector, or matrix.
 type IndexExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	X     Expr
 	Index Expr
 }
 
 // MemberExpr is a swizzle selection like v.xyz or v.r.
 type MemberExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	X    Expr
 	Name string
 }
@@ -256,7 +260,7 @@ type MemberExpr struct {
 // InitListExpr is a C-style brace initializer `{a, b, c}`, legal only as
 // an array initializer in the subset.
 type InitListExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Elems []Expr
 }
 

@@ -43,11 +43,11 @@ func (tr *translator) promote(x glsl.Expr, xt sem.Type, want sem.Type) (glsl.Exp
 func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 	switch e := e.(type) {
 	case *IntLitExpr:
-		return &glsl.IntLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Int, nil
+		return &glsl.IntLitExpr{Pos: e.Pos, Value: e.Value}, sem.Int, nil
 	case *FloatLitExpr:
-		return &glsl.FloatLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Float, nil
+		return &glsl.FloatLitExpr{Pos: e.Pos, Value: e.Value}, sem.Float, nil
 	case *BoolLitExpr:
-		return &glsl.BoolLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Bool, nil
+		return &glsl.BoolLitExpr{Pos: e.Pos, Value: e.Value}, sem.Bool, nil
 	case *IdentExpr:
 		return tr.identExpr(e)
 	case *UnaryExpr:
@@ -55,7 +55,7 @@ func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 		if err != nil {
 			return nil, sem.Void, err
 		}
-		return &glsl.UnaryExpr{Pos: pos(e.Pos), Op: e.Op, X: x}, xt, nil
+		return &glsl.UnaryExpr{Pos: e.Pos, Op: e.Op, X: x}, xt, nil
 	case *BinaryExpr:
 		return tr.binaryExpr(e)
 	case *CondExpr:
@@ -93,7 +93,7 @@ func (tr *translator) binaryExpr(e *BinaryExpr) (glsl.Expr, sem.Type, error) {
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
-	return &glsl.BinaryExpr{Pos: pos(e.Pos), Op: e.Op, X: x, Y: y}, rt, nil
+	return &glsl.BinaryExpr{Pos: e.Pos, Op: e.Op, X: x, Y: y}, rt, nil
 }
 
 func (tr *translator) condExpr(e *CondExpr) (glsl.Expr, sem.Type, error) {
@@ -119,7 +119,7 @@ func (tr *translator) condExpr(e *CondExpr) (glsl.Expr, sem.Type, error) {
 	if !tt.Equal(et) {
 		return nil, sem.Void, errf(e.Pos, "ternary arms have mismatched types %s and %s", tt, et)
 	}
-	return &glsl.CondExpr{Pos: pos(e.Pos), Cond: cond, Then: thn, Else: els}, tt, nil
+	return &glsl.CondExpr{Pos: e.Pos, Cond: cond, Then: thn, Else: els}, tt, nil
 }
 
 func (tr *translator) identExpr(e *IdentExpr) (glsl.Expr, sem.Type, error) {
@@ -130,7 +130,7 @@ func (tr *translator) identExpr(e *IdentExpr) (glsl.Expr, sem.Type, error) {
 	// shadowing resolves by source semantics and each identifier carries
 	// its own sanitized GLSL spelling.
 	if b, ok := tr.lookup(e.Name); ok {
-		return &glsl.IdentExpr{Pos: pos(e.Pos), Name: b.Name}, b.T, nil
+		return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, nil
 	}
 	return nil, sem.Void, errf(e.Pos, "undefined identifier %q", e.Name)
 }
@@ -158,7 +158,7 @@ func (tr *translator) indexExpr(e *IndexExpr) (glsl.Expr, sem.Type, error) {
 	default:
 		return nil, sem.Void, errf(e.Pos, "cannot index %s", xt)
 	}
-	return &glsl.IndexExpr{Pos: pos(e.Pos), X: x, Index: idx}, rt, nil
+	return &glsl.IndexExpr{Pos: e.Pos, X: x, Index: idx}, rt, nil
 }
 
 func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
@@ -174,7 +174,7 @@ func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
 	rt := sem.VecType(xt.Kind, len(idx))
-	return &glsl.FieldExpr{Pos: pos(e.Pos), X: x, Name: e.Name}, rt, nil
+	return &glsl.FieldExpr{Pos: e.Pos, X: x, Name: e.Name}, rt, nil
 }
 
 func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
@@ -257,7 +257,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 				return nil, sem.Void, errf(e.Pos, "%v", err)
 			}
 		}
-		return &glsl.CallExpr{Pos: pos(e.Pos), Callee: name, Args: args}, rt, nil
+		return &glsl.CallExpr{Pos: e.Pos, Callee: name, Args: args}, rt, nil
 	}
 
 	// User-defined function.
@@ -267,7 +267,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 			if err != nil {
 				return nil, sem.Void, err
 			}
-			return &glsl.CallExpr{Pos: pos(e.Pos), Callee: nn, Args: args}, rt, nil
+			return &glsl.CallExpr{Pos: e.Pos, Callee: nn, Args: args}, rt, nil
 		}
 	}
 	return nil, sem.Void, errf(e.Pos, "call to undefined function %q", e.Callee)
@@ -315,7 +315,7 @@ func (tr *translator) ctorCall(e *CallExpr, glslName string) (glsl.Expr, sem.Typ
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
-	return &glsl.CallExpr{Pos: pos(e.Pos), Callee: glslName, Args: args}, rt, nil
+	return &glsl.CallExpr{Pos: e.Pos, Callee: glslName, Args: args}, rt, nil
 }
 
 // methodCall lowers HLSL's separate texture+sampler object sampling onto
@@ -366,7 +366,7 @@ func (tr *translator) methodCall(e *MethodCallExpr) (glsl.Expr, sem.Type, error)
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, ".%s: %v", e.Method, err)
 	}
-	return &glsl.CallExpr{Pos: pos(e.Pos), Callee: target, Args: rest}, out, nil
+	return &glsl.CallExpr{Pos: e.Pos, Callee: target, Args: rest}, out, nil
 }
 
 func (tr *translator) exprList(list []Expr) ([]glsl.Expr, []sem.Type, error) {

@@ -1,254 +1,101 @@
+// Package hlsl implements the HLSL (High-Level Shading Language)
+// frontend: a lexer over the shared internal/lex scanner,
+// recursive-descent parser, HLSL AST, and a semantic
+// binding/lowering stage that targets the optimizer IR shared with the
+// GLSL and WGSL frontends. The supported subset is the pragmatic
+// pixel-shader core that the study corpus exercises: float2/3/4 and
+// float3x3/4x4 value types, Texture2D + SamplerState pairs sampled with
+// the .Sample/.SampleLevel methods, cbuffer constant blocks and loose
+// $Globals-style uniforms, entry points selected by the SV_Target return
+// semantic with TEXCOORDn-attributed parameters, C-style local
+// declarations, if/for/while/return/discard control flow, and the
+// intrinsic library mapped onto the IR's canonical builtins (lerp→mix,
+// frac→fract, rsqrt→inversesqrt, atan2→atan, ddx/ddy→dFdx/dFdy, ...).
+//
+// Architecturally the frontend mirrors internal/wgsl (itself modeled on
+// naga): a separate surface language lowered through the canonical
+// checked AST into one shared program form, so the flag-controlled
+// passes, the measurement harness, and the GPU cost models stay
+// frontend-independent.
 package hlsl
 
-import (
-	"fmt"
-	"strings"
-)
+import "shaderopt/internal/lex"
 
-// Lexer tokenizes HLSL source text. The subset has no preprocessor
-// (corpus HLSL shaders are pre-specialized); comments (// and C-style
-// non-nesting /* */) are skipped unless KeepComments is set.
-type Lexer struct {
-	src  string
-	pos  int
-	line int32
-	col  int32
+// Token is an HLSL token: the shared lexical token.
+type Token = lex.Token
 
-	// KeepComments causes comments to be emitted as Comment tokens.
-	KeepComments bool
+// words classifies the reserved words of the supported subset. Type
+// names (float4, Texture2D, ...) are resolved contextually by the parser
+// — HLSL's intrinsic types behave like predeclared identifiers — so they
+// are not listed here.
+var words = map[string]lex.Kind{
+	"true": lex.BoolLit, "false": lex.BoolLit,
 
-	err error
+	"cbuffer": lex.Keyword, "tbuffer": lex.Keyword, "register": lex.Keyword, "packoffset": lex.Keyword,
+	"if": lex.Keyword, "else": lex.Keyword, "for": lex.Keyword, "while": lex.Keyword, "do": lex.Keyword,
+	"switch": lex.Keyword, "case": lex.Keyword, "default": lex.Keyword,
+	"return": lex.Keyword, "discard": lex.Keyword, "break": lex.Keyword, "continue": lex.Keyword,
+	"struct": lex.Keyword, "typedef": lex.Keyword,
+	"static": lex.Keyword, "const": lex.Keyword, "uniform": lex.Keyword, "volatile": lex.Keyword,
+	"in": lex.Keyword, "out": lex.Keyword, "inout": lex.Keyword,
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Err returns the first error encountered while lexing, if any.
-func (l *Lexer) Err() error { return l.err }
-
-func (l *Lexer) errorf(p Pos, format string, args ...any) {
-	if l.err == nil {
-		l.err = fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...))
-	}
-}
-
-func (l *Lexer) peek() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
-func (l *Lexer) peekAt(off int) byte {
-	if l.pos+off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos+off]
-}
-
-func (l *Lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
-
-func isSpace(c byte) bool  { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
-func isAlpha(c byte) bool  { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
-func isAlnum(c byte) bool  { return isAlpha(c) || isDigit(c) }
-func isHexDig(c byte) bool { return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') }
-
-// Next returns the next token.
-func (l *Lexer) Next() Token {
-	for {
-		for l.pos < len(l.src) && isSpace(l.peek()) {
-			l.advance()
-		}
-		if l.pos >= len(l.src) {
-			return Token{Kind: EOF, Pos: Pos{l.line, l.col}}
-		}
-		start := Pos{l.line, l.col}
-		c := l.peek()
-
-		// Line comments.
-		if c == '/' && l.peekAt(1) == '/' {
-			begin := l.pos
-			for l.pos < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-			if l.KeepComments {
-				return Token{Kind: Comment, Text: l.src[begin:l.pos], Pos: start}
-			}
-			continue
-		}
-		// Block comments do not nest in HLSL (C rules, unlike WGSL).
-		if c == '/' && l.peekAt(1) == '*' {
-			begin := l.pos
-			l.advance()
-			l.advance()
-			closed := false
-			for l.pos < len(l.src) {
-				if l.peek() == '*' && l.peekAt(1) == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
-				}
-				l.advance()
-			}
-			if !closed {
-				l.errorf(start, "unterminated block comment")
-			}
-			if l.KeepComments {
-				return Token{Kind: Comment, Text: l.src[begin:l.pos], Pos: start}
-			}
-			continue
-		}
-
-		// Numbers.
-		if isDigit(c) || (c == '.' && isDigit(l.peekAt(1))) {
-			return l.lexNumber(start)
-		}
-
-		// Identifiers and keywords.
-		if isAlpha(c) {
-			begin := l.pos
-			for l.pos < len(l.src) && isAlnum(l.peek()) {
-				l.advance()
-			}
-			word := l.src[begin:l.pos]
-			switch {
-			case word == "true" || word == "false":
-				return Token{Kind: BoolLit, Text: word, Pos: start}
-			case IsKeyword(word):
-				return Token{Kind: Keyword, Text: word, Pos: start}
-			default:
-				return Token{Kind: Ident, Text: word, Pos: start}
-			}
-		}
-
-		// Operators and punctuation, longest match first.
-		for _, op := range multiCharOps {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				for range op {
-					l.advance()
-				}
-				return Token{Kind: Punct, Text: op, Pos: start}
-			}
-		}
-		if strings.IndexByte("+-*/%<>=!&|^~?:;,.(){}[]", c) >= 0 {
-			l.advance()
-			return Token{Kind: Punct, Text: string(c), Pos: start}
-		}
-
-		l.errorf(start, "unexpected character %q", string(c))
-		l.advance()
-	}
-}
-
-// multiCharOps are matched before single-char operators; longer ops come
-// first within a shared prefix. HLSL has no "->" in the subset (no
-// pointers); shifts are lexed but outside the expression grammar.
-var multiCharOps = []string{
+// ops are HLSL's multi-byte operators, longest first within a shared
+// prefix. HLSL has no "->" in the subset (no pointers); shifts are lexed
+// but outside the expression grammar.
+var ops = []string{
 	"<<=", ">>=",
 	"==", "!=", "<=", ">=", "&&", "||",
 	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
 	"++", "--", "<<", ">>",
 }
 
-// lexNumber scans an HLSL numeric literal: C-style, with f/F/h/H float
-// suffixes and u/U/l/L integer suffixes. An unsuffixed token with '.' or
-// an exponent is a float.
-func (l *Lexer) lexNumber(start Pos) Token {
-	begin := l.pos
-	isFloat := false
-
-	// Hex literal.
-	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
-		l.advance()
-		l.advance()
-		for l.pos < len(l.src) && isHexDig(l.peek()) {
-			l.advance()
-		}
-		for l.peek() == 'u' || l.peek() == 'U' || l.peek() == 'l' || l.peek() == 'L' {
-			l.advance()
-		}
-		return Token{Kind: IntLit, Text: l.src[begin:l.pos], Pos: start}
-	}
-
-	for l.pos < len(l.src) && isDigit(l.peek()) {
-		l.advance()
-	}
-	if l.peek() == '.' {
-		isFloat = true
-		l.advance()
-		for l.pos < len(l.src) && isDigit(l.peek()) {
-			l.advance()
-		}
-	}
-	if l.peek() == 'e' || l.peek() == 'E' {
-		off := 1
-		if l.peekAt(off) == '+' || l.peekAt(off) == '-' {
-			off++
-		}
-		if isDigit(l.peekAt(off)) {
-			isFloat = true
-			l.advance()
-			if l.peek() == '+' || l.peek() == '-' {
-				l.advance()
-			}
-			for l.pos < len(l.src) && isDigit(l.peek()) {
-				l.advance()
-			}
-		}
-	}
-	switch l.peek() {
-	case 'f', 'F', 'h', 'H':
-		isFloat = true
-		l.advance()
-	case 'u', 'U', 'l', 'L':
-		if isFloat {
-			l.errorf(start, "integer suffix on float literal")
-		}
-		l.advance()
-	}
-	text := l.src[begin:l.pos]
-	if isFloat {
-		return Token{Kind: FloatLit, Text: text, Pos: start}
-	}
-	return Token{Kind: IntLit, Text: text, Pos: start}
-}
-
-// maxPresizedTokens caps the token slice LexAll reserves from the source
-// length, so a long source that is mostly comments or whitespace reserves
-// at most this many tokens up front; a longer token stream grows the
-// slice by append. A token is 32 bytes (Pos holds int32s), so the cap
-// reserves at most 1 MB. The largest corpus text, an emitted MSL of
-// about 17500 tokens, fits under it.
-const maxPresizedTokens = 1 << 15
-
-// LexAll tokenizes the whole input, returning tokens up to and excluding
-// EOF.
+// LexAll tokenizes HLSL source, returning tokens up to and excluding EOF.
+// The subset has no preprocessor (corpus HLSL shaders are
+// pre-specialized), and block comments do not nest (C rules, unlike
+// WGSL).
 func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
 	// Presized from the source length. Corpus sources run 3.5 to 4.0
 	// bytes per token, so a third of the length never regrows on the
 	// corpus.
-	toks := make([]Token, 0, min(len(src)/3, maxPresizedTokens))
-	for {
-		t := l.Next()
-		if t.Kind == EOF {
-			break
+	s := lex.NewScanner(src, len(src)/3)
+	for s.Skip(false) {
+		switch c := s.Peek(); {
+		case s.AtNumber():
+			number(&s)
+		case lex.IsWordStart(c):
+			s.Word(words)
+		default:
+			s.Op(ops)
 		}
-		toks = append(toks, t)
 	}
-	return toks, l.Err()
+	return s.Tokens(), s.Err()
+}
+
+// number scans an HLSL numeric literal: C-style, with f/F/h/H float
+// suffixes and u/U/l/L integer suffixes. An unsuffixed token with '.' or
+// an exponent is a float.
+func number(s *lex.Scanner) {
+	if s.Hex() {
+		for s.Accept("uUlL") {
+		}
+		s.Emit(lex.IntLit)
+		return
+	}
+	float := s.Decimal()
+	switch s.Peek() {
+	case 'f', 'F', 'h', 'H':
+		float = true
+		s.Advance()
+	case 'u', 'U', 'l', 'L':
+		if float {
+			s.Errorf("integer suffix on float literal")
+		}
+		s.Advance()
+	}
+	if float {
+		s.Emit(lex.FloatLit)
+	} else {
+		s.Emit(lex.IntLit)
+	}
 }

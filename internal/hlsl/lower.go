@@ -5,6 +5,7 @@ import (
 
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
+	"shaderopt/internal/lex"
 	"shaderopt/internal/lower"
 	"shaderopt/internal/naming"
 	"shaderopt/internal/sem"
@@ -87,7 +88,7 @@ func (tr *translator) rename(name string) string { return tr.names.Rename(name) 
 // the synthesized variable moves aside).
 func (tr *translator) freshName(base string) string { return tr.names.Fresh(base) }
 
-func errf(p Pos, format string, args ...any) error {
+func errf(p lex.Pos, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...))
 }
 
@@ -338,7 +339,7 @@ func (tr *translator) localName(name string) string { return tr.names.Local(name
 func (tr *translator) block(b *BlockStmt, entryOut *string) (*glsl.BlockStmt, error) {
 	tr.pushScope()
 	defer tr.popScope()
-	out := &glsl.BlockStmt{Pos: pos(b.Pos)}
+	out := &glsl.BlockStmt{Pos: b.Pos}
 	for _, s := range b.Stmts {
 		gs, err := tr.stmt(s, entryOut)
 		if err != nil {
@@ -381,10 +382,10 @@ func (tr *translator) stmt(s Stmt, entryOut *string) ([]glsl.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.WhileStmt{Pos: pos(s.Pos), Cond: cond, Body: body}}, nil
+		return []glsl.Stmt{&glsl.WhileStmt{Pos: s.Pos, Cond: cond, Body: body}}, nil
 	case *ReturnStmt:
 		if s.Result == nil {
-			return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos)}}, nil
+			return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos}}, nil
 		}
 		res, rt, err := tr.expr(s.Result)
 		if err != nil {
@@ -396,17 +397,17 @@ func (tr *translator) stmt(s Stmt, entryOut *string) ([]glsl.Stmt, error) {
 		if entryOut != nil {
 			// Entry point: store the fragment output, then return void.
 			return []glsl.Stmt{
-				&glsl.AssignStmt{Pos: pos(s.Pos), LHS: &glsl.IdentExpr{Name: *entryOut}, Op: "=", RHS: res},
-				&glsl.ReturnStmt{Pos: pos(s.Pos)},
+				&glsl.AssignStmt{Pos: s.Pos, LHS: &glsl.IdentExpr{Name: *entryOut}, Op: "=", RHS: res},
+				&glsl.ReturnStmt{Pos: s.Pos},
 			}, nil
 		}
-		return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos), Result: res}}, nil
+		return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos, Result: res}}, nil
 	case *DiscardStmt:
-		return []glsl.Stmt{&glsl.DiscardStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.DiscardStmt{Pos: s.Pos}}, nil
 	case *BreakStmt:
-		return []glsl.Stmt{&glsl.BreakStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.BreakStmt{Pos: s.Pos}}, nil
 	case *ContinueStmt:
-		return []glsl.Stmt{&glsl.ContinueStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.ContinueStmt{Pos: s.Pos}}, nil
 	case *ExprStmt:
 		// clip(x) is statement-only: desugar to the GLSL discard idiom.
 		if call, ok := s.X.(*CallExpr); ok && call.Callee == "clip" {
@@ -416,7 +417,7 @@ func (tr *translator) stmt(s Stmt, entryOut *string) ([]glsl.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.ExprStmt{Pos: pos(s.Pos), X: x}}, nil
+		return []glsl.Stmt{&glsl.ExprStmt{Pos: s.Pos, X: x}}, nil
 	}
 	return nil, fmt.Errorf("unknown statement %T", s)
 }
@@ -436,9 +437,9 @@ func (tr *translator) clipStmt(call *CallExpr) ([]glsl.Stmt, error) {
 		return nil, errf(call.Pos, "clip argument must be a float scalar in the subset, got %s", xt)
 	}
 	return []glsl.Stmt{&glsl.IfStmt{
-		Pos:  pos(call.Pos),
-		Cond: &glsl.BinaryExpr{Pos: pos(call.Pos), Op: "<", X: x, Y: &glsl.FloatLitExpr{Value: 0}},
-		Then: &glsl.BlockStmt{Stmts: []glsl.Stmt{&glsl.DiscardStmt{Pos: pos(call.Pos)}}},
+		Pos:  call.Pos,
+		Cond: &glsl.BinaryExpr{Pos: call.Pos, Op: "<", X: x, Y: &glsl.FloatLitExpr{Value: 0}},
+		Then: &glsl.BlockStmt{Stmts: []glsl.Stmt{&glsl.DiscardStmt{Pos: call.Pos}}},
 	}}, nil
 }
 
@@ -470,7 +471,7 @@ func (tr *translator) declStmt(s *DeclStmt) (*glsl.DeclStmt, error) {
 	}
 	ln := tr.localName(s.Name)
 	tr.bind(s.Name, ln, t)
-	return &glsl.DeclStmt{Pos: pos(s.Pos), Const: s.Const, Type: spec, Name: ln, Init: gInit}, nil
+	return &glsl.DeclStmt{Pos: s.Pos, Const: s.Const, Type: spec, Name: ln, Init: gInit}, nil
 }
 
 // initializer translates a declaration initializer: a brace list becomes
@@ -504,7 +505,7 @@ func (tr *translator) initializer(e Expr, declared sem.Type) (glsl.Expr, sem.Typ
 		}
 		elems[i] = x
 	}
-	return &glsl.ArrayCtorExpr{Pos: pos(lst.Pos), Elem: spec, Len: len(elems), Elems: elems},
+	return &glsl.ArrayCtorExpr{Pos: lst.Pos, Elem: spec, Len: len(elems), Elems: elems},
 		declared, nil
 }
 
@@ -521,7 +522,7 @@ func (tr *translator) assignStmt(s *AssignStmt) ([]glsl.Stmt, error) {
 	if s.Op == "=" && !rt.Equal(lt) {
 		return nil, errf(s.Pos, "cannot assign %s to %s", rt, lt)
 	}
-	return []glsl.Stmt{&glsl.AssignStmt{Pos: pos(s.Pos), LHS: lhs, Op: s.Op, RHS: rhs}}, nil
+	return []glsl.Stmt{&glsl.AssignStmt{Pos: s.Pos, LHS: lhs, Op: s.Op, RHS: rhs}}, nil
 }
 
 func (tr *translator) ifStmt(s *IfStmt, entryOut *string) ([]glsl.Stmt, error) {
@@ -536,7 +537,7 @@ func (tr *translator) ifStmt(s *IfStmt, entryOut *string) ([]glsl.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &glsl.IfStmt{Pos: pos(s.Pos), Cond: cond, Then: then}
+	out := &glsl.IfStmt{Pos: s.Pos, Cond: cond, Then: then}
 	switch els := s.Else.(type) {
 	case nil:
 	case *BlockStmt:
@@ -564,7 +565,7 @@ func (tr *translator) ifStmt(s *IfStmt, entryOut *string) ([]glsl.Stmt, error) {
 func (tr *translator) forStmt(s *ForStmt, entryOut *string) ([]glsl.Stmt, error) {
 	tr.pushScope()
 	defer tr.popScope()
-	out := &glsl.ForStmt{Pos: pos(s.Pos)}
+	out := &glsl.ForStmt{Pos: s.Pos}
 	if s.Init != nil {
 		init, err := tr.stmt(s.Init, entryOut)
 		if err != nil {
@@ -602,5 +603,3 @@ func (tr *translator) forStmt(s *ForStmt, entryOut *string) ([]glsl.Stmt, error)
 	out.Body = body
 	return []glsl.Stmt{out}, nil
 }
-
-func pos(p Pos) glsl.Pos { return glsl.Pos{Line: p.Line, Col: p.Col} }

@@ -1,16 +1,15 @@
 package hlsl
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
+
+	"shaderopt/internal/lex"
 )
 
 // Parser is a recursive-descent parser for the HLSL subset.
 type Parser struct {
-	toks []Token
-	pos  int
-	errs []error
+	lex.Cursor
 }
 
 // Parse parses a complete HLSL module.
@@ -19,19 +18,19 @@ func Parse(src string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex.Cursor{Toks: toks}}
 	m := &Module{}
-	for p.cur().Kind != EOF {
+	for p.Cur().Kind != lex.EOF {
 		d := p.parseDecl()
 		if d != nil {
 			m.Decls = append(m.Decls, d)
 		}
-		if len(p.errs) > 8 {
+		if len(p.Errs) > 8 {
 			break
 		}
 	}
-	if len(p.errs) > 0 {
-		return nil, p.errs[0]
+	if len(p.Errs) > 0 {
+		return nil, p.Errs[0]
 	}
 	return m, nil
 }
@@ -45,97 +44,38 @@ func MustParse(src string) *Module {
 	return m
 }
 
-func (p *Parser) cur() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: EOF}
-	}
-	return p.toks[p.pos]
-}
-
-func (p *Parser) peekTok(off int) Token {
-	if p.pos+off >= len(p.toks) {
-		return Token{Kind: EOF}
-	}
-	return p.toks[p.pos+off]
-}
-
-func (p *Parser) next() Token {
-	t := p.cur()
-	if p.pos < len(p.toks) {
-		p.pos++
-	}
-	return t
-}
-
-func (p *Parser) errorf(pos Pos, format string, args ...any) {
-	p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
-}
-
-// accept consumes the next token if it is punctuation or keyword text.
-func (p *Parser) accept(text string) bool {
-	t := p.cur()
-	if (t.Kind == Punct || t.Kind == Keyword) && t.Text == text {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *Parser) expect(text string) Token {
-	t := p.cur()
-	if (t.Kind == Punct || t.Kind == Keyword) && t.Text == text {
-		return p.next()
-	}
-	p.errorf(t.Pos, "expected %q, found %s", text, t)
-	return t
-}
-
-// sync skips tokens until after the next semicolon or closing brace.
-func (p *Parser) sync() {
-	for {
-		t := p.cur()
-		if t.Kind == EOF {
-			return
-		}
-		p.next()
-		if t.Kind == Punct && (t.Text == ";" || t.Text == "}") {
-			return
-		}
-	}
-}
-
 // --- Declarations ---
 
 func (p *Parser) parseDecl() Decl {
-	t := p.cur()
-	if t.Kind == Punct && t.Text == ";" {
-		p.next()
+	t := p.Cur()
+	if t.Kind == lex.Punct && t.Text == ";" {
+		p.Next()
 		return nil
 	}
-	if t.Kind == Keyword {
+	if t.Kind == lex.Keyword {
 		switch t.Text {
 		case "cbuffer", "tbuffer":
 			return p.parseCBuffer()
 		case "static", "const", "uniform":
 			return p.parseGlobalVar()
 		case "struct", "typedef":
-			p.errorf(t.Pos, "%s declarations are outside the supported subset", t.Text)
-			p.sync()
+			p.Errorf(t.Pos, "%s declarations are outside the supported subset", t.Text)
+			p.Sync()
 			return nil
 		}
-		p.errorf(t.Pos, "unexpected keyword %q at module scope", t.Text)
-		p.sync()
+		p.Errorf(t.Pos, "unexpected keyword %q at module scope", t.Text)
+		p.Sync()
 		return nil
 	}
-	if t.Kind == Ident && IsTypeName(t.Text) {
+	if t.Kind == lex.Ident && IsTypeName(t.Text) {
 		// `Type Name (` starts a function; anything else is a global.
-		if p.peekTok(1).Kind == Ident && p.peekTok(2).Kind == Punct && p.peekTok(2).Text == "(" {
+		if p.PeekTok(1).Kind == lex.Ident && p.PeekTok(2).Kind == lex.Punct && p.PeekTok(2).Text == "(" {
 			return p.parseFn()
 		}
 		return p.parseGlobalVar()
 	}
-	p.errorf(t.Pos, "expected declaration, found %s", t)
-	p.sync()
+	p.Errorf(t.Pos, "expected declaration, found %s", t)
+	p.Sync()
 	return nil
 }
 
@@ -144,25 +84,25 @@ func (p *Parser) parseDecl() Decl {
 // semantic, register(...) bindings as register; packoffset(...) is
 // accepted and dropped.
 func (p *Parser) parseAnnots() (semantic, register string) {
-	for p.cur().Kind == Punct && p.cur().Text == ":" {
-		p.next()
-		nm := p.cur()
-		if nm.Kind != Ident && nm.Kind != Keyword {
-			p.errorf(nm.Pos, "expected annotation after ':', found %s", nm)
+	for p.Cur().Kind == lex.Punct && p.Cur().Text == ":" {
+		p.Next()
+		nm := p.Cur()
+		if nm.Kind != lex.Ident && nm.Kind != lex.Keyword {
+			p.Errorf(nm.Pos, "expected annotation after ':', found %s", nm)
 			return
 		}
-		p.next()
+		p.Next()
 		switch nm.Text {
 		case "register", "packoffset":
-			p.expect("(")
+			p.Expect("(")
 			var args []string
-			for !p.accept(")") {
-				if p.cur().Kind == EOF {
-					p.errorf(p.cur().Pos, "unterminated %s annotation", nm.Text)
+			for !p.Accept(")") {
+				if p.Cur().Kind == lex.EOF {
+					p.Errorf(p.Cur().Pos, "unterminated %s annotation", nm.Text)
 					return
 				}
-				tok := p.next()
-				if tok.Kind == Punct && tok.Text == "," {
+				tok := p.Next()
+				if tok.Kind == lex.Punct && tok.Text == "," {
 					continue
 				}
 				args = append(args, tok.Text)
@@ -179,54 +119,54 @@ func (p *Parser) parseAnnots() (semantic, register string) {
 
 // parseCBuffer parses `cbuffer Name [: register(bN)] { members };`.
 func (p *Parser) parseCBuffer() Decl {
-	t := p.next() // cbuffer / tbuffer
-	name := p.cur()
-	if name.Kind != Ident {
-		p.errorf(name.Pos, "expected cbuffer name, found %s", name)
-		p.sync()
+	t := p.Next() // cbuffer / tbuffer
+	name := p.Cur()
+	if name.Kind != lex.Ident {
+		p.Errorf(name.Pos, "expected cbuffer name, found %s", name)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	_, register := p.parseAnnots()
 	d := &CBufferDecl{Pos: t.Pos, Name: name.Text, Register: register}
-	p.expect("{")
-	for !p.accept("}") {
-		if p.cur().Kind == EOF {
-			p.errorf(p.cur().Pos, "unterminated cbuffer %q", d.Name)
+	p.Expect("{")
+	for !p.Accept("}") {
+		if p.Cur().Kind == lex.EOF {
+			p.Errorf(p.Cur().Pos, "unterminated cbuffer %q", d.Name)
 			return d
 		}
-		if p.accept(";") {
+		if p.Accept(";") {
 			continue
 		}
 		ty := p.parseType()
 		if ty == nil {
-			p.sync()
+			p.Sync()
 			continue
 		}
-		mn := p.cur()
-		if mn.Kind != Ident {
-			p.errorf(mn.Pos, "expected member name, found %s", mn)
-			p.sync()
+		mn := p.Cur()
+		if mn.Kind != lex.Ident {
+			p.Errorf(mn.Pos, "expected member name, found %s", mn)
+			p.Sync()
 			continue
 		}
-		p.next()
+		p.Next()
 		arrayLen := p.parseArraySuffix()
 		p.parseAnnots() // packoffset is a layout detail; drop it
-		p.expect(";")
+		p.Expect(";")
 		d.Members = append(d.Members, CBufferMember{Pos: mn.Pos, Type: ty, Name: mn.Text, ArrayLen: arrayLen})
 	}
-	p.accept(";") // trailing semicolon is conventional but optional
+	p.Accept(";") // trailing semicolon is conventional but optional
 	return d
 }
 
 // parseGlobalVar parses `[static] [const] [uniform] type name [N]
 // [: register(...)] [= init];` at module scope.
 func (p *Parser) parseGlobalVar() Decl {
-	start := p.cur().Pos
+	start := p.Cur().Pos
 	var isStatic, isConst bool
 	for {
-		t := p.cur()
-		if t.Kind != Keyword {
+		t := p.Cur()
+		if t.Kind != lex.Keyword {
 			break
 		}
 		switch t.Text {
@@ -237,31 +177,31 @@ func (p *Parser) parseGlobalVar() Decl {
 		case "uniform":
 			// explicit uniform is the default storage for globals
 		default:
-			p.errorf(t.Pos, "unexpected %q in global declaration", t.Text)
-			p.sync()
+			p.Errorf(t.Pos, "unexpected %q in global declaration", t.Text)
+			p.Sync()
 			return nil
 		}
-		p.next()
+		p.Next()
 	}
 	ty := p.parseType()
 	if ty == nil {
-		p.sync()
+		p.Sync()
 		return nil
 	}
-	name := p.cur()
-	if name.Kind != Ident {
-		p.errorf(name.Pos, "expected variable name, found %s", name)
-		p.sync()
+	name := p.Cur()
+	if name.Kind != lex.Ident {
+		p.Errorf(name.Pos, "expected variable name, found %s", name)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	arrayLen := p.parseArraySuffix()
 	_, register := p.parseAnnots()
 	var init Expr
-	if p.accept("=") {
+	if p.Accept("=") {
 		init = p.parseInitializer()
 	}
-	p.expect(";")
+	p.Expect(";")
 	return &GlobalVar{
 		Pos: start, Static: isStatic, Const: isConst,
 		Type: ty, Name: name.Text, ArrayLen: arrayLen,
@@ -271,21 +211,21 @@ func (p *Parser) parseGlobalVar() Decl {
 
 func (p *Parser) parseFn() Decl {
 	ret := p.parseType()
-	name := p.next() // checked Ident by the caller
+	name := p.Next() // checked Ident by the caller
 	fn := &FnDecl{Pos: name.Pos, Ret: ret, Name: name.Text}
-	p.expect("(")
-	if !p.accept(")") {
+	p.Expect("(")
+	if !p.Accept(")") {
 		for {
 			prm, ok := p.parseParam()
 			if !ok {
-				p.sync()
+				p.Sync()
 				return nil
 			}
 			fn.Params = append(fn.Params, prm)
-			if p.accept(")") {
+			if p.Accept(")") {
 				break
 			}
-			p.expect(",")
+			p.Expect(",")
 		}
 	}
 	fn.RetSemantic, _ = p.parseAnnots()
@@ -295,20 +235,20 @@ func (p *Parser) parseFn() Decl {
 
 func (p *Parser) parseParam() (Param, bool) {
 	var prm Param
-	if t := p.cur(); t.Kind == Keyword && (t.Text == "in" || t.Text == "out" || t.Text == "inout") {
+	if t := p.Cur(); t.Kind == lex.Keyword && (t.Text == "in" || t.Text == "out" || t.Text == "inout") {
 		prm.Qual = t.Text
-		p.next()
+		p.Next()
 	}
 	prm.Type = p.parseType()
 	if prm.Type == nil {
 		return prm, false
 	}
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected parameter name, found %s", nm)
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected parameter name, found %s", nm)
 		return prm, false
 	}
-	p.next()
+	p.Next()
 	prm.Name = nm.Text
 	prm.ArrayLen = p.parseArraySuffix()
 	prm.Semantic, _ = p.parseAnnots()
@@ -318,23 +258,23 @@ func (p *Parser) parseParam() (Param, bool) {
 // parseType parses an intrinsic type reference, with an optional template
 // argument for resource types (Texture2D<float4>).
 func (p *Parser) parseType() *TypeExpr {
-	t := p.cur()
-	if t.Kind != Ident || !IsTypeName(t.Text) {
-		p.errorf(t.Pos, "expected type, found %s", t)
+	t := p.Cur()
+	if t.Kind != lex.Ident || !IsTypeName(t.Text) {
+		p.Errorf(t.Pos, "expected type, found %s", t)
 		return nil
 	}
-	p.next()
+	p.Next()
 	te := &TypeExpr{Pos: t.Pos, Name: t.Text}
-	if p.cur().Kind == Punct && p.cur().Text == "<" && strings.HasPrefix(t.Text, "Texture") {
-		p.next()
-		el := p.cur()
-		if el.Kind != Ident || !IsTypeName(el.Text) {
-			p.errorf(el.Pos, "expected texel type, found %s", el)
+	if p.Cur().Kind == lex.Punct && p.Cur().Text == "<" && strings.HasPrefix(t.Text, "Texture") {
+		p.Next()
+		el := p.Cur()
+		if el.Kind != lex.Ident || !IsTypeName(el.Text) {
+			p.Errorf(el.Pos, "expected texel type, found %s", el)
 		} else {
 			te.Elem = el.Text
-			p.next()
+			p.Next()
 		}
-		p.expect(">")
+		p.Expect(">")
 	}
 	return te
 }
@@ -342,43 +282,43 @@ func (p *Parser) parseType() *TypeExpr {
 // parseArraySuffix parses an optional C-style `[N]` or `[]` declarator
 // suffix; -1 means no array.
 func (p *Parser) parseArraySuffix() int {
-	if !(p.cur().Kind == Punct && p.cur().Text == "[") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == "[") {
 		return -1
 	}
-	p.next()
-	if p.accept("]") {
+	p.Next()
+	if p.Accept("]") {
 		return 0
 	}
-	n := p.cur()
-	if n.Kind != IntLit {
-		p.errorf(n.Pos, "expected array length, found %s", n)
-		p.expect("]")
+	n := p.Cur()
+	if n.Kind != lex.IntLit {
+		p.Errorf(n.Pos, "expected array length, found %s", n)
+		p.Expect("]")
 		return -1
 	}
-	p.next()
+	p.Next()
 	v, err := strconv.Atoi(strings.TrimRight(n.Text, "uUlL"))
 	if err != nil || v < 1 {
-		p.errorf(n.Pos, "bad array length %q", n.Text)
+		p.Errorf(n.Pos, "bad array length %q", n.Text)
 		v = 1
 	}
-	p.expect("]")
+	p.Expect("]")
 	return v
 }
 
 // parseInitializer parses either a brace initializer list or an
 // expression.
 func (p *Parser) parseInitializer() Expr {
-	if p.cur().Kind == Punct && p.cur().Text == "{" {
-		t := p.next()
+	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
+		t := p.Next()
 		list := &InitListExpr{Pos: t.Pos}
-		for !p.accept("}") {
-			if p.cur().Kind == EOF {
-				p.errorf(p.cur().Pos, "unterminated initializer list")
+		for !p.Accept("}") {
+			if p.Cur().Kind == lex.EOF {
+				p.Errorf(p.Cur().Pos, "unterminated initializer list")
 				return list
 			}
 			list.Elems = append(list.Elems, p.parseExpr())
-			if !p.accept(",") && !(p.cur().Kind == Punct && p.cur().Text == "}") {
-				p.errorf(p.cur().Pos, "expected ',' or '}' in initializer, found %s", p.cur())
+			if !p.Accept(",") && !(p.Cur().Kind == lex.Punct && p.Cur().Text == "}") {
+				p.Errorf(p.Cur().Pos, "expected ',' or '}' in initializer, found %s", p.Cur())
 				return list
 			}
 		}
@@ -390,23 +330,23 @@ func (p *Parser) parseInitializer() Expr {
 // --- Statements ---
 
 func (p *Parser) parseBlock() *BlockStmt {
-	open := p.expect("{")
+	open := p.Expect("{")
 	blk := &BlockStmt{Pos: open.Pos}
 	for {
-		t := p.cur()
-		if t.Kind == EOF {
-			p.errorf(t.Pos, "unterminated block")
+		t := p.Cur()
+		if t.Kind == lex.EOF {
+			p.Errorf(t.Pos, "unterminated block")
 			return blk
 		}
-		if t.Kind == Punct && t.Text == "}" {
-			p.next()
+		if t.Kind == lex.Punct && t.Text == "}" {
+			p.Next()
 			return blk
 		}
 		s := p.parseStmt()
 		if s != nil {
 			blk.Stmts = append(blk.Stmts, s)
 		}
-		if len(p.errs) > 8 {
+		if len(p.Errs) > 8 {
 			return blk
 		}
 	}
@@ -416,36 +356,36 @@ func (p *Parser) parseBlock() *BlockStmt {
 // [branch], and [flatten]; they are compiler hints with no semantic
 // content in the subset.
 func (p *Parser) skipStmtAttrs() {
-	for p.cur().Kind == Punct && p.cur().Text == "[" && p.peekTok(1).Kind == Ident {
-		switch p.peekTok(1).Text {
+	for p.Cur().Kind == lex.Punct && p.Cur().Text == "[" && p.PeekTok(1).Kind == lex.Ident {
+		switch p.PeekTok(1).Text {
 		case "unroll", "loop", "branch", "flatten", "fastopt", "allow_uav_condition":
 		default:
 			return
 		}
-		p.next() // [
-		p.next() // attr name
-		if p.accept("(") {
-			for !p.accept(")") {
-				if p.cur().Kind == EOF {
+		p.Next() // [
+		p.Next() // attr name
+		if p.Accept("(") {
+			for !p.Accept(")") {
+				if p.Cur().Kind == lex.EOF {
 					return
 				}
-				p.next()
+				p.Next()
 			}
 		}
-		p.expect("]")
+		p.Expect("]")
 	}
 }
 
 func (p *Parser) parseStmt() Stmt {
 	p.skipStmtAttrs()
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case t.Kind == Punct && t.Text == "{":
+	case t.Kind == lex.Punct && t.Text == "{":
 		return p.parseBlock()
-	case t.Kind == Punct && t.Text == ";":
-		p.next()
+	case t.Kind == lex.Punct && t.Text == ";":
+		p.Next()
 		return nil
-	case t.Kind == Keyword:
+	case t.Kind == lex.Keyword:
 		switch t.Text {
 		case "const", "static":
 			return p.parseLocalDeclSemi()
@@ -456,31 +396,31 @@ func (p *Parser) parseStmt() Stmt {
 		case "while":
 			return p.parseWhile()
 		case "return":
-			p.next()
+			p.Next()
 			var res Expr
-			if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+			if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 				res = p.parseExpr()
 			}
-			p.expect(";")
+			p.Expect(";")
 			return &ReturnStmt{Pos: t.Pos, Result: res}
 		case "discard":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &DiscardStmt{Pos: t.Pos}
 		case "break":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &BreakStmt{Pos: t.Pos}
 		case "continue":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &ContinueStmt{Pos: t.Pos}
 		default:
-			p.errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
-			p.sync()
+			p.Errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
+			p.Sync()
 			return nil
 		}
-	case t.Kind == Ident && IsTypeName(t.Text) && p.peekTok(1).Kind == Ident:
+	case t.Kind == lex.Ident && IsTypeName(t.Text) && p.PeekTok(1).Kind == lex.Ident:
 		return p.parseLocalDeclSemi()
 	default:
 		return p.parseSimpleStmtSemi()
@@ -490,34 +430,34 @@ func (p *Parser) parseStmt() Stmt {
 // parseLocalDecl parses a C-style local declaration
 // `[static] [const] type name [N] [= init]` without the semicolon.
 func (p *Parser) parseLocalDecl() Stmt {
-	start := p.cur().Pos
+	start := p.Cur().Pos
 	isConst := false
 	for {
-		t := p.cur()
-		if t.Kind == Keyword && (t.Text == "const" || t.Text == "static") {
+		t := p.Cur()
+		if t.Kind == lex.Keyword && (t.Text == "const" || t.Text == "static") {
 			if t.Text == "const" {
 				isConst = true
 			}
-			p.next()
+			p.Next()
 			continue
 		}
 		break
 	}
 	ty := p.parseType()
 	if ty == nil {
-		p.sync()
+		p.Sync()
 		return nil
 	}
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected name in declaration, found %s", nm)
-		p.sync()
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected name in declaration, found %s", nm)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	arrayLen := p.parseArraySuffix()
 	var init Expr
-	if p.accept("=") {
+	if p.Accept("=") {
 		init = p.parseInitializer()
 	}
 	return &DeclStmt{Pos: start, Const: isConst, Type: ty, Name: nm.Text, ArrayLen: arrayLen, Init: init}
@@ -526,7 +466,7 @@ func (p *Parser) parseLocalDecl() Stmt {
 func (p *Parser) parseLocalDeclSemi() Stmt {
 	s := p.parseLocalDecl()
 	if s != nil {
-		p.expect(";")
+		p.Expect(";")
 	}
 	return s
 }
@@ -534,12 +474,12 @@ func (p *Parser) parseLocalDeclSemi() Stmt {
 // parseSimpleStmt parses an assignment, inc/dec, or expression statement,
 // without consuming a trailing semicolon (for `for` headers).
 func (p *Parser) parseSimpleStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	// Prefix inc/dec: `++i` is as idiomatic as `i++` in for-loop posts;
 	// both desugar to compound assignment (value-position prefix forms
 	// are outside the subset, like all side-effecting expressions).
-	if t.Kind == Punct && (t.Text == "++" || t.Text == "--") {
-		p.next()
+	if t.Kind == lex.Punct && (t.Text == "++" || t.Text == "--") {
+		p.Next()
 		lhs := p.parsePostfix()
 		op := "+="
 		if t.Text == "--" {
@@ -548,18 +488,18 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: op, RHS: &IntLitExpr{Pos: t.Pos, Value: 1}}
 	}
 	lhs := p.parseExpr()
-	cur := p.cur()
-	if cur.Kind == Punct {
+	cur := p.Cur()
+	if cur.Kind == lex.Punct {
 		switch cur.Text {
 		case "=", "+=", "-=", "*=", "/=":
-			p.next()
+			p.Next()
 			rhs := p.parseExpr()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
 		case "++":
-			p.next()
+			p.Next()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
 		case "--":
-			p.next()
+			p.Next()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
 		}
 	}
@@ -568,20 +508,20 @@ func (p *Parser) parseSimpleStmt() Stmt {
 
 func (p *Parser) parseSimpleStmtSemi() Stmt {
 	s := p.parseSimpleStmt()
-	p.expect(";")
+	p.Expect(";")
 	return s
 }
 
 func (p *Parser) parseIf() Stmt {
-	t := p.expect("if")
-	p.expect("(")
+	t := p.Expect("if")
+	p.Expect("(")
 	cond := p.parseExpr()
-	p.expect(")")
+	p.Expect(")")
 	then := p.parseStmtAsBlock()
 	var els Stmt
-	if p.accept("else") {
+	if p.Accept("else") {
 		p.skipStmtAttrs()
-		if p.cur().Kind == Keyword && p.cur().Text == "if" {
+		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
 			els = p.parseIf()
 		} else {
 			els = p.parseStmtAsBlock()
@@ -593,11 +533,11 @@ func (p *Parser) parseIf() Stmt {
 // parseStmtAsBlock parses a braced block, or wraps a single unbraced
 // statement (C permits `if (c) discard;`) in a block.
 func (p *Parser) parseStmtAsBlock() *BlockStmt {
-	if p.cur().Kind == Punct && p.cur().Text == "{" {
+	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
 		return p.parseBlock()
 	}
 	s := p.parseStmt()
-	blk := &BlockStmt{Pos: p.cur().Pos}
+	blk := &BlockStmt{Pos: p.Cur().Pos}
 	if s != nil {
 		blk.Stmts = append(blk.Stmts, s)
 	}
@@ -605,37 +545,37 @@ func (p *Parser) parseStmtAsBlock() *BlockStmt {
 }
 
 func (p *Parser) parseFor() Stmt {
-	t := p.expect("for")
-	p.expect("(")
+	t := p.Expect("for")
+	p.Expect("(")
 	var init Stmt
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
-		if c := p.cur(); (c.Kind == Ident && IsTypeName(c.Text) && p.peekTok(1).Kind == Ident) ||
-			(c.Kind == Keyword && (c.Text == "const" || c.Text == "static")) {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
+		if c := p.Cur(); (c.Kind == lex.Ident && IsTypeName(c.Text) && p.PeekTok(1).Kind == lex.Ident) ||
+			(c.Kind == lex.Keyword && (c.Text == "const" || c.Text == "static")) {
 			init = p.parseLocalDecl()
 		} else {
 			init = p.parseSimpleStmt()
 		}
 	}
-	p.expect(";")
+	p.Expect(";")
 	var cond Expr
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		cond = p.parseExpr()
 	}
-	p.expect(";")
+	p.Expect(";")
 	var post Stmt
-	if !(p.cur().Kind == Punct && p.cur().Text == ")") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ")") {
 		post = p.parseSimpleStmt()
 	}
-	p.expect(")")
+	p.Expect(")")
 	body := p.parseStmtAsBlock()
 	return &ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
 }
 
 func (p *Parser) parseWhile() Stmt {
-	t := p.expect("while")
-	p.expect("(")
+	t := p.Expect("while")
+	p.Expect("(")
 	cond := p.parseExpr()
-	p.expect(")")
+	p.Expect(")")
 	body := p.parseStmtAsBlock()
 	return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
 }
@@ -656,11 +596,11 @@ func (p *Parser) parseExpr() Expr { return p.parseTernary() }
 
 func (p *Parser) parseTernary() Expr {
 	cond := p.parseBinary(1)
-	t := p.cur()
-	if t.Kind == Punct && t.Text == "?" {
-		p.next()
+	t := p.Cur()
+	if t.Kind == lex.Punct && t.Text == "?" {
+		p.Next()
 		thn := p.parseTernary()
-		p.expect(":")
+		p.Expect(":")
 		els := p.parseTernary()
 		return &CondExpr{Pos: t.Pos, Cond: cond, Then: thn, Else: els}
 	}
@@ -670,29 +610,29 @@ func (p *Parser) parseTernary() Expr {
 func (p *Parser) parseBinary(minPrec int) Expr {
 	lhs := p.parseUnary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
+		t := p.Cur()
+		if t.Kind != lex.Punct {
 			return lhs
 		}
 		prec, ok := binPrec[t.Text]
 		if !ok || prec < minPrec {
 			return lhs
 		}
-		p.next()
+		p.Next()
 		rhs := p.parseBinary(prec + 1)
 		lhs = &BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
-	t := p.cur()
-	if t.Kind == Punct {
+	t := p.Cur()
+	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
-			p.next()
+			p.Next()
 			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
 		case "+":
-			p.next()
+			p.Next()
 			return p.parseUnary()
 		}
 	}
@@ -702,25 +642,25 @@ func (p *Parser) parseUnary() Expr {
 func (p *Parser) parsePostfix() Expr {
 	x := p.parsePrimary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
+		t := p.Cur()
+		if t.Kind != lex.Punct {
 			return x
 		}
 		switch t.Text {
 		case "[":
-			p.next()
+			p.Next()
 			idx := p.parseExpr()
-			p.expect("]")
+			p.Expect("]")
 			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
-			p.next()
-			nm := p.cur()
-			if nm.Kind != Ident {
-				p.errorf(nm.Pos, "expected member name after '.', found %s", nm)
+			p.Next()
+			nm := p.Cur()
+			if nm.Kind != lex.Ident {
+				p.Errorf(nm.Pos, "expected member name after '.', found %s", nm)
 				return x
 			}
-			p.next()
-			if p.cur().Kind == Punct && p.cur().Text == "(" {
+			p.Next()
+			if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 				// Resource method: tex.Sample(samp, uv).
 				call := p.parseCallArgs(t.Pos, nm.Text)
 				x = &MethodCallExpr{Pos: t.Pos, Recv: x, Method: nm.Text, Args: call.Args}
@@ -734,70 +674,70 @@ func (p *Parser) parsePostfix() Expr {
 }
 
 func (p *Parser) parsePrimary() Expr {
-	t := p.cur()
+	t := p.Cur()
 	switch t.Kind {
-	case IntLit:
-		p.next()
+	case lex.IntLit:
+		p.Next()
 		text := strings.TrimRight(t.Text, "uUlL")
 		var v int64
 		if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
 			u, err := strconv.ParseUint(text[2:], 16, 64)
 			if err != nil {
-				p.errorf(t.Pos, "bad hex literal %q", t.Text)
+				p.Errorf(t.Pos, "bad hex literal %q", t.Text)
 			}
 			v = int64(u)
 		} else {
 			var err error
 			v, err = strconv.ParseInt(text, 10, 64)
 			if err != nil {
-				p.errorf(t.Pos, "bad int literal %q", t.Text)
+				p.Errorf(t.Pos, "bad int literal %q", t.Text)
 			}
 		}
 		return &IntLitExpr{Pos: t.Pos, Value: v}
-	case FloatLit:
-		p.next()
+	case lex.FloatLit:
+		p.Next()
 		text := strings.TrimRight(t.Text, "fFhH")
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			p.errorf(t.Pos, "bad float literal %q", t.Text)
+			p.Errorf(t.Pos, "bad float literal %q", t.Text)
 		}
 		return &FloatLitExpr{Pos: t.Pos, Value: v}
-	case BoolLit:
-		p.next()
+	case lex.BoolLit:
+		p.Next()
 		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
-	case Ident:
-		p.next()
-		if p.cur().Kind == Punct && p.cur().Text == "(" {
+	case lex.Ident:
+		p.Next()
+		if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 			return p.parseCallArgs(t.Pos, t.Text)
 		}
 		return &IdentExpr{Pos: t.Pos, Name: t.Text}
-	case Punct:
+	case lex.Punct:
 		if t.Text == "(" {
-			p.next()
+			p.Next()
 			e := p.parseExpr()
-			p.expect(")")
+			p.Expect(")")
 			return e
 		}
 	}
-	p.errorf(t.Pos, "unexpected token %s in expression", t)
-	p.next()
+	p.Errorf(t.Pos, "unexpected token %s in expression", t)
+	p.Next()
 	return &IntLitExpr{Pos: t.Pos, Value: 0}
 }
 
-func (p *Parser) parseCallArgs(pos Pos, callee string) *CallExpr {
-	p.expect("(")
+func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *CallExpr {
+	p.Expect("(")
 	call := &CallExpr{Pos: pos, Callee: callee}
-	if p.accept(")") {
+	if p.Accept(")") {
 		return call
 	}
 	for {
 		call.Args = append(call.Args, p.parseExpr())
-		if p.accept(")") {
+		if p.Accept(")") {
 			return call
 		}
-		p.expect(",")
-		if p.cur().Kind == EOF {
-			p.errorf(p.cur().Pos, "unterminated call to %q", callee)
+		p.Expect(",")
+		if p.Cur().Kind == lex.EOF {
+			p.Errorf(p.Cur().Pos, "unterminated call to %q", callee)
 			return call
 		}
 	}

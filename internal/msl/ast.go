@@ -3,6 +3,8 @@ package msl
 import (
 	"fmt"
 	"strings"
+
+	"shaderopt/internal/lex"
 )
 
 // Module is a parsed MSL translation unit.
@@ -27,7 +29,7 @@ type Attr struct {
 // TypeExpr is a syntactic type reference. Template arguments cover the
 // texture types (texture2d<float>) and array<T, N>.
 type TypeExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Elem *TypeExpr // template element type, nil if none
 	Len  int       // array<T, N> length; -1 if none
@@ -56,14 +58,14 @@ type StructField struct {
 // StructDecl is a struct type declaration (stage_in, uniform buffer, and
 // output structs in the emitted dialect).
 type StructDecl struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Name   string
 	Fields []StructField
 }
 
 // GlobalVar is a module-scope constant (`constant float kPi = 3.14;`).
 type GlobalVar struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Type *TypeExpr
 	Name string
 	Init Expr
@@ -80,7 +82,7 @@ type Param struct {
 
 // FnDecl is a function definition. Fragment is set for the entry point.
 type FnDecl struct {
-	Pos      Pos
+	Pos      lex.Pos
 	Fragment bool
 	Ret      *TypeExpr
 	Name     string
@@ -138,13 +140,13 @@ func (*ExprStmt) stmtNode()     {}
 
 // BlockStmt is a braced statement list.
 type BlockStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Stmts []Stmt
 }
 
 // DeclStmt declares a local variable.
 type DeclStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Const bool
 	Type  *TypeExpr
 	Name  string
@@ -153,7 +155,7 @@ type DeclStmt struct {
 
 // AssignStmt assigns to an lvalue with = or a compound operator.
 type AssignStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	LHS Expr
 	Op  string
 	RHS Expr
@@ -161,7 +163,7 @@ type AssignStmt struct {
 
 // IfStmt is a conditional.
 type IfStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Then *BlockStmt
 	Else Stmt // *BlockStmt, *IfStmt, or nil
@@ -169,7 +171,7 @@ type IfStmt struct {
 
 // ForStmt is a C-style for loop.
 type ForStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Init Stmt // *DeclStmt or *AssignStmt, may be nil
 	Cond Expr
 	Post Stmt // *AssignStmt, may be nil
@@ -178,26 +180,26 @@ type ForStmt struct {
 
 // WhileStmt is a while loop.
 type WhileStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Body *BlockStmt
 }
 
 // ReturnStmt returns from a function.
 type ReturnStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value Expr // may be nil
 }
 
 // BreakStmt breaks a loop.
-type BreakStmt struct{ Pos Pos }
+type BreakStmt struct{ Pos lex.Pos }
 
 // ContinueStmt continues a loop.
-type ContinueStmt struct{ Pos Pos }
+type ContinueStmt struct{ Pos lex.Pos }
 
 // ExprStmt evaluates an expression for effect (discard_fragment()).
 type ExprStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	X   Expr
 }
 
@@ -221,58 +223,58 @@ func (*ArrayLitExpr) exprNode()   {}
 
 // IdentExpr references a name.
 type IdentExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 }
 
 // IntLitExpr is an integer literal.
 type IntLitExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Text string
 }
 
 // FloatLitExpr is a float literal.
 type FloatLitExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Text string
 }
 
 // BoolLitExpr is true/false.
 type BoolLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value bool
 }
 
 // BinaryExpr applies an infix operator.
 type BinaryExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Op   string
 	X, Y Expr
 }
 
 // UnaryExpr applies a prefix operator ("-" or "!").
 type UnaryExpr struct {
-	Pos Pos
+	Pos lex.Pos
 	Op  string
 	X   Expr
 }
 
 // CondExpr is the ?: ternary.
 type CondExpr struct {
-	Pos        Pos
+	Pos        lex.Pos
 	Cond, X, Y Expr
 }
 
 // CallExpr calls a named function or type constructor.
 type CallExpr struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Callee string
 	Args   []Expr
 }
 
 // MethodCallExpr calls a method on a receiver (tex.sample(...)).
 type MethodCallExpr struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Recv   Expr
 	Method string
 	Args   []Expr
@@ -280,21 +282,21 @@ type MethodCallExpr struct {
 
 // IndexExpr subscripts an aggregate.
 type IndexExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	X     Expr
 	Index Expr
 }
 
 // MemberExpr accesses a member or swizzle.
 type MemberExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	X    Expr
 	Name string
 }
 
 // ArrayLitExpr is the array<T, N>{...} braced constructor.
 type ArrayLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Elem  *TypeExpr
 	Len   int
 	Elems []Expr

@@ -3,7 +3,9 @@
 // shape: a [[stage_in]] struct, a constant uniform buffer struct, paired
 // texture/sampler arguments, and a wrapped entry point named main0), and
 // Compile parses that dialect back into the shared IR through the checked
-// GLSL AST like the WGSL and HLSL frontends.
+// GLSL AST like the WGSL and HLSL frontends. Its lexer is a thin layer
+// over the shared internal/lex scanner that skips # lines and keeps a
+// trailing EOF token.
 //
 // The emitter mirrors internal/glslgen's walk — one temporary per
 // instruction, splatted constants, element-insert chains — so the §III-C

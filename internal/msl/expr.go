@@ -45,15 +45,15 @@ func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 		if err != nil {
 			return nil, sem.Void, errf(e.Pos, "bad int literal %q", e.Text)
 		}
-		return &glsl.IntLitExpr{Pos: pos(e.Pos), Value: v}, sem.Int, nil
+		return &glsl.IntLitExpr{Pos: e.Pos, Value: v}, sem.Int, nil
 	case *FloatLitExpr:
 		v, err := strconv.ParseFloat(e.Text, 64)
 		if err != nil {
 			return nil, sem.Void, errf(e.Pos, "bad float literal %q", e.Text)
 		}
-		return &glsl.FloatLitExpr{Pos: pos(e.Pos), Value: v}, sem.Float, nil
+		return &glsl.FloatLitExpr{Pos: e.Pos, Value: v}, sem.Float, nil
 	case *BoolLitExpr:
-		return &glsl.BoolLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Bool, nil
+		return &glsl.BoolLitExpr{Pos: e.Pos, Value: e.Value}, sem.Bool, nil
 	case *IdentExpr:
 		return tr.identExpr(e)
 	case *UnaryExpr:
@@ -61,7 +61,7 @@ func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 		if err != nil {
 			return nil, sem.Void, err
 		}
-		return &glsl.UnaryExpr{Pos: pos(e.Pos), Op: e.Op, X: x}, xt, nil
+		return &glsl.UnaryExpr{Pos: e.Pos, Op: e.Op, X: x}, xt, nil
 	case *BinaryExpr:
 		return tr.binaryExpr(e)
 	case *CondExpr:
@@ -121,7 +121,7 @@ func (tr *translator) binaryExpr(e *BinaryExpr) (glsl.Expr, sem.Type, error) {
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
-	return &glsl.BinaryExpr{Pos: pos(e.Pos), Op: e.Op, X: x, Y: y}, rt, nil
+	return &glsl.BinaryExpr{Pos: e.Pos, Op: e.Op, X: x, Y: y}, rt, nil
 }
 
 func (tr *translator) condExpr(e *CondExpr) (glsl.Expr, sem.Type, error) {
@@ -147,7 +147,7 @@ func (tr *translator) condExpr(e *CondExpr) (glsl.Expr, sem.Type, error) {
 	if !tt.Equal(et) {
 		return nil, sem.Void, errf(e.Pos, "ternary arms have mismatched types %s and %s", tt, et)
 	}
-	return &glsl.CondExpr{Pos: pos(e.Pos), Cond: cond, Then: thn, Else: els}, tt, nil
+	return &glsl.CondExpr{Pos: e.Pos, Cond: cond, Then: thn, Else: els}, tt, nil
 }
 
 func (tr *translator) identExpr(e *IdentExpr) (glsl.Expr, sem.Type, error) {
@@ -161,7 +161,7 @@ func (tr *translator) identExpr(e *IdentExpr) (glsl.Expr, sem.Type, error) {
 		return nil, sem.Void, errf(e.Pos, "output struct %q can only be assigned through its members and returned", e.Name)
 	}
 	if b, ok := tr.lookup(e.Name); ok {
-		return &glsl.IdentExpr{Pos: pos(e.Pos), Name: b.Name}, b.T, nil
+		return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, nil
 	}
 	return nil, sem.Void, errf(e.Pos, "undefined identifier %q", e.Name)
 }
@@ -189,7 +189,7 @@ func (tr *translator) indexExpr(e *IndexExpr) (glsl.Expr, sem.Type, error) {
 	default:
 		return nil, sem.Void, errf(e.Pos, "cannot index %s", xt)
 	}
-	return &glsl.IndexExpr{Pos: pos(e.Pos), X: x, Index: idx}, rt, nil
+	return &glsl.IndexExpr{Pos: e.Pos, X: x, Index: idx}, rt, nil
 }
 
 // memberExpr resolves interface-struct member access (in.uv, u.scale) to
@@ -201,7 +201,7 @@ func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
 			if !ok {
 				return nil, sem.Void, errf(e.Pos, "struct %q has no member %q", id.Name, e.Name)
 			}
-			return &glsl.IdentExpr{Pos: pos(e.Pos), Name: b.Name}, b.T, nil
+			return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, nil
 		}
 	}
 	x, xt, err := tr.expr(e.X)
@@ -216,7 +216,7 @@ func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
 	rt := sem.VecType(xt.Kind, len(idx))
-	return &glsl.FieldExpr{Pos: pos(e.Pos), X: x, Name: e.Name}, rt, nil
+	return &glsl.FieldExpr{Pos: e.Pos, X: x, Name: e.Name}, rt, nil
 }
 
 func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
@@ -252,7 +252,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 				return nil, sem.Void, errf(e.Pos, "%v", err)
 			}
 		}
-		return &glsl.CallExpr{Pos: pos(e.Pos), Callee: name, Args: args}, rt, nil
+		return &glsl.CallExpr{Pos: e.Pos, Callee: name, Args: args}, rt, nil
 	}
 
 	// User-defined function.
@@ -262,7 +262,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 			if err != nil {
 				return nil, sem.Void, err
 			}
-			return &glsl.CallExpr{Pos: pos(e.Pos), Callee: nn, Args: args}, rt, nil
+			return &glsl.CallExpr{Pos: e.Pos, Callee: nn, Args: args}, rt, nil
 		}
 	}
 	return nil, sem.Void, errf(e.Pos, "call to undefined function %q", e.Callee)
@@ -310,7 +310,7 @@ func (tr *translator) ctorCall(e *CallExpr, glslName string) (glsl.Expr, sem.Typ
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
-	return &glsl.CallExpr{Pos: pos(e.Pos), Callee: glslName, Args: args}, rt, nil
+	return &glsl.CallExpr{Pos: e.Pos, Callee: glslName, Args: args}, rt, nil
 }
 
 // methodCall lowers MSL's separate texture+sampler object model back onto
@@ -380,7 +380,7 @@ func (tr *translator) sampleCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type)
 			return nil, sem.Void, err
 		}
 		layer, _ = tr.promote(layer, lt, sem.Float)
-		full := &glsl.CallExpr{Pos: pos(e.Pos), Callee: "vec3", Args: []glsl.Expr{coord, layer}}
+		full := &glsl.CallExpr{Pos: e.Pos, Callee: "vec3", Args: []glsl.Expr{coord, layer}}
 		return tr.textureResult(e, "texture", []glsl.Expr{recv, full}, []sem.Type{rt, sem.Vec3})
 	}
 
@@ -425,7 +425,7 @@ func (tr *translator) sampleCompareCall(e *MethodCallExpr, recv glsl.Expr, rt se
 		return nil, sem.Void, err
 	}
 	dref, _ = tr.promote(dref, dt, sem.Float)
-	full := &glsl.CallExpr{Pos: pos(e.Pos), Callee: "vec3", Args: []glsl.Expr{coord, dref}}
+	full := &glsl.CallExpr{Pos: e.Pos, Callee: "vec3", Args: []glsl.Expr{coord, dref}}
 	return tr.textureResult(e, "texture", []glsl.Expr{recv, full}, []sem.Type{rt, sem.Vec3})
 }
 
@@ -465,7 +465,7 @@ func (tr *translator) readCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type) (
 	}
 	// The subset's texelFetch wants the lod at the coordinate's width
 	// (only the first component is consulted); splat the scalar back up.
-	lodVec := &glsl.CallExpr{Pos: pos(e.Pos), Callee: fmt.Sprintf("ivec%d", ct.Vec), Args: []glsl.Expr{lod}}
+	lodVec := &glsl.CallExpr{Pos: e.Pos, Callee: fmt.Sprintf("ivec%d", ct.Vec), Args: []glsl.Expr{lod}}
 	return tr.textureResult(e, "texelFetch", []glsl.Expr{recv, coord, lodVec}, []sem.Type{rt, ct, ct})
 }
 
@@ -474,7 +474,7 @@ func (tr *translator) textureResult(e *MethodCallExpr, target string, args []gls
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, ".%s: %v", e.Method, err)
 	}
-	return &glsl.CallExpr{Pos: pos(e.Pos), Callee: target, Args: args}, out, nil
+	return &glsl.CallExpr{Pos: e.Pos, Callee: target, Args: args}, out, nil
 }
 
 func (tr *translator) exprList(list []Expr) ([]glsl.Expr, []sem.Type, error) {

@@ -5,6 +5,7 @@ import (
 
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
+	"shaderopt/internal/lex"
 	"shaderopt/internal/lower"
 	"shaderopt/internal/naming"
 	"shaderopt/internal/sem"
@@ -99,7 +100,7 @@ func (tr *translator) rename(name string) string    { return tr.names.Rename(nam
 func (tr *translator) freshName(base string) string { return tr.names.Fresh(base) }
 func (tr *translator) localName(name string) string { return tr.names.Local(name) }
 
-func errf(p Pos, format string, args ...any) error {
+func errf(p lex.Pos, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...))
 }
 
@@ -361,7 +362,7 @@ func (tr *translator) entryParam(d *FnDecl, p Param) error {
 func (tr *translator) block(b *BlockStmt, inEntry bool) (*glsl.BlockStmt, error) {
 	tr.pushScope()
 	defer tr.popScope()
-	out := &glsl.BlockStmt{Pos: pos(b.Pos)}
+	out := &glsl.BlockStmt{Pos: b.Pos}
 	for _, s := range b.Stmts {
 		gs, err := tr.stmt(s, inEntry)
 		if err != nil {
@@ -400,37 +401,37 @@ func (tr *translator) stmt(s Stmt, inEntry bool) ([]glsl.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.WhileStmt{Pos: pos(s.Pos), Cond: cond, Body: body}}, nil
+		return []glsl.Stmt{&glsl.WhileStmt{Pos: s.Pos, Cond: cond, Body: body}}, nil
 	case *ReturnStmt:
 		return tr.returnStmt(s, inEntry)
 	case *BreakStmt:
-		return []glsl.Stmt{&glsl.BreakStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.BreakStmt{Pos: s.Pos}}, nil
 	case *ContinueStmt:
-		return []glsl.Stmt{&glsl.ContinueStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.ContinueStmt{Pos: s.Pos}}, nil
 	case *ExprStmt:
 		if call, ok := s.X.(*CallExpr); ok && call.Callee == "discard_fragment" {
 			if len(call.Args) != 0 {
 				return nil, errf(s.Pos, "discard_fragment takes no arguments")
 			}
-			return []glsl.Stmt{&glsl.DiscardStmt{Pos: pos(s.Pos)}}, nil
+			return []glsl.Stmt{&glsl.DiscardStmt{Pos: s.Pos}}, nil
 		}
 		x, _, err := tr.expr(s.X)
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.ExprStmt{Pos: pos(s.Pos), X: x}}, nil
+		return []glsl.Stmt{&glsl.ExprStmt{Pos: s.Pos, X: x}}, nil
 	}
 	return nil, fmt.Errorf("unknown statement %T", s)
 }
 
 func (tr *translator) returnStmt(s *ReturnStmt, inEntry bool) ([]glsl.Stmt, error) {
 	if s.Value == nil {
-		return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos}}, nil
 	}
 	// Returning an output-struct instance: its member stores already
 	// assigned the out globals, so the return itself carries no value.
 	if id, ok := s.Value.(*IdentExpr); ok && tr.outInsts[id.Name] {
-		return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos}}, nil
 	}
 	res, rt, err := tr.expr(s.Value)
 	if err != nil {
@@ -439,11 +440,11 @@ func (tr *translator) returnStmt(s *ReturnStmt, inEntry bool) ([]glsl.Stmt, erro
 	res, _ = tr.promote(res, rt, tr.curRet)
 	if inEntry && tr.entryOut != "" {
 		return []glsl.Stmt{
-			&glsl.AssignStmt{Pos: pos(s.Pos), LHS: &glsl.IdentExpr{Name: tr.entryOut}, Op: "=", RHS: res},
-			&glsl.ReturnStmt{Pos: pos(s.Pos)},
+			&glsl.AssignStmt{Pos: s.Pos, LHS: &glsl.IdentExpr{Name: tr.entryOut}, Op: "=", RHS: res},
+			&glsl.ReturnStmt{Pos: s.Pos},
 		}, nil
 	}
-	return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos), Result: res}}, nil
+	return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos, Result: res}}, nil
 }
 
 func (tr *translator) declStmt(s *DeclStmt, inEntry bool) ([]glsl.Stmt, error) {
@@ -478,7 +479,7 @@ func (tr *translator) declStmt(s *DeclStmt, inEntry bool) ([]glsl.Stmt, error) {
 	}
 	ln := tr.localName(s.Name)
 	tr.bind(s.Name, ln, t)
-	return []glsl.Stmt{&glsl.DeclStmt{Pos: pos(s.Pos), Const: s.Const, Type: spec, Name: ln, Init: gInit}}, nil
+	return []glsl.Stmt{&glsl.DeclStmt{Pos: s.Pos, Const: s.Const, Type: spec, Name: ln, Init: gInit}}, nil
 }
 
 // initializer translates a declaration initializer: an array<T, N>{...}
@@ -512,7 +513,7 @@ func (tr *translator) initializer(e Expr, declared sem.Type) (glsl.Expr, sem.Typ
 		}
 		elems[i] = x
 	}
-	return &glsl.ArrayCtorExpr{Pos: pos(lst.Pos), Elem: spec, Len: len(elems), Elems: elems},
+	return &glsl.ArrayCtorExpr{Pos: lst.Pos, Elem: spec, Len: len(elems), Elems: elems},
 		declared, nil
 }
 
@@ -528,7 +529,7 @@ func (tr *translator) assignStmt(s *AssignStmt) ([]glsl.Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []glsl.Stmt{&glsl.AssignStmt{Pos: pos(s.Pos), LHS: &glsl.IdentExpr{Name: out}, Op: s.Op, RHS: rhs}}, nil
+			return []glsl.Stmt{&glsl.AssignStmt{Pos: s.Pos, LHS: &glsl.IdentExpr{Name: out}, Op: s.Op, RHS: rhs}}, nil
 		}
 	}
 	lhs, lt, err := tr.expr(s.LHS)
@@ -543,7 +544,7 @@ func (tr *translator) assignStmt(s *AssignStmt) ([]glsl.Stmt, error) {
 	if s.Op == "=" && !rt.Equal(lt) {
 		return nil, errf(s.Pos, "cannot assign %s to %s", rt, lt)
 	}
-	return []glsl.Stmt{&glsl.AssignStmt{Pos: pos(s.Pos), LHS: lhs, Op: s.Op, RHS: rhs}}, nil
+	return []glsl.Stmt{&glsl.AssignStmt{Pos: s.Pos, LHS: lhs, Op: s.Op, RHS: rhs}}, nil
 }
 
 func (tr *translator) ifStmt(s *IfStmt, inEntry bool) ([]glsl.Stmt, error) {
@@ -558,7 +559,7 @@ func (tr *translator) ifStmt(s *IfStmt, inEntry bool) ([]glsl.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &glsl.IfStmt{Pos: pos(s.Pos), Cond: cond, Then: then}
+	out := &glsl.IfStmt{Pos: s.Pos, Cond: cond, Then: then}
 	switch els := s.Else.(type) {
 	case nil:
 	case *BlockStmt:
@@ -585,7 +586,7 @@ func (tr *translator) ifStmt(s *IfStmt, inEntry bool) ([]glsl.Stmt, error) {
 func (tr *translator) forStmt(s *ForStmt, inEntry bool) ([]glsl.Stmt, error) {
 	tr.pushScope()
 	defer tr.popScope()
-	out := &glsl.ForStmt{Pos: pos(s.Pos)}
+	out := &glsl.ForStmt{Pos: s.Pos}
 	if s.Init != nil {
 		init, err := tr.stmt(s.Init, inEntry)
 		if err != nil {
@@ -623,5 +624,3 @@ func (tr *translator) forStmt(s *ForStmt, inEntry bool) ([]glsl.Stmt, error) {
 	out.Body = body
 	return []glsl.Stmt{out}, nil
 }
-
-func pos(p Pos) glsl.Pos { return glsl.Pos{Line: p.Line, Col: p.Col} }

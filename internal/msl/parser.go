@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"shaderopt/internal/lex"
 )
 
 // Parser is a recursive-descent parser over the token stream.
@@ -21,7 +23,7 @@ func Parse(src string) (*Module, error) {
 	}
 	p := &Parser{toks: toks}
 	m := &Module{}
-	for p.cur().Kind != EOF {
+	for p.cur().Kind != lex.EOF {
 		if len(p.errs) > 8 {
 			break
 		}
@@ -53,7 +55,7 @@ func (p *Parser) next() Token {
 	return t
 }
 
-func (p *Parser) accept(kind Kind, text string) bool {
+func (p *Parser) accept(kind lex.Kind, text string) bool {
 	if p.cur().Kind == kind && p.cur().Text == text {
 		p.next()
 		return true
@@ -61,7 +63,7 @@ func (p *Parser) accept(kind Kind, text string) bool {
 	return false
 }
 
-func (p *Parser) expect(kind Kind, text string) Token {
+func (p *Parser) expect(kind lex.Kind, text string) Token {
 	if p.cur().Kind == kind && p.cur().Text == text {
 		return p.next()
 	}
@@ -76,8 +78,8 @@ func (p *Parser) errorf(format string, args ...any) {
 
 // sync skips to the next ; or } so one error does not cascade.
 func (p *Parser) sync() {
-	for p.cur().Kind != EOF {
-		if p.cur().Kind == Punct && (p.cur().Text == ";" || p.cur().Text == "}") {
+	for p.cur().Kind != lex.EOF {
+		if p.cur().Kind == lex.Punct && (p.cur().Text == ";" || p.cur().Text == "}") {
 			p.next()
 			return
 		}
@@ -89,14 +91,14 @@ func (p *Parser) sync() {
 
 func (p *Parser) parseDecl() Decl {
 	t := p.cur()
-	if t.Kind == Keyword {
+	if t.Kind == lex.Keyword {
 		switch t.Text {
 		case "using":
 			// using namespace metal;
-			for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == ";") {
+			for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == ";") {
 				p.next()
 			}
-			p.accept(Punct, ";")
+			p.accept(lex.Punct, ";")
 			return nil
 		case "template":
 			// Template helper (the glsl_ prelude): skip the whole definition.
@@ -112,7 +114,7 @@ func (p *Parser) parseDecl() Decl {
 		p.errorf("unexpected keyword %q at module scope", t.Text)
 		return nil
 	}
-	if t.Kind == Ident {
+	if t.Kind == lex.Ident {
 		// A plain function definition: Type Name ( ...
 		return p.parseFn()
 	}
@@ -123,16 +125,16 @@ func (p *Parser) parseDecl() Decl {
 // skipTemplate consumes a template function definition by skipping to the
 // first { and matching braces.
 func (p *Parser) skipTemplate() {
-	for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == "{") {
+	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "{") {
 		p.next()
 	}
 	depth := 0
-	for p.cur().Kind != EOF {
+	for p.cur().Kind != lex.EOF {
 		t := p.next()
-		if t.Kind == Punct && t.Text == "{" {
+		if t.Kind == lex.Punct && t.Text == "{" {
 			depth++
 		}
-		if t.Kind == Punct && t.Text == "}" {
+		if t.Kind == lex.Punct && t.Text == "}" {
 			depth--
 			if depth == 0 {
 				return
@@ -143,47 +145,47 @@ func (p *Parser) skipTemplate() {
 
 func (p *Parser) parseStruct() *StructDecl {
 	pos := p.cur().Pos
-	p.expect(Keyword, "struct")
+	p.expect(lex.Keyword, "struct")
 	name := p.ident("struct name")
 	st := &StructDecl{Pos: pos, Name: name}
-	p.expect(Punct, "{")
-	for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == "}") {
+	p.expect(lex.Punct, "{")
+	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 		ft := p.parseType()
 		fname := p.ident("field name")
 		f := StructField{Type: ft, Name: fname, Attr: Attr{Arg: -1}}
-		if p.cur().Kind == Punct && p.cur().Text == "[" && p.peekTok(1).Text == "[" {
+		if p.cur().Kind == lex.Punct && p.cur().Text == "[" && p.peekTok(1).Text == "[" {
 			f.Attr = p.parseAttr()
-		} else if p.accept(Punct, "[") {
+		} else if p.accept(lex.Punct, "[") {
 			// C-style array member: rewrite onto the type.
 			n := p.intLit("array length")
-			p.expect(Punct, "]")
+			p.expect(lex.Punct, "]")
 			f.Type = &TypeExpr{Pos: ft.Pos, Name: "array", Elem: ft, Len: n}
 		}
-		p.expect(Punct, ";")
+		p.expect(lex.Punct, ";")
 		st.Fields = append(st.Fields, f)
 	}
-	p.expect(Punct, "}")
-	p.expect(Punct, ";")
+	p.expect(lex.Punct, "}")
+	p.expect(lex.Punct, ";")
 	return st
 }
 
 func (p *Parser) parseGlobalVar() *GlobalVar {
 	pos := p.cur().Pos
-	p.expect(Keyword, "constant")
+	p.expect(lex.Keyword, "constant")
 	ty := p.parseType()
 	name := p.ident("constant name")
 	g := &GlobalVar{Pos: pos, Type: ty, Name: name}
-	if p.accept(Punct, "=") {
+	if p.accept(lex.Punct, "=") {
 		g.Init = p.parseExpr()
 	}
-	p.expect(Punct, ";")
+	p.expect(lex.Punct, ";")
 	return g
 }
 
 func (p *Parser) parseFn() *FnDecl {
 	pos := p.cur().Pos
 	fn := &FnDecl{Pos: pos}
-	for p.cur().Kind == Keyword {
+	for p.cur().Kind == lex.Keyword {
 		switch p.cur().Text {
 		case "static", "inline":
 			p.next()
@@ -200,21 +202,21 @@ func (p *Parser) parseFn() *FnDecl {
 	}
 	fn.Ret = p.parseType()
 	fn.Name = p.ident("function name")
-	p.expect(Punct, "(")
-	for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == ")") {
+	p.expect(lex.Punct, "(")
+	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == ")") {
 		fn.Params = append(fn.Params, p.parseParam())
-		if !p.accept(Punct, ",") {
+		if !p.accept(lex.Punct, ",") {
 			break
 		}
 	}
-	p.expect(Punct, ")")
+	p.expect(lex.Punct, ")")
 	fn.Body = p.parseBlock()
 	return fn
 }
 
 func (p *Parser) parseParam() Param {
 	var pr Param
-	if p.cur().Kind == Keyword {
+	if p.cur().Kind == lex.Keyword {
 		switch p.cur().Text {
 		case "constant", "device", "thread":
 			pr.Space = p.next().Text
@@ -223,12 +225,12 @@ func (p *Parser) parseParam() Param {
 		}
 	}
 	pr.Type = p.parseType()
-	if p.accept(Punct, "&") {
+	if p.accept(lex.Punct, "&") {
 		pr.Ref = true
 	}
 	pr.Name = p.ident("parameter name")
 	pr.Attr = Attr{Arg: -1}
-	if p.cur().Kind == Punct && p.cur().Text == "[" && p.peekTok(1).Text == "[" {
+	if p.cur().Kind == lex.Punct && p.cur().Text == "[" && p.peekTok(1).Text == "[" {
 		pr.Attr = p.parseAttr()
 	}
 	return pr
@@ -237,15 +239,15 @@ func (p *Parser) parseParam() Param {
 // parseAttr parses one [[name]] or [[name(arg)]] attribute. user(locnN)
 // arguments resolve to N.
 func (p *Parser) parseAttr() Attr {
-	p.expect(Punct, "[")
-	p.expect(Punct, "[")
+	p.expect(lex.Punct, "[")
+	p.expect(lex.Punct, "[")
 	name := p.ident("attribute name")
 	a := Attr{Name: name, Arg: -1}
-	if p.accept(Punct, "(") {
+	if p.accept(lex.Punct, "(") {
 		switch p.cur().Kind {
-		case IntLit:
+		case lex.IntLit:
 			a.Arg, _ = strconv.Atoi(p.next().Text)
-		case Ident:
+		case lex.Ident:
 			arg := p.next().Text
 			if n, err := strconv.Atoi(strings.TrimPrefix(arg, "locn")); err == nil {
 				a.Arg = n
@@ -253,29 +255,29 @@ func (p *Parser) parseAttr() Attr {
 		default:
 			p.errorf("bad attribute argument %q", p.cur().Text)
 		}
-		p.expect(Punct, ")")
+		p.expect(lex.Punct, ")")
 	}
-	p.expect(Punct, "]")
-	p.expect(Punct, "]")
+	p.expect(lex.Punct, "]")
+	p.expect(lex.Punct, "]")
 	return a
 }
 
 // parseType parses a type reference: Name, Name<Elem>, array<Elem, N>.
 func (p *Parser) parseType() *TypeExpr {
 	t := p.cur()
-	if t.Kind != Ident {
+	if t.Kind != lex.Ident {
 		p.errorf("expected type, found %q", t.Text)
 		return &TypeExpr{Pos: t.Pos, Name: "float", Len: -1}
 	}
 	p.next()
 	te := &TypeExpr{Pos: t.Pos, Name: t.Text, Len: -1}
-	if templatedType(t.Text) && p.accept(Punct, "<") {
+	if templatedType(t.Text) && p.accept(lex.Punct, "<") {
 		te.Elem = p.parseType()
 		if te.Name == "array" {
-			p.expect(Punct, ",")
+			p.expect(lex.Punct, ",")
 			te.Len = p.intLit("array length")
 		}
-		p.expect(Punct, ">")
+		p.expect(lex.Punct, ">")
 	}
 	return te
 }
@@ -293,7 +295,7 @@ func templatedType(name string) bool {
 
 func (p *Parser) ident(what string) string {
 	t := p.cur()
-	if t.Kind != Ident {
+	if t.Kind != lex.Ident {
 		p.errorf("expected %s, found %q", what, t.Text)
 		return "_"
 	}
@@ -303,7 +305,7 @@ func (p *Parser) ident(what string) string {
 
 func (p *Parser) intLit(what string) int {
 	t := p.cur()
-	if t.Kind != IntLit {
+	if t.Kind != lex.IntLit {
 		p.errorf("expected %s, found %q", what, t.Text)
 		return 0
 	}
@@ -316,20 +318,20 @@ func (p *Parser) intLit(what string) int {
 
 func (p *Parser) parseBlock() *BlockStmt {
 	pos := p.cur().Pos
-	p.expect(Punct, "{")
+	p.expect(lex.Punct, "{")
 	b := &BlockStmt{Pos: pos}
-	for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == "}") {
+	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 		if s := p.parseStmt(); s != nil {
 			b.Stmts = append(b.Stmts, s)
 		}
 	}
-	p.expect(Punct, "}")
+	p.expect(lex.Punct, "}")
 	return b
 }
 
 func (p *Parser) parseStmt() Stmt {
 	t := p.cur()
-	if t.Kind == Keyword {
+	if t.Kind == lex.Keyword {
 		switch t.Text {
 		case "if":
 			return p.parseIf()
@@ -340,18 +342,18 @@ func (p *Parser) parseStmt() Stmt {
 		case "return":
 			pos := p.next().Pos
 			r := &ReturnStmt{Pos: pos}
-			if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+			if !(p.cur().Kind == lex.Punct && p.cur().Text == ";") {
 				r.Value = p.parseExpr()
 			}
-			p.expect(Punct, ";")
+			p.expect(lex.Punct, ";")
 			return r
 		case "break":
 			pos := p.next().Pos
-			p.expect(Punct, ";")
+			p.expect(lex.Punct, ";")
 			return &BreakStmt{Pos: pos}
 		case "continue":
 			pos := p.next().Pos
-			p.expect(Punct, ";")
+			p.expect(lex.Punct, ";")
 			return &ContinueStmt{Pos: pos}
 		case "const":
 			return p.parseLocalDecl(true)
@@ -372,38 +374,38 @@ func (p *Parser) parseStmt() Stmt {
 // too — no expression has two adjacent identifiers.
 func (p *Parser) startsDecl() bool {
 	t := p.cur()
-	if t.Kind != Ident {
+	if t.Kind != lex.Ident {
 		return false
 	}
 	if IsTypeName(t.Text) {
-		if templatedType(t.Text) && p.peekTok(1).Kind == Punct && p.peekTok(1).Text == "<" {
+		if templatedType(t.Text) && p.peekTok(1).Kind == lex.Punct && p.peekTok(1).Text == "<" {
 			return true
 		}
-		return p.peekTok(1).Kind == Ident
+		return p.peekTok(1).Kind == lex.Ident
 	}
-	if p.peekTok(1).Kind != Ident {
+	if p.peekTok(1).Kind != lex.Ident {
 		return false
 	}
 	nn := p.peekTok(2)
-	return nn.Kind == Punct && (nn.Text == ";" || nn.Text == "=" || nn.Text == "[")
+	return nn.Kind == lex.Punct && (nn.Text == ";" || nn.Text == "=" || nn.Text == "[")
 }
 
 func (p *Parser) parseLocalDecl(semi bool) Stmt {
 	pos := p.cur().Pos
-	isConst := p.accept(Keyword, "const")
+	isConst := p.accept(lex.Keyword, "const")
 	ty := p.parseType()
 	name := p.ident("variable name")
 	d := &DeclStmt{Pos: pos, Const: isConst, Type: ty, Name: name}
-	if p.accept(Punct, "[") {
+	if p.accept(lex.Punct, "[") {
 		n := p.intLit("array length")
-		p.expect(Punct, "]")
+		p.expect(lex.Punct, "]")
 		d.Type = &TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty, Len: n}
 	}
-	if p.accept(Punct, "=") {
+	if p.accept(lex.Punct, "=") {
 		d.Init = p.parseInitializer()
 	}
 	if semi {
-		p.expect(Punct, ";")
+		p.expect(lex.Punct, ";")
 	}
 	return d
 }
@@ -411,16 +413,16 @@ func (p *Parser) parseLocalDecl(semi bool) Stmt {
 // parseInitializer parses an initializer expression, allowing a bare
 // brace list ({} or {a, b, c}) for aggregate types.
 func (p *Parser) parseInitializer() Expr {
-	if p.cur().Kind == Punct && p.cur().Text == "{" {
+	if p.cur().Kind == lex.Punct && p.cur().Text == "{" {
 		pos := p.next().Pos
 		lit := &ArrayLitExpr{Pos: pos, Len: -1}
-		for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == "}") {
+		for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 			lit.Elems = append(lit.Elems, p.parseExpr())
-			if !p.accept(Punct, ",") {
+			if !p.accept(lex.Punct, ",") {
 				break
 			}
 		}
-		p.expect(Punct, "}")
+		p.expect(lex.Punct, "}")
 		return lit
 	}
 	return p.parseExpr()
@@ -430,52 +432,52 @@ func (p *Parser) parseInitializer() Expr {
 // Prefix/postfix ++/-- normalize to compound assignments.
 func (p *Parser) parseSimpleStmt(semi bool) Stmt {
 	pos := p.cur().Pos
-	if p.cur().Kind == Punct && (p.cur().Text == "++" || p.cur().Text == "--") {
+	if p.cur().Kind == lex.Punct && (p.cur().Text == "++" || p.cur().Text == "--") {
 		op := p.next().Text
 		lhs := p.parseUnary()
 		s := &AssignStmt{Pos: pos, LHS: lhs, Op: string(op[0]) + "=", RHS: &IntLitExpr{Pos: pos, Text: "1"}}
 		if semi {
-			p.expect(Punct, ";")
+			p.expect(lex.Punct, ";")
 		}
 		return s
 	}
 	lhs := p.parseExpr()
 	t := p.cur()
-	if t.Kind == Punct {
+	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "=", "+=", "-=", "*=", "/=", "%=":
 			op := p.next().Text
 			rhs := p.parseExpr()
 			s := &AssignStmt{Pos: pos, LHS: lhs, Op: op, RHS: rhs}
 			if semi {
-				p.expect(Punct, ";")
+				p.expect(lex.Punct, ";")
 			}
 			return s
 		case "++", "--":
 			op := p.next().Text
 			s := &AssignStmt{Pos: pos, LHS: lhs, Op: string(op[0]) + "=", RHS: &IntLitExpr{Pos: pos, Text: "1"}}
 			if semi {
-				p.expect(Punct, ";")
+				p.expect(lex.Punct, ";")
 			}
 			return s
 		}
 	}
 	s := &ExprStmt{Pos: pos, X: lhs}
 	if semi {
-		p.expect(Punct, ";")
+		p.expect(lex.Punct, ";")
 	}
 	return s
 }
 
 func (p *Parser) parseIf() *IfStmt {
 	pos := p.cur().Pos
-	p.expect(Keyword, "if")
-	p.expect(Punct, "(")
+	p.expect(lex.Keyword, "if")
+	p.expect(lex.Punct, "(")
 	cond := p.parseExpr()
-	p.expect(Punct, ")")
+	p.expect(lex.Punct, ")")
 	s := &IfStmt{Pos: pos, Cond: cond, Then: p.parseStmtAsBlock()}
-	if p.accept(Keyword, "else") {
-		if p.cur().Kind == Keyword && p.cur().Text == "if" {
+	if p.accept(lex.Keyword, "else") {
+		if p.cur().Kind == lex.Keyword && p.cur().Text == "if" {
 			s.Else = p.parseIf()
 		} else {
 			s.Else = p.parseStmtAsBlock()
@@ -486,7 +488,7 @@ func (p *Parser) parseIf() *IfStmt {
 
 // parseStmtAsBlock parses a block, wrapping an unbraced single statement.
 func (p *Parser) parseStmtAsBlock() *BlockStmt {
-	if p.cur().Kind == Punct && p.cur().Text == "{" {
+	if p.cur().Kind == lex.Punct && p.cur().Text == "{" {
 		return p.parseBlock()
 	}
 	pos := p.cur().Pos
@@ -499,35 +501,35 @@ func (p *Parser) parseStmtAsBlock() *BlockStmt {
 
 func (p *Parser) parseFor() *ForStmt {
 	pos := p.cur().Pos
-	p.expect(Keyword, "for")
-	p.expect(Punct, "(")
+	p.expect(lex.Keyword, "for")
+	p.expect(lex.Punct, "(")
 	s := &ForStmt{Pos: pos}
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
-		if p.startsDecl() || (p.cur().Kind == Keyword && p.cur().Text == "const") {
+	if !(p.cur().Kind == lex.Punct && p.cur().Text == ";") {
+		if p.startsDecl() || (p.cur().Kind == lex.Keyword && p.cur().Text == "const") {
 			s.Init = p.parseLocalDecl(false)
 		} else {
 			s.Init = p.parseSimpleStmt(false)
 		}
 	}
-	p.expect(Punct, ";")
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+	p.expect(lex.Punct, ";")
+	if !(p.cur().Kind == lex.Punct && p.cur().Text == ";") {
 		s.Cond = p.parseExpr()
 	}
-	p.expect(Punct, ";")
-	if !(p.cur().Kind == Punct && p.cur().Text == ")") {
+	p.expect(lex.Punct, ";")
+	if !(p.cur().Kind == lex.Punct && p.cur().Text == ")") {
 		s.Post = p.parseSimpleStmt(false)
 	}
-	p.expect(Punct, ")")
+	p.expect(lex.Punct, ")")
 	s.Body = p.parseStmtAsBlock()
 	return s
 }
 
 func (p *Parser) parseWhile() *WhileStmt {
 	pos := p.cur().Pos
-	p.expect(Keyword, "while")
-	p.expect(Punct, "(")
+	p.expect(lex.Keyword, "while")
+	p.expect(lex.Punct, "(")
 	cond := p.parseExpr()
-	p.expect(Punct, ")")
+	p.expect(lex.Punct, ")")
 	return &WhileStmt{Pos: pos, Cond: cond, Body: p.parseStmtAsBlock()}
 }
 
@@ -546,10 +548,10 @@ func (p *Parser) parseExpr() Expr { return p.parseTernary() }
 
 func (p *Parser) parseTernary() Expr {
 	cond := p.parseBinary(1)
-	if p.cur().Kind == Punct && p.cur().Text == "?" {
+	if p.cur().Kind == lex.Punct && p.cur().Text == "?" {
 		pos := p.next().Pos
 		x := p.parseExpr()
-		p.expect(Punct, ":")
+		p.expect(lex.Punct, ":")
 		y := p.parseTernary()
 		return &CondExpr{Pos: pos, Cond: cond, X: x, Y: y}
 	}
@@ -560,7 +562,7 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 	x := p.parseUnary()
 	for {
 		t := p.cur()
-		if t.Kind != Punct {
+		if t.Kind != lex.Punct {
 			return x
 		}
 		prec, ok := binPrec[t.Text]
@@ -575,7 +577,7 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 
 func (p *Parser) parseUnary() Expr {
 	t := p.cur()
-	if t.Kind == Punct {
+	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
 			p.next()
@@ -592,19 +594,19 @@ func (p *Parser) parsePostfix() Expr {
 	x := p.parsePrimary()
 	for {
 		t := p.cur()
-		if t.Kind != Punct {
+		if t.Kind != lex.Punct {
 			return x
 		}
 		switch t.Text {
 		case "[":
 			p.next()
 			idx := p.parseExpr()
-			p.expect(Punct, "]")
+			p.expect(lex.Punct, "]")
 			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
 			p.next()
 			name := p.ident("member name")
-			if p.cur().Kind == Punct && p.cur().Text == "(" {
+			if p.cur().Kind == lex.Punct && p.cur().Text == "(" {
 				p.next()
 				args := p.parseCallArgs()
 				x = &MethodCallExpr{Pos: t.Pos, Recv: x, Method: name, Args: args}
@@ -620,7 +622,7 @@ func (p *Parser) parsePostfix() Expr {
 func (p *Parser) parsePrimary() Expr {
 	t := p.cur()
 	switch t.Kind {
-	case IntLit:
+	case lex.IntLit:
 		p.next()
 		if strings.HasPrefix(t.Text, "0x") || strings.HasPrefix(t.Text, "0X") {
 			n, err := strconv.ParseInt(t.Text[2:], 16, 64)
@@ -630,43 +632,43 @@ func (p *Parser) parsePrimary() Expr {
 			return &IntLitExpr{Pos: t.Pos, Text: strconv.FormatInt(n, 10)}
 		}
 		return &IntLitExpr{Pos: t.Pos, Text: t.Text}
-	case FloatLit:
+	case lex.FloatLit:
 		p.next()
 		return &FloatLitExpr{Pos: t.Pos, Text: t.Text}
-	case BoolLit:
+	case lex.BoolLit:
 		p.next()
 		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
-	case Ident:
+	case lex.Ident:
 		// array<T, N>{...} braced constructor.
-		if templatedType(t.Text) && p.peekTok(1).Kind == Punct && p.peekTok(1).Text == "<" {
+		if templatedType(t.Text) && p.peekTok(1).Kind == lex.Punct && p.peekTok(1).Text == "<" {
 			te := p.parseType()
 			if te.Name != "array" {
 				p.errorf("texture type %q cannot be constructed", te.Name)
 				return &IdentExpr{Pos: t.Pos, Name: "_"}
 			}
-			p.expect(Punct, "{")
+			p.expect(lex.Punct, "{")
 			lit := &ArrayLitExpr{Pos: t.Pos, Elem: te.Elem, Len: te.Len}
-			for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == "}") {
+			for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 				lit.Elems = append(lit.Elems, p.parseExpr())
-				if !p.accept(Punct, ",") {
+				if !p.accept(lex.Punct, ",") {
 					break
 				}
 			}
-			p.expect(Punct, "}")
+			p.expect(lex.Punct, "}")
 			return lit
 		}
 		p.next()
-		if p.cur().Kind == Punct && p.cur().Text == "(" {
+		if p.cur().Kind == lex.Punct && p.cur().Text == "(" {
 			p.next()
 			args := p.parseCallArgs()
 			return &CallExpr{Pos: t.Pos, Callee: t.Text, Args: args}
 		}
 		return &IdentExpr{Pos: t.Pos, Name: t.Text}
-	case Punct:
+	case lex.Punct:
 		if t.Text == "(" {
 			p.next()
 			x := p.parseExpr()
-			p.expect(Punct, ")")
+			p.expect(lex.Punct, ")")
 			return x
 		}
 	}
@@ -676,12 +678,12 @@ func (p *Parser) parsePrimary() Expr {
 
 func (p *Parser) parseCallArgs() []Expr {
 	var args []Expr
-	for p.cur().Kind != EOF && !(p.cur().Kind == Punct && p.cur().Text == ")") {
+	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == ")") {
 		args = append(args, p.parseExpr())
-		if !p.accept(Punct, ",") {
+		if !p.accept(lex.Punct, ",") {
 			break
 		}
 	}
-	p.expect(Punct, ")")
+	p.expect(lex.Punct, ")")
 	return args
 }

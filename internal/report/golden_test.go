@@ -11,6 +11,7 @@ package report_test
 //	go test ./internal/report -run TestGolden -update
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,20 +56,29 @@ var (
 	goldenErr   error
 )
 
+// sweepNamed compiles the named corpus shaders and sweeps them through
+// a fresh session.
+func sweepNamed(names []string) (*search.Sweep, error) {
+	all, err := corpus.Load()
+	if err != nil {
+		return nil, err
+	}
+	handles := make([]*core.Shader, len(names))
+	for i, n := range names {
+		s := corpus.ByName(all, n)
+		if s == nil {
+			return nil, fmt.Errorf("missing corpus shader %s", n)
+		}
+		if handles[i], err = core.Compile(s.Source, s.Name, s.Lang); err != nil {
+			return nil, fmt.Errorf("%s: %w", n, err)
+		}
+	}
+	return search.NewSession(gpu.Platforms(), search.Options{Cfg: harness.FastConfig()}).Sweep(handles, nil)
+}
+
 func sweepForGolden(t *testing.T) *search.Sweep {
 	t.Helper()
-	goldenOnce.Do(func() {
-		var shaders []*corpus.Shader
-		all, err := corpus.Load()
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		for _, n := range goldenNames {
-			shaders = append(shaders, corpus.ByName(all, n))
-		}
-		goldenSweep, goldenErr = search.Run(shaders, gpu.Platforms(), search.Options{Cfg: harness.FastConfig()})
-	})
+	goldenOnce.Do(func() { goldenSweep, goldenErr = sweepNamed(goldenNames) })
 	if goldenErr != nil {
 		t.Fatal(goldenErr)
 	}
@@ -95,18 +105,7 @@ var (
 
 func sweepForTransfer(t *testing.T) *search.Sweep {
 	t.Helper()
-	transferOnce.Do(func() {
-		var shaders []*corpus.Shader
-		all, err := corpus.Load()
-		if err != nil {
-			transferErr = err
-			return
-		}
-		for _, n := range transferNames {
-			shaders = append(shaders, corpus.ByName(all, n))
-		}
-		transferResult, transferErr = search.Run(shaders, gpu.Platforms(), search.Options{Cfg: harness.FastConfig()})
-	})
+	transferOnce.Do(func() { transferResult, transferErr = sweepNamed(transferNames) })
 	if transferErr != nil {
 		t.Fatal(transferErr)
 	}

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"shaderopt/internal/core"
-	"shaderopt/internal/corpus"
 	"shaderopt/internal/crossc"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
@@ -36,10 +35,7 @@ import (
 // ShaderResult holds one shader's exhaustive measurements.
 type ShaderResult struct {
 	// Handle is the compiled shader the measurements were derived from.
-	Handle *core.Shader
-	// Shader is the corpus entry when the sweep came from Run; nil for
-	// sweeps over raw handles.
-	Shader   *corpus.Shader
+	Handle   *core.Shader
 	Variants *core.VariantSet
 	// OrigNS is the measured time of the unmodified original source per
 	// platform vendor.
@@ -904,30 +900,6 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 		perVariant[v.Hash] = slots[1+i].ns
 	}
 	return slots[0].ns, perVariant, nil
-}
-
-// Run executes the exhaustive study over the given corpus shaders and
-// platforms: it compiles each shader to a handle (one frontend parse per
-// shader) and sweeps them through a fresh Session. Results are
-// deterministic: noise streams are seeded per (platform, shader, variant),
-// independent of scheduling.
-func Run(shaders []*corpus.Shader, platforms []*gpu.Platform, opts Options) (*Sweep, error) {
-	handles := make([]*core.Shader, len(shaders))
-	for i, sh := range shaders {
-		h, err := core.Compile(sh.Source, sh.Name, sh.Lang)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.Name, err)
-		}
-		handles[i] = h
-	}
-	sweep, err := NewSession(platforms, opts).Sweep(handles, nil)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range sweep.Results {
-		r.Shader = shaders[i]
-	}
-	return sweep, nil
 }
 
 // --- Analyses ---

@@ -41,6 +41,20 @@ func sweepSubset() ([]*corpus.Shader, error) {
 	return shaders, nil
 }
 
+// sweepShaders compiles each shader to a fresh handle and sweeps them
+// through a new session.
+func sweepShaders(shaders []*corpus.Shader, opts Options) (*Sweep, error) {
+	handles := make([]*core.Shader, len(shaders))
+	for i, sh := range shaders {
+		h, err := core.Compile(sh.Source, sh.Name, sh.Lang)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sh.Name, err)
+		}
+		handles[i] = h
+	}
+	return NewSession(gpu.Platforms(), opts).Sweep(handles, nil)
+}
+
 // The sweep is deterministic (and read-only for every assertion below),
 // so the exhaustive study runs once and is shared across tests;
 // TestSweepDeterministic still runs its own fresh sweeps.
@@ -61,7 +75,7 @@ func miniSweep(t *testing.T) *Sweep {
 			cachedErr = err
 			return
 		}
-		cachedSweep, cachedErr = Run(shaders, gpu.Platforms(), Options{Cfg: harness.FastConfig()})
+		cachedSweep, cachedErr = sweepShaders(shaders, Options{Cfg: harness.FastConfig()})
 	})
 	if cachedErr != nil {
 		t.Fatal(cachedErr)
@@ -75,7 +89,7 @@ func freshSweep(t *testing.T) *Sweep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := Run(shaders, gpu.Platforms(), Options{Cfg: harness.FastConfig()})
+	sweep, err := sweepShaders(shaders, Options{Cfg: harness.FastConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +104,11 @@ func TestSweepRunsAndIsComplete(t *testing.T) {
 	for _, r := range sweep.Results {
 		for _, pl := range sweep.Platforms {
 			if r.OrigNS[pl.Vendor] <= 0 {
-				t.Errorf("%s on %s: no original time", r.Shader.Name, pl.Vendor)
+				t.Errorf("%s on %s: no original time", r.Name(), pl.Vendor)
 			}
 			for _, v := range r.Variants.Variants {
 				if r.VariantNS[pl.Vendor][v.Hash] <= 0 {
-					t.Errorf("%s on %s: missing variant time", r.Shader.Name, pl.Vendor)
+					t.Errorf("%s on %s: missing variant time", r.Name(), pl.Vendor)
 				}
 			}
 		}
@@ -110,7 +124,7 @@ func TestSweepDeterministic(t *testing.T) {
 	for i := range a.Results {
 		for vendor, ns := range a.Results[i].OrigNS {
 			if b.Results[i].OrigNS[vendor] != ns {
-				t.Fatalf("nondeterministic sweep: %s %s", a.Results[i].Shader.Name, vendor)
+				t.Fatalf("nondeterministic sweep: %s %s", a.Results[i].Name(), vendor)
 			}
 		}
 	}
@@ -461,7 +475,7 @@ func TestSessionSweepWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Sweep {
-		sweep, err := Run(shaders, gpu.Platforms(), Options{Cfg: harness.FastConfig(), Workers: workers})
+		sweep, err := sweepShaders(shaders, Options{Cfg: harness.FastConfig(), Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

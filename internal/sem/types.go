@@ -156,9 +156,6 @@ func (t Type) Components() int {
 	return n
 }
 
-// WithVec returns the same base kind with vector width n.
-func (t Type) WithVec(n int) Type { return Type{Kind: t.Kind, Vec: n} }
-
 // ScalarOf returns the scalar type of t's base kind.
 func (t Type) ScalarOf() Type { return Type{Kind: t.Kind, Vec: 1} }
 

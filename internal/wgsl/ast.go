@@ -1,5 +1,7 @@
 package wgsl
 
+import "shaderopt/internal/lex"
+
 // Module is a parsed WGSL translation unit.
 type Module struct {
 	Decls []Decl
@@ -8,7 +10,7 @@ type Module struct {
 // Attr is a WGSL attribute such as @fragment, @location(0), @group(1), or
 // @builtin(position). Args holds the raw argument tokens.
 type Attr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Args []string
 }
@@ -17,7 +19,7 @@ type Attr struct {
 // vec2<f32> has Name "vec2" and Elem f32; array<f32, 9> has Name "array",
 // Elem f32, and Len 9; plain names (f32, vec4f, sampler) have Elem nil.
 type TypeExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Elem *TypeExpr
 	Len  int // array element count; 0 when absent
@@ -43,7 +45,7 @@ type Decl interface{ declNode() }
 // template argument ("uniform", "private", or "" for resource bindings
 // like textures and samplers).
 type GlobalVar struct {
-	Pos          Pos
+	Pos          lex.Pos
 	Attrs        []Attr
 	AddressSpace string
 	Name         string
@@ -53,7 +55,7 @@ type GlobalVar struct {
 
 // ConstDecl is a module-scope `const` (or legacy module `let`) declaration.
 type ConstDecl struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Type *TypeExpr // may be nil (inferred)
 	Init Expr
@@ -70,7 +72,7 @@ type Param struct {
 // FnDecl is a function declaration. Entry points carry stage attributes
 // (@fragment) and attributed return types.
 type FnDecl struct {
-	Pos      Pos
+	Pos      lex.Pos
 	Attrs    []Attr
 	Name     string
 	Params   []Param
@@ -88,13 +90,13 @@ type Stmt interface{ stmtNode() }
 
 // BlockStmt is a brace-delimited statement list.
 type BlockStmt struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Stmts []Stmt
 }
 
 // LetStmt declares an immutable binding (`let` or function-scope `const`).
 type LetStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Type *TypeExpr // may be nil (inferred from Init)
 	Init Expr
@@ -102,7 +104,7 @@ type LetStmt struct {
 
 // VarStmt declares a mutable function-scope variable.
 type VarStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 	Type *TypeExpr // may be nil (inferred from Init)
 	Init Expr      // may be nil only when Type is present
@@ -110,7 +112,7 @@ type VarStmt struct {
 
 // AssignStmt assigns to an lvalue. Op is "=", "+=", "-=", "*=", "/=".
 type AssignStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	LHS Expr
 	Op  string
 	RHS Expr
@@ -118,7 +120,7 @@ type AssignStmt struct {
 
 // IfStmt is a conditional. Else is nil, a *BlockStmt, or a chained *IfStmt.
 type IfStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Then *BlockStmt
 	Else Stmt
@@ -127,7 +129,7 @@ type IfStmt struct {
 // ForStmt is a `for (init; cond; post) { ... }` loop; any header part may
 // be nil.
 type ForStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Init Stmt
 	Cond Expr
 	Post Stmt
@@ -136,29 +138,29 @@ type ForStmt struct {
 
 // WhileStmt is a condition-only loop.
 type WhileStmt struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Cond Expr
 	Body *BlockStmt
 }
 
 // ReturnStmt returns from a function, with an optional result.
 type ReturnStmt struct {
-	Pos    Pos
+	Pos    lex.Pos
 	Result Expr // may be nil
 }
 
 // DiscardStmt abandons the current fragment.
-type DiscardStmt struct{ Pos Pos }
+type DiscardStmt struct{ Pos lex.Pos }
 
 // BreakStmt exits the innermost loop.
-type BreakStmt struct{ Pos Pos }
+type BreakStmt struct{ Pos lex.Pos }
 
 // ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ Pos Pos }
+type ContinueStmt struct{ Pos lex.Pos }
 
 // ExprStmt evaluates an expression for side effects (function calls).
 type ExprStmt struct {
-	Pos Pos
+	Pos lex.Pos
 	X   Expr
 }
 
@@ -180,39 +182,39 @@ type Expr interface{ exprNode() }
 
 // IdentExpr references a variable by name.
 type IdentExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Name string
 }
 
 // IntLitExpr is an integer literal (suffix already stripped).
 type IntLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value int64
 }
 
 // FloatLitExpr is a floating point literal (suffix already stripped).
 type FloatLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value float64
 }
 
 // BoolLitExpr is true or false.
 type BoolLitExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	Value bool
 }
 
 // BinaryExpr applies a binary operator. Op is one of
 // + - * / % < > <= >= == != && ||.
 type BinaryExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	Op   string
 	X, Y Expr
 }
 
 // UnaryExpr applies a prefix operator: "-" or "!".
 type UnaryExpr struct {
-	Pos Pos
+	Pos lex.Pos
 	Op  string
 	X   Expr
 }
@@ -222,7 +224,7 @@ type UnaryExpr struct {
 // array<f32, 9>(...)) carry the resolved type in TypeArg; for plain calls
 // TypeArg is nil and Callee holds the name.
 type CallExpr struct {
-	Pos     Pos
+	Pos     lex.Pos
 	Callee  string
 	TypeArg *TypeExpr
 	Args    []Expr
@@ -230,14 +232,14 @@ type CallExpr struct {
 
 // IndexExpr subscripts an array, vector, or matrix.
 type IndexExpr struct {
-	Pos   Pos
+	Pos   lex.Pos
 	X     Expr
 	Index Expr
 }
 
 // MemberExpr is a swizzle selection like v.xyz or v.r.
 type MemberExpr struct {
-	Pos  Pos
+	Pos  lex.Pos
 	X    Expr
 	Name string
 }

@@ -30,11 +30,11 @@ var builtinRenames = map[string]string{
 func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 	switch e := e.(type) {
 	case *IntLitExpr:
-		return &glsl.IntLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Int, nil
+		return &glsl.IntLitExpr{Pos: e.Pos, Value: e.Value}, sem.Int, nil
 	case *FloatLitExpr:
-		return &glsl.FloatLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Float, nil
+		return &glsl.FloatLitExpr{Pos: e.Pos, Value: e.Value}, sem.Float, nil
 	case *BoolLitExpr:
-		return &glsl.BoolLitExpr{Pos: pos(e.Pos), Value: e.Value}, sem.Bool, nil
+		return &glsl.BoolLitExpr{Pos: e.Pos, Value: e.Value}, sem.Bool, nil
 	case *IdentExpr:
 		return tr.identExpr(e)
 	case *UnaryExpr:
@@ -42,7 +42,7 @@ func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 		if err != nil {
 			return nil, sem.Void, err
 		}
-		return &glsl.UnaryExpr{Pos: pos(e.Pos), Op: e.Op, X: x}, xt, nil
+		return &glsl.UnaryExpr{Pos: e.Pos, Op: e.Op, X: x}, xt, nil
 	case *BinaryExpr:
 		x, xt, err := tr.expr(e.X)
 		if err != nil {
@@ -56,7 +56,7 @@ func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
 		if err != nil {
 			return nil, sem.Void, errf(e.Pos, "%v", err)
 		}
-		return &glsl.BinaryExpr{Pos: pos(e.Pos), Op: e.Op, X: x, Y: y}, rt, nil
+		return &glsl.BinaryExpr{Pos: e.Pos, Op: e.Op, X: x, Y: y}, rt, nil
 	case *CallExpr:
 		return tr.callExpr(e)
 	case *IndexExpr:
@@ -75,7 +75,7 @@ func (tr *translator) identExpr(e *IdentExpr) (glsl.Expr, sem.Type, error) {
 	// shadowing resolves by source semantics and each identifier carries
 	// its own sanitized GLSL spelling.
 	if b, ok := tr.lookup(e.Name); ok {
-		return &glsl.IdentExpr{Pos: pos(e.Pos), Name: b.Name}, b.T, nil
+		return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, nil
 	}
 	return nil, sem.Void, errf(e.Pos, "undefined identifier %q", e.Name)
 }
@@ -103,7 +103,7 @@ func (tr *translator) indexExpr(e *IndexExpr) (glsl.Expr, sem.Type, error) {
 	default:
 		return nil, sem.Void, errf(e.Pos, "cannot index %s", xt)
 	}
-	return &glsl.IndexExpr{Pos: pos(e.Pos), X: x, Index: idx}, rt, nil
+	return &glsl.IndexExpr{Pos: e.Pos, X: x, Index: idx}, rt, nil
 }
 
 func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
@@ -119,7 +119,7 @@ func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
 	rt := sem.VecType(xt.Kind, len(idx))
-	return &glsl.FieldExpr{Pos: pos(e.Pos), X: x, Name: e.Name}, rt, nil
+	return &glsl.FieldExpr{Pos: e.Pos, X: x, Name: e.Name}, rt, nil
 }
 
 func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
@@ -162,7 +162,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 		if !ct.Equal(sem.Bool) {
 			return nil, sem.Void, errf(e.Pos, "select condition must be bool, got %s", ct)
 		}
-		return &glsl.CondExpr{Pos: pos(e.Pos), Cond: cond, Then: thn, Else: els}, et, nil
+		return &glsl.CondExpr{Pos: e.Pos, Cond: cond, Then: thn, Else: els}, et, nil
 	case "textureSample", "textureSampleLevel":
 		return tr.textureCall(e)
 	}
@@ -186,7 +186,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 		if err != nil {
 			return nil, sem.Void, errf(e.Pos, "%v", err)
 		}
-		return &glsl.CallExpr{Pos: pos(e.Pos), Callee: name, Args: args}, rt, nil
+		return &glsl.CallExpr{Pos: e.Pos, Callee: name, Args: args}, rt, nil
 	}
 
 	// User-defined function.
@@ -196,7 +196,7 @@ func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
 			if err != nil {
 				return nil, sem.Void, err
 			}
-			return &glsl.CallExpr{Pos: pos(e.Pos), Callee: nn, Args: args}, rt, nil
+			return &glsl.CallExpr{Pos: e.Pos, Callee: nn, Args: args}, rt, nil
 		}
 	}
 	return nil, sem.Void, errf(e.Pos, "call to undefined function %q", e.Callee)
@@ -239,7 +239,7 @@ func (tr *translator) ctorCall(e *CallExpr, glslName string) (glsl.Expr, sem.Typ
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
-	return &glsl.CallExpr{Pos: pos(e.Pos), Callee: glslName, Args: args}, rt, nil
+	return &glsl.CallExpr{Pos: e.Pos, Callee: glslName, Args: args}, rt, nil
 }
 
 func (tr *translator) arrayCtor(e *CallExpr) (glsl.Expr, sem.Type, error) {
@@ -271,7 +271,7 @@ func (tr *translator) arrayCtor(e *CallExpr) (glsl.Expr, sem.Type, error) {
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%v", err)
 	}
-	return &glsl.ArrayCtorExpr{Pos: pos(e.Pos), Elem: spec, Len: len(args), Elems: args},
+	return &glsl.ArrayCtorExpr{Pos: e.Pos, Elem: spec, Len: len(args), Elems: args},
 		sem.ArrayOf(elem, len(args)), nil
 }
 
@@ -303,7 +303,7 @@ func (tr *translator) textureCall(e *CallExpr) (glsl.Expr, sem.Type, error) {
 	if err != nil {
 		return nil, sem.Void, errf(e.Pos, "%s: %v", e.Callee, err)
 	}
-	return &glsl.CallExpr{Pos: pos(e.Pos), Callee: target, Args: args}, rt, nil
+	return &glsl.CallExpr{Pos: e.Pos, Callee: target, Args: args}, rt, nil
 }
 
 func (tr *translator) exprList(list []Expr) ([]glsl.Expr, []sem.Type, error) {

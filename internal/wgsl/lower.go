@@ -5,6 +5,7 @@ import (
 
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
+	"shaderopt/internal/lex"
 	"shaderopt/internal/lower"
 	"shaderopt/internal/naming"
 	"shaderopt/internal/sem"
@@ -84,7 +85,7 @@ func (tr *translator) rename(name string) string { return tr.names.Rename(name) 
 // the synthesized variable moves aside).
 func (tr *translator) freshName(base string) string { return tr.names.Fresh(base) }
 
-func errf(p Pos, format string, args ...any) error {
+func errf(p lex.Pos, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...))
 }
 
@@ -320,7 +321,7 @@ func (tr *translator) localName(name string) string { return tr.names.Local(name
 func (tr *translator) block(b *BlockStmt, entryOut *string) (*glsl.BlockStmt, error) {
 	tr.pushScope()
 	defer tr.popScope()
-	out := &glsl.BlockStmt{Pos: pos(b.Pos)}
+	out := &glsl.BlockStmt{Pos: b.Pos}
 	for _, s := range b.Stmts {
 		gs, err := tr.stmt(s, entryOut)
 		if err != nil {
@@ -360,7 +361,7 @@ func (tr *translator) stmt(s Stmt, entryOut *string) ([]glsl.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.AssignStmt{Pos: pos(s.Pos), LHS: lhs, Op: s.Op, RHS: rhs}}, nil
+		return []glsl.Stmt{&glsl.AssignStmt{Pos: s.Pos, LHS: lhs, Op: s.Op, RHS: rhs}}, nil
 	case *IfStmt:
 		return tr.ifStmt(s, entryOut)
 	case *ForStmt:
@@ -374,10 +375,10 @@ func (tr *translator) stmt(s Stmt, entryOut *string) ([]glsl.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.WhileStmt{Pos: pos(s.Pos), Cond: cond, Body: body}}, nil
+		return []glsl.Stmt{&glsl.WhileStmt{Pos: s.Pos, Cond: cond, Body: body}}, nil
 	case *ReturnStmt:
 		if s.Result == nil {
-			return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos)}}, nil
+			return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos}}, nil
 		}
 		res, _, err := tr.expr(s.Result)
 		if err != nil {
@@ -389,28 +390,28 @@ func (tr *translator) stmt(s Stmt, entryOut *string) ([]glsl.Stmt, error) {
 				return nil, errf(s.Pos, "entry point returns a value but declares no return type")
 			}
 			return []glsl.Stmt{
-				&glsl.AssignStmt{Pos: pos(s.Pos), LHS: &glsl.IdentExpr{Name: *entryOut}, Op: "=", RHS: res},
-				&glsl.ReturnStmt{Pos: pos(s.Pos)},
+				&glsl.AssignStmt{Pos: s.Pos, LHS: &glsl.IdentExpr{Name: *entryOut}, Op: "=", RHS: res},
+				&glsl.ReturnStmt{Pos: s.Pos},
 			}, nil
 		}
-		return []glsl.Stmt{&glsl.ReturnStmt{Pos: pos(s.Pos), Result: res}}, nil
+		return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos, Result: res}}, nil
 	case *DiscardStmt:
-		return []glsl.Stmt{&glsl.DiscardStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.DiscardStmt{Pos: s.Pos}}, nil
 	case *BreakStmt:
-		return []glsl.Stmt{&glsl.BreakStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.BreakStmt{Pos: s.Pos}}, nil
 	case *ContinueStmt:
-		return []glsl.Stmt{&glsl.ContinueStmt{Pos: pos(s.Pos)}}, nil
+		return []glsl.Stmt{&glsl.ContinueStmt{Pos: s.Pos}}, nil
 	case *ExprStmt:
 		x, _, err := tr.expr(s.X)
 		if err != nil {
 			return nil, err
 		}
-		return []glsl.Stmt{&glsl.ExprStmt{Pos: pos(s.Pos), X: x}}, nil
+		return []glsl.Stmt{&glsl.ExprStmt{Pos: s.Pos, X: x}}, nil
 	}
 	return nil, fmt.Errorf("unknown statement %T", s)
 }
 
-func (tr *translator) declStmt(p Pos, name string, ty *TypeExpr, init Expr, isLet bool) (*glsl.DeclStmt, error) {
+func (tr *translator) declStmt(p lex.Pos, name string, ty *TypeExpr, init Expr, isLet bool) (*glsl.DeclStmt, error) {
 	var gInit glsl.Expr
 	var it sem.Type
 	var err error
@@ -434,7 +435,7 @@ func (tr *translator) declStmt(p Pos, name string, ty *TypeExpr, init Expr, isLe
 	}
 	ln := tr.localName(name)
 	tr.bind(name, ln, t)
-	return &glsl.DeclStmt{Pos: pos(p), Const: isLet, Type: spec, Name: ln, Init: gInit}, nil
+	return &glsl.DeclStmt{Pos: p, Const: isLet, Type: spec, Name: ln, Init: gInit}, nil
 }
 
 func kindWord(isLet bool) string {
@@ -453,7 +454,7 @@ func (tr *translator) ifStmt(s *IfStmt, entryOut *string) ([]glsl.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &glsl.IfStmt{Pos: pos(s.Pos), Cond: cond, Then: then}
+	out := &glsl.IfStmt{Pos: s.Pos, Cond: cond, Then: then}
 	switch els := s.Else.(type) {
 	case nil:
 	case *BlockStmt:
@@ -480,7 +481,7 @@ func (tr *translator) ifStmt(s *IfStmt, entryOut *string) ([]glsl.Stmt, error) {
 func (tr *translator) forStmt(s *ForStmt, entryOut *string) ([]glsl.Stmt, error) {
 	tr.pushScope()
 	defer tr.popScope()
-	out := &glsl.ForStmt{Pos: pos(s.Pos)}
+	out := &glsl.ForStmt{Pos: s.Pos}
 	if s.Init != nil {
 		init, err := tr.stmt(s.Init, entryOut)
 		if err != nil {
@@ -515,5 +516,3 @@ func (tr *translator) forStmt(s *ForStmt, entryOut *string) ([]glsl.Stmt, error)
 	out.Body = body
 	return []glsl.Stmt{out}, nil
 }
-
-func pos(p Pos) glsl.Pos { return glsl.Pos{Line: p.Line, Col: p.Col} }

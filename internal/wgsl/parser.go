@@ -1,16 +1,15 @@
 package wgsl
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
+
+	"shaderopt/internal/lex"
 )
 
 // Parser is a recursive-descent parser for the WGSL subset.
 type Parser struct {
-	toks []Token
-	pos  int
-	errs []error
+	lex.Cursor
 }
 
 // Parse parses a complete WGSL module.
@@ -19,19 +18,19 @@ func Parse(src string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex.Cursor{Toks: toks}}
 	m := &Module{}
-	for p.cur().Kind != EOF {
+	for p.Cur().Kind != lex.EOF {
 		d := p.parseDecl()
 		if d != nil {
 			m.Decls = append(m.Decls, d)
 		}
-		if len(p.errs) > 8 {
+		if len(p.Errs) > 8 {
 			break
 		}
 	}
-	if len(p.errs) > 0 {
-		return nil, p.errs[0]
+	if len(p.Errs) > 0 {
+		return nil, p.Errs[0]
 	}
 	return m, nil
 }
@@ -45,84 +44,25 @@ func MustParse(src string) *Module {
 	return m
 }
 
-func (p *Parser) cur() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: EOF}
-	}
-	return p.toks[p.pos]
-}
-
-func (p *Parser) peekTok(off int) Token {
-	if p.pos+off >= len(p.toks) {
-		return Token{Kind: EOF}
-	}
-	return p.toks[p.pos+off]
-}
-
-func (p *Parser) next() Token {
-	t := p.cur()
-	if p.pos < len(p.toks) {
-		p.pos++
-	}
-	return t
-}
-
-func (p *Parser) errorf(pos Pos, format string, args ...any) {
-	p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
-}
-
-// accept consumes the next token if it is punctuation or keyword text.
-func (p *Parser) accept(text string) bool {
-	t := p.cur()
-	if (t.Kind == Punct || t.Kind == Keyword) && t.Text == text {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *Parser) expect(text string) Token {
-	t := p.cur()
-	if (t.Kind == Punct || t.Kind == Keyword) && t.Text == text {
-		return p.next()
-	}
-	p.errorf(t.Pos, "expected %q, found %s", text, t)
-	return t
-}
-
-// sync skips tokens until after the next semicolon or closing brace.
-func (p *Parser) sync() {
-	for {
-		t := p.cur()
-		if t.Kind == EOF {
-			return
-		}
-		p.next()
-		if t.Kind == Punct && (t.Text == ";" || t.Text == "}") {
-			return
-		}
-	}
-}
-
 // --- Declarations ---
 
 func (p *Parser) parseDecl() Decl {
-	t := p.cur()
-	if t.Kind == Punct && t.Text == ";" {
-		p.next()
+	t := p.Cur()
+	if t.Kind == lex.Punct && t.Text == ";" {
+		p.Next()
 		return nil
 	}
 	attrs := p.parseAttrs()
-	t = p.cur()
-	if t.Kind != Keyword {
-		p.errorf(t.Pos, "expected declaration, found %s", t)
-		p.sync()
+	t = p.Cur()
+	if t.Kind != lex.Keyword {
+		p.Errorf(t.Pos, "expected declaration, found %s", t)
+		p.Sync()
 		return nil
 	}
 	switch t.Text {
 	case "enable", "requires", "diagnostic":
 		// Directives are accepted and dropped; they do not affect the subset.
-		p.sync()
+		p.Sync()
 		return nil
 	case "fn":
 		return p.parseFn(attrs)
@@ -131,35 +71,35 @@ func (p *Parser) parseDecl() Decl {
 	case "const", "let", "override":
 		return p.parseConstDecl()
 	case "struct", "alias", "const_assert":
-		p.errorf(t.Pos, "%s declarations are outside the supported subset", t.Text)
-		p.sync()
+		p.Errorf(t.Pos, "%s declarations are outside the supported subset", t.Text)
+		p.Sync()
 		return nil
 	}
-	p.errorf(t.Pos, "unexpected keyword %q at module scope", t.Text)
-	p.sync()
+	p.Errorf(t.Pos, "unexpected keyword %q at module scope", t.Text)
+	p.Sync()
 	return nil
 }
 
 // parseAttrs parses a run of @name or @name(args) attributes.
 func (p *Parser) parseAttrs() []Attr {
 	var out []Attr
-	for p.cur().Kind == Punct && p.cur().Text == "@" {
-		at := p.next()
-		nm := p.cur()
-		if nm.Kind != Ident && nm.Kind != Keyword {
-			p.errorf(nm.Pos, "expected attribute name after '@', found %s", nm)
+	for p.Cur().Kind == lex.Punct && p.Cur().Text == "@" {
+		at := p.Next()
+		nm := p.Cur()
+		if nm.Kind != lex.Ident && nm.Kind != lex.Keyword {
+			p.Errorf(nm.Pos, "expected attribute name after '@', found %s", nm)
 			return out
 		}
-		p.next()
+		p.Next()
 		a := Attr{Pos: at.Pos, Name: nm.Text}
-		if p.accept("(") {
-			for !p.accept(")") {
-				if p.cur().Kind == EOF {
-					p.errorf(p.cur().Pos, "unterminated attribute %q", a.Name)
+		if p.Accept("(") {
+			for !p.Accept(")") {
+				if p.Cur().Kind == lex.EOF {
+					p.Errorf(p.Cur().Pos, "unterminated attribute %q", a.Name)
 					return out
 				}
-				tok := p.next()
-				if tok.Kind == Punct && tok.Text == "," {
+				tok := p.Next()
+				if tok.Kind == lex.Punct && tok.Text == "," {
 					continue
 				}
 				a.Args = append(a.Args, tok.Text)
@@ -172,87 +112,87 @@ func (p *Parser) parseAttrs() []Attr {
 
 // parseGlobalVar parses `var<space> name: type = init;` at module scope.
 func (p *Parser) parseGlobalVar(attrs []Attr) Decl {
-	t := p.expect("var")
+	t := p.Expect("var")
 	space := ""
-	if p.accept("<") {
-		sp := p.cur()
-		if sp.Kind != Ident && sp.Kind != Keyword {
-			p.errorf(sp.Pos, "expected address space, found %s", sp)
+	if p.Accept("<") {
+		sp := p.Cur()
+		if sp.Kind != lex.Ident && sp.Kind != lex.Keyword {
+			p.Errorf(sp.Pos, "expected address space, found %s", sp)
 		} else {
 			space = sp.Text
-			p.next()
+			p.Next()
 		}
 		// Optional access mode (var<storage, read> style).
-		if p.accept(",") {
-			p.next()
+		if p.Accept(",") {
+			p.Next()
 		}
-		p.expect(">")
+		p.Expect(">")
 	}
-	name := p.cur()
-	if name.Kind != Ident {
-		p.errorf(name.Pos, "expected variable name, found %s", name)
-		p.sync()
+	name := p.Cur()
+	if name.Kind != lex.Ident {
+		p.Errorf(name.Pos, "expected variable name, found %s", name)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	var ty *TypeExpr
-	if p.accept(":") {
+	if p.Accept(":") {
 		ty = p.parseType()
 	}
 	var init Expr
-	if p.accept("=") {
+	if p.Accept("=") {
 		init = p.parseExpr()
 	}
-	p.expect(";")
+	p.Expect(";")
 	return &GlobalVar{Pos: t.Pos, Attrs: attrs, AddressSpace: space, Name: name.Text, Type: ty, Init: init}
 }
 
 // parseConstDecl parses module-scope `const name [: type] = init;`.
 func (p *Parser) parseConstDecl() Decl {
-	t := p.next() // const / let / override
-	name := p.cur()
-	if name.Kind != Ident {
-		p.errorf(name.Pos, "expected constant name, found %s", name)
-		p.sync()
+	t := p.Next() // const / let / override
+	name := p.Cur()
+	if name.Kind != lex.Ident {
+		p.Errorf(name.Pos, "expected constant name, found %s", name)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	var ty *TypeExpr
-	if p.accept(":") {
+	if p.Accept(":") {
 		ty = p.parseType()
 	}
-	p.expect("=")
+	p.Expect("=")
 	init := p.parseExpr()
-	p.expect(";")
+	p.Expect(";")
 	return &ConstDecl{Pos: t.Pos, Name: name.Text, Type: ty, Init: init}
 }
 
 func (p *Parser) parseFn(attrs []Attr) Decl {
-	t := p.expect("fn")
-	name := p.cur()
-	if name.Kind != Ident {
-		p.errorf(name.Pos, "expected function name, found %s", name)
-		p.sync()
+	t := p.Expect("fn")
+	name := p.Cur()
+	if name.Kind != lex.Ident {
+		p.Errorf(name.Pos, "expected function name, found %s", name)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	fn := &FnDecl{Pos: t.Pos, Attrs: attrs, Name: name.Text}
-	p.expect("(")
-	if !p.accept(")") {
+	p.Expect("(")
+	if !p.Accept(")") {
 		for {
 			prm, ok := p.parseParam()
 			if !ok {
-				p.sync()
+				p.Sync()
 				return nil
 			}
 			fn.Params = append(fn.Params, prm)
-			if p.accept(")") {
+			if p.Accept(")") {
 				break
 			}
-			p.expect(",")
+			p.Expect(",")
 		}
 	}
-	if p.accept("->") {
+	if p.Accept("->") {
 		fn.RetAttrs = p.parseAttrs()
 		fn.Ret = p.parseType()
 	}
@@ -263,43 +203,43 @@ func (p *Parser) parseFn(attrs []Attr) Decl {
 func (p *Parser) parseParam() (Param, bool) {
 	var prm Param
 	prm.Attrs = p.parseAttrs()
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected parameter name, found %s", nm)
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected parameter name, found %s", nm)
 		return prm, false
 	}
-	p.next()
+	p.Next()
 	prm.Name = nm.Text
-	p.expect(":")
+	p.Expect(":")
 	prm.Type = p.parseType()
 	return prm, prm.Type != nil
 }
 
 // parseType parses a (possibly templated) type reference.
 func (p *Parser) parseType() *TypeExpr {
-	t := p.cur()
-	if t.Kind != Ident {
-		p.errorf(t.Pos, "expected type, found %s", t)
+	t := p.Cur()
+	if t.Kind != lex.Ident {
+		p.Errorf(t.Pos, "expected type, found %s", t)
 		return nil
 	}
-	p.next()
+	p.Next()
 	te := &TypeExpr{Pos: t.Pos, Name: t.Text}
-	if p.accept("<") {
+	if p.Accept("<") {
 		te.Elem = p.parseType()
-		if p.accept(",") {
-			n := p.cur()
-			if n.Kind != IntLit {
-				p.errorf(n.Pos, "expected array length, found %s", n)
+		if p.Accept(",") {
+			n := p.Cur()
+			if n.Kind != lex.IntLit {
+				p.Errorf(n.Pos, "expected array length, found %s", n)
 			} else {
 				v, err := strconv.Atoi(strings.TrimRight(n.Text, "iu"))
 				if err != nil {
-					p.errorf(n.Pos, "bad array length %q", n.Text)
+					p.Errorf(n.Pos, "bad array length %q", n.Text)
 				}
 				te.Len = v
-				p.next()
+				p.Next()
 			}
 		}
-		p.expect(">")
+		p.Expect(">")
 	}
 	return te
 }
@@ -307,37 +247,37 @@ func (p *Parser) parseType() *TypeExpr {
 // --- Statements ---
 
 func (p *Parser) parseBlock() *BlockStmt {
-	open := p.expect("{")
+	open := p.Expect("{")
 	blk := &BlockStmt{Pos: open.Pos}
 	for {
-		t := p.cur()
-		if t.Kind == EOF {
-			p.errorf(t.Pos, "unterminated block")
+		t := p.Cur()
+		if t.Kind == lex.EOF {
+			p.Errorf(t.Pos, "unterminated block")
 			return blk
 		}
-		if t.Kind == Punct && t.Text == "}" {
-			p.next()
+		if t.Kind == lex.Punct && t.Text == "}" {
+			p.Next()
 			return blk
 		}
 		s := p.parseStmt()
 		if s != nil {
 			blk.Stmts = append(blk.Stmts, s)
 		}
-		if len(p.errs) > 8 {
+		if len(p.Errs) > 8 {
 			return blk
 		}
 	}
 }
 
 func (p *Parser) parseStmt() Stmt {
-	t := p.cur()
+	t := p.Cur()
 	switch {
-	case t.Kind == Punct && t.Text == "{":
+	case t.Kind == lex.Punct && t.Text == "{":
 		return p.parseBlock()
-	case t.Kind == Punct && t.Text == ";":
-		p.next()
+	case t.Kind == lex.Punct && t.Text == ";":
+		p.Next()
 		return nil
-	case t.Kind == Keyword:
+	case t.Kind == lex.Keyword:
 		switch t.Text {
 		case "let", "const":
 			return p.parseLet()
@@ -350,28 +290,28 @@ func (p *Parser) parseStmt() Stmt {
 		case "while":
 			return p.parseWhile()
 		case "return":
-			p.next()
+			p.Next()
 			var res Expr
-			if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+			if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 				res = p.parseExpr()
 			}
-			p.expect(";")
+			p.Expect(";")
 			return &ReturnStmt{Pos: t.Pos, Result: res}
 		case "discard":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &DiscardStmt{Pos: t.Pos}
 		case "break":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &BreakStmt{Pos: t.Pos}
 		case "continue":
-			p.next()
-			p.expect(";")
+			p.Next()
+			p.Expect(";")
 			return &ContinueStmt{Pos: t.Pos}
 		default:
-			p.errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
-			p.sync()
+			p.Errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
+			p.Sync()
 			return nil
 		}
 	default:
@@ -380,71 +320,71 @@ func (p *Parser) parseStmt() Stmt {
 }
 
 func (p *Parser) parseLet() Stmt {
-	t := p.next() // let / const
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected name after %q, found %s", t.Text, nm)
-		p.sync()
+	t := p.Next() // let / const
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected name after %q, found %s", t.Text, nm)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	var ty *TypeExpr
-	if p.accept(":") {
+	if p.Accept(":") {
 		ty = p.parseType()
 	}
-	p.expect("=")
+	p.Expect("=")
 	init := p.parseExpr()
-	p.expect(";")
+	p.Expect(";")
 	return &LetStmt{Pos: t.Pos, Name: nm.Text, Type: ty, Init: init}
 }
 
 func (p *Parser) parseVar() Stmt {
-	t := p.expect("var")
-	nm := p.cur()
-	if nm.Kind != Ident {
-		p.errorf(nm.Pos, "expected name after var, found %s", nm)
-		p.sync()
+	t := p.Expect("var")
+	nm := p.Cur()
+	if nm.Kind != lex.Ident {
+		p.Errorf(nm.Pos, "expected name after var, found %s", nm)
+		p.Sync()
 		return nil
 	}
-	p.next()
+	p.Next()
 	var ty *TypeExpr
-	if p.accept(":") {
+	if p.Accept(":") {
 		ty = p.parseType()
 	}
 	var init Expr
-	if p.accept("=") {
+	if p.Accept("=") {
 		init = p.parseExpr()
 	}
 	if ty == nil && init == nil {
-		p.errorf(t.Pos, "var %q needs a type or an initializer", nm.Text)
+		p.Errorf(t.Pos, "var %q needs a type or an initializer", nm.Text)
 	}
-	p.expect(";")
+	p.Expect(";")
 	return &VarStmt{Pos: t.Pos, Name: nm.Text, Type: ty, Init: init}
 }
 
 // parseSimpleStmt parses an assignment, inc/dec, or expression statement,
 // without consuming a trailing semicolon (for `for` headers).
 func (p *Parser) parseSimpleStmt() Stmt {
-	t := p.cur()
-	if t.Kind == Keyword && (t.Text == "let" || t.Text == "const") {
+	t := p.Cur()
+	if t.Kind == lex.Keyword && (t.Text == "let" || t.Text == "const") {
 		return p.parseLet() // consumes ';' — only used by for-init handling
 	}
-	if t.Kind == Keyword && t.Text == "var" {
+	if t.Kind == lex.Keyword && t.Text == "var" {
 		return p.parseVar() // consumes ';'
 	}
 	lhs := p.parseExpr()
-	cur := p.cur()
-	if cur.Kind == Punct {
+	cur := p.Cur()
+	if cur.Kind == lex.Punct {
 		switch cur.Text {
 		case "=", "+=", "-=", "*=", "/=":
-			p.next()
+			p.Next()
 			rhs := p.parseExpr()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
 		case "++":
-			p.next()
+			p.Next()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
 		case "--":
-			p.next()
+			p.Next()
 			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
 		}
 	}
@@ -453,22 +393,22 @@ func (p *Parser) parseSimpleStmt() Stmt {
 
 func (p *Parser) parseSimpleStmtSemi() Stmt {
 	s := p.parseSimpleStmt()
-	p.expect(";")
+	p.Expect(";")
 	return s
 }
 
 func (p *Parser) parseIf() Stmt {
-	t := p.expect("if")
+	t := p.Expect("if")
 	// WGSL allows both `if cond { }` and `if (cond) { }`.
-	paren := p.accept("(")
+	paren := p.Accept("(")
 	cond := p.parseExpr()
 	if paren {
-		p.expect(")")
+		p.Expect(")")
 	}
 	then := p.parseBlock()
 	var els Stmt
-	if p.accept("else") {
-		if p.cur().Kind == Keyword && p.cur().Text == "if" {
+	if p.Accept("else") {
+		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
 			els = p.parseIf()
 		} else {
 			els = p.parseBlock()
@@ -478,41 +418,41 @@ func (p *Parser) parseIf() Stmt {
 }
 
 func (p *Parser) parseFor() Stmt {
-	t := p.expect("for")
-	p.expect("(")
+	t := p.Expect("for")
+	p.Expect("(")
 	var init Stmt
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		switch {
-		case p.cur().Kind == Keyword && p.cur().Text == "var":
+		case p.Cur().Kind == lex.Keyword && p.Cur().Text == "var":
 			init = p.parseVar() // consumes ';'
-		case p.cur().Kind == Keyword && (p.cur().Text == "let" || p.cur().Text == "const"):
+		case p.Cur().Kind == lex.Keyword && (p.Cur().Text == "let" || p.Cur().Text == "const"):
 			init = p.parseLet() // consumes ';'
 		default:
 			init = p.parseSimpleStmtSemi()
 		}
 	} else {
-		p.next()
+		p.Next()
 	}
 	var cond Expr
-	if !(p.cur().Kind == Punct && p.cur().Text == ";") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		cond = p.parseExpr()
 	}
-	p.expect(";")
+	p.Expect(";")
 	var post Stmt
-	if !(p.cur().Kind == Punct && p.cur().Text == ")") {
+	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ")") {
 		post = p.parseSimpleStmt()
 	}
-	p.expect(")")
+	p.Expect(")")
 	body := p.parseBlock()
 	return &ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
 }
 
 func (p *Parser) parseWhile() Stmt {
-	t := p.expect("while")
-	paren := p.accept("(")
+	t := p.Expect("while")
+	paren := p.Accept("(")
 	cond := p.parseExpr()
 	if paren {
-		p.expect(")")
+		p.Expect(")")
 	}
 	body := p.parseBlock()
 	return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
@@ -535,29 +475,29 @@ func (p *Parser) parseExpr() Expr { return p.parseBinary(1) }
 func (p *Parser) parseBinary(minPrec int) Expr {
 	lhs := p.parseUnary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
+		t := p.Cur()
+		if t.Kind != lex.Punct {
 			return lhs
 		}
 		prec, ok := binPrec[t.Text]
 		if !ok || prec < minPrec {
 			return lhs
 		}
-		p.next()
+		p.Next()
 		rhs := p.parseBinary(prec + 1)
 		lhs = &BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
-	t := p.cur()
-	if t.Kind == Punct {
+	t := p.Cur()
+	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
-			p.next()
+			p.Next()
 			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
 		case "+":
-			p.next()
+			p.Next()
 			return p.parseUnary()
 		}
 	}
@@ -567,24 +507,24 @@ func (p *Parser) parseUnary() Expr {
 func (p *Parser) parsePostfix() Expr {
 	x := p.parsePrimary()
 	for {
-		t := p.cur()
-		if t.Kind != Punct {
+		t := p.Cur()
+		if t.Kind != lex.Punct {
 			return x
 		}
 		switch t.Text {
 		case "[":
-			p.next()
+			p.Next()
 			idx := p.parseExpr()
-			p.expect("]")
+			p.Expect("]")
 			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
-			p.next()
-			nm := p.cur()
-			if nm.Kind != Ident {
-				p.errorf(nm.Pos, "expected member name after '.', found %s", nm)
+			p.Next()
+			nm := p.Cur()
+			if nm.Kind != lex.Ident {
+				p.Errorf(nm.Pos, "expected member name after '.', found %s", nm)
 				return x
 			}
-			p.next()
+			p.Next()
 			x = &MemberExpr{Pos: t.Pos, X: x, Name: nm.Text}
 		default:
 			return x
@@ -593,61 +533,61 @@ func (p *Parser) parsePostfix() Expr {
 }
 
 func (p *Parser) parsePrimary() Expr {
-	t := p.cur()
+	t := p.Cur()
 	switch t.Kind {
-	case IntLit:
-		p.next()
+	case lex.IntLit:
+		p.Next()
 		text := strings.TrimRight(t.Text, "iu")
 		var v int64
 		if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
 			u, err := strconv.ParseUint(text[2:], 16, 64)
 			if err != nil {
-				p.errorf(t.Pos, "bad hex literal %q", t.Text)
+				p.Errorf(t.Pos, "bad hex literal %q", t.Text)
 			}
 			v = int64(u)
 		} else {
 			var err error
 			v, err = strconv.ParseInt(text, 10, 64)
 			if err != nil {
-				p.errorf(t.Pos, "bad int literal %q", t.Text)
+				p.Errorf(t.Pos, "bad int literal %q", t.Text)
 			}
 		}
 		return &IntLitExpr{Pos: t.Pos, Value: v}
-	case FloatLit:
-		p.next()
+	case lex.FloatLit:
+		p.Next()
 		text := strings.TrimRight(t.Text, "fh")
 		v, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			p.errorf(t.Pos, "bad float literal %q", t.Text)
+			p.Errorf(t.Pos, "bad float literal %q", t.Text)
 		}
 		return &FloatLitExpr{Pos: t.Pos, Value: v}
-	case BoolLit:
-		p.next()
+	case lex.BoolLit:
+		p.Next()
 		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
-	case Ident:
-		p.next()
+	case lex.Ident:
+		p.Next()
 		// Templated constructor: vec4<f32>(...), array<f32, 9>(...).
-		if p.cur().Kind == Punct && p.cur().Text == "<" && isTemplatedName(t.Text) {
-			p.pos-- // re-parse the full type reference
+		if p.Cur().Kind == lex.Punct && p.Cur().Text == "<" && isTemplatedName(t.Text) {
+			p.At-- // re-parse the full type reference
 			ty := p.parseType()
 			call := p.parseCallArgs(t.Pos, t.Text)
 			call.TypeArg = ty
 			return call
 		}
-		if p.cur().Kind == Punct && p.cur().Text == "(" {
+		if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 			return p.parseCallArgs(t.Pos, t.Text)
 		}
 		return &IdentExpr{Pos: t.Pos, Name: t.Text}
-	case Punct:
+	case lex.Punct:
 		if t.Text == "(" {
-			p.next()
+			p.Next()
 			e := p.parseExpr()
-			p.expect(")")
+			p.Expect(")")
 			return e
 		}
 	}
-	p.errorf(t.Pos, "unexpected token %s in expression", t)
-	p.next()
+	p.Errorf(t.Pos, "unexpected token %s in expression", t)
+	p.Next()
 	return &IntLitExpr{Pos: t.Pos, Value: 0}
 }
 
@@ -664,20 +604,20 @@ func isTemplatedName(name string) bool {
 	return ok
 }
 
-func (p *Parser) parseCallArgs(pos Pos, callee string) *CallExpr {
-	p.expect("(")
+func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *CallExpr {
+	p.Expect("(")
 	call := &CallExpr{Pos: pos, Callee: callee}
-	if p.accept(")") {
+	if p.Accept(")") {
 		return call
 	}
 	for {
 		call.Args = append(call.Args, p.parseExpr())
-		if p.accept(")") {
+		if p.Accept(")") {
 			return call
 		}
-		p.expect(",")
-		if p.cur().Kind == EOF {
-			p.errorf(p.cur().Pos, "unterminated call to %q", callee)
+		p.Expect(",")
+		if p.Cur().Kind == lex.EOF {
+			p.Errorf(p.Cur().Pos, "unterminated call to %q", callee)
 			return call
 		}
 	}

@@ -56,21 +56,6 @@ func twinPairs(t *testing.T, n int) []*corpus.Shader {
 	return out
 }
 
-// compileCorpus compiles fresh handles (fresh every call: a handle
-// memoizes its variant set, so each enumeration pass needs its own).
-func compileCorpus(t *testing.T, shaders []*corpus.Shader) []*core.Shader {
-	t.Helper()
-	handles := make([]*core.Shader, len(shaders))
-	for i, s := range shaders {
-		h, err := core.Compile(s.Source, s.Name, s.Lang)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
-	}
-	return handles
-}
-
 // TestSharedEnumerationMatchesPrivate is the corpus-wide byte-identity
 // gate for the cross-shader trie: every shader in the twin families
 // (two whole twin pairs under -short, both full families otherwise)
@@ -88,8 +73,8 @@ func TestSharedEnumerationMatchesPrivate(t *testing.T) {
 	shared := core.NewSharedTrie()
 	shared.Instrument(reg.Counter("enum.shared.hits"), reg.Counter("enum.shared.misses"))
 
-	sharedHandles := compileCorpus(t, shaders)
-	privateHandles := compileCorpus(t, shaders)
+	sharedHandles := compileHandles(t, shaders)
+	privateHandles := compileHandles(t, shaders)
 	for i, h := range sharedHandles {
 		got := h.VariantsSharedT(reg, 1, shared)
 		want := privateHandles[i].VariantsSharedT(nil, 1, nil)
@@ -179,12 +164,12 @@ func TestSharedEnumerationSpeedupRegression(t *testing.T) {
 	warmSet, timedSet := pick(base.WarmShaders), pick(base.Shaders)
 
 	shared := core.NewSharedTrie()
-	for _, h := range compileCorpus(t, warmSet) {
+	for _, h := range compileHandles(t, warmSet) {
 		h.VariantsSharedT(nil, 1, shared)
 	}
 
 	sharedPass := func() time.Duration {
-		handles := compileCorpus(t, timedSet)
+		handles := compileHandles(t, timedSet)
 		start := time.Now()
 		for _, h := range handles {
 			h.VariantsSharedT(nil, 1, shared)
@@ -192,7 +177,7 @@ func TestSharedEnumerationSpeedupRegression(t *testing.T) {
 		return time.Since(start)
 	}
 	privatePass := func() time.Duration {
-		handles := compileCorpus(t, timedSet)
+		handles := compileHandles(t, timedSet)
 		start := time.Now()
 		for _, h := range handles {
 			h.VariantsSharedT(nil, 1, nil)

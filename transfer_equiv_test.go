@@ -11,8 +11,6 @@ import (
 
 	"shaderopt/internal/analysis"
 	"shaderopt/internal/corpus"
-	"shaderopt/internal/gpu"
-	"shaderopt/internal/harness"
 	"shaderopt/internal/report"
 	"shaderopt/internal/search"
 )
@@ -32,11 +30,7 @@ func twinStudy(t *testing.T, workers int) *search.Sweep {
 			shaders = append(shaders, s)
 		}
 	}
-	sweep, err := search.Run(shaders, gpu.Platforms(), search.Options{Cfg: harness.FastConfig(), Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sweep
+	return sweepHandles(t, compileHandles(t, shaders), workers)
 }
 
 // TestTransferTwinCellsExact pins the acceptance criterion: both
