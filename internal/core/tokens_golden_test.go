@@ -28,6 +28,7 @@ import (
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/hlsl"
+	"shaderopt/internal/lex"
 	"shaderopt/internal/msl"
 	"shaderopt/internal/wgsl"
 )
@@ -36,58 +37,26 @@ var update = flag.Bool("update", false, "rewrite testdata/tokens.golden")
 
 const tokensGolden = "testdata/tokens.golden"
 
-// tokenRow is one token as the golden digests it.
-type tokenRow struct {
-	kind, text string
-	line, col  int32
+// lexers are the four frontends' LexAll, by language name.
+var lexers = map[string]func(string) ([]lex.Token, error){
+	"glsl": glsl.LexAll,
+	"hlsl": hlsl.LexAll,
+	"wgsl": wgsl.LexAll,
+	"msl":  msl.LexAll,
 }
 
-// streamDigest digests a token stream, or returns the lexing error alone.
-func streamDigest(rows []tokenRow, err error) string {
+// lexDigest lexes src with the named frontend's LexAll and digests the
+// (kind, text, line, column) stream, or returns the lexing error alone.
+func lexDigest(lang, src string) string {
+	toks, err := lexers[lang](src)
 	if err != nil {
 		return "error " + strconv.Quote(err.Error())
 	}
 	h := sha256.New()
-	for _, r := range rows {
-		fmt.Fprintf(h, "%s\x00%q\x00%d\x00%d\n", r.kind, r.text, r.line, r.col)
+	for _, t := range toks {
+		fmt.Fprintf(h, "%s\x00%q\x00%d\x00%d\n", t.Kind, t.Text, t.Pos.Line, t.Pos.Col)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// lexDigest lexes src with the named frontend's LexAll and digests the
-// result.
-func lexDigest(lang, src string) string {
-	var rows []tokenRow
-	var err error
-	switch lang {
-	case "glsl":
-		var toks []glsl.Token
-		toks, err = glsl.LexAll(src)
-		for _, t := range toks {
-			rows = append(rows, tokenRow{t.Kind.String(), t.Text, t.Pos.Line, t.Pos.Col})
-		}
-	case "hlsl":
-		var toks []hlsl.Token
-		toks, err = hlsl.LexAll(src)
-		for _, t := range toks {
-			rows = append(rows, tokenRow{t.Kind.String(), t.Text, t.Pos.Line, t.Pos.Col})
-		}
-	case "wgsl":
-		var toks []wgsl.Token
-		toks, err = wgsl.LexAll(src)
-		for _, t := range toks {
-			rows = append(rows, tokenRow{t.Kind.String(), t.Text, t.Pos.Line, t.Pos.Col})
-		}
-	case "msl":
-		var toks []msl.Token
-		toks, err = msl.LexAll(src)
-		for _, t := range toks {
-			rows = append(rows, tokenRow{t.Kind.String(), t.Text, t.Pos.Line, t.Pos.Col})
-		}
-	default:
-		panic("unknown language " + lang)
-	}
-	return streamDigest(rows, err)
 }
 
 // seedInput decodes the string (or []byte) value of a one-argument fuzz
