@@ -249,7 +249,8 @@
 //   - Fuzzing: native go-fuzz targets for the frontends — WGSL and
 //     HLSL lexers, parsers, and compile round trips; GLSL preprocessor,
 //     lexer, parser, and the parse→lower→generate→re-parse round trip —
-//     plus the four-way DetectLang, with seed corpora under
+//     plus the four lexers at once (FuzzLexAll, on their shared
+//     internal/lex scanner) and the four-way DetectLang, with seed corpora under
 //     testdata/fuzz, short smoke campaigns in CI, and 2-minute campaigns
 //     per target in the nightly workflow.
 //   - Golden files: the Table I / Fig. 3-9 report renderers and the
