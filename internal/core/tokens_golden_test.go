@@ -33,7 +33,7 @@ import (
 	"shaderopt/internal/wgsl"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/tokens.golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 const tokensGolden = "testdata/tokens.golden"
 
