@@ -463,6 +463,64 @@ func BenchmarkLexAllCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkTranslateCorpus runs each translating frontend's Translate
+// over modules parsed outside the timed loop: the HLSL and WGSL corpus
+// sources, and every canonical lowering's emitted MSL (the text the
+// NVIDIA re-ingest translates). -benchmem reports each translator's
+// bytes and objects per corpus pass.
+func BenchmarkTranslateCorpus(b *testing.B) {
+	var hlslMods []*hlsl.Module
+	var wgslMods []*wgsl.Module
+	var mslMods []*msl.Module
+	for _, s := range corpus.MustLoad() {
+		switch s.Lang {
+		case core.LangHLSL:
+			m, err := hlsl.Parse(s.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hlslMods = append(hlslMods, m)
+		case core.LangWGSL:
+			m, err := wgsl.Parse(s.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wgslMods = append(wgslMods, m)
+		}
+	}
+	for _, p := range canonicalLowerings(b) {
+		src, err := msl.Emit(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := msl.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mslMods = append(mslMods, m)
+	}
+	for _, c := range []struct {
+		lang core.Lang
+		n    int
+		tr   func(i int) error
+	}{
+		{core.LangWGSL, len(wgslMods), func(i int) error { _, err := wgsl.Translate(wgslMods[i]); return err }},
+		{core.LangHLSL, len(hlslMods), func(i int) error { _, err := hlsl.Translate(hlslMods[i]); return err }},
+		{core.LangMSL, len(mslMods), func(i int) error { _, err := msl.Translate(mslMods[i]); return err }},
+	} {
+		b.Run(c.lang.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < c.n; j++ {
+					if err := c.tr(j); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // --- component micro-benchmarks ---
 
 func BenchmarkParseBlur(b *testing.B) {

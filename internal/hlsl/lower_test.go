@@ -1,6 +1,7 @@
 package hlsl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -133,6 +134,51 @@ float4 main(float2 uv : TEXCOORD0) : SV_Target {
 	out := glslgen.Generate(prog, glslgen.Desktop)
 	if strings.Contains(out, "mod(") {
 		t.Errorf("fmod renamed to floor-based mod:\n%s", out)
+	}
+}
+
+// TestLowerFmodLinear pins that nested fmod calls translate in size linear
+// in the nesting depth (each operand is bound once, not re-translated per
+// use in the identity), and that the helper fmod translates through
+// renders bit-identically to the identity written out by hand, negative
+// operands included.
+func TestLowerFmodLinear(t *testing.T) {
+	const depth = 24
+	src := "uv.x"
+	for i := 0; i < depth; i++ {
+		src = "fmod(" + src + ", 0.7)"
+	}
+	prog := compile(t, "float4 main(float2 uv : TEXCOORD0) : SV_Target { return float4("+src+", 0.0, 0.0, 1.0); }")
+	if n := prog.Body.CountInstrs(); n >= 1000*depth {
+		t.Errorf("depth-%d fmod nesting lowered to %d instructions, want fewer than %d", depth, n, 1000*depth)
+	}
+
+	const head = "float4 main(float2 uv : TEXCOORD0) : SV_Target {\n    float x = uv.x * 4.0 - 2.0;\n    float y = uv.y * 3.0 - 1.6;\n"
+	helper := compile(t, head+"    return float4(fmod(x, y), fmod(x, -0.7), fmod(-x, 0.3), 1.0);\n}")
+	identity := compile(t, head+`    return float4(x - y * (sign(x / y) * floor(abs(x / y))),
+                  x - -0.7 * (sign(x / -0.7) * floor(abs(x / -0.7))),
+                  -x - 0.3 * (sign(-x / 0.3) * floor(abs(-x / 0.3))), 1.0);
+}`)
+	henv, ienv := harness.DefaultEnv(helper), harness.DefaultEnv(identity)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			uv := ir.FloatConst((float64(i)+0.5)/4, (float64(j)+0.5)/4)
+			henv.Inputs["uv"], ienv.Inputs["uv"] = uv, uv
+			hres, err := exec.Run(helper, henv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ires, err := exec.Run(identity, ienv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hout, iout := hres.Outputs["fragColor"], ires.Outputs["fragColor"]
+			for c := 0; c < 3; c++ {
+				if math.Float64bits(hout.Float(c)) != math.Float64bits(iout.Float(c)) {
+					t.Errorf("pixel (%d,%d) component %d: fmod %v, identity %v", i, j, c, hout.Float(c), iout.Float(c))
+				}
+			}
+		}
 	}
 }
 
@@ -496,10 +542,7 @@ float4 main() : SV_Target { return float4(k, k, k, 1.0); }`, "static"},
 float4 main() : SV_Target { float x = {1.0}; return float4(x, x, x, 1.0); }`, "array"},
 	}
 	for _, c := range cases {
-		m, err := Parse(c.src)
-		if err == nil {
-			_, err = Lower(m, c.name)
-		}
+		_, err := Compile(c.src, c.name)
 		if err == nil {
 			t.Errorf("%s: lowered successfully, want error containing %q", c.name, c.want)
 			continue

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"shaderopt/internal/bind"
 	"shaderopt/internal/lex"
 )
 
@@ -33,15 +34,6 @@ func Parse(src string) (*Module, error) {
 		return nil, p.Errs[0]
 	}
 	return m, nil
-}
-
-// MustParse parses src and panics on error. For tests and fixed sources.
-func MustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // --- Declarations ---
@@ -150,10 +142,10 @@ func (p *Parser) parseCBuffer() Decl {
 			continue
 		}
 		p.Next()
-		arrayLen := p.parseArraySuffix()
+		ty = p.parseArraySuffix(ty)
 		p.parseAnnots() // packoffset is a layout detail; drop it
 		p.Expect(";")
-		d.Members = append(d.Members, CBufferMember{Pos: mn.Pos, Type: ty, Name: mn.Text, ArrayLen: arrayLen})
+		d.Members = append(d.Members, CBufferMember{Pos: mn.Pos, Type: ty, Name: mn.Text})
 	}
 	p.Accept(";") // trailing semicolon is conventional but optional
 	return d
@@ -195,17 +187,16 @@ func (p *Parser) parseGlobalVar() Decl {
 		return nil
 	}
 	p.Next()
-	arrayLen := p.parseArraySuffix()
+	ty = p.parseArraySuffix(ty)
 	_, register := p.parseAnnots()
-	var init Expr
+	var init bind.Expr
 	if p.Accept("=") {
-		init = p.parseInitializer()
+		init = p.parseInitializer(ty)
 	}
 	p.Expect(";")
 	return &GlobalVar{
 		Pos: start, Static: isStatic, Const: isConst,
-		Type: ty, Name: name.Text, ArrayLen: arrayLen,
-		Register: register, Init: init,
+		Type: ty, Name: name.Text, Register: register, Init: init,
 	}
 }
 
@@ -250,28 +241,28 @@ func (p *Parser) parseParam() (Param, bool) {
 	}
 	p.Next()
 	prm.Name = nm.Text
-	prm.ArrayLen = p.parseArraySuffix()
+	prm.Type = p.parseArraySuffix(prm.Type)
 	prm.Semantic, _ = p.parseAnnots()
 	return prm, true
 }
 
 // parseType parses an intrinsic type reference, with an optional template
 // argument for resource types (Texture2D<float4>).
-func (p *Parser) parseType() *TypeExpr {
+func (p *Parser) parseType() *bind.TypeExpr {
 	t := p.Cur()
 	if t.Kind != lex.Ident || !IsTypeName(t.Text) {
 		p.Errorf(t.Pos, "expected type, found %s", t)
 		return nil
 	}
 	p.Next()
-	te := &TypeExpr{Pos: t.Pos, Name: t.Text}
+	te := &bind.TypeExpr{Pos: t.Pos, Name: t.Text}
 	if p.Cur().Kind == lex.Punct && p.Cur().Text == "<" && strings.HasPrefix(t.Text, "Texture") {
 		p.Next()
 		el := p.Cur()
 		if el.Kind != lex.Ident || !IsTypeName(el.Text) {
 			p.Errorf(el.Pos, "expected texel type, found %s", el)
 		} else {
-			te.Elem = el.Text
+			te.Elem = &bind.TypeExpr{Pos: el.Pos, Name: el.Text}
 			p.Next()
 		}
 		p.Expect(">")
@@ -280,20 +271,20 @@ func (p *Parser) parseType() *TypeExpr {
 }
 
 // parseArraySuffix parses an optional C-style `[N]` or `[]` declarator
-// suffix; -1 means no array.
-func (p *Parser) parseArraySuffix() int {
+// suffix, folding it into an array of ty (Len 0 when unsized).
+func (p *Parser) parseArraySuffix(ty *bind.TypeExpr) *bind.TypeExpr {
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == "[") {
-		return -1
+		return ty
 	}
 	p.Next()
 	if p.Accept("]") {
-		return 0
+		return &bind.TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty}
 	}
 	n := p.Cur()
 	if n.Kind != lex.IntLit {
 		p.Errorf(n.Pos, "expected array length, found %s", n)
 		p.Expect("]")
-		return -1
+		return ty
 	}
 	p.Next()
 	v, err := strconv.Atoi(strings.TrimRight(n.Text, "uUlL"))
@@ -302,15 +293,15 @@ func (p *Parser) parseArraySuffix() int {
 		v = 1
 	}
 	p.Expect("]")
-	return v
+	return &bind.TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty, Len: v}
 }
 
 // parseInitializer parses either a brace initializer list or an
-// expression.
-func (p *Parser) parseInitializer() Expr {
+// expression. A nonempty brace list sizes an unsized array type ty.
+func (p *Parser) parseInitializer(ty *bind.TypeExpr) bind.Expr {
 	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
 		t := p.Next()
-		list := &InitListExpr{Pos: t.Pos}
+		list := &bind.InitListExpr{Pos: t.Pos}
 		for !p.Accept("}") {
 			if p.Cur().Kind == lex.EOF {
 				p.Errorf(p.Cur().Pos, "unterminated initializer list")
@@ -322,6 +313,9 @@ func (p *Parser) parseInitializer() Expr {
 				return list
 			}
 		}
+		if ty.Name == "array" && ty.Len == 0 {
+			ty.Len = len(list.Elems)
+		}
 		return list
 	}
 	return p.parseExpr()
@@ -329,9 +323,9 @@ func (p *Parser) parseInitializer() Expr {
 
 // --- Statements ---
 
-func (p *Parser) parseBlock() *BlockStmt {
+func (p *Parser) parseBlock() *bind.BlockStmt {
 	open := p.Expect("{")
-	blk := &BlockStmt{Pos: open.Pos}
+	blk := &bind.BlockStmt{Pos: open.Pos}
 	for {
 		t := p.Cur()
 		if t.Kind == lex.EOF {
@@ -376,7 +370,7 @@ func (p *Parser) skipStmtAttrs() {
 	}
 }
 
-func (p *Parser) parseStmt() Stmt {
+func (p *Parser) parseStmt() bind.Stmt {
 	p.skipStmtAttrs()
 	t := p.Cur()
 	switch {
@@ -397,24 +391,24 @@ func (p *Parser) parseStmt() Stmt {
 			return p.parseWhile()
 		case "return":
 			p.Next()
-			var res Expr
+			var res bind.Expr
 			if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 				res = p.parseExpr()
 			}
 			p.Expect(";")
-			return &ReturnStmt{Pos: t.Pos, Result: res}
+			return &bind.ReturnStmt{Pos: t.Pos, Result: res}
 		case "discard":
 			p.Next()
 			p.Expect(";")
-			return &DiscardStmt{Pos: t.Pos}
+			return &bind.DiscardStmt{Pos: t.Pos}
 		case "break":
 			p.Next()
 			p.Expect(";")
-			return &BreakStmt{Pos: t.Pos}
+			return &bind.BreakStmt{Pos: t.Pos}
 		case "continue":
 			p.Next()
 			p.Expect(";")
-			return &ContinueStmt{Pos: t.Pos}
+			return &bind.ContinueStmt{Pos: t.Pos}
 		default:
 			p.Errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
 			p.Sync()
@@ -429,7 +423,7 @@ func (p *Parser) parseStmt() Stmt {
 
 // parseLocalDecl parses a C-style local declaration
 // `[static] [const] type name [N] [= init]` without the semicolon.
-func (p *Parser) parseLocalDecl() Stmt {
+func (p *Parser) parseLocalDecl() bind.Stmt {
 	start := p.Cur().Pos
 	isConst := false
 	for {
@@ -455,15 +449,15 @@ func (p *Parser) parseLocalDecl() Stmt {
 		return nil
 	}
 	p.Next()
-	arrayLen := p.parseArraySuffix()
-	var init Expr
+	ty = p.parseArraySuffix(ty)
+	var init bind.Expr
 	if p.Accept("=") {
-		init = p.parseInitializer()
+		init = p.parseInitializer(ty)
 	}
-	return &DeclStmt{Pos: start, Const: isConst, Type: ty, Name: nm.Text, ArrayLen: arrayLen, Init: init}
+	return &bind.DeclStmt{Pos: start, Const: isConst, Type: ty, Name: nm.Text, Init: init}
 }
 
-func (p *Parser) parseLocalDeclSemi() Stmt {
+func (p *Parser) parseLocalDeclSemi() bind.Stmt {
 	s := p.parseLocalDecl()
 	if s != nil {
 		p.Expect(";")
@@ -473,7 +467,7 @@ func (p *Parser) parseLocalDeclSemi() Stmt {
 
 // parseSimpleStmt parses an assignment, inc/dec, or expression statement,
 // without consuming a trailing semicolon (for `for` headers).
-func (p *Parser) parseSimpleStmt() Stmt {
+func (p *Parser) parseSimpleStmt() bind.Stmt {
 	t := p.Cur()
 	// Prefix inc/dec: `++i` is as idiomatic as `i++` in for-loop posts;
 	// both desugar to compound assignment (value-position prefix forms
@@ -485,7 +479,7 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		if t.Text == "--" {
 			op = "-="
 		}
-		return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: op, RHS: &IntLitExpr{Pos: t.Pos, Value: 1}}
+		return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: op, RHS: &bind.IntLitExpr{Pos: t.Pos, Value: 1}}
 	}
 	lhs := p.parseExpr()
 	cur := p.Cur()
@@ -494,31 +488,31 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		case "=", "+=", "-=", "*=", "/=":
 			p.Next()
 			rhs := p.parseExpr()
-			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
+			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
 		case "++":
 			p.Next()
-			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
+			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &bind.IntLitExpr{Pos: cur.Pos, Value: 1}}
 		case "--":
 			p.Next()
-			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
+			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &bind.IntLitExpr{Pos: cur.Pos, Value: 1}}
 		}
 	}
-	return &ExprStmt{Pos: t.Pos, X: lhs}
+	return &bind.ExprStmt{Pos: t.Pos, X: lhs}
 }
 
-func (p *Parser) parseSimpleStmtSemi() Stmt {
+func (p *Parser) parseSimpleStmtSemi() bind.Stmt {
 	s := p.parseSimpleStmt()
 	p.Expect(";")
 	return s
 }
 
-func (p *Parser) parseIf() Stmt {
+func (p *Parser) parseIf() bind.Stmt {
 	t := p.Expect("if")
 	p.Expect("(")
 	cond := p.parseExpr()
 	p.Expect(")")
 	then := p.parseStmtAsBlock()
-	var els Stmt
+	var els bind.Stmt
 	if p.Accept("else") {
 		p.skipStmtAttrs()
 		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
@@ -527,27 +521,27 @@ func (p *Parser) parseIf() Stmt {
 			els = p.parseStmtAsBlock()
 		}
 	}
-	return &IfStmt{Pos: t.Pos, Cond: cond, Then: then, Else: els}
+	return &bind.IfStmt{Pos: t.Pos, Cond: cond, Then: then, Else: els}
 }
 
 // parseStmtAsBlock parses a braced block, or wraps a single unbraced
 // statement (C permits `if (c) discard;`) in a block.
-func (p *Parser) parseStmtAsBlock() *BlockStmt {
+func (p *Parser) parseStmtAsBlock() *bind.BlockStmt {
 	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
 		return p.parseBlock()
 	}
 	s := p.parseStmt()
-	blk := &BlockStmt{Pos: p.Cur().Pos}
+	blk := &bind.BlockStmt{Pos: p.Cur().Pos}
 	if s != nil {
 		blk.Stmts = append(blk.Stmts, s)
 	}
 	return blk
 }
 
-func (p *Parser) parseFor() Stmt {
+func (p *Parser) parseFor() bind.Stmt {
 	t := p.Expect("for")
 	p.Expect("(")
-	var init Stmt
+	var init bind.Stmt
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		if c := p.Cur(); (c.Kind == lex.Ident && IsTypeName(c.Text) && p.PeekTok(1).Kind == lex.Ident) ||
 			(c.Kind == lex.Keyword && (c.Text == "const" || c.Text == "static")) {
@@ -557,27 +551,27 @@ func (p *Parser) parseFor() Stmt {
 		}
 	}
 	p.Expect(";")
-	var cond Expr
+	var cond bind.Expr
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		cond = p.parseExpr()
 	}
 	p.Expect(";")
-	var post Stmt
+	var post bind.Stmt
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ")") {
 		post = p.parseSimpleStmt()
 	}
 	p.Expect(")")
 	body := p.parseStmtAsBlock()
-	return &ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
+	return &bind.ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
 }
 
-func (p *Parser) parseWhile() Stmt {
+func (p *Parser) parseWhile() bind.Stmt {
 	t := p.Expect("while")
 	p.Expect("(")
 	cond := p.parseExpr()
 	p.Expect(")")
 	body := p.parseStmtAsBlock()
-	return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
+	return &bind.WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
 }
 
 // --- Expressions ---
@@ -592,9 +586,9 @@ var binPrec = map[string]int{
 	"*": 6, "/": 6, "%": 6,
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseTernary() }
+func (p *Parser) parseExpr() bind.Expr { return p.parseTernary() }
 
-func (p *Parser) parseTernary() Expr {
+func (p *Parser) parseTernary() bind.Expr {
 	cond := p.parseBinary(1)
 	t := p.Cur()
 	if t.Kind == lex.Punct && t.Text == "?" {
@@ -602,12 +596,12 @@ func (p *Parser) parseTernary() Expr {
 		thn := p.parseTernary()
 		p.Expect(":")
 		els := p.parseTernary()
-		return &CondExpr{Pos: t.Pos, Cond: cond, Then: thn, Else: els}
+		return &bind.CondExpr{Pos: t.Pos, Cond: cond, Then: thn, Else: els}
 	}
 	return cond
 }
 
-func (p *Parser) parseBinary(minPrec int) Expr {
+func (p *Parser) parseBinary(minPrec int) bind.Expr {
 	lhs := p.parseUnary()
 	for {
 		t := p.Cur()
@@ -620,17 +614,17 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		}
 		p.Next()
 		rhs := p.parseBinary(prec + 1)
-		lhs = &BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
+		lhs = &bind.BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
 	}
 }
 
-func (p *Parser) parseUnary() Expr {
+func (p *Parser) parseUnary() bind.Expr {
 	t := p.Cur()
 	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
 			p.Next()
-			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
+			return &bind.UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
 		case "+":
 			p.Next()
 			return p.parseUnary()
@@ -639,7 +633,7 @@ func (p *Parser) parseUnary() Expr {
 	return p.parsePostfix()
 }
 
-func (p *Parser) parsePostfix() Expr {
+func (p *Parser) parsePostfix() bind.Expr {
 	x := p.parsePrimary()
 	for {
 		t := p.Cur()
@@ -651,7 +645,7 @@ func (p *Parser) parsePostfix() Expr {
 			p.Next()
 			idx := p.parseExpr()
 			p.Expect("]")
-			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
+			x = &bind.IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
 			p.Next()
 			nm := p.Cur()
@@ -663,17 +657,17 @@ func (p *Parser) parsePostfix() Expr {
 			if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 				// Resource method: tex.Sample(samp, uv).
 				call := p.parseCallArgs(t.Pos, nm.Text)
-				x = &MethodCallExpr{Pos: t.Pos, Recv: x, Method: nm.Text, Args: call.Args}
+				x = &bind.MethodCallExpr{Pos: t.Pos, Recv: x, Method: nm.Text, Args: call.Args}
 				continue
 			}
-			x = &MemberExpr{Pos: t.Pos, X: x, Name: nm.Text}
+			x = &bind.MemberExpr{Pos: t.Pos, X: x, Name: nm.Text}
 		default:
 			return x
 		}
 	}
 }
 
-func (p *Parser) parsePrimary() Expr {
+func (p *Parser) parsePrimary() bind.Expr {
 	t := p.Cur()
 	switch t.Kind {
 	case lex.IntLit:
@@ -693,7 +687,7 @@ func (p *Parser) parsePrimary() Expr {
 				p.Errorf(t.Pos, "bad int literal %q", t.Text)
 			}
 		}
-		return &IntLitExpr{Pos: t.Pos, Value: v}
+		return &bind.IntLitExpr{Pos: t.Pos, Value: v}
 	case lex.FloatLit:
 		p.Next()
 		text := strings.TrimRight(t.Text, "fFhH")
@@ -701,16 +695,16 @@ func (p *Parser) parsePrimary() Expr {
 		if err != nil {
 			p.Errorf(t.Pos, "bad float literal %q", t.Text)
 		}
-		return &FloatLitExpr{Pos: t.Pos, Value: v}
+		return &bind.FloatLitExpr{Pos: t.Pos, Value: v}
 	case lex.BoolLit:
 		p.Next()
-		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
+		return &bind.BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
 	case lex.Ident:
 		p.Next()
 		if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 			return p.parseCallArgs(t.Pos, t.Text)
 		}
-		return &IdentExpr{Pos: t.Pos, Name: t.Text}
+		return &bind.IdentExpr{Pos: t.Pos, Name: t.Text}
 	case lex.Punct:
 		if t.Text == "(" {
 			p.Next()
@@ -721,12 +715,12 @@ func (p *Parser) parsePrimary() Expr {
 	}
 	p.Errorf(t.Pos, "unexpected token %s in expression", t)
 	p.Next()
-	return &IntLitExpr{Pos: t.Pos, Value: 0}
+	return &bind.IntLitExpr{Pos: t.Pos, Value: 0}
 }
 
-func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *CallExpr {
+func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *bind.CallExpr {
 	p.Expect("(")
-	call := &CallExpr{Pos: pos, Callee: callee}
+	call := &bind.CallExpr{Pos: pos, Callee: callee}
 	if p.Accept(")") {
 		return call
 	}

@@ -1,6 +1,19 @@
 package hlsl
 
-import "testing"
+import (
+	"testing"
+
+	"shaderopt/internal/bind"
+)
+
+// MustParse parses src and panics on error.
+func MustParse(src string) *Module {
+	m, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 const miniShader = `
 Texture2D tex : register(t0);
@@ -48,11 +61,11 @@ func TestParseMiniShader(t *testing.T) {
 		t.Errorf("cbuffer member 0 = %+v", cb.Members[0])
 	}
 	w, ok := m.Decls[3].(*GlobalVar)
-	if !ok || !w.Static || !w.Const || w.ArrayLen != 3 {
+	if !ok || !w.Static || !w.Const || w.Type.Name != "array" || w.Type.Len != 3 {
 		t.Fatalf("decl 3 = %+v", m.Decls[3])
 	}
-	if _, ok := w.Init.(*InitListExpr); !ok {
-		t.Errorf("weights init = %T, want InitListExpr", w.Init)
+	if _, ok := w.Init.(*bind.InitListExpr); !ok {
+		t.Errorf("weights init = %T, want bind.InitListExpr", w.Init)
 	}
 	entry := m.EntryPoint()
 	if entry == nil || entry.Name != "main" {
@@ -96,12 +109,12 @@ float4 main(float2 uv : TEXCOORD0) : SV_Target {
 }
 `)
 	entry := m.EntryPoint()
-	ret := entry.Body.Stmts[0].(*ReturnStmt)
-	mc, ok := ret.Result.(*MethodCallExpr)
+	ret := entry.Body.Stmts[0].(*bind.ReturnStmt)
+	mc, ok := ret.Result.(*bind.MethodCallExpr)
 	if !ok || mc.Method != "SampleLevel" || len(mc.Args) != 3 {
 		t.Fatalf("result = %+v", ret.Result)
 	}
-	if recv, ok := mc.Recv.(*IdentExpr); !ok || recv.Name != "tex" {
+	if recv, ok := mc.Recv.(*bind.IdentExpr); !ok || recv.Name != "tex" {
 		t.Errorf("receiver = %+v", mc.Recv)
 	}
 }
@@ -113,12 +126,12 @@ float4 main(float2 uv : TEXCOORD0) : SV_Target {
     return float4(x, x, x, 1.0);
 }
 `)
-	d := m.EntryPoint().Body.Stmts[0].(*DeclStmt)
-	outer, ok := d.Init.(*CondExpr)
+	d := m.EntryPoint().Body.Stmts[0].(*bind.DeclStmt)
+	outer, ok := d.Init.(*bind.CondExpr)
 	if !ok {
 		t.Fatalf("init = %T", d.Init)
 	}
-	if _, ok := outer.Else.(*CondExpr); !ok {
+	if _, ok := outer.Else.(*bind.CondExpr); !ok {
 		t.Errorf("ternary not right-associative: else arm = %T", outer.Else)
 	}
 }
@@ -132,21 +145,21 @@ float4 main(float2 uv : TEXCOORD0) : SV_Target {
 }
 `)
 	body := m.EntryPoint().Body
-	iff, ok := body.Stmts[0].(*IfStmt)
+	iff, ok := body.Stmts[0].(*bind.IfStmt)
 	if !ok || len(iff.Then.Stmts) != 1 {
 		t.Fatalf("stmt 0 = %+v", body.Stmts[0])
 	}
-	if _, ok := iff.Then.Stmts[0].(*DiscardStmt); !ok {
+	if _, ok := iff.Then.Stmts[0].(*bind.DiscardStmt); !ok {
 		t.Errorf("unbraced if body = %T", iff.Then.Stmts[0])
 	}
-	forS, ok := body.Stmts[1].(*ForStmt)
+	forS, ok := body.Stmts[1].(*bind.ForStmt)
 	if !ok {
 		t.Fatalf("stmt 1 = %T", body.Stmts[1])
 	}
-	if _, ok := forS.Init.(*DeclStmt); !ok {
-		t.Errorf("for init = %T, want DeclStmt", forS.Init)
+	if _, ok := forS.Init.(*bind.DeclStmt); !ok {
+		t.Errorf("for init = %T, want bind.DeclStmt", forS.Init)
 	}
-	if _, ok := forS.Post.(*AssignStmt); !ok {
+	if _, ok := forS.Post.(*bind.AssignStmt); !ok {
 		t.Errorf("for post = %T (i++ should desugar to +=)", forS.Post)
 	}
 }
@@ -167,12 +180,12 @@ float4 main(float2 uv : TEXCOORD0) : SV_Target {
 }
 `)
 	body := m.EntryPoint().Body
-	forS := body.Stmts[1].(*ForStmt)
-	post, ok := forS.Post.(*AssignStmt)
+	forS := body.Stmts[1].(*bind.ForStmt)
+	post, ok := forS.Post.(*bind.AssignStmt)
 	if !ok || post.Op != "+=" {
 		t.Fatalf("for post = %+v, want += desugar of ++i", forS.Post)
 	}
-	dec, ok := body.Stmts[3].(*AssignStmt)
+	dec, ok := body.Stmts[3].(*bind.AssignStmt)
 	if !ok || dec.Op != "-=" {
 		t.Fatalf("stmt 3 = %+v, want -= desugar of --j", body.Stmts[3])
 	}
@@ -185,7 +198,7 @@ SamplerState s;
 float4 main(float2 uv : TEXCOORD0) : SV_Target { return tex.Sample(s, uv); }
 `)
 	g := m.Decls[0].(*GlobalVar)
-	if g.Type.Name != "Texture2D" || g.Type.Elem != "float4" || g.Register != "t3" {
+	if g.Type.Name != "Texture2D" || g.Type.Elem == nil || g.Type.Elem.Name != "float4" || g.Register != "t3" {
 		t.Errorf("templated texture = %+v", g.Type)
 	}
 }

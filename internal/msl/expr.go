@@ -2,8 +2,8 @@ package msl
 
 import (
 	"fmt"
-	"strconv"
 
+	"shaderopt/internal/bind"
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/sem"
 )
@@ -25,249 +25,6 @@ var intrinsicRenames = map[string]string{
 	"glsl_degrees": "degrees",
 }
 
-// promote applies MSL's implicit scalar int→float conversion: when the
-// expression is an int scalar and the expected type is float-kind, it is
-// wrapped in an explicit float() conversion so the generated GLSL stays
-// well-typed under the subset's strict checker.
-func (tr *translator) promote(x glsl.Expr, xt sem.Type, want sem.Type) (glsl.Expr, sem.Type) {
-	if xt.Equal(sem.Int) && want.Kind == sem.KindFloat {
-		return &glsl.CallExpr{Callee: "float", Args: []glsl.Expr{x}}, sem.Float
-	}
-	return x, xt
-}
-
-// expr translates an MSL expression into the canonical AST, returning
-// the translated node and its inferred sem type.
-func (tr *translator) expr(e Expr) (glsl.Expr, sem.Type, error) {
-	switch e := e.(type) {
-	case *IntLitExpr:
-		v, err := strconv.ParseInt(e.Text, 10, 64)
-		if err != nil {
-			return nil, sem.Void, errf(e.Pos, "bad int literal %q", e.Text)
-		}
-		return &glsl.IntLitExpr{Pos: e.Pos, Value: v}, sem.Int, nil
-	case *FloatLitExpr:
-		v, err := strconv.ParseFloat(e.Text, 64)
-		if err != nil {
-			return nil, sem.Void, errf(e.Pos, "bad float literal %q", e.Text)
-		}
-		return &glsl.FloatLitExpr{Pos: e.Pos, Value: v}, sem.Float, nil
-	case *BoolLitExpr:
-		return &glsl.BoolLitExpr{Pos: e.Pos, Value: e.Value}, sem.Bool, nil
-	case *IdentExpr:
-		return tr.identExpr(e)
-	case *UnaryExpr:
-		x, xt, err := tr.expr(e.X)
-		if err != nil {
-			return nil, sem.Void, err
-		}
-		return &glsl.UnaryExpr{Pos: e.Pos, Op: e.Op, X: x}, xt, nil
-	case *BinaryExpr:
-		return tr.binaryExpr(e)
-	case *CondExpr:
-		return tr.condExpr(e)
-	case *CallExpr:
-		return tr.callExpr(e)
-	case *MethodCallExpr:
-		return tr.methodCall(e)
-	case *IndexExpr:
-		return tr.indexExpr(e)
-	case *MemberExpr:
-		return tr.memberExpr(e)
-	case *ArrayLitExpr:
-		return tr.arrayLit(e)
-	}
-	return nil, sem.Void, fmt.Errorf("unknown expression %T", e)
-}
-
-// arrayLit translates array<T, N>{...} in expression position.
-func (tr *translator) arrayLit(e *ArrayLitExpr) (glsl.Expr, sem.Type, error) {
-	if e.Elem == nil {
-		return nil, sem.Void, errf(e.Pos, "brace initializers are only legal as array initializers")
-	}
-	elem, err := tr.resolveType(e.Elem)
-	if err != nil {
-		return nil, sem.Void, errf(e.Pos, "%v", err)
-	}
-	if elem.IsArray() || elem.IsSampler() {
-		return nil, sem.Void, errf(e.Pos, "array of %s is outside the supported subset", elem)
-	}
-	n := e.Len
-	if n <= 0 {
-		n = len(e.Elems)
-	}
-	if n != len(e.Elems) {
-		return nil, sem.Void, errf(e.Pos, "array<%s, %d> initialized with %d elements", elem, n, len(e.Elems))
-	}
-	return tr.initializer(&ArrayLitExpr{Pos: e.Pos, Elems: e.Elems}, sem.ArrayOf(elem, n))
-}
-
-func (tr *translator) binaryExpr(e *BinaryExpr) (glsl.Expr, sem.Type, error) {
-	x, xt, err := tr.expr(e.X)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	y, yt, err := tr.expr(e.Y)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	// MSL promotes int scalars in mixed arithmetic; the subset's IR does
-	// not, so make the conversion explicit on the int side.
-	if xt.Kind == sem.KindFloat || yt.Kind == sem.KindFloat {
-		x, xt = tr.promote(x, xt, sem.Float)
-		y, yt = tr.promote(y, yt, sem.Float)
-	}
-	rt, err := sem.BinaryResult(e.Op, xt, yt)
-	if err != nil {
-		return nil, sem.Void, errf(e.Pos, "%v", err)
-	}
-	return &glsl.BinaryExpr{Pos: e.Pos, Op: e.Op, X: x, Y: y}, rt, nil
-}
-
-func (tr *translator) condExpr(e *CondExpr) (glsl.Expr, sem.Type, error) {
-	cond, ct, err := tr.expr(e.Cond)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	if !ct.Equal(sem.Bool) {
-		return nil, sem.Void, errf(e.Pos, "ternary condition must be bool, got %s", ct)
-	}
-	thn, tt, err := tr.expr(e.X)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	els, et, err := tr.expr(e.Y)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	if tt.Kind == sem.KindFloat || et.Kind == sem.KindFloat {
-		thn, tt = tr.promote(thn, tt, sem.Float)
-		els, et = tr.promote(els, et, sem.Float)
-	}
-	if !tt.Equal(et) {
-		return nil, sem.Void, errf(e.Pos, "ternary arms have mismatched types %s and %s", tt, et)
-	}
-	return &glsl.CondExpr{Pos: e.Pos, Cond: cond, Then: thn, Else: els}, tt, nil
-}
-
-func (tr *translator) identExpr(e *IdentExpr) (glsl.Expr, sem.Type, error) {
-	if tr.samplers[e.Name] {
-		return nil, sem.Void, errf(e.Pos, "sampler %q can only appear as a .sample argument", e.Name)
-	}
-	if tr.instances[e.Name] != nil {
-		return nil, sem.Void, errf(e.Pos, "interface struct %q can only be accessed through its members", e.Name)
-	}
-	if tr.outInsts[e.Name] {
-		return nil, sem.Void, errf(e.Pos, "output struct %q can only be assigned through its members and returned", e.Name)
-	}
-	if b, ok := tr.lookup(e.Name); ok {
-		return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, nil
-	}
-	return nil, sem.Void, errf(e.Pos, "undefined identifier %q", e.Name)
-}
-
-func (tr *translator) indexExpr(e *IndexExpr) (glsl.Expr, sem.Type, error) {
-	x, xt, err := tr.expr(e.X)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	idx, it, err := tr.expr(e.Index)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	if it.Kind != sem.KindInt || !it.IsScalar() {
-		return nil, sem.Void, errf(e.Pos, "index must be an integer scalar, got %s", it)
-	}
-	var rt sem.Type
-	switch {
-	case xt.IsArray():
-		rt = xt.Elem()
-	case xt.IsMatrix():
-		rt = sem.VecType(sem.KindFloat, xt.Mat)
-	case xt.IsVector():
-		rt = xt.ScalarOf()
-	default:
-		return nil, sem.Void, errf(e.Pos, "cannot index %s", xt)
-	}
-	return &glsl.IndexExpr{Pos: e.Pos, X: x, Index: idx}, rt, nil
-}
-
-// memberExpr resolves interface-struct member access (in.uv, u.scale) to
-// the flattened globals, and vector swizzles otherwise.
-func (tr *translator) memberExpr(e *MemberExpr) (glsl.Expr, sem.Type, error) {
-	if id, ok := e.X.(*IdentExpr); ok {
-		if fields := tr.instances[id.Name]; fields != nil {
-			b, ok := fields[e.Name]
-			if !ok {
-				return nil, sem.Void, errf(e.Pos, "struct %q has no member %q", id.Name, e.Name)
-			}
-			return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, nil
-		}
-	}
-	x, xt, err := tr.expr(e.X)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	if !xt.IsVector() {
-		return nil, sem.Void, errf(e.Pos, "cannot swizzle %s", xt)
-	}
-	idx, err := sem.SwizzleIndices(e.Name, xt.Vec)
-	if err != nil {
-		return nil, sem.Void, errf(e.Pos, "%v", err)
-	}
-	rt := sem.VecType(xt.Kind, len(idx))
-	return &glsl.FieldExpr{Pos: e.Pos, X: x, Name: e.Name}, rt, nil
-}
-
-func (tr *translator) callExpr(e *CallExpr) (glsl.Expr, sem.Type, error) {
-	// Type constructors: float4(...), float3x3(...), uint(x), int(x).
-	if name, ok := ctorName(e.Callee); ok {
-		return tr.ctorCall(e, name)
-	}
-
-	name := e.Callee
-	if nn, ok := intrinsicRenames[name]; ok {
-		name = nn
-	}
-	if sem.IsBuiltin(name) {
-		args, ats, err := tr.exprList(e.Args)
-		if err != nil {
-			return nil, sem.Void, err
-		}
-		rt, err := sem.ResolveBuiltin(name, ats)
-		if err != nil {
-			// MSL promotes int scalar arguments (pow(x, 2), max(v, 0));
-			// retry with the conversions made explicit.
-			promoted := false
-			for i := range args {
-				if ats[i].Equal(sem.Int) {
-					args[i], ats[i] = tr.promote(args[i], ats[i], sem.Float)
-					promoted = true
-				}
-			}
-			if promoted {
-				rt, err = sem.ResolveBuiltin(name, ats)
-			}
-			if err != nil {
-				return nil, sem.Void, errf(e.Pos, "%v", err)
-			}
-		}
-		return &glsl.CallExpr{Pos: e.Pos, Callee: name, Args: args}, rt, nil
-	}
-
-	// User-defined function.
-	if nn, ok := tr.names.Renamed(e.Callee); ok {
-		if rt, ok := tr.fnRet[nn]; ok {
-			args, _, err := tr.exprList(e.Args)
-			if err != nil {
-				return nil, sem.Void, err
-			}
-			return &glsl.CallExpr{Pos: e.Pos, Callee: nn, Args: args}, rt, nil
-		}
-	}
-	return nil, sem.Void, errf(e.Pos, "call to undefined function %q", e.Callee)
-}
-
 // ctorName maps MSL constructor spellings to GLSL constructor names.
 func ctorName(callee string) (string, bool) {
 	switch callee {
@@ -278,39 +35,81 @@ func ctorName(callee string) (string, bool) {
 	case "bool":
 		return "bool", true
 	}
-	if n, kind, ok := vecName(callee); ok {
-		switch kind {
-		case sem.KindFloat:
-			return fmt.Sprintf("vec%d", n), true
-		case sem.KindInt:
-			return fmt.Sprintf("ivec%d", n), true
-		case sem.KindBool:
-			return fmt.Sprintf("bvec%d", n), true
-		}
-	}
-	if n, ok := matName(callee); ok {
-		return fmt.Sprintf("mat%d", n), true
-	}
-	return "", false
+	return bind.CtorName(callee)
 }
 
-func (tr *translator) ctorCall(e *CallExpr, glslName string) (glsl.Expr, sem.Type, error) {
-	args, ats, err := tr.exprList(e.Args)
-	if err != nil {
-		return nil, sem.Void, err
-	}
-	// Float-family constructors promote int scalar components
-	// (float3(1, 0, 0) is idiomatic MSL); conversions become explicit.
-	if len(args) > 1 && (glslName == "float" || glslName[0] == 'v' || glslName[0] == 'm') {
-		for i := range args {
-			args[i], ats[i] = tr.promote(args[i], ats[i], sem.Float)
+// OwnStmt translates MSL's own statements: discard_fragment(), and the
+// output struct of a multi-output entry — declaring it registers the
+// instance, its member stores assign the out globals directly, and
+// returning it is a bare return.
+func (tr *translator) OwnStmt(s bind.Stmt) ([]glsl.Stmt, bool, error) {
+	switch s := s.(type) {
+	case *bind.DeclStmt:
+		if tr.InEntry() && tr.retStruct != "" && s.Type.Name == tr.retStruct {
+			if s.Init != nil {
+				return nil, true, bind.Errf(s.Pos, "output struct %s cannot be initialized", s.Name)
+			}
+			tr.outInsts[s.Name] = true
+			return nil, true, nil
+		}
+	case *bind.AssignStmt:
+		mem, ok := s.LHS.(*bind.MemberExpr)
+		if !ok {
+			break
+		}
+		if id, ok := mem.X.(*bind.IdentExpr); ok && tr.outInsts[id.Name] {
+			out, ok := tr.outFields[mem.Name]
+			if !ok {
+				return nil, true, bind.Errf(s.Pos, "output struct has no member %q", mem.Name)
+			}
+			rhs, _, err := tr.Expr(s.RHS)
+			if err != nil {
+				return nil, true, err
+			}
+			return []glsl.Stmt{&glsl.AssignStmt{Pos: s.Pos, LHS: &glsl.IdentExpr{Name: out}, Op: s.Op, RHS: rhs}}, true, nil
+		}
+	case *bind.ReturnStmt:
+		if id, ok := s.Result.(*bind.IdentExpr); ok && tr.outInsts[id.Name] {
+			return []glsl.Stmt{&glsl.ReturnStmt{Pos: s.Pos}}, true, nil
+		}
+	case *bind.ExprStmt:
+		if call, ok := s.X.(*bind.CallExpr); ok && call.Callee == "discard_fragment" {
+			if len(call.Args) != 0 {
+				return nil, true, bind.Errf(s.Pos, "discard_fragment takes no arguments")
+			}
+			return []glsl.Stmt{&glsl.DiscardStmt{Pos: s.Pos}}, true, nil
 		}
 	}
-	rt, err := sem.ResolveConstructor(glslName, ats)
-	if err != nil {
-		return nil, sem.Void, errf(e.Pos, "%v", err)
+	return nil, false, nil
+}
+
+// OwnExpr translates MSL's own expressions: interface-struct members
+// (in.uv, u.scale resolve to the flattened globals) and the texture
+// methods. The interface and output structs themselves are not values.
+func (tr *translator) OwnExpr(e bind.Expr) (glsl.Expr, sem.Type, bool, error) {
+	switch e := e.(type) {
+	case *bind.IdentExpr:
+		if tr.instances[e.Name] != nil {
+			return nil, sem.Void, true, bind.Errf(e.Pos, "interface struct %q can only be accessed through its members", e.Name)
+		}
+		if tr.outInsts[e.Name] {
+			return nil, sem.Void, true, bind.Errf(e.Pos, "output struct %q can only be assigned through its members and returned", e.Name)
+		}
+	case *bind.MemberExpr:
+		if id, ok := e.X.(*bind.IdentExpr); ok {
+			if fields := tr.instances[id.Name]; fields != nil {
+				b, ok := fields[e.Name]
+				if !ok {
+					return nil, sem.Void, true, bind.Errf(e.Pos, "struct %q has no member %q", id.Name, e.Name)
+				}
+				return &glsl.IdentExpr{Pos: e.Pos, Name: b.Name}, b.T, true, nil
+			}
+		}
+	case *bind.MethodCallExpr:
+		x, t, err := tr.methodCall(e)
+		return x, t, true, err
 	}
-	return &glsl.CallExpr{Pos: e.Pos, Callee: glslName, Args: args}, rt, nil
+	return nil, sem.Void, false, nil
 }
 
 // methodCall lowers MSL's separate texture+sampler object model back onto
@@ -325,13 +124,13 @@ func (tr *translator) ctorCall(e *CallExpr, glslName string) (glsl.Expr, sem.Typ
 //
 // The sampler-state argument must name a declared sampler parameter; it
 // carries no information the combined model needs, so it is dropped.
-func (tr *translator) methodCall(e *MethodCallExpr) (glsl.Expr, sem.Type, error) {
-	recv, rt, err := tr.expr(e.Recv)
+func (tr *translator) methodCall(e *bind.MethodCallExpr) (glsl.Expr, sem.Type, error) {
+	recv, rt, err := tr.Expr(e.Recv)
 	if err != nil {
 		return nil, sem.Void, err
 	}
 	if !rt.IsSampler() {
-		return nil, sem.Void, errf(e.Pos, ".%s receiver must be a texture binding, got %s", e.Method, rt)
+		return nil, sem.Void, bind.Errf(e.Pos, ".%s receiver must be a texture binding, got %s", e.Method, rt)
 	}
 	switch e.Method {
 	case "sample":
@@ -341,45 +140,45 @@ func (tr *translator) methodCall(e *MethodCallExpr) (glsl.Expr, sem.Type, error)
 	case "read":
 		return tr.readCall(e, recv, rt)
 	}
-	return nil, sem.Void, errf(e.Pos, "method .%s is outside the supported subset", e.Method)
+	return nil, sem.Void, bind.Errf(e.Pos, "method .%s is outside the supported subset", e.Method)
 }
 
 // samplerArg checks that the first argument of a sampling method names a
 // declared sampler parameter.
-func (tr *translator) samplerArg(e *MethodCallExpr) error {
+func (tr *translator) samplerArg(e *bind.MethodCallExpr) error {
 	if len(e.Args) == 0 {
-		return errf(e.Pos, ".%s needs a sampler argument", e.Method)
+		return bind.Errf(e.Pos, ".%s needs a sampler argument", e.Method)
 	}
-	id, ok := e.Args[0].(*IdentExpr)
-	if !ok || !tr.samplers[id.Name] {
-		return errf(e.Pos, ".%s: first argument must be a declared sampler parameter", e.Method)
+	id, ok := e.Args[0].(*bind.IdentExpr)
+	if !ok || !tr.Samplers[id.Name] {
+		return bind.Errf(e.Pos, ".%s: first argument must be a declared sampler parameter", e.Method)
 	}
 	return nil
 }
 
-func (tr *translator) sampleCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type) (glsl.Expr, sem.Type, error) {
+func (tr *translator) sampleCall(e *bind.MethodCallExpr, recv glsl.Expr, rt sem.Type) (glsl.Expr, sem.Type, error) {
 	if err := tr.samplerArg(e); err != nil {
 		return nil, sem.Void, err
 	}
 	if len(e.Args) < 2 || len(e.Args) > 3 {
-		return nil, sem.Void, errf(e.Pos, ".sample needs 2 or 3 arguments, got %d", len(e.Args))
+		return nil, sem.Void, bind.Errf(e.Pos, ".sample needs 2 or 3 arguments, got %d", len(e.Args))
 	}
-	coord, ct, err := tr.expr(e.Args[1])
+	coord, ct, err := tr.Expr(e.Args[1])
 	if err != nil {
 		return nil, sem.Void, err
 	}
-	coord, ct = tr.promote(coord, ct, sem.Float)
+	coord, ct = tr.Promote(coord, ct, sem.Float)
 
 	if rt.Dim == sem.Dim2DArray {
 		// The layer argument rejoins the coordinate as the z component.
 		if len(e.Args) != 3 {
-			return nil, sem.Void, errf(e.Pos, ".sample on a texture2d_array needs a layer argument")
+			return nil, sem.Void, bind.Errf(e.Pos, ".sample on a texture2d_array needs a layer argument")
 		}
-		layer, lt, err := tr.expr(e.Args[2])
+		layer, lt, err := tr.Expr(e.Args[2])
 		if err != nil {
 			return nil, sem.Void, err
 		}
-		layer, _ = tr.promote(layer, lt, sem.Float)
+		layer, _ = tr.Promote(layer, lt, sem.Float)
 		full := &glsl.CallExpr{Pos: e.Pos, Callee: "vec3", Args: []glsl.Expr{coord, layer}}
 		return tr.textureResult(e, "texture", []glsl.Expr{recv, full}, []sem.Type{rt, sem.Vec3})
 	}
@@ -388,15 +187,15 @@ func (tr *translator) sampleCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type)
 	ats := []sem.Type{rt, ct}
 	target := "texture"
 	if len(e.Args) == 3 {
-		wrap, ok := e.Args[2].(*CallExpr)
+		wrap, ok := e.Args[2].(*bind.CallExpr)
 		if !ok || (wrap.Callee != "bias" && wrap.Callee != "level") || len(wrap.Args) != 1 {
-			return nil, sem.Void, errf(e.Pos, ".sample: third argument must be bias(b) or level(l)")
+			return nil, sem.Void, bind.Errf(e.Pos, ".sample: third argument must be bias(b) or level(l)")
 		}
-		x, xt, err := tr.expr(wrap.Args[0])
+		x, xt, err := tr.Expr(wrap.Args[0])
 		if err != nil {
 			return nil, sem.Void, err
 		}
-		x, xt = tr.promote(x, xt, sem.Float)
+		x, xt = tr.Promote(x, xt, sem.Float)
 		args = append(args, x)
 		ats = append(ats, xt)
 		if wrap.Callee == "level" {
@@ -406,62 +205,62 @@ func (tr *translator) sampleCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type)
 	return tr.textureResult(e, target, args, ats)
 }
 
-func (tr *translator) sampleCompareCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type) (glsl.Expr, sem.Type, error) {
+func (tr *translator) sampleCompareCall(e *bind.MethodCallExpr, recv glsl.Expr, rt sem.Type) (glsl.Expr, sem.Type, error) {
 	if err := tr.samplerArg(e); err != nil {
 		return nil, sem.Void, err
 	}
 	if len(e.Args) != 3 {
-		return nil, sem.Void, errf(e.Pos, ".sample_compare needs 3 arguments, got %d", len(e.Args))
+		return nil, sem.Void, bind.Errf(e.Pos, ".sample_compare needs 3 arguments, got %d", len(e.Args))
 	}
-	coord, ct, err := tr.expr(e.Args[1])
+	coord, ct, err := tr.Expr(e.Args[1])
 	if err != nil {
 		return nil, sem.Void, err
 	}
 	if !ct.Equal(sem.Vec2) {
-		return nil, sem.Void, errf(e.Pos, ".sample_compare coordinate must be float2, got %s", ct)
+		return nil, sem.Void, bind.Errf(e.Pos, ".sample_compare coordinate must be float2, got %s", ct)
 	}
-	dref, dt, err := tr.expr(e.Args[2])
+	dref, dt, err := tr.Expr(e.Args[2])
 	if err != nil {
 		return nil, sem.Void, err
 	}
-	dref, _ = tr.promote(dref, dt, sem.Float)
+	dref, _ = tr.Promote(dref, dt, sem.Float)
 	full := &glsl.CallExpr{Pos: e.Pos, Callee: "vec3", Args: []glsl.Expr{coord, dref}}
 	return tr.textureResult(e, "texture", []glsl.Expr{recv, full}, []sem.Type{rt, sem.Vec3})
 }
 
-func (tr *translator) readCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type) (glsl.Expr, sem.Type, error) {
+func (tr *translator) readCall(e *bind.MethodCallExpr, recv glsl.Expr, rt sem.Type) (glsl.Expr, sem.Type, error) {
 	if len(e.Args) != 2 {
-		return nil, sem.Void, errf(e.Pos, ".read needs 2 arguments, got %d", len(e.Args))
+		return nil, sem.Void, bind.Errf(e.Pos, ".read needs 2 arguments, got %d", len(e.Args))
 	}
 	// The coordinate is spelled uintN(c) around an integer vector;
 	// unwrapping the cast recovers the texelFetch coordinate exactly.
-	wrap, ok := e.Args[0].(*CallExpr)
+	wrap, ok := e.Args[0].(*bind.CallExpr)
 	if !ok {
-		return nil, sem.Void, errf(e.Pos, ".read coordinate must be a uint2/uint3 cast of an integer vector")
+		return nil, sem.Void, bind.Errf(e.Pos, ".read coordinate must be a uint2/uint3 cast of an integer vector")
 	}
-	var inner Expr
+	var inner bind.Expr
 	switch wrap.Callee {
 	case "uint2", "uint3", "int2", "int3":
 		if len(wrap.Args) != 1 {
-			return nil, sem.Void, errf(e.Pos, ".read coordinate cast takes one argument")
+			return nil, sem.Void, bind.Errf(e.Pos, ".read coordinate cast takes one argument")
 		}
 		inner = wrap.Args[0]
 	default:
-		return nil, sem.Void, errf(e.Pos, ".read coordinate must be a uint2/uint3 cast of an integer vector")
+		return nil, sem.Void, bind.Errf(e.Pos, ".read coordinate must be a uint2/uint3 cast of an integer vector")
 	}
-	coord, ct, err := tr.expr(inner)
+	coord, ct, err := tr.Expr(inner)
 	if err != nil {
 		return nil, sem.Void, err
 	}
 	if !ct.IsVector() || ct.Kind != sem.KindInt {
-		return nil, sem.Void, errf(e.Pos, ".read coordinate must be an integer vector, got %s", ct)
+		return nil, sem.Void, bind.Errf(e.Pos, ".read coordinate must be an integer vector, got %s", ct)
 	}
-	lod, lt, err := tr.expr(e.Args[1])
+	lod, lt, err := tr.Expr(e.Args[1])
 	if err != nil {
 		return nil, sem.Void, err
 	}
 	if !lt.Equal(sem.Int) {
-		return nil, sem.Void, errf(e.Pos, ".read level must be an int, got %s", lt)
+		return nil, sem.Void, bind.Errf(e.Pos, ".read level must be an int, got %s", lt)
 	}
 	// The subset's texelFetch wants the lod at the coordinate's width
 	// (only the first component is consulted); splat the scalar back up.
@@ -469,23 +268,10 @@ func (tr *translator) readCall(e *MethodCallExpr, recv glsl.Expr, rt sem.Type) (
 	return tr.textureResult(e, "texelFetch", []glsl.Expr{recv, coord, lodVec}, []sem.Type{rt, ct, ct})
 }
 
-func (tr *translator) textureResult(e *MethodCallExpr, target string, args []glsl.Expr, ats []sem.Type) (glsl.Expr, sem.Type, error) {
+func (tr *translator) textureResult(e *bind.MethodCallExpr, target string, args []glsl.Expr, ats []sem.Type) (glsl.Expr, sem.Type, error) {
 	out, err := sem.ResolveBuiltin(target, ats)
 	if err != nil {
-		return nil, sem.Void, errf(e.Pos, ".%s: %v", e.Method, err)
+		return nil, sem.Void, bind.Errf(e.Pos, ".%s: %v", e.Method, err)
 	}
 	return &glsl.CallExpr{Pos: e.Pos, Callee: target, Args: args}, out, nil
-}
-
-func (tr *translator) exprList(list []Expr) ([]glsl.Expr, []sem.Type, error) {
-	args := make([]glsl.Expr, len(list))
-	ats := make([]sem.Type, len(list))
-	for i, a := range list {
-		x, t, err := tr.expr(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		args[i], ats[i] = x, t
-	}
-	return args, ats, nil
 }

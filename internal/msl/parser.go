@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"shaderopt/internal/bind"
 	"shaderopt/internal/lex"
 )
 
@@ -159,7 +160,7 @@ func (p *Parser) parseStruct() *StructDecl {
 			// C-style array member: rewrite onto the type.
 			n := p.intLit("array length")
 			p.expect(lex.Punct, "]")
-			f.Type = &TypeExpr{Pos: ft.Pos, Name: "array", Elem: ft, Len: n}
+			f.Type = &bind.TypeExpr{Pos: ft.Pos, Name: "array", Elem: ft, Len: n}
 		}
 		p.expect(lex.Punct, ";")
 		st.Fields = append(st.Fields, f)
@@ -263,14 +264,14 @@ func (p *Parser) parseAttr() Attr {
 }
 
 // parseType parses a type reference: Name, Name<Elem>, array<Elem, N>.
-func (p *Parser) parseType() *TypeExpr {
+func (p *Parser) parseType() *bind.TypeExpr {
 	t := p.cur()
 	if t.Kind != lex.Ident {
 		p.errorf("expected type, found %q", t.Text)
-		return &TypeExpr{Pos: t.Pos, Name: "float", Len: -1}
+		return &bind.TypeExpr{Pos: t.Pos, Name: "float"}
 	}
 	p.next()
-	te := &TypeExpr{Pos: t.Pos, Name: t.Text, Len: -1}
+	te := &bind.TypeExpr{Pos: t.Pos, Name: t.Text}
 	if templatedType(t.Text) && p.accept(lex.Punct, "<") {
 		te.Elem = p.parseType()
 		if te.Name == "array" {
@@ -316,10 +317,10 @@ func (p *Parser) intLit(what string) int {
 
 // --- statements ---
 
-func (p *Parser) parseBlock() *BlockStmt {
+func (p *Parser) parseBlock() *bind.BlockStmt {
 	pos := p.cur().Pos
 	p.expect(lex.Punct, "{")
-	b := &BlockStmt{Pos: pos}
+	b := &bind.BlockStmt{Pos: pos}
 	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 		if s := p.parseStmt(); s != nil {
 			b.Stmts = append(b.Stmts, s)
@@ -329,7 +330,7 @@ func (p *Parser) parseBlock() *BlockStmt {
 	return b
 }
 
-func (p *Parser) parseStmt() Stmt {
+func (p *Parser) parseStmt() bind.Stmt {
 	t := p.cur()
 	if t.Kind == lex.Keyword {
 		switch t.Text {
@@ -341,20 +342,20 @@ func (p *Parser) parseStmt() Stmt {
 			return p.parseWhile()
 		case "return":
 			pos := p.next().Pos
-			r := &ReturnStmt{Pos: pos}
+			r := &bind.ReturnStmt{Pos: pos}
 			if !(p.cur().Kind == lex.Punct && p.cur().Text == ";") {
-				r.Value = p.parseExpr()
+				r.Result = p.parseExpr()
 			}
 			p.expect(lex.Punct, ";")
 			return r
 		case "break":
 			pos := p.next().Pos
 			p.expect(lex.Punct, ";")
-			return &BreakStmt{Pos: pos}
+			return &bind.BreakStmt{Pos: pos}
 		case "continue":
 			pos := p.next().Pos
 			p.expect(lex.Punct, ";")
-			return &ContinueStmt{Pos: pos}
+			return &bind.ContinueStmt{Pos: pos}
 		case "const":
 			return p.parseLocalDecl(true)
 		}
@@ -390,16 +391,16 @@ func (p *Parser) startsDecl() bool {
 	return nn.Kind == lex.Punct && (nn.Text == ";" || nn.Text == "=" || nn.Text == "[")
 }
 
-func (p *Parser) parseLocalDecl(semi bool) Stmt {
+func (p *Parser) parseLocalDecl(semi bool) bind.Stmt {
 	pos := p.cur().Pos
 	isConst := p.accept(lex.Keyword, "const")
 	ty := p.parseType()
 	name := p.ident("variable name")
-	d := &DeclStmt{Pos: pos, Const: isConst, Type: ty, Name: name}
+	d := &bind.DeclStmt{Pos: pos, Const: isConst, Type: ty, Name: name}
 	if p.accept(lex.Punct, "[") {
 		n := p.intLit("array length")
 		p.expect(lex.Punct, "]")
-		d.Type = &TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty, Len: n}
+		d.Type = &bind.TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty, Len: n}
 	}
 	if p.accept(lex.Punct, "=") {
 		d.Init = p.parseInitializer()
@@ -412,10 +413,10 @@ func (p *Parser) parseLocalDecl(semi bool) Stmt {
 
 // parseInitializer parses an initializer expression, allowing a bare
 // brace list ({} or {a, b, c}) for aggregate types.
-func (p *Parser) parseInitializer() Expr {
+func (p *Parser) parseInitializer() bind.Expr {
 	if p.cur().Kind == lex.Punct && p.cur().Text == "{" {
 		pos := p.next().Pos
-		lit := &ArrayLitExpr{Pos: pos, Len: -1}
+		lit := &bind.InitListExpr{Pos: pos}
 		for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 			lit.Elems = append(lit.Elems, p.parseExpr())
 			if !p.accept(lex.Punct, ",") {
@@ -430,12 +431,12 @@ func (p *Parser) parseInitializer() Expr {
 
 // parseSimpleStmt parses an assignment or expression statement.
 // Prefix/postfix ++/-- normalize to compound assignments.
-func (p *Parser) parseSimpleStmt(semi bool) Stmt {
+func (p *Parser) parseSimpleStmt(semi bool) bind.Stmt {
 	pos := p.cur().Pos
 	if p.cur().Kind == lex.Punct && (p.cur().Text == "++" || p.cur().Text == "--") {
 		op := p.next().Text
 		lhs := p.parseUnary()
-		s := &AssignStmt{Pos: pos, LHS: lhs, Op: string(op[0]) + "=", RHS: &IntLitExpr{Pos: pos, Text: "1"}}
+		s := &bind.AssignStmt{Pos: pos, LHS: lhs, Op: string(op[0]) + "=", RHS: &bind.IntLitExpr{Pos: pos, Value: 1}}
 		if semi {
 			p.expect(lex.Punct, ";")
 		}
@@ -448,34 +449,34 @@ func (p *Parser) parseSimpleStmt(semi bool) Stmt {
 		case "=", "+=", "-=", "*=", "/=", "%=":
 			op := p.next().Text
 			rhs := p.parseExpr()
-			s := &AssignStmt{Pos: pos, LHS: lhs, Op: op, RHS: rhs}
+			s := &bind.AssignStmt{Pos: pos, LHS: lhs, Op: op, RHS: rhs}
 			if semi {
 				p.expect(lex.Punct, ";")
 			}
 			return s
 		case "++", "--":
 			op := p.next().Text
-			s := &AssignStmt{Pos: pos, LHS: lhs, Op: string(op[0]) + "=", RHS: &IntLitExpr{Pos: pos, Text: "1"}}
+			s := &bind.AssignStmt{Pos: pos, LHS: lhs, Op: string(op[0]) + "=", RHS: &bind.IntLitExpr{Pos: pos, Value: 1}}
 			if semi {
 				p.expect(lex.Punct, ";")
 			}
 			return s
 		}
 	}
-	s := &ExprStmt{Pos: pos, X: lhs}
+	s := &bind.ExprStmt{Pos: pos, X: lhs}
 	if semi {
 		p.expect(lex.Punct, ";")
 	}
 	return s
 }
 
-func (p *Parser) parseIf() *IfStmt {
+func (p *Parser) parseIf() *bind.IfStmt {
 	pos := p.cur().Pos
 	p.expect(lex.Keyword, "if")
 	p.expect(lex.Punct, "(")
 	cond := p.parseExpr()
 	p.expect(lex.Punct, ")")
-	s := &IfStmt{Pos: pos, Cond: cond, Then: p.parseStmtAsBlock()}
+	s := &bind.IfStmt{Pos: pos, Cond: cond, Then: p.parseStmtAsBlock()}
 	if p.accept(lex.Keyword, "else") {
 		if p.cur().Kind == lex.Keyword && p.cur().Text == "if" {
 			s.Else = p.parseIf()
@@ -487,23 +488,23 @@ func (p *Parser) parseIf() *IfStmt {
 }
 
 // parseStmtAsBlock parses a block, wrapping an unbraced single statement.
-func (p *Parser) parseStmtAsBlock() *BlockStmt {
+func (p *Parser) parseStmtAsBlock() *bind.BlockStmt {
 	if p.cur().Kind == lex.Punct && p.cur().Text == "{" {
 		return p.parseBlock()
 	}
 	pos := p.cur().Pos
-	b := &BlockStmt{Pos: pos}
+	b := &bind.BlockStmt{Pos: pos}
 	if s := p.parseStmt(); s != nil {
 		b.Stmts = append(b.Stmts, s)
 	}
 	return b
 }
 
-func (p *Parser) parseFor() *ForStmt {
+func (p *Parser) parseFor() *bind.ForStmt {
 	pos := p.cur().Pos
 	p.expect(lex.Keyword, "for")
 	p.expect(lex.Punct, "(")
-	s := &ForStmt{Pos: pos}
+	s := &bind.ForStmt{Pos: pos}
 	if !(p.cur().Kind == lex.Punct && p.cur().Text == ";") {
 		if p.startsDecl() || (p.cur().Kind == lex.Keyword && p.cur().Text == "const") {
 			s.Init = p.parseLocalDecl(false)
@@ -524,13 +525,13 @@ func (p *Parser) parseFor() *ForStmt {
 	return s
 }
 
-func (p *Parser) parseWhile() *WhileStmt {
+func (p *Parser) parseWhile() *bind.WhileStmt {
 	pos := p.cur().Pos
 	p.expect(lex.Keyword, "while")
 	p.expect(lex.Punct, "(")
 	cond := p.parseExpr()
 	p.expect(lex.Punct, ")")
-	return &WhileStmt{Pos: pos, Cond: cond, Body: p.parseStmtAsBlock()}
+	return &bind.WhileStmt{Pos: pos, Cond: cond, Body: p.parseStmtAsBlock()}
 }
 
 // --- expressions ---
@@ -544,21 +545,21 @@ var binPrec = map[string]int{
 	"*": 6, "/": 6, "%": 6,
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseTernary() }
+func (p *Parser) parseExpr() bind.Expr { return p.parseTernary() }
 
-func (p *Parser) parseTernary() Expr {
+func (p *Parser) parseTernary() bind.Expr {
 	cond := p.parseBinary(1)
 	if p.cur().Kind == lex.Punct && p.cur().Text == "?" {
 		pos := p.next().Pos
 		x := p.parseExpr()
 		p.expect(lex.Punct, ":")
 		y := p.parseTernary()
-		return &CondExpr{Pos: pos, Cond: cond, X: x, Y: y}
+		return &bind.CondExpr{Pos: pos, Cond: cond, Then: x, Else: y}
 	}
 	return cond
 }
 
-func (p *Parser) parseBinary(minPrec int) Expr {
+func (p *Parser) parseBinary(minPrec int) bind.Expr {
 	x := p.parseUnary()
 	for {
 		t := p.cur()
@@ -571,17 +572,17 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		}
 		p.next()
 		y := p.parseBinary(prec + 1)
-		x = &BinaryExpr{Pos: t.Pos, Op: t.Text, X: x, Y: y}
+		x = &bind.BinaryExpr{Pos: t.Pos, Op: t.Text, X: x, Y: y}
 	}
 }
 
-func (p *Parser) parseUnary() Expr {
+func (p *Parser) parseUnary() bind.Expr {
 	t := p.cur()
 	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
 			p.next()
-			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
+			return &bind.UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
 		case "+":
 			p.next()
 			return p.parseUnary()
@@ -590,7 +591,7 @@ func (p *Parser) parseUnary() Expr {
 	return p.parsePostfix()
 }
 
-func (p *Parser) parsePostfix() Expr {
+func (p *Parser) parsePostfix() bind.Expr {
 	x := p.parsePrimary()
 	for {
 		t := p.cur()
@@ -602,16 +603,16 @@ func (p *Parser) parsePostfix() Expr {
 			p.next()
 			idx := p.parseExpr()
 			p.expect(lex.Punct, "]")
-			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
+			x = &bind.IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
 			p.next()
 			name := p.ident("member name")
 			if p.cur().Kind == lex.Punct && p.cur().Text == "(" {
 				p.next()
 				args := p.parseCallArgs()
-				x = &MethodCallExpr{Pos: t.Pos, Recv: x, Method: name, Args: args}
+				x = &bind.MethodCallExpr{Pos: t.Pos, Recv: x, Method: name, Args: args}
 			} else {
-				x = &MemberExpr{Pos: t.Pos, X: x, Name: name}
+				x = &bind.MemberExpr{Pos: t.Pos, X: x, Name: name}
 			}
 		default:
 			return x
@@ -619,35 +620,42 @@ func (p *Parser) parsePostfix() Expr {
 	}
 }
 
-func (p *Parser) parsePrimary() Expr {
+func (p *Parser) parsePrimary() bind.Expr {
 	t := p.cur()
 	switch t.Kind {
 	case lex.IntLit:
-		p.next()
-		if strings.HasPrefix(t.Text, "0x") || strings.HasPrefix(t.Text, "0X") {
-			n, err := strconv.ParseInt(t.Text[2:], 16, 64)
-			if err != nil {
-				p.errorf("bad hex literal %q", t.Text)
-			}
-			return &IntLitExpr{Pos: t.Pos, Text: strconv.FormatInt(n, 10)}
+		text, base, what := t.Text, 10, "int"
+		if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
+			text, base, what = text[2:], 16, "hex"
 		}
-		return &IntLitExpr{Pos: t.Pos, Text: t.Text}
-	case lex.FloatLit:
+		n, err := strconv.ParseInt(text, base, 64)
+		if err != nil {
+			p.errorf("bad %s literal %q", what, t.Text)
+			return &bind.IntLitExpr{Pos: t.Pos}
+		}
 		p.next()
-		return &FloatLitExpr{Pos: t.Pos, Text: t.Text}
+		return &bind.IntLitExpr{Pos: t.Pos, Value: n}
+	case lex.FloatLit:
+		v, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
+			p.errorf("bad float literal %q", t.Text)
+			return &bind.FloatLitExpr{Pos: t.Pos}
+		}
+		p.next()
+		return &bind.FloatLitExpr{Pos: t.Pos, Value: v}
 	case lex.BoolLit:
 		p.next()
-		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
+		return &bind.BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
 	case lex.Ident:
 		// array<T, N>{...} braced constructor.
 		if templatedType(t.Text) && p.peekTok(1).Kind == lex.Punct && p.peekTok(1).Text == "<" {
 			te := p.parseType()
 			if te.Name != "array" {
 				p.errorf("texture type %q cannot be constructed", te.Name)
-				return &IdentExpr{Pos: t.Pos, Name: "_"}
+				return &bind.IdentExpr{Pos: t.Pos, Name: "_"}
 			}
 			p.expect(lex.Punct, "{")
-			lit := &ArrayLitExpr{Pos: t.Pos, Elem: te.Elem, Len: te.Len}
+			lit := &bind.InitListExpr{Pos: t.Pos, Type: te}
 			for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == "}") {
 				lit.Elems = append(lit.Elems, p.parseExpr())
 				if !p.accept(lex.Punct, ",") {
@@ -661,9 +669,9 @@ func (p *Parser) parsePrimary() Expr {
 		if p.cur().Kind == lex.Punct && p.cur().Text == "(" {
 			p.next()
 			args := p.parseCallArgs()
-			return &CallExpr{Pos: t.Pos, Callee: t.Text, Args: args}
+			return &bind.CallExpr{Pos: t.Pos, Callee: t.Text, Args: args}
 		}
-		return &IdentExpr{Pos: t.Pos, Name: t.Text}
+		return &bind.IdentExpr{Pos: t.Pos, Name: t.Text}
 	case lex.Punct:
 		if t.Text == "(" {
 			p.next()
@@ -673,11 +681,11 @@ func (p *Parser) parsePrimary() Expr {
 		}
 	}
 	p.errorf("unexpected token %q in expression", t.Text)
-	return &IdentExpr{Pos: t.Pos, Name: "_"}
+	return &bind.IdentExpr{Pos: t.Pos, Name: "_"}
 }
 
-func (p *Parser) parseCallArgs() []Expr {
-	var args []Expr
+func (p *Parser) parseCallArgs() []bind.Expr {
+	var args []bind.Expr
 	for p.cur().Kind != lex.EOF && !(p.cur().Kind == lex.Punct && p.cur().Text == ")") {
 		args = append(args, p.parseExpr())
 		if !p.accept(lex.Punct, ",") {

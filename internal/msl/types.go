@@ -3,8 +3,7 @@ package msl
 import (
 	"fmt"
 
-	"shaderopt/internal/glsl"
-	"shaderopt/internal/naming"
+	"shaderopt/internal/bind"
 	"shaderopt/internal/sem"
 )
 
@@ -67,7 +66,7 @@ func reservedWord(name string) bool {
 // resolveType maps an MSL type reference onto the shared sem type system.
 // half resolves like float and uint like int — the IR models one float
 // and one int width, matching the other frontends.
-func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
+func resolveType(te *bind.TypeExpr) (sem.Type, error) {
 	if te == nil {
 		return sem.Void, fmt.Errorf("missing type")
 	}
@@ -93,7 +92,7 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 	case "sampler":
 		return sem.Void, fmt.Errorf("sampler state cannot be used as a value type")
 	case "array":
-		elem, err := tr.resolveType(te.Elem)
+		elem, err := resolveType(te.Elem)
 		if err != nil {
 			return sem.Void, err
 		}
@@ -105,67 +104,11 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 		}
 		return sem.ArrayOf(elem, te.Len), nil
 	}
-	if n, kind, ok := vecName(te.Name); ok {
+	if n, kind, ok := bind.VecName(te.Name); ok {
 		return sem.VecType(kind, n), nil
 	}
-	if n, ok := matName(te.Name); ok {
+	if n, ok := bind.MatName(te.Name); ok {
 		return sem.MatType(n), nil
 	}
 	return sem.Void, fmt.Errorf("unknown type %q", te.String())
 }
-
-// vecName resolves floatN / halfN / intN / uintN / boolN vector names.
-func vecName(name string) (n int, kind sem.Kind, ok bool) {
-	base := ""
-	switch {
-	case len(name) == 6 && name[:5] == "float":
-		base, n = "float", int(name[5]-'0')
-	case len(name) == 5 && name[:4] == "half":
-		base, n = "half", int(name[4]-'0')
-	case len(name) == 4 && name[:3] == "int":
-		base, n = "int", int(name[3]-'0')
-	case len(name) == 5 && name[:4] == "uint":
-		base, n = "uint", int(name[4]-'0')
-	case len(name) == 5 && name[:4] == "bool":
-		base, n = "bool", int(name[4]-'0')
-	default:
-		return 0, 0, false
-	}
-	if n < 2 || n > 4 {
-		return 0, 0, false
-	}
-	switch base {
-	case "float", "half":
-		return n, sem.KindFloat, true
-	case "int", "uint":
-		return n, sem.KindInt, true
-	default:
-		return n, sem.KindBool, true
-	}
-}
-
-// matName resolves floatNxN / halfNxN names to the square dimension;
-// non-square matrices are outside the subset.
-func matName(name string) (int, bool) {
-	var base string
-	switch {
-	case len(name) == 8 && name[:5] == "float":
-		base = name[5:]
-	case len(name) == 7 && name[:4] == "half":
-		base = name[4:]
-	default:
-		return 0, false
-	}
-	if len(base) != 3 || base[1] != 'x' {
-		return 0, false
-	}
-	n, m := int(base[0]-'0'), int(base[2]-'0')
-	if n < 2 || n > 4 || n != m {
-		return 0, false
-	}
-	return n, true
-}
-
-// semToSpec renders a sem type as a GLSL syntactic type reference for the
-// canonical AST (the shared naming.SemToSpec spelling).
-func semToSpec(t sem.Type) (glsl.TypeSpec, error) { return naming.SemToSpec(t) }

@@ -1,17 +1,20 @@
 // Package wgsl implements the WGSL (WebGPU Shading Language) frontend: a
-// lexer over the shared internal/lex scanner, recursive-descent parser,
-// WGSL AST, and a semantic binding/lowering stage that targets the
-// optimizer IR shared with the GLSL frontend. The supported subset mirrors
-// the GLSL subset used by the study corpus: @fragment entry points with
-// @location/@builtin parameters, let/var declarations with type inference,
-// vecN<f32>-family types, structured control flow (if/else, for, while),
-// swizzles, constructors, array types, texture_2d/sampler pairs, and the
-// builtin function library the interpreter evaluates.
+// lexer over the shared internal/lex scanner, a recursive-descent parser
+// that builds the statement and expression tree of internal/bind, and
+// WGSL's share of the binding into the canonical checked AST that the
+// shared lowering turns into the optimizer IR. The supported subset
+// mirrors the GLSL subset used by the study corpus: @fragment entry points
+// with @location/@builtin parameters, let/var declarations with type
+// inference, vecN<f32>-family types, structured control flow (if/else,
+// for, while), swizzles, constructors, array types, texture_2d/sampler
+// pairs, and the builtin function library the interpreter evaluates.
 //
-// Architecturally the frontend is modeled on naga's wgsl package: a
-// separate surface language lowered into one shared program form so the
-// flag-controlled passes, the measurement harness, and the GPU cost models
-// stay frontend-independent.
+// The package keeps only what is WGSL's own: attributes, module-level
+// var and const declarations, type resolution, the rename and constructor
+// tables, and WGSL's own calls — select, textureSample* and the templated
+// and array constructors. internal/bind translates every shared node; WGSL
+// has no implicit conversions, so nothing promotes. Architecturally the
+// frontend is modeled on naga's wgsl package.
 package wgsl
 
 import "shaderopt/internal/lex"

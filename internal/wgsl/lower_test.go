@@ -309,10 +309,7 @@ var tex: texture_2d<f32>;
 }`, "sampler"},
 	}
 	for _, c := range cases {
-		m, err := Parse(c.src)
-		if err == nil {
-			_, err = Lower(m, c.name)
-		}
+		_, err := Compile(c.src, c.name)
 		if err == nil {
 			t.Errorf("%s: lowered successfully, want error containing %q", c.name, c.want)
 			continue

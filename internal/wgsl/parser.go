@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"shaderopt/internal/bind"
 	"shaderopt/internal/lex"
 )
 
@@ -33,15 +34,6 @@ func Parse(src string) (*Module, error) {
 		return nil, p.Errs[0]
 	}
 	return m, nil
-}
-
-// MustParse parses src and panics on error. For tests and fixed sources.
-func MustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // --- Declarations ---
@@ -135,11 +127,11 @@ func (p *Parser) parseGlobalVar(attrs []Attr) Decl {
 		return nil
 	}
 	p.Next()
-	var ty *TypeExpr
+	var ty *bind.TypeExpr
 	if p.Accept(":") {
 		ty = p.parseType()
 	}
-	var init Expr
+	var init bind.Expr
 	if p.Accept("=") {
 		init = p.parseExpr()
 	}
@@ -157,7 +149,7 @@ func (p *Parser) parseConstDecl() Decl {
 		return nil
 	}
 	p.Next()
-	var ty *TypeExpr
+	var ty *bind.TypeExpr
 	if p.Accept(":") {
 		ty = p.parseType()
 	}
@@ -216,14 +208,14 @@ func (p *Parser) parseParam() (Param, bool) {
 }
 
 // parseType parses a (possibly templated) type reference.
-func (p *Parser) parseType() *TypeExpr {
+func (p *Parser) parseType() *bind.TypeExpr {
 	t := p.Cur()
 	if t.Kind != lex.Ident {
 		p.Errorf(t.Pos, "expected type, found %s", t)
 		return nil
 	}
 	p.Next()
-	te := &TypeExpr{Pos: t.Pos, Name: t.Text}
+	te := &bind.TypeExpr{Pos: t.Pos, Name: t.Text}
 	if p.Accept("<") {
 		te.Elem = p.parseType()
 		if p.Accept(",") {
@@ -246,9 +238,9 @@ func (p *Parser) parseType() *TypeExpr {
 
 // --- Statements ---
 
-func (p *Parser) parseBlock() *BlockStmt {
+func (p *Parser) parseBlock() *bind.BlockStmt {
 	open := p.Expect("{")
-	blk := &BlockStmt{Pos: open.Pos}
+	blk := &bind.BlockStmt{Pos: open.Pos}
 	for {
 		t := p.Cur()
 		if t.Kind == lex.EOF {
@@ -269,7 +261,7 @@ func (p *Parser) parseBlock() *BlockStmt {
 	}
 }
 
-func (p *Parser) parseStmt() Stmt {
+func (p *Parser) parseStmt() bind.Stmt {
 	t := p.Cur()
 	switch {
 	case t.Kind == lex.Punct && t.Text == "{":
@@ -291,24 +283,24 @@ func (p *Parser) parseStmt() Stmt {
 			return p.parseWhile()
 		case "return":
 			p.Next()
-			var res Expr
+			var res bind.Expr
 			if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 				res = p.parseExpr()
 			}
 			p.Expect(";")
-			return &ReturnStmt{Pos: t.Pos, Result: res}
+			return &bind.ReturnStmt{Pos: t.Pos, Result: res}
 		case "discard":
 			p.Next()
 			p.Expect(";")
-			return &DiscardStmt{Pos: t.Pos}
+			return &bind.DiscardStmt{Pos: t.Pos}
 		case "break":
 			p.Next()
 			p.Expect(";")
-			return &BreakStmt{Pos: t.Pos}
+			return &bind.BreakStmt{Pos: t.Pos}
 		case "continue":
 			p.Next()
 			p.Expect(";")
-			return &ContinueStmt{Pos: t.Pos}
+			return &bind.ContinueStmt{Pos: t.Pos}
 		default:
 			p.Errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
 			p.Sync()
@@ -319,7 +311,7 @@ func (p *Parser) parseStmt() Stmt {
 	}
 }
 
-func (p *Parser) parseLet() Stmt {
+func (p *Parser) parseLet() bind.Stmt {
 	t := p.Next() // let / const
 	nm := p.Cur()
 	if nm.Kind != lex.Ident {
@@ -328,17 +320,17 @@ func (p *Parser) parseLet() Stmt {
 		return nil
 	}
 	p.Next()
-	var ty *TypeExpr
+	var ty *bind.TypeExpr
 	if p.Accept(":") {
 		ty = p.parseType()
 	}
 	p.Expect("=")
 	init := p.parseExpr()
 	p.Expect(";")
-	return &LetStmt{Pos: t.Pos, Name: nm.Text, Type: ty, Init: init}
+	return &bind.DeclStmt{Pos: t.Pos, Const: true, Type: ty, Name: nm.Text, Init: init}
 }
 
-func (p *Parser) parseVar() Stmt {
+func (p *Parser) parseVar() bind.Stmt {
 	t := p.Expect("var")
 	nm := p.Cur()
 	if nm.Kind != lex.Ident {
@@ -347,11 +339,11 @@ func (p *Parser) parseVar() Stmt {
 		return nil
 	}
 	p.Next()
-	var ty *TypeExpr
+	var ty *bind.TypeExpr
 	if p.Accept(":") {
 		ty = p.parseType()
 	}
-	var init Expr
+	var init bind.Expr
 	if p.Accept("=") {
 		init = p.parseExpr()
 	}
@@ -359,12 +351,12 @@ func (p *Parser) parseVar() Stmt {
 		p.Errorf(t.Pos, "var %q needs a type or an initializer", nm.Text)
 	}
 	p.Expect(";")
-	return &VarStmt{Pos: t.Pos, Name: nm.Text, Type: ty, Init: init}
+	return &bind.DeclStmt{Pos: t.Pos, Type: ty, Name: nm.Text, Init: init}
 }
 
 // parseSimpleStmt parses an assignment, inc/dec, or expression statement,
 // without consuming a trailing semicolon (for `for` headers).
-func (p *Parser) parseSimpleStmt() Stmt {
+func (p *Parser) parseSimpleStmt() bind.Stmt {
 	t := p.Cur()
 	if t.Kind == lex.Keyword && (t.Text == "let" || t.Text == "const") {
 		return p.parseLet() // consumes ';' — only used by for-init handling
@@ -379,25 +371,25 @@ func (p *Parser) parseSimpleStmt() Stmt {
 		case "=", "+=", "-=", "*=", "/=":
 			p.Next()
 			rhs := p.parseExpr()
-			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
+			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
 		case "++":
 			p.Next()
-			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
+			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &bind.IntLitExpr{Pos: cur.Pos, Value: 1}}
 		case "--":
 			p.Next()
-			return &AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &IntLitExpr{Pos: cur.Pos, Value: 1}}
+			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &bind.IntLitExpr{Pos: cur.Pos, Value: 1}}
 		}
 	}
-	return &ExprStmt{Pos: t.Pos, X: lhs}
+	return &bind.ExprStmt{Pos: t.Pos, X: lhs}
 }
 
-func (p *Parser) parseSimpleStmtSemi() Stmt {
+func (p *Parser) parseSimpleStmtSemi() bind.Stmt {
 	s := p.parseSimpleStmt()
 	p.Expect(";")
 	return s
 }
 
-func (p *Parser) parseIf() Stmt {
+func (p *Parser) parseIf() bind.Stmt {
 	t := p.Expect("if")
 	// WGSL allows both `if cond { }` and `if (cond) { }`.
 	paren := p.Accept("(")
@@ -406,7 +398,7 @@ func (p *Parser) parseIf() Stmt {
 		p.Expect(")")
 	}
 	then := p.parseBlock()
-	var els Stmt
+	var els bind.Stmt
 	if p.Accept("else") {
 		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
 			els = p.parseIf()
@@ -414,13 +406,13 @@ func (p *Parser) parseIf() Stmt {
 			els = p.parseBlock()
 		}
 	}
-	return &IfStmt{Pos: t.Pos, Cond: cond, Then: then, Else: els}
+	return &bind.IfStmt{Pos: t.Pos, Cond: cond, Then: then, Else: els}
 }
 
-func (p *Parser) parseFor() Stmt {
+func (p *Parser) parseFor() bind.Stmt {
 	t := p.Expect("for")
 	p.Expect("(")
-	var init Stmt
+	var init bind.Stmt
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		switch {
 		case p.Cur().Kind == lex.Keyword && p.Cur().Text == "var":
@@ -433,21 +425,21 @@ func (p *Parser) parseFor() Stmt {
 	} else {
 		p.Next()
 	}
-	var cond Expr
+	var cond bind.Expr
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
 		cond = p.parseExpr()
 	}
 	p.Expect(";")
-	var post Stmt
+	var post bind.Stmt
 	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ")") {
 		post = p.parseSimpleStmt()
 	}
 	p.Expect(")")
 	body := p.parseBlock()
-	return &ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
+	return &bind.ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
 }
 
-func (p *Parser) parseWhile() Stmt {
+func (p *Parser) parseWhile() bind.Stmt {
 	t := p.Expect("while")
 	paren := p.Accept("(")
 	cond := p.parseExpr()
@@ -455,7 +447,7 @@ func (p *Parser) parseWhile() Stmt {
 		p.Expect(")")
 	}
 	body := p.parseBlock()
-	return &WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
+	return &bind.WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
 }
 
 // --- Expressions ---
@@ -470,9 +462,9 @@ var binPrec = map[string]int{
 	"*": 6, "/": 6, "%": 6,
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseBinary(1) }
+func (p *Parser) parseExpr() bind.Expr { return p.parseBinary(1) }
 
-func (p *Parser) parseBinary(minPrec int) Expr {
+func (p *Parser) parseBinary(minPrec int) bind.Expr {
 	lhs := p.parseUnary()
 	for {
 		t := p.Cur()
@@ -485,17 +477,17 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		}
 		p.Next()
 		rhs := p.parseBinary(prec + 1)
-		lhs = &BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
+		lhs = &bind.BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
 	}
 }
 
-func (p *Parser) parseUnary() Expr {
+func (p *Parser) parseUnary() bind.Expr {
 	t := p.Cur()
 	if t.Kind == lex.Punct {
 		switch t.Text {
 		case "-", "!":
 			p.Next()
-			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
+			return &bind.UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
 		case "+":
 			p.Next()
 			return p.parseUnary()
@@ -504,7 +496,7 @@ func (p *Parser) parseUnary() Expr {
 	return p.parsePostfix()
 }
 
-func (p *Parser) parsePostfix() Expr {
+func (p *Parser) parsePostfix() bind.Expr {
 	x := p.parsePrimary()
 	for {
 		t := p.Cur()
@@ -516,7 +508,7 @@ func (p *Parser) parsePostfix() Expr {
 			p.Next()
 			idx := p.parseExpr()
 			p.Expect("]")
-			x = &IndexExpr{Pos: t.Pos, X: x, Index: idx}
+			x = &bind.IndexExpr{Pos: t.Pos, X: x, Index: idx}
 		case ".":
 			p.Next()
 			nm := p.Cur()
@@ -525,14 +517,14 @@ func (p *Parser) parsePostfix() Expr {
 				return x
 			}
 			p.Next()
-			x = &MemberExpr{Pos: t.Pos, X: x, Name: nm.Text}
+			x = &bind.MemberExpr{Pos: t.Pos, X: x, Name: nm.Text}
 		default:
 			return x
 		}
 	}
 }
 
-func (p *Parser) parsePrimary() Expr {
+func (p *Parser) parsePrimary() bind.Expr {
 	t := p.Cur()
 	switch t.Kind {
 	case lex.IntLit:
@@ -552,7 +544,7 @@ func (p *Parser) parsePrimary() Expr {
 				p.Errorf(t.Pos, "bad int literal %q", t.Text)
 			}
 		}
-		return &IntLitExpr{Pos: t.Pos, Value: v}
+		return &bind.IntLitExpr{Pos: t.Pos, Value: v}
 	case lex.FloatLit:
 		p.Next()
 		text := strings.TrimRight(t.Text, "fh")
@@ -560,10 +552,10 @@ func (p *Parser) parsePrimary() Expr {
 		if err != nil {
 			p.Errorf(t.Pos, "bad float literal %q", t.Text)
 		}
-		return &FloatLitExpr{Pos: t.Pos, Value: v}
+		return &bind.FloatLitExpr{Pos: t.Pos, Value: v}
 	case lex.BoolLit:
 		p.Next()
-		return &BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
+		return &bind.BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
 	case lex.Ident:
 		p.Next()
 		// Templated constructor: vec4<f32>(...), array<f32, 9>(...).
@@ -577,7 +569,7 @@ func (p *Parser) parsePrimary() Expr {
 		if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
 			return p.parseCallArgs(t.Pos, t.Text)
 		}
-		return &IdentExpr{Pos: t.Pos, Name: t.Text}
+		return &bind.IdentExpr{Pos: t.Pos, Name: t.Text}
 	case lex.Punct:
 		if t.Text == "(" {
 			p.Next()
@@ -588,7 +580,7 @@ func (p *Parser) parsePrimary() Expr {
 	}
 	p.Errorf(t.Pos, "unexpected token %s in expression", t)
 	p.Next()
-	return &IntLitExpr{Pos: t.Pos, Value: 0}
+	return &bind.IntLitExpr{Pos: t.Pos, Value: 0}
 }
 
 // isTemplatedName reports whether an identifier followed by '<' starts a
@@ -600,13 +592,13 @@ func isTemplatedName(name string) bool {
 	case "array", "vec2", "vec3", "vec4":
 		return true
 	}
-	_, ok := matName(name)
+	_, ok := matAlias(name)
 	return ok
 }
 
-func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *CallExpr {
+func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *bind.CallExpr {
 	p.Expect("(")
-	call := &CallExpr{Pos: pos, Callee: callee}
+	call := &bind.CallExpr{Pos: pos, Callee: callee}
 	if p.Accept(")") {
 		return call
 	}

@@ -1,6 +1,19 @@
 package wgsl
 
-import "testing"
+import (
+	"testing"
+
+	"shaderopt/internal/bind"
+)
+
+// MustParse parses src and panics on error.
+func MustParse(src string) *Module {
+	m, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 const miniShader = `
 @group(0) @binding(0) var tex: texture_2d<f32>;
@@ -79,18 +92,18 @@ func TestParseEntryParams(t *testing.T) {
 func TestParseForLoopHeader(t *testing.T) {
 	m := MustParse(miniShader)
 	body := m.EntryPoint().Body
-	f, ok := body.Stmts[1].(*ForStmt)
+	f, ok := body.Stmts[1].(*bind.ForStmt)
 	if !ok {
 		t.Fatalf("stmt 1 = %#v", body.Stmts[1])
 	}
-	if _, ok := f.Init.(*VarStmt); !ok {
+	if d, ok := f.Init.(*bind.DeclStmt); !ok || d.Const {
 		t.Errorf("for init = %#v", f.Init)
 	}
-	cond, ok := f.Cond.(*BinaryExpr)
+	cond, ok := f.Cond.(*bind.BinaryExpr)
 	if !ok || cond.Op != "<" {
 		t.Errorf("for cond = %#v", f.Cond)
 	}
-	post, ok := f.Post.(*AssignStmt)
+	post, ok := f.Post.(*bind.AssignStmt)
 	if !ok || post.Op != "+=" {
 		t.Errorf("i++ should desugar to +=, got %#v", f.Post)
 	}
@@ -99,15 +112,15 @@ func TestParseForLoopHeader(t *testing.T) {
 func TestParseLetAndSwizzle(t *testing.T) {
 	m := MustParse(miniShader)
 	body := m.EntryPoint().Body
-	let, ok := body.Stmts[2].(*LetStmt)
-	if !ok || let.Name != "l" || let.Type != nil {
+	let, ok := body.Stmts[2].(*bind.DeclStmt)
+	if !ok || !let.Const || let.Name != "l" || let.Type != nil {
 		t.Fatalf("stmt 2 = %#v", body.Stmts[2])
 	}
-	call, ok := let.Init.(*CallExpr)
+	call, ok := let.Init.(*bind.CallExpr)
 	if !ok || call.Callee != "luma" {
 		t.Fatalf("let init = %#v", let.Init)
 	}
-	mem, ok := call.Args[0].(*MemberExpr)
+	mem, ok := call.Args[0].(*bind.MemberExpr)
 	if !ok || mem.Name != "rgb" {
 		t.Fatalf("arg = %#v", call.Args[0])
 	}
@@ -121,15 +134,15 @@ func TestParseIfWithoutParens(t *testing.T) {
     return vec4<f32>(x);
 }`)
 	body := m.EntryPoint().Body
-	ifs, ok := body.Stmts[1].(*IfStmt)
+	ifs, ok := body.Stmts[1].(*bind.IfStmt)
 	if !ok {
 		t.Fatalf("stmt 1 = %#v", body.Stmts[1])
 	}
-	chained, ok := ifs.Else.(*IfStmt)
+	chained, ok := ifs.Else.(*bind.IfStmt)
 	if !ok {
 		t.Fatalf("else = %#v", ifs.Else)
 	}
-	if _, ok := chained.Else.(*BlockStmt); !ok {
+	if _, ok := chained.Else.(*bind.BlockStmt); !ok {
 		t.Fatalf("final else = %#v", chained.Else)
 	}
 }
@@ -141,8 +154,8 @@ func TestParseTemplatedArrayConstructor(t *testing.T) {
     return vec4<f32>(wts[1]);
 }`)
 	body := m.EntryPoint().Body
-	let := body.Stmts[0].(*LetStmt)
-	call, ok := let.Init.(*CallExpr)
+	let := body.Stmts[0].(*bind.DeclStmt)
+	call, ok := let.Init.(*bind.CallExpr)
 	if !ok || call.TypeArg == nil {
 		t.Fatalf("init = %#v", let.Init)
 	}
@@ -163,8 +176,8 @@ func TestParseTemplatedLessThanAmbiguity(t *testing.T) {
     return vec4<f32>(x);
 }`)
 	body := m.EntryPoint().Body
-	ifs := body.Stmts[1].(*IfStmt)
-	cond, ok := ifs.Cond.(*BinaryExpr)
+	ifs := body.Stmts[1].(*bind.IfStmt)
+	cond, ok := ifs.Cond.(*bind.BinaryExpr)
 	if !ok || cond.Op != "<" {
 		t.Fatalf("cond = %#v", ifs.Cond)
 	}
@@ -182,15 +195,15 @@ func TestParseMatPrefixedIdentComparison(t *testing.T) {
     return vec4<f32>(c * mm[0].x);
 }`)
 	body := m.EntryPoint().Body
-	ifs, ok := body.Stmts[2].(*IfStmt)
+	ifs, ok := body.Stmts[2].(*bind.IfStmt)
 	if !ok {
 		t.Fatalf("stmt 2 = %#v", body.Stmts[2])
 	}
-	cond, ok := ifs.Cond.(*BinaryExpr)
+	cond, ok := ifs.Cond.(*bind.BinaryExpr)
 	if !ok || cond.Op != "<" {
 		t.Fatalf("cond = %#v", ifs.Cond)
 	}
-	ctor := body.Stmts[3].(*LetStmt).Init.(*CallExpr)
+	ctor := body.Stmts[3].(*bind.DeclStmt).Init.(*bind.CallExpr)
 	if ctor.TypeArg == nil || ctor.TypeArg.Name != "mat2x2" {
 		t.Fatalf("mat ctor = %#v", ctor)
 	}
@@ -202,12 +215,12 @@ func TestParsePrecedence(t *testing.T) {
     let x = 1.0 + 2.0 * 3.0;
     return vec4<f32>(x);
 }`)
-	let := m.EntryPoint().Body.Stmts[0].(*LetStmt)
-	add, ok := let.Init.(*BinaryExpr)
+	let := m.EntryPoint().Body.Stmts[0].(*bind.DeclStmt)
+	add, ok := let.Init.(*bind.BinaryExpr)
 	if !ok || add.Op != "+" {
 		t.Fatalf("top op = %#v", let.Init)
 	}
-	mul, ok := add.Y.(*BinaryExpr)
+	mul, ok := add.Y.(*bind.BinaryExpr)
 	if !ok || mul.Op != "*" {
 		t.Fatalf("rhs = %#v", add.Y)
 	}
@@ -257,12 +270,12 @@ func TestParseWhileAndBreak(t *testing.T) {
     return vec4<f32>(x);
 }`)
 	body := m.EntryPoint().Body
-	w, ok := body.Stmts[1].(*WhileStmt)
+	w, ok := body.Stmts[1].(*bind.WhileStmt)
 	if !ok {
 		t.Fatalf("stmt 1 = %#v", body.Stmts[1])
 	}
-	inner := w.Body.Stmts[1].(*IfStmt)
-	if _, ok := inner.Then.Stmts[0].(*BreakStmt); !ok {
+	inner := w.Body.Stmts[1].(*bind.IfStmt)
+	if _, ok := inner.Then.Stmts[0].(*bind.BreakStmt); !ok {
 		t.Fatalf("break not parsed: %#v", inner.Then.Stmts[0])
 	}
 }

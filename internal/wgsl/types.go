@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"shaderopt/internal/glsl"
-	"shaderopt/internal/naming"
+	"shaderopt/internal/bind"
 	"shaderopt/internal/sem"
 )
 
@@ -14,7 +13,7 @@ import (
 // the predeclared aliases (vec2f, vec4i, mat3x3f) are accepted. f16
 // resolves like f32 and u32 like i32 — the IR models one float and one int
 // width, matching the GLSL frontend.
-func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
+func resolveType(te *bind.TypeExpr) (sem.Type, error) {
 	if te == nil {
 		return sem.Void, fmt.Errorf("missing type")
 	}
@@ -32,7 +31,7 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 		if te.Len < 1 {
 			return sem.Void, fmt.Errorf("runtime-sized arrays are outside the supported subset")
 		}
-		elem, err := tr.resolveType(te.Elem)
+		elem, err := resolveType(te.Elem)
 		if err != nil {
 			return sem.Void, err
 		}
@@ -68,7 +67,7 @@ func (tr *translator) resolveType(te *TypeExpr) (sem.Type, error) {
 	if n, kind, ok := vecAlias(te.Name); ok {
 		return sem.VecType(kind, n), nil
 	}
-	if n, ok := matName(te.Name); ok {
+	if n, ok := matAlias(te.Name); ok {
 		if te.Elem != nil {
 			if _, err := scalarKind(te.Elem.Name); err != nil {
 				return sem.Void, fmt.Errorf("%s: %v", te.Name, err)
@@ -109,9 +108,9 @@ func vecAlias(name string) (n int, kind sem.Kind, ok bool) {
 	return 0, 0, false
 }
 
-// matName resolves matNxM names (with optional f/h suffix) to the square
+// matAlias resolves matNxM names (with optional f/h suffix) to the square
 // dimension; non-square matrices are outside the subset.
-func matName(name string) (int, bool) {
+func matAlias(name string) (int, bool) {
 	base := strings.TrimSuffix(strings.TrimSuffix(name, "f"), "h")
 	if len(base) != 6 || !strings.HasPrefix(base, "mat") || base[4] != 'x' {
 		return 0, false
@@ -122,7 +121,3 @@ func matName(name string) (int, bool) {
 	}
 	return n, true
 }
-
-// semToSpec renders a sem type as a GLSL syntactic type reference for the
-// canonical AST (the shared naming.SemToSpec spelling).
-func semToSpec(t sem.Type) (glsl.TypeSpec, error) { return naming.SemToSpec(t) }
