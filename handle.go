@@ -62,7 +62,9 @@ func WithTelemetry(reg *Telemetry) Option {
 // internal/store): the durable layer WithStore slots under a session's
 // in-memory caches, holding driver compiles keyed by (vendor, canonical
 // IR fingerprint) and measurement scores keyed by (vendor, source hash,
-// protocol). Open one with OpenStore.
+// protocol). Open one with OpenStore, and call its Sync before exit when
+// the entries must survive a power loss: writes are visible at once but
+// durable only from the next Sync.
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir,

@@ -41,8 +41,9 @@ type gen struct {
 	sb      strings.Builder
 	indent  int
 
-	names map[any]string // *ir.Var / *ir.Global / *ir.Instr -> GLSL name
-	used  map[string]bool
+	names  map[any]string // *ir.Var / *ir.Global / *ir.Instr -> GLSL name
+	used   map[string]bool
+	suffix map[string]int // base -> last suffix unique gave out for it; nil until one is
 }
 
 func (g *gen) run() string {
@@ -105,15 +106,31 @@ func (g *gen) line(parts ...string) {
 
 // --- naming ---
 
+// unique returns the first of base, base_2, base_3, … that is neither
+// used nor reserved. A base that needed a suffix resumes after the last
+// one it gave out: every candidate before that was taken then, and used
+// only grows, so the names are those of a search from base_2 at linear
+// cost.
 func (g *gen) unique(base string) string {
 	if base == "" {
 		base = "v"
 	}
-	name := base
-	for i := 2; g.used[name] || glsl.IsKeyword(name) || glsl.IsTypeName(name) || sem.IsBuiltin(name); i++ {
+	name, i := base, 1 // i is name's suffix; 1 stands for the bare base
+	if last := g.suffix[base]; last > 0 {
+		i = last + 1
+		name = base + "_" + strconv.Itoa(i)
+	}
+	for g.used[name] || glsl.IsKeyword(name) || glsl.IsTypeName(name) || sem.IsBuiltin(name) {
+		i++
 		name = base + "_" + strconv.Itoa(i)
 	}
 	g.used[name] = true
+	if i > 1 {
+		if g.suffix == nil {
+			g.suffix = map[string]int{} // most programs never need one
+		}
+		g.suffix[base] = i
+	}
 	return name
 }
 

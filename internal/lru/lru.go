@@ -86,6 +86,18 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Peek returns the cached value without marking it used or counting a
+// hit or miss: a second look at a key whose Get was already counted.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Add inserts or refreshes an entry with the given cost, evicting the
 // least-recently-used entries until the bound holds again. An entry whose
 // own cost exceeds the bound is not stored at all: admitting it would

@@ -181,3 +181,24 @@ func TestConcurrentMixedUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPeekCountsNothing pins that Peek reads a value without touching
+// recency or the hit/miss counters.
+func TestPeekCountsNothing(t *testing.T) {
+	c := New[string, int](2)
+	c.Add("a", 1, 1)
+	c.Add("b", 2, 1)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Fatal("Peek(z) hit on an absent key")
+	}
+	if h, m, _, _ := c.Stats(); h != 0 || m != 0 {
+		t.Fatalf("Peek counted hits/misses %d/%d, want 0/0", h, m)
+	}
+	c.Add("c", 3, 1) // a is still least recently used
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek refreshed a's recency: b was evicted instead")
+	}
+}

@@ -61,6 +61,7 @@ type mslgen struct {
 
 	names    map[any]string // *ir.Var / *ir.Global / *ir.Instr -> MSL name
 	used     map[string]bool
+	suffix   map[string]int        // base -> last suffix unique gave out for it; nil until one is
 	smpNames map[*ir.Global]string // sampler uniform -> sampler-state arg name
 	isInput  map[*ir.Global]bool
 
@@ -249,15 +250,31 @@ func (g *mslgen) line(parts ...string) {
 
 // --- naming ---
 
+// unique returns the first of base, base_2, base_3, … that is neither
+// used nor reserved. A base that needed a suffix resumes after the last
+// one it gave out: every candidate before that was taken then, and used
+// only grows, so the names are those of a search from base_2 at linear
+// cost.
 func (g *mslgen) unique(base string) string {
 	if base == "" {
 		base = "v"
 	}
-	name := base
-	for i := 2; g.used[name] || reservedWord(name); i++ {
+	name, i := base, 1 // i is name's suffix; 1 stands for the bare base
+	if last := g.suffix[base]; last > 0 {
+		i = last + 1
+		name = base + "_" + strconv.Itoa(i)
+	}
+	for g.used[name] || reservedWord(name) {
+		i++
 		name = base + "_" + strconv.Itoa(i)
 	}
 	g.used[name] = true
+	if i > 1 {
+		if g.suffix == nil {
+			g.suffix = map[string]int{} // most programs never need one
+		}
+		g.suffix[base] = i
+	}
 	return name
 }
 

@@ -6,13 +6,21 @@
 // key, sharded into subdirectories by hash prefix so no single directory
 // grows with the corpus.
 //
-// Durability and integrity come before freshness: writes go to a
-// temporary file in the entry's shard and are renamed into place
-// atomically, every entry carries a versioned header with a payload
-// checksum, and any entry that fails validation — truncated, corrupted,
-// or written by a different format version — is deleted and reported as
-// a miss, never as an error or a wrong value. The cached artefacts are
-// deterministic recomputations, so degrading to a miss only costs time.
+// Integrity comes before freshness: writes go to a temporary file in the
+// entry's shard and are renamed into place atomically, every entry
+// carries a versioned header with a payload checksum, and any entry that
+// fails validation — truncated, zeroed, corrupted, or written by a
+// different format version — is deleted and reported as a miss, never as
+// an error or a wrong value. The cached artefacts are deterministic
+// recomputations, so degrading to a miss only costs time.
+//
+// Durability is group-committed. An entry is visible to every reader once
+// Put returns, and durable across power loss once a later Sync returns:
+// Put does not flush, and Sync makes everything written before it durable
+// with one filesystem flush. A crash before Sync can leave a renamed
+// entry empty, zeroed or torn; its header or checksum check then fails
+// and Get reports a miss, so an unsynced entry costs at most its
+// recomputation.
 //
 // The store is size-bounded: when the on-disk footprint exceeds the
 // bound, least-recently-accessed entries are evicted. Access recency is
@@ -25,6 +33,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -177,26 +186,28 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // Put stores payload under key, atomically: the entry is assembled in a
 // temporary file in the destination shard and renamed into place, so
 // concurrent readers see either the old complete entry or the new one,
-// never a partial write. When the store exceeds its size bound, the
-// least-recently-accessed entries are evicted after the write.
+// never a partial write. The entry is visible once Put returns and
+// durable once a later Sync returns; Put itself does not flush. When the
+// store exceeds its size bound, the least-recently-accessed entries are
+// evicted after the write.
 func (s *Store) Put(key string, payload []byte) error {
 	shardDir, path := s.pathFor(key)
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		return fmt.Errorf("store put: %w", err)
-	}
 	entry := encodeEntry(payload)
 
 	tmp, err := os.CreateTemp(shardDir, "put-*.tmp")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The shard's first write, or its directory was removed under
+		// the store (by hand or by another process): create it and retry.
+		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+			return fmt.Errorf("store put: %w", err)
+		}
+		tmp, err = os.CreateTemp(shardDir, "put-*.tmp")
+	}
 	if err != nil {
 		return fmt.Errorf("store put: %w", err)
 	}
 	tmpName := tmp.Name()
 	if _, err := tmp.Write(entry); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store put: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("store put: %w", err)
@@ -227,16 +238,14 @@ func (s *Store) Put(key string, payload []byte) error {
 	return nil
 }
 
-// Sync flushes the store's root directory entry, pushing the rename
-// journal of recent writes to disk — the daemon calls it on graceful
-// shutdown so a warm restart sees every completed entry.
+// Sync is the store's durability point: every entry whose Put returned
+// before Sync was called — its data, its shard directory and its rename —
+// is on disk when Sync returns. It commits them as one group with a
+// single filesystem flush rather than one fsync per entry. The daemon
+// calls it on graceful shutdown, and a library user calls it before exit
+// when the entries must survive power loss.
 func (s *Store) Sync() error {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return s.flush()
 }
 
 // evict deletes least-recently-accessed entries until the footprint is

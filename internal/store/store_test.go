@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +105,9 @@ var corruptions = map[string]func([]byte) []byte{
 		return raw
 	},
 	"empty file": func([]byte) []byte { return nil },
+	// What an unsynced rename can leave after a power loss: the entry's
+	// length on disk, but none of its data blocks.
+	"zeroed payload": func(raw []byte) []byte { return make([]byte, len(raw)) },
 	"extra trailing bytes": func(raw []byte) []byte {
 		return append(raw, 0xAA)
 	},
@@ -144,6 +148,26 @@ func TestCorruptEntriesDegradeToMiss(t *testing.T) {
 				t.Fatalf("healed slot Get = %q, %v; want \"fresh\"", got, ok)
 			}
 		})
+	}
+}
+
+// TestPutRecreatesRemovedShard pins that Put creates a shard directory
+// on demand: it does not assume a shard it wrote before still exists, so
+// a directory removed underneath the store is recreated by the next Put.
+func TestPutRecreatesRemovedShard(t *testing.T) {
+	s := open(t, 0)
+	if err := s.Put("k", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Dir(entryPath(t, s, "k"))
+	if err := os.RemoveAll(shard); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k", []byte("second")); err != nil {
+		t.Fatalf("put after shard removal: %v", err)
+	}
+	if got, ok := s.Get("k"); !ok || string(got) != "second" {
+		t.Fatalf("Get after shard removal = %q, %v; want \"second\"", got, ok)
 	}
 }
 
@@ -356,5 +380,22 @@ func TestEvictorsAreSerialized(t *testing.T) {
 	s.evict()
 	if size, max := s.SizeBytes(), s.Bound(); size > max {
 		t.Fatalf("size %d over bound %d after settling", size, max)
+	}
+}
+
+// BenchmarkStorePut writes distinct keys with 165-byte payloads, the mean
+// entry size of a cold corpus study, into an unbounded store.
+func BenchmarkStorePut(b *testing.B) {
+	s, err := Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 165)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put("bench\x00"+strconv.Itoa(i), payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -92,3 +92,50 @@ func TestSweepdRecoversRequestPanic(t *testing.T) {
 		t.Fatalf("sweepd.panics = %d, want 2", n)
 	}
 }
+
+// TestSweepdRejectsOversizedBody pins the request-size bound: a /sweep
+// body past maxRequestBytes is refused with 413 before it is buffered
+// whole, and the daemon keeps serving the next request.
+func TestSweepdRejectsOversizedBody(t *testing.T) {
+	probe := corpus.ByName(corpus.MustLoad(), "simple/luma")
+	if probe == nil {
+		t.Fatal("missing corpus shader simple/luma")
+	}
+	ts := httptest.NewServer(New(Config{Platforms: []*gpu.Platform{gpu.NewNVIDIA()}}).Handler())
+	defer ts.Close()
+
+	// One shader whose source alone is a byte past the bound, streamed so
+	// the test never holds the body in memory.
+	body := io.MultiReader(
+		strings.NewReader(`{"protocol":"fast","shaders":[{"name":"big","source":"`),
+		io.LimitReader(repeatReader('a'), maxRequestBytes+1),
+		strings.NewReader(`"}]}`),
+	)
+	resp, err := http.Post(ts.URL+"/sweep", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %s, want 413", resp.Status)
+	}
+
+	c := &Client{BaseURL: ts.URL}
+	if err := c.Health(); err != nil {
+		t.Fatalf("daemon unhealthy after an oversized body: %v", err)
+	}
+	if _, err := c.Sweep(fastRequest(probe), nil); err != nil {
+		t.Fatalf("next request after an oversized body: %v", err)
+	}
+}
+
+// repeatReader is an endless stream of one byte.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
+}

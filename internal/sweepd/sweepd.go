@@ -20,6 +20,7 @@ package sweepd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -170,6 +171,12 @@ func (s *Server) Drain() error {
 	return s.cfg.Store.Sync()
 }
 
+// maxRequestBytes bounds a /sweep request body. A whole-corpus request
+// carries about 100 KB of source, so the bound leaves two orders of
+// magnitude of headroom while keeping one request from making the daemon
+// buffer an unbounded body; a larger body is refused with 413.
+const maxRequestBytes = 16 << 20
+
 // DefaultReadHeaderTimeout bounds how long HTTPServer waits for a
 // request's headers. Generous for any real client, but it means a peer
 // that opens a connection and trickles header bytes (slow-loris) cannot
@@ -237,8 +244,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request: %v", err), status)
 		return
 	}
 	if len(req.Shaders) == 0 {

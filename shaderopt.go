@@ -190,9 +190,13 @@
 // least-recently-accessed eviction. Warm state therefore survives
 // restarts: a sweep over a warm store runs zero driver compiles and
 // zero harness measurements and returns byte-identical scores (pinned
-// by TestWarmStoreSweepRunsNothing). Store traffic reports into the
-// same registry as the in-memory caches
-// (cache.store.{hits,misses,evictions}, store.writes).
+// by TestWarmStoreSweepRunsNothing). Writes are group-committed: an
+// entry is visible as soon as it is written and durable once
+// Store.Sync returns, which flushes every earlier write at once. A
+// library user calls Sync before exit when warm state must survive a
+// power loss; an entry a crash leaves unsynced fails its checksum and
+// is recomputed. Store traffic reports into the same registry as the
+// in-memory caches (cache.store.{hits,misses,evictions}, store.writes).
 //
 // cmd/sweepd serves a shared warm session as a long-lived HTTP daemon:
 // POST /sweep takes shader sources plus a named protocol and streams
