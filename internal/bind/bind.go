@@ -1,22 +1,32 @@
-// Package bind is the binder the HLSL, WGSL and MSL frontends share. Their
-// parsers build one statement and expression tree (tree.go), and one
-// Binder translates it into the compiler's canonical surface form, the
-// checked GLSL AST, inferring each expression's sem type as it goes.
+// Package bind is the parser and binder the HLSL, WGSL and MSL frontends
+// share. One Parser (parse.go) builds one statement and expression tree
+// (tree.go) for all three, and one Binder translates it into the
+// compiler's canonical surface form, the checked GLSL AST, inferring each
+// expression's sem type as it goes.
+//
+// The Parser owns everything below module scope: blocks and statements,
+// the expression grammar with its one precedence table, call arguments,
+// brace initializers, C-style array declarators and literals. A frontend
+// supplies a Grammar: a few facts about its syntax (literal suffixes;
+// whether ?:, methods and %= exist; C's parenthesised conditions and
+// unbraced bodies against WGSL's braces) and hooks for its local
+// declarations, its type references and the primaries only it has.
 //
 // The Binder owns everything the three languages have in common: value
 // scopes keyed by the original source name, the Namer that keeps every
-// emitted spelling GLSL-safe, the sem→GLSL type spelling, helper return
-// types, sampler bindings, and the translation of every shared node:
-// literals, operators, indexing, swizzles, builtin, constructor and user
-// calls, initializers, and every statement including the entry point's
-// `return x` → store-to-out rewrite.
+// emitted spelling GLSL-safe, the sem→GLSL type spelling, helper
+// signatures and parameters, sampler bindings, and the translation of
+// every shared node: literals, operators, indexing, swizzles, builtin,
+// constructor and user calls, initializers, and every statement including
+// the entry point's `return x` → store-to-out rewrite.
 //
 // A frontend supplies a Lang: constant rules (its escape suffix, whether
 // int scalars promote to float, its builtin renames, constructor spellings
 // and type resolution), and one hook, Own, for the calls, methods, members
-// and statements only its language has. It keeps its module-level
+// and statements only its language has. It parses its module-level
 // declarations (HLSL cbuffers and semantics, WGSL attributes and const,
-// MSL structs and [[...]] interfaces) and drives the Binder over them.
+// MSL structs and [[...]] interfaces) on the shared Parser and drives the
+// Binder over them.
 package bind
 
 import (
@@ -48,6 +58,10 @@ type Lang struct {
 	// by DeclStmt.Const (WGSL's "var "/"let "; empty for C-style
 	// declarations).
 	DeclWords [2]string
+	// FnWord names a helper function in its errors ("function", "fn").
+	FnWord string
+	// NoTextureParams rejects texture parameters on helpers (MSL).
+	NoTextureParams bool
 	// Own translates what only this language has.
 	Own Own
 }

@@ -56,6 +56,8 @@ func TestParseRejections(t *testing.T) {
 		{"zero array length", "hlsl", "float a[0]; return float4(1.0, 1.0, 1.0, 1.0);", `2:9: bad array length "0"`},
 		{"zero array length", "msl", "float a[0]; return float4(1.0);", "4:1"},
 		{"array length past int", "hlsl", "float a[99999999999999999999]; return float4(1.0, 1.0, 1.0, 1.0);", `2:9: bad array length "99999999999999999999"`},
+		{"array length past int", "msl", "float a[99999999999999999999]; return float4(1.0);", "4:9"},
+		{"hex array length", "msl", "float a[0x10]; return float4(1.0);", "4:9"},
 		{"unsized array", "hlsl", "float a[] = {1.0, 2.0}; return float4(a[0], a[1], 0.0, 1.0);", ""},
 		{"unsized array", "msl", "float a[] = {1.0}; return float4(1.0);", "4:9"},
 		{"typed array initializer", "msl", "array<float, 2> k = array<float, 2>{1.0, 2.0}; return float4(k[0]);", ""},

@@ -17,6 +17,88 @@ func (b *Binder) Body(body *BlockStmt, out *string) (*glsl.BlockStmt, error) {
 	return b.Block(body)
 }
 
+// Helper is a helper function as the binder translates it: every
+// function but the entry point.
+type Helper struct {
+	Pos    lex.Pos
+	Name   string
+	Ret    *TypeExpr // nil when the function returns nothing
+	Params []Param
+	Body   *BlockStmt
+}
+
+// Param is a helper function parameter. Illegal, when set, says why the
+// parameter cannot appear on a helper; it is reported before its type
+// resolves.
+type Param struct {
+	Name    string
+	Type    *TypeExpr
+	Illegal string
+}
+
+// Signatures binds every helper's return type before any body
+// translates, so a call ahead of its callee's declaration resolves.
+func (b *Binder) Signatures(fns []Helper) error {
+	for _, f := range fns {
+		ret := sem.Void
+		if f.Ret != nil {
+			t, err := b.lang.Resolve(f.Ret)
+			if err != nil {
+				return Errf(f.Pos, "%s %s: %v", b.lang.FnWord, f.Name, err)
+			}
+			ret = t
+		}
+		b.FnRet[b.Rename(f.Name)] = ret
+	}
+	return nil
+}
+
+// Helper translates a helper function into a GLSL function; the shared
+// lowering inlines it at each call site.
+func (b *Binder) Helper(f Helper) error {
+	word := b.lang.FnWord
+	fn := &glsl.FuncDecl{Return: glsl.Scalar("void"), Name: b.Rename(f.Name)}
+	if f.Ret != nil {
+		t, err := b.lang.Resolve(f.Ret)
+		if err != nil {
+			return Errf(f.Pos, "%s %s: %v", word, f.Name, err)
+		}
+		if fn.Return, err = SemToSpec(t); err != nil {
+			return Errf(f.Pos, "%s %s: %v", word, f.Name, err)
+		}
+	}
+	b.CurRet = b.FnRet[fn.Name]
+	b.Push()
+	defer b.Pop()
+	for _, p := range f.Params {
+		if p.Illegal != "" {
+			return Errf(f.Pos, "%s %s: %s", word, f.Name, p.Illegal)
+		}
+		t, err := b.lang.Resolve(p.Type)
+		if err != nil {
+			return Errf(f.Pos, "%s %s param %s: %v", word, f.Name, p.Name, err)
+		}
+		if t.IsSampler() && b.lang.NoTextureParams {
+			return Errf(f.Pos, "%s %s param %s: texture parameters are outside the supported subset", word, f.Name, p.Name)
+		}
+		spec, err := SemToSpec(t)
+		if err != nil {
+			return Errf(f.Pos, "%s %s param %s: %v", word, f.Name, p.Name, err)
+		}
+		// Parameters shadow module names; bind without the module rename map.
+		pn := b.Local(p.Name)
+		fn.Params = append(fn.Params, glsl.Param{Type: spec, Name: pn})
+		b.Bind(p.Name, pn, t)
+	}
+	body, err := b.Body(f.Body, nil)
+	if err != nil {
+		return fmt.Errorf("%s %s: %w", word, f.Name, err)
+	}
+	fn.Body = body
+	b.Sh.Decls = append(b.Sh.Decls, fn)
+	return nil
+}
+
 // InEntry reports whether the entry point's body is being translated.
 func (b *Binder) InEntry() bool { return b.out != nil }
 

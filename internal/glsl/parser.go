@@ -304,6 +304,10 @@ func (p *Parser) parseBlock() *BlockStmt {
 }
 
 func (p *Parser) parseStmt() Stmt {
+	if !p.Nest() {
+		return nil
+	}
+	defer p.Unnest()
 	t := p.Cur()
 	switch {
 	case t.Kind == lex.Punct && t.Text == "{":
@@ -435,7 +439,7 @@ func (p *Parser) parseIf() Stmt {
 	var els Stmt
 	if p.Accept("else") {
 		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
-			els = p.parseIf()
+			els = p.parseStmt() // through parseStmt, so an else-if chain nests
 		} else {
 			els = p.parseBranchBody()
 		}
@@ -504,15 +508,18 @@ var binPrec = map[string]int{
 	"*": 7, "/": 7, "%": 7,
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseTernary() }
-
-func (p *Parser) parseTernary() Expr {
+// parseExpr parses an expression, the ternary ?: its loosest operator.
+func (p *Parser) parseExpr() Expr {
+	if !p.Nest() {
+		return &IntLitExpr{Pos: p.Cur().Pos}
+	}
+	defer p.Unnest()
 	cond := p.parseBinary(1)
 	if p.Cur().Kind == lex.Punct && p.Cur().Text == "?" {
 		q := p.Next()
 		thn := p.parseExpr()
 		p.Expect(":")
-		els := p.parseTernary()
+		els := p.parseExpr()
 		return &CondExpr{Pos: q.Pos, Cond: cond, Then: thn, Else: els}
 	}
 	return cond
@@ -541,19 +548,28 @@ func (p *Parser) parseUnary() Expr {
 		switch t.Text {
 		case "-", "!":
 			p.Next()
-			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
+			return &UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.operand()}
 		case "+":
 			p.Next()
-			return p.parseUnary()
+			return p.operand()
 		case "++", "--":
 			// Pre-increment used as expression is outside the subset; parse
 			// operand and report.
 			p.Errorf(t.Pos, "prefix %q not supported as expression", t.Text)
 			p.Next()
-			return p.parseUnary()
+			return p.operand()
 		}
 	}
 	return p.parsePostfix()
+}
+
+// operand parses a unary operator's operand, one nesting level deeper.
+func (p *Parser) operand() Expr {
+	if !p.Nest() {
+		return &IntLitExpr{Pos: p.Cur().Pos}
+	}
+	defer p.Unnest()
+	return p.parseUnary()
 }
 
 func (p *Parser) parsePostfix() Expr {

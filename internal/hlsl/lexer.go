@@ -1,23 +1,23 @@
-// Package hlsl implements the HLSL (High-Level Shading Language)
-// frontend: a lexer over the shared internal/lex scanner, a
-// recursive-descent parser that builds the statement and expression tree
-// of internal/bind, and HLSL's share of the binding into the canonical
-// checked AST that the shared lowering turns into the optimizer IR. The
-// supported subset is the pragmatic pixel-shader core that the study
-// corpus exercises: float2/3/4 and float3x3/4x4 value types, Texture2D +
-// SamplerState pairs sampled with the .Sample/.SampleLevel methods,
-// cbuffer constant blocks and loose $Globals-style uniforms, entry points
-// selected by the SV_Target return semantic with TEXCOORDn-attributed
-// parameters, C-style local declarations, if/for/while/return/discard
-// control flow, and the intrinsic library mapped onto the IR's canonical
-// builtins (lerp→mix, frac→fract, rsqrt→inversesqrt, atan2→atan,
-// ddx/ddy→dFdx/dFdy, ...).
+// Package hlsl implements the HLSL (High-Level Shading Language) frontend:
+// a lexer over the shared internal/lex scanner, HLSL's Grammar and
+// module-level declarations on the parser of internal/bind, and HLSL's
+// share of the binding into the canonical checked AST that the shared
+// lowering turns into the optimizer IR. The supported subset is the
+// pragmatic pixel-shader core that the study corpus exercises: float2/3/4
+// and float3x3/4x4 value types, Texture2D + SamplerState pairs sampled
+// with the .Sample/.SampleLevel methods, cbuffer constant blocks and loose
+// $Globals-style uniforms, entry points selected by the SV_Target return
+// semantic with TEXCOORDn-attributed parameters, C-style local
+// declarations, if/for/while/return/discard control flow, and the
+// intrinsic library mapped onto the IR's canonical builtins (lerp→mix,
+// frac→fract, rsqrt→inversesqrt, atan2→atan, ddx/ddy→dFdx/dFdy, ...).
 //
-// The package keeps only what is HLSL's own: the module-level
-// declarations (cbuffers flatten into uniforms, semantics select the
-// entry point and its interface), type resolution, the rename and
-// constructor tables, and HLSL's own calls — mul, mad, fmod and clip, and
-// the .Sample methods. internal/bind translates every shared node with
+// The package keeps only what is HLSL's own: its Grammar (?:, .Sample
+// methods, [unroll]-style statement attributes, unsized `[]` declarators),
+// the module-level declarations (cbuffers flatten into uniforms, semantics
+// select the entry point and its interface), type resolution, the rename
+// and constructor tables, and HLSL's own calls — mul, mad, fmod and clip,
+// and the .Sample methods. internal/bind translates every shared node with
 // HLSL's scalar int→float promotion.
 package hlsl
 

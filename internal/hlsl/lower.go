@@ -7,7 +7,6 @@ import (
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
 	"shaderopt/internal/lower"
-	"shaderopt/internal/sem"
 )
 
 // Compile parses HLSL source and lowers it to an IR program. The module's
@@ -45,6 +44,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		Ctor:       ctorName,
 		Resolve:    resolveType,
 		SamplerUse: "sampler state %q can only appear as a .Sample argument",
+		FnWord:     "function",
 		Own:        tr,
 	})
 	return tr.module(m)
@@ -64,20 +64,14 @@ func (tr *translator) module(m *Module) (*glsl.Shader, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("module has no pixel-shader entry point (SV_Target return semantic or a function named main)")
 	}
-	// Pre-bind helper signatures so calls ahead of the declaration resolve.
+	var helpers []bind.Helper
 	for _, f := range m.Fns() {
-		if f == entry {
-			continue
+		if f != entry {
+			helpers = append(helpers, helper(f))
 		}
-		ret := sem.Void
-		if f.Ret != nil && f.Ret.Name != "void" {
-			t, err := resolveType(f.Ret)
-			if err != nil {
-				return nil, bind.Errf(f.Pos, "function %s: %v", f.Name, err)
-			}
-			ret = t
-		}
-		tr.FnRet[tr.Rename(f.Name)] = ret
+	}
+	if err := tr.Signatures(helpers); err != nil {
+		return nil, err
 	}
 
 	for _, d := range m.Decls {
@@ -89,7 +83,7 @@ func (tr *translator) module(m *Module) (*glsl.Shader, error) {
 			err = tr.globalVar(d)
 		case *FnDecl:
 			if d != entry { // the entry translates last, once all globals are bound
-				err = tr.helperFn(d)
+				err = tr.Helper(helper(d))
 			}
 		}
 		if err != nil {
@@ -177,47 +171,21 @@ func (tr *translator) globalVar(d *GlobalVar) error {
 	return nil
 }
 
-// helperFn translates a non-entry function into a GLSL function; the
-// shared lowering inlines it at each call site.
-func (tr *translator) helperFn(d *FnDecl) error {
-	ret := glsl.Scalar("void")
-	if d.Ret != nil && d.Ret.Name != "void" {
-		t, err := resolveType(d.Ret)
-		if err != nil {
-			return bind.Errf(d.Pos, "function %s: %v", d.Name, err)
-		}
-		if ret, err = bind.SemToSpec(t); err != nil {
-			return bind.Errf(d.Pos, "function %s: %v", d.Name, err)
-		}
+// helper describes a non-entry function to the binder: a void return is
+// none, and out and inout parameters are outside the subset.
+func helper(f *FnDecl) bind.Helper {
+	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body}
+	if f.Ret != nil && f.Ret.Name == "void" {
+		h.Ret = nil
 	}
-	fn := &glsl.FuncDecl{Return: ret, Name: tr.Rename(d.Name)}
-	tr.CurRet = tr.FnRet[fn.Name]
-	tr.Push()
-	defer tr.Pop()
-	for _, p := range d.Params {
+	for _, p := range f.Params {
+		prm := bind.Param{Name: p.Name, Type: p.Type}
 		if p.Qual == "out" || p.Qual == "inout" {
-			return bind.Errf(d.Pos, "function %s: %s parameters are outside the supported subset", d.Name, p.Qual)
+			prm.Illegal = p.Qual + " parameters are outside the supported subset"
 		}
-		t, err := resolveType(p.Type)
-		if err != nil {
-			return bind.Errf(d.Pos, "function %s param %s: %v", d.Name, p.Name, err)
-		}
-		spec, err := bind.SemToSpec(t)
-		if err != nil {
-			return bind.Errf(d.Pos, "function %s param %s: %v", d.Name, p.Name, err)
-		}
-		// Parameters shadow module names; bind without the module rename map.
-		pn := tr.Local(p.Name)
-		fn.Params = append(fn.Params, glsl.Param{Type: spec, Name: pn})
-		tr.Bind(p.Name, pn, t)
+		h.Params = append(h.Params, prm)
 	}
-	body, err := tr.Body(d.Body, nil)
-	if err != nil {
-		return fmt.Errorf("function %s: %w", d.Name, err)
-	}
-	fn.Body = body
-	tr.Sh.Decls = append(tr.Sh.Decls, fn)
-	return nil
+	return h
 }
 
 // entryFn translates the pixel-shader entry point into void main():

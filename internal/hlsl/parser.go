@@ -1,16 +1,31 @@
 package hlsl
 
 import (
-	"strconv"
 	"strings"
 
 	"shaderopt/internal/bind"
 	"shaderopt/internal/lex"
 )
 
-// Parser is a recursive-descent parser for the HLSL subset.
-type Parser struct {
-	lex.Cursor
+// grammar is HLSL's share of the statement and expression grammar the
+// frontends share: C statements with ?:, resource methods, [unroll]-style
+// statement attributes and unsized `[]` declarators.
+var grammar = bind.Grammar{
+	IntSuffix:   "uUlL",
+	FloatSuffix: "fFhH",
+	CStyle:      true,
+	Ternary:     true,
+	Methods:     true,
+	Blocks:      true,
+	Unsized:     true,
+	DeclStart: func(p *bind.Parser) bool {
+		t := p.Cur()
+		return p.At("const") || p.At("static") ||
+			t.Kind == lex.Ident && IsTypeName(t.Text) && p.PeekTok(1).Kind == lex.Ident
+	},
+	Decl:  localDecl,
+	Type:  parseType,
+	Attrs: skipStmtAttrs,
 }
 
 // Parse parses a complete HLSL module.
@@ -19,15 +34,11 @@ func Parse(src string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{lex.Cursor{Toks: toks}}
+	p := bind.NewParser(toks, &grammar)
 	m := &Module{}
-	for p.Cur().Kind != lex.EOF {
-		d := p.parseDecl()
-		if d != nil {
+	for p.Cur().Kind != lex.EOF && len(p.Errs) <= 8 {
+		if d := parseDecl(p); d != nil {
 			m.Decls = append(m.Decls, d)
-		}
-		if len(p.Errs) > 8 {
-			break
 		}
 	}
 	if len(p.Errs) > 0 {
@@ -38,7 +49,7 @@ func Parse(src string) (*Module, error) {
 
 // --- Declarations ---
 
-func (p *Parser) parseDecl() Decl {
+func parseDecl(p *bind.Parser) Decl {
 	t := p.Cur()
 	if t.Kind == lex.Punct && t.Text == ";" {
 		p.Next()
@@ -47,9 +58,9 @@ func (p *Parser) parseDecl() Decl {
 	if t.Kind == lex.Keyword {
 		switch t.Text {
 		case "cbuffer", "tbuffer":
-			return p.parseCBuffer()
+			return parseCBuffer(p)
 		case "static", "const", "uniform":
-			return p.parseGlobalVar()
+			return parseGlobalVar(p)
 		case "struct", "typedef":
 			p.Errorf(t.Pos, "%s declarations are outside the supported subset", t.Text)
 			p.Sync()
@@ -62,9 +73,9 @@ func (p *Parser) parseDecl() Decl {
 	if t.Kind == lex.Ident && IsTypeName(t.Text) {
 		// `Type Name (` starts a function; anything else is a global.
 		if p.PeekTok(1).Kind == lex.Ident && p.PeekTok(2).Kind == lex.Punct && p.PeekTok(2).Text == "(" {
-			return p.parseFn()
+			return parseFn(p)
 		}
-		return p.parseGlobalVar()
+		return parseGlobalVar(p)
 	}
 	p.Errorf(t.Pos, "expected declaration, found %s", t)
 	p.Sync()
@@ -75,7 +86,7 @@ func (p *Parser) parseDecl() Decl {
 // function signature: semantics (TEXCOORD0, SV_Target) are returned as
 // semantic, register(...) bindings as register; packoffset(...) is
 // accepted and dropped.
-func (p *Parser) parseAnnots() (semantic, register string) {
+func parseAnnots(p *bind.Parser) (semantic, register string) {
 	for p.Cur().Kind == lex.Punct && p.Cur().Text == ":" {
 		p.Next()
 		nm := p.Cur()
@@ -110,16 +121,14 @@ func (p *Parser) parseAnnots() (semantic, register string) {
 }
 
 // parseCBuffer parses `cbuffer Name [: register(bN)] { members };`.
-func (p *Parser) parseCBuffer() Decl {
+func parseCBuffer(p *bind.Parser) Decl {
 	t := p.Next() // cbuffer / tbuffer
-	name := p.Cur()
-	if name.Kind != lex.Ident {
-		p.Errorf(name.Pos, "expected cbuffer name, found %s", name)
+	name, ok := p.Ident("cbuffer name")
+	if !ok {
 		p.Sync()
 		return nil
 	}
-	p.Next()
-	_, register := p.parseAnnots()
+	_, register := parseAnnots(p)
 	d := &CBufferDecl{Pos: t.Pos, Name: name.Text, Register: register}
 	p.Expect("{")
 	for !p.Accept("}") {
@@ -130,20 +139,18 @@ func (p *Parser) parseCBuffer() Decl {
 		if p.Accept(";") {
 			continue
 		}
-		ty := p.parseType()
+		ty := parseType(p)
 		if ty == nil {
 			p.Sync()
 			continue
 		}
-		mn := p.Cur()
-		if mn.Kind != lex.Ident {
-			p.Errorf(mn.Pos, "expected member name, found %s", mn)
+		mn, ok := p.Ident("member name")
+		if !ok {
 			p.Sync()
 			continue
 		}
-		p.Next()
-		ty = p.parseArraySuffix(ty)
-		p.parseAnnots() // packoffset is a layout detail; drop it
+		ty = p.ArraySuffix(ty)
+		parseAnnots(p) // packoffset is a layout detail; drop it
 		p.Expect(";")
 		d.Members = append(d.Members, CBufferMember{Pos: mn.Pos, Type: ty, Name: mn.Text})
 	}
@@ -153,7 +160,7 @@ func (p *Parser) parseCBuffer() Decl {
 
 // parseGlobalVar parses `[static] [const] [uniform] type name [N]
 // [: register(...)] [= init];` at module scope.
-func (p *Parser) parseGlobalVar() Decl {
+func parseGlobalVar(p *bind.Parser) Decl {
 	start := p.Cur().Pos
 	var isStatic, isConst bool
 	for {
@@ -175,23 +182,21 @@ func (p *Parser) parseGlobalVar() Decl {
 		}
 		p.Next()
 	}
-	ty := p.parseType()
+	ty := parseType(p)
 	if ty == nil {
 		p.Sync()
 		return nil
 	}
-	name := p.Cur()
-	if name.Kind != lex.Ident {
-		p.Errorf(name.Pos, "expected variable name, found %s", name)
+	name, ok := p.Ident("variable name")
+	if !ok {
 		p.Sync()
 		return nil
 	}
-	p.Next()
-	ty = p.parseArraySuffix(ty)
-	_, register := p.parseAnnots()
+	ty = p.ArraySuffix(ty)
+	_, register := parseAnnots(p)
 	var init bind.Expr
 	if p.Accept("=") {
-		init = p.parseInitializer(ty)
+		init = p.Initializer(ty)
 	}
 	p.Expect(";")
 	return &GlobalVar{
@@ -200,14 +205,14 @@ func (p *Parser) parseGlobalVar() Decl {
 	}
 }
 
-func (p *Parser) parseFn() Decl {
-	ret := p.parseType()
+func parseFn(p *bind.Parser) Decl {
+	ret := parseType(p)
 	name := p.Next() // checked Ident by the caller
 	fn := &FnDecl{Pos: name.Pos, Ret: ret, Name: name.Text}
 	p.Expect("(")
 	if !p.Accept(")") {
 		for {
-			prm, ok := p.parseParam()
+			prm, ok := parseParam(p)
 			if !ok {
 				p.Sync()
 				return nil
@@ -219,36 +224,34 @@ func (p *Parser) parseFn() Decl {
 			p.Expect(",")
 		}
 	}
-	fn.RetSemantic, _ = p.parseAnnots()
-	fn.Body = p.parseBlock()
+	fn.RetSemantic, _ = parseAnnots(p)
+	fn.Body = p.Block()
 	return fn
 }
 
-func (p *Parser) parseParam() (Param, bool) {
+func parseParam(p *bind.Parser) (Param, bool) {
 	var prm Param
 	if t := p.Cur(); t.Kind == lex.Keyword && (t.Text == "in" || t.Text == "out" || t.Text == "inout") {
 		prm.Qual = t.Text
 		p.Next()
 	}
-	prm.Type = p.parseType()
+	prm.Type = parseType(p)
 	if prm.Type == nil {
 		return prm, false
 	}
-	nm := p.Cur()
-	if nm.Kind != lex.Ident {
-		p.Errorf(nm.Pos, "expected parameter name, found %s", nm)
+	nm, ok := p.Ident("parameter name")
+	if !ok {
 		return prm, false
 	}
-	p.Next()
 	prm.Name = nm.Text
-	prm.Type = p.parseArraySuffix(prm.Type)
-	prm.Semantic, _ = p.parseAnnots()
+	prm.Type = p.ArraySuffix(prm.Type)
+	prm.Semantic, _ = parseAnnots(p)
 	return prm, true
 }
 
 // parseType parses an intrinsic type reference, with an optional template
 // argument for resource types (Texture2D<float4>).
-func (p *Parser) parseType() *bind.TypeExpr {
+func parseType(p *bind.Parser) *bind.TypeExpr {
 	t := p.Cur()
 	if t.Kind != lex.Ident || !IsTypeName(t.Text) {
 		p.Errorf(t.Pos, "expected type, found %s", t)
@@ -270,87 +273,24 @@ func (p *Parser) parseType() *bind.TypeExpr {
 	return te
 }
 
-// parseArraySuffix parses an optional C-style `[N]` or `[]` declarator
-// suffix, folding it into an array of ty (Len 0 when unsized).
-func (p *Parser) parseArraySuffix(ty *bind.TypeExpr) *bind.TypeExpr {
-	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == "[") {
-		return ty
-	}
-	p.Next()
-	if p.Accept("]") {
-		return &bind.TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty}
-	}
-	n := p.Cur()
-	if n.Kind != lex.IntLit {
-		p.Errorf(n.Pos, "expected array length, found %s", n)
-		p.Expect("]")
-		return ty
-	}
-	p.Next()
-	v, err := strconv.Atoi(strings.TrimRight(n.Text, "uUlL"))
-	if err != nil || v < 1 {
-		p.Errorf(n.Pos, "bad array length %q", n.Text)
-		v = 1
-	}
-	p.Expect("]")
-	return &bind.TypeExpr{Pos: ty.Pos, Name: "array", Elem: ty, Len: v}
-}
-
-// parseInitializer parses either a brace initializer list or an
-// expression. A nonempty brace list sizes an unsized array type ty.
-func (p *Parser) parseInitializer(ty *bind.TypeExpr) bind.Expr {
-	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
-		t := p.Next()
-		list := &bind.InitListExpr{Pos: t.Pos}
-		for !p.Accept("}") {
-			if p.Cur().Kind == lex.EOF {
-				p.Errorf(p.Cur().Pos, "unterminated initializer list")
-				return list
-			}
-			list.Elems = append(list.Elems, p.parseExpr())
-			if !p.Accept(",") && !(p.Cur().Kind == lex.Punct && p.Cur().Text == "}") {
-				p.Errorf(p.Cur().Pos, "expected ',' or '}' in initializer, found %s", p.Cur())
-				return list
-			}
-		}
-		if ty.Name == "array" && ty.Len == 0 {
-			ty.Len = len(list.Elems)
-		}
-		return list
-	}
-	return p.parseExpr()
-}
-
-// --- Statements ---
-
-func (p *Parser) parseBlock() *bind.BlockStmt {
-	open := p.Expect("{")
-	blk := &bind.BlockStmt{Pos: open.Pos}
-	for {
-		t := p.Cur()
-		if t.Kind == lex.EOF {
-			p.Errorf(t.Pos, "unterminated block")
-			return blk
-		}
-		if t.Kind == lex.Punct && t.Text == "}" {
-			p.Next()
-			return blk
-		}
-		s := p.parseStmt()
-		if s != nil {
-			blk.Stmts = append(blk.Stmts, s)
-		}
-		if len(p.Errs) > 8 {
-			return blk
+// localDecl parses a local declaration, `[static] [const] type name [N]
+// [= init]`, without its ';'.
+func localDecl(p *bind.Parser) bind.Stmt {
+	start := p.Cur().Pos
+	isConst := false
+	for p.At("const") || p.At("static") {
+		if p.Next().Text == "const" {
+			isConst = true
 		}
 	}
+	return p.CDecl(start, isConst)
 }
 
 // skipStmtAttrs drops statement attributes such as [unroll], [loop],
 // [branch], and [flatten]; they are compiler hints with no semantic
 // content in the subset.
-func (p *Parser) skipStmtAttrs() {
-	for p.Cur().Kind == lex.Punct && p.Cur().Text == "[" && p.PeekTok(1).Kind == lex.Ident {
+func skipStmtAttrs(p *bind.Parser) {
+	for p.At("[") && p.PeekTok(1).Kind == lex.Ident {
 		switch p.PeekTok(1).Text {
 		case "unroll", "loop", "branch", "flatten", "fastopt", "allow_uav_condition":
 		default:
@@ -367,372 +307,5 @@ func (p *Parser) skipStmtAttrs() {
 			}
 		}
 		p.Expect("]")
-	}
-}
-
-func (p *Parser) parseStmt() bind.Stmt {
-	p.skipStmtAttrs()
-	t := p.Cur()
-	switch {
-	case t.Kind == lex.Punct && t.Text == "{":
-		return p.parseBlock()
-	case t.Kind == lex.Punct && t.Text == ";":
-		p.Next()
-		return nil
-	case t.Kind == lex.Keyword:
-		switch t.Text {
-		case "const", "static":
-			return p.parseLocalDeclSemi()
-		case "if":
-			return p.parseIf()
-		case "for":
-			return p.parseFor()
-		case "while":
-			return p.parseWhile()
-		case "return":
-			p.Next()
-			var res bind.Expr
-			if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
-				res = p.parseExpr()
-			}
-			p.Expect(";")
-			return &bind.ReturnStmt{Pos: t.Pos, Result: res}
-		case "discard":
-			p.Next()
-			p.Expect(";")
-			return &bind.DiscardStmt{Pos: t.Pos}
-		case "break":
-			p.Next()
-			p.Expect(";")
-			return &bind.BreakStmt{Pos: t.Pos}
-		case "continue":
-			p.Next()
-			p.Expect(";")
-			return &bind.ContinueStmt{Pos: t.Pos}
-		default:
-			p.Errorf(t.Pos, "unexpected keyword %q in statement", t.Text)
-			p.Sync()
-			return nil
-		}
-	case t.Kind == lex.Ident && IsTypeName(t.Text) && p.PeekTok(1).Kind == lex.Ident:
-		return p.parseLocalDeclSemi()
-	default:
-		return p.parseSimpleStmtSemi()
-	}
-}
-
-// parseLocalDecl parses a C-style local declaration
-// `[static] [const] type name [N] [= init]` without the semicolon.
-func (p *Parser) parseLocalDecl() bind.Stmt {
-	start := p.Cur().Pos
-	isConst := false
-	for {
-		t := p.Cur()
-		if t.Kind == lex.Keyword && (t.Text == "const" || t.Text == "static") {
-			if t.Text == "const" {
-				isConst = true
-			}
-			p.Next()
-			continue
-		}
-		break
-	}
-	ty := p.parseType()
-	if ty == nil {
-		p.Sync()
-		return nil
-	}
-	nm := p.Cur()
-	if nm.Kind != lex.Ident {
-		p.Errorf(nm.Pos, "expected name in declaration, found %s", nm)
-		p.Sync()
-		return nil
-	}
-	p.Next()
-	ty = p.parseArraySuffix(ty)
-	var init bind.Expr
-	if p.Accept("=") {
-		init = p.parseInitializer(ty)
-	}
-	return &bind.DeclStmt{Pos: start, Const: isConst, Type: ty, Name: nm.Text, Init: init}
-}
-
-func (p *Parser) parseLocalDeclSemi() bind.Stmt {
-	s := p.parseLocalDecl()
-	if s != nil {
-		p.Expect(";")
-	}
-	return s
-}
-
-// parseSimpleStmt parses an assignment, inc/dec, or expression statement,
-// without consuming a trailing semicolon (for `for` headers).
-func (p *Parser) parseSimpleStmt() bind.Stmt {
-	t := p.Cur()
-	// Prefix inc/dec: `++i` is as idiomatic as `i++` in for-loop posts;
-	// both desugar to compound assignment (value-position prefix forms
-	// are outside the subset, like all side-effecting expressions).
-	if t.Kind == lex.Punct && (t.Text == "++" || t.Text == "--") {
-		p.Next()
-		lhs := p.parsePostfix()
-		op := "+="
-		if t.Text == "--" {
-			op = "-="
-		}
-		return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: op, RHS: &bind.IntLitExpr{Pos: t.Pos, Value: 1}}
-	}
-	lhs := p.parseExpr()
-	cur := p.Cur()
-	if cur.Kind == lex.Punct {
-		switch cur.Text {
-		case "=", "+=", "-=", "*=", "/=":
-			p.Next()
-			rhs := p.parseExpr()
-			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: cur.Text, RHS: rhs}
-		case "++":
-			p.Next()
-			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: "+=", RHS: &bind.IntLitExpr{Pos: cur.Pos, Value: 1}}
-		case "--":
-			p.Next()
-			return &bind.AssignStmt{Pos: t.Pos, LHS: lhs, Op: "-=", RHS: &bind.IntLitExpr{Pos: cur.Pos, Value: 1}}
-		}
-	}
-	return &bind.ExprStmt{Pos: t.Pos, X: lhs}
-}
-
-func (p *Parser) parseSimpleStmtSemi() bind.Stmt {
-	s := p.parseSimpleStmt()
-	p.Expect(";")
-	return s
-}
-
-func (p *Parser) parseIf() bind.Stmt {
-	t := p.Expect("if")
-	p.Expect("(")
-	cond := p.parseExpr()
-	p.Expect(")")
-	then := p.parseStmtAsBlock()
-	var els bind.Stmt
-	if p.Accept("else") {
-		p.skipStmtAttrs()
-		if p.Cur().Kind == lex.Keyword && p.Cur().Text == "if" {
-			els = p.parseIf()
-		} else {
-			els = p.parseStmtAsBlock()
-		}
-	}
-	return &bind.IfStmt{Pos: t.Pos, Cond: cond, Then: then, Else: els}
-}
-
-// parseStmtAsBlock parses a braced block, or wraps a single unbraced
-// statement (C permits `if (c) discard;`) in a block.
-func (p *Parser) parseStmtAsBlock() *bind.BlockStmt {
-	if p.Cur().Kind == lex.Punct && p.Cur().Text == "{" {
-		return p.parseBlock()
-	}
-	s := p.parseStmt()
-	blk := &bind.BlockStmt{Pos: p.Cur().Pos}
-	if s != nil {
-		blk.Stmts = append(blk.Stmts, s)
-	}
-	return blk
-}
-
-func (p *Parser) parseFor() bind.Stmt {
-	t := p.Expect("for")
-	p.Expect("(")
-	var init bind.Stmt
-	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
-		if c := p.Cur(); (c.Kind == lex.Ident && IsTypeName(c.Text) && p.PeekTok(1).Kind == lex.Ident) ||
-			(c.Kind == lex.Keyword && (c.Text == "const" || c.Text == "static")) {
-			init = p.parseLocalDecl()
-		} else {
-			init = p.parseSimpleStmt()
-		}
-	}
-	p.Expect(";")
-	var cond bind.Expr
-	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ";") {
-		cond = p.parseExpr()
-	}
-	p.Expect(";")
-	var post bind.Stmt
-	if !(p.Cur().Kind == lex.Punct && p.Cur().Text == ")") {
-		post = p.parseSimpleStmt()
-	}
-	p.Expect(")")
-	body := p.parseStmtAsBlock()
-	return &bind.ForStmt{Pos: t.Pos, Init: init, Cond: cond, Post: post, Body: body}
-}
-
-func (p *Parser) parseWhile() bind.Stmt {
-	t := p.Expect("while")
-	p.Expect("(")
-	cond := p.parseExpr()
-	p.Expect(")")
-	body := p.parseStmtAsBlock()
-	return &bind.WhileStmt{Pos: t.Pos, Cond: cond, Body: body}
-}
-
-// --- Expressions ---
-
-// Binary operator precedence, higher binds tighter. The ternary ?: sits
-// below all binary operators and associates right.
-var binPrec = map[string]int{
-	"||": 1, "&&": 2,
-	"==": 3, "!=": 3,
-	"<": 4, ">": 4, "<=": 4, ">=": 4,
-	"+": 5, "-": 5,
-	"*": 6, "/": 6, "%": 6,
-}
-
-func (p *Parser) parseExpr() bind.Expr { return p.parseTernary() }
-
-func (p *Parser) parseTernary() bind.Expr {
-	cond := p.parseBinary(1)
-	t := p.Cur()
-	if t.Kind == lex.Punct && t.Text == "?" {
-		p.Next()
-		thn := p.parseTernary()
-		p.Expect(":")
-		els := p.parseTernary()
-		return &bind.CondExpr{Pos: t.Pos, Cond: cond, Then: thn, Else: els}
-	}
-	return cond
-}
-
-func (p *Parser) parseBinary(minPrec int) bind.Expr {
-	lhs := p.parseUnary()
-	for {
-		t := p.Cur()
-		if t.Kind != lex.Punct {
-			return lhs
-		}
-		prec, ok := binPrec[t.Text]
-		if !ok || prec < minPrec {
-			return lhs
-		}
-		p.Next()
-		rhs := p.parseBinary(prec + 1)
-		lhs = &bind.BinaryExpr{Pos: t.Pos, Op: t.Text, X: lhs, Y: rhs}
-	}
-}
-
-func (p *Parser) parseUnary() bind.Expr {
-	t := p.Cur()
-	if t.Kind == lex.Punct {
-		switch t.Text {
-		case "-", "!":
-			p.Next()
-			return &bind.UnaryExpr{Pos: t.Pos, Op: t.Text, X: p.parseUnary()}
-		case "+":
-			p.Next()
-			return p.parseUnary()
-		}
-	}
-	return p.parsePostfix()
-}
-
-func (p *Parser) parsePostfix() bind.Expr {
-	x := p.parsePrimary()
-	for {
-		t := p.Cur()
-		if t.Kind != lex.Punct {
-			return x
-		}
-		switch t.Text {
-		case "[":
-			p.Next()
-			idx := p.parseExpr()
-			p.Expect("]")
-			x = &bind.IndexExpr{Pos: t.Pos, X: x, Index: idx}
-		case ".":
-			p.Next()
-			nm := p.Cur()
-			if nm.Kind != lex.Ident {
-				p.Errorf(nm.Pos, "expected member name after '.', found %s", nm)
-				return x
-			}
-			p.Next()
-			if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
-				// Resource method: tex.Sample(samp, uv).
-				call := p.parseCallArgs(t.Pos, nm.Text)
-				x = &bind.MethodCallExpr{Pos: t.Pos, Recv: x, Method: nm.Text, Args: call.Args}
-				continue
-			}
-			x = &bind.MemberExpr{Pos: t.Pos, X: x, Name: nm.Text}
-		default:
-			return x
-		}
-	}
-}
-
-func (p *Parser) parsePrimary() bind.Expr {
-	t := p.Cur()
-	switch t.Kind {
-	case lex.IntLit:
-		p.Next()
-		text := strings.TrimRight(t.Text, "uUlL")
-		var v int64
-		if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
-			u, err := strconv.ParseUint(text[2:], 16, 64)
-			if err != nil {
-				p.Errorf(t.Pos, "bad hex literal %q", t.Text)
-			}
-			v = int64(u)
-		} else {
-			var err error
-			v, err = strconv.ParseInt(text, 10, 64)
-			if err != nil {
-				p.Errorf(t.Pos, "bad int literal %q", t.Text)
-			}
-		}
-		return &bind.IntLitExpr{Pos: t.Pos, Value: v}
-	case lex.FloatLit:
-		p.Next()
-		text := strings.TrimRight(t.Text, "fFhH")
-		v, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			p.Errorf(t.Pos, "bad float literal %q", t.Text)
-		}
-		return &bind.FloatLitExpr{Pos: t.Pos, Value: v}
-	case lex.BoolLit:
-		p.Next()
-		return &bind.BoolLitExpr{Pos: t.Pos, Value: t.Text == "true"}
-	case lex.Ident:
-		p.Next()
-		if p.Cur().Kind == lex.Punct && p.Cur().Text == "(" {
-			return p.parseCallArgs(t.Pos, t.Text)
-		}
-		return &bind.IdentExpr{Pos: t.Pos, Name: t.Text}
-	case lex.Punct:
-		if t.Text == "(" {
-			p.Next()
-			e := p.parseExpr()
-			p.Expect(")")
-			return e
-		}
-	}
-	p.Errorf(t.Pos, "unexpected token %s in expression", t)
-	p.Next()
-	return &bind.IntLitExpr{Pos: t.Pos, Value: 0}
-}
-
-func (p *Parser) parseCallArgs(pos lex.Pos, callee string) *bind.CallExpr {
-	p.Expect("(")
-	call := &bind.CallExpr{Pos: pos, Callee: callee}
-	if p.Accept(")") {
-		return call
-	}
-	for {
-		call.Args = append(call.Args, p.parseExpr())
-		if p.Accept(")") {
-			return call
-		}
-		p.Expect(",")
-		if p.Cur().Kind == lex.EOF {
-			p.Errorf(p.Cur().Pos, "unterminated call to %q", callee)
-			return call
-		}
 	}
 }

@@ -2,13 +2,26 @@ package lex
 
 import "fmt"
 
-// Cursor is a recursive-descent parser's place in a token stream that
-// excludes EOF: reading past the end yields an EOF token. Parsers embed
-// it and collect their errors in Errs.
+// MaxDepth bounds how deeply a parser recurses. Nested parentheses,
+// calls, indexes and conditional arms, chains of unary operators, nested
+// statements and blocks, else-if chains and nested template types each
+// take one level. The corpus nests at most 7 levels deep (its sources,
+// the GLSL the drivers re-parse and the MSL the backend emits), so no
+// real shader comes near the bound; a source past it gets a line:col
+// error instead of a stack that grows until the process dies. The
+// checkers, the lowering and the printers recurse on the trees the
+// parsers build, so they inherit the bound. Left-deep operator chains
+// (a+a+...+a) do not recurse in the parsers and are not bounded here.
+const MaxDepth = 256
+
+// Cursor is a recursive-descent parser's place in a token stream. A
+// stream may or may not end in its own EOF token: reading past the end
+// yields one. Parsers embed it and collect their errors in Errs.
 type Cursor struct {
-	Toks []Token
-	At   int // index of the current token
-	Errs []error
+	Toks  []Token
+	At    int // index of the current token
+	Errs  []error
+	depth int // recursion levels entered by Nest and not yet left
 }
 
 // Cur returns the current token.
@@ -57,6 +70,24 @@ func (c *Cursor) Expect(text string) Token {
 	c.Errorf(t.Pos, "expected %q, found %s", text, t)
 	return t
 }
+
+// Nest enters one level of parser recursion at the current token and
+// reports whether the parser may descend. Past MaxDepth it records an
+// error, skips to the end of the stream so the parser unwinds without
+// reading further, and reports false. Every Nest that reports true is
+// paired with one Unnest.
+func (c *Cursor) Nest() bool {
+	if c.depth == MaxDepth {
+		c.Errorf(c.Cur().Pos, "nesting deeper than %d levels", MaxDepth)
+		c.At = len(c.Toks)
+		return false
+	}
+	c.depth++
+	return true
+}
+
+// Unnest leaves the level the last Nest entered.
+func (c *Cursor) Unnest() { c.depth-- }
 
 // Sync skips tokens until after the next semicolon or closing brace, to
 // recover from a parse error.

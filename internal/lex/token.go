@@ -1,8 +1,9 @@
 // Package lex is the lexical layer the four source-language frontends
 // (internal/glsl, internal/hlsl, internal/wgsl and internal/msl) share:
 // the token with its kind and source position, a byte scanner whose
-// steps each frontend's LexAll composes, and the token cursor the GLSL,
-// HLSL and WGSL parsers walk.
+// steps each frontend's LexAll composes, and the token cursor both
+// parsers walk (internal/glsl's and the one internal/bind shares among
+// HLSL, WGSL and MSL), with the one recursion bound, MaxDepth.
 //
 // A frontend contributes only data and a few lines of rules: its word
 // table (keywords, and for GLSL its type names), its operator table, its

@@ -5,14 +5,15 @@
 // Compile parses that dialect back into the shared IR through the checked
 // GLSL AST like the WGSL and HLSL frontends. Its lexer is a thin layer
 // over the shared internal/lex scanner that skips # lines and keeps a
-// trailing EOF token; its parser builds the statement and expression tree
-// of internal/bind, which translates every shared node with MSL's scalar
-// int→float promotion. The frontend keeps only what is MSL's own: structs
-// and the [[...]] interface (the stage_in struct flattens into inputs, the
-// constant buffer into uniforms, an output struct into outputs), type
-// resolution, the rename and constructor tables, and MSL's own calls —
-// .sample/.sample_compare/.read, discard_fragment, interface-struct
-// members and output-struct stores.
+// trailing EOF token; its Grammar and module-level declarations sit on the
+// parser of internal/bind, which also translates every shared node with
+// MSL's scalar int→float promotion. The frontend keeps only what is MSL's
+// own: its Grammar (?:, texture methods, %=, array<T, N>{...} literals),
+// structs and the [[...]] interface (the stage_in struct flattens into
+// inputs, the constant buffer into uniforms, an output struct into
+// outputs), type resolution, the rename and constructor tables, and MSL's
+// own calls — .sample/.sample_compare/.read, discard_fragment,
+// interface-struct members and output-struct stores.
 //
 // The emitter mirrors internal/glslgen's walk — one temporary per
 // instruction, splatted constants, element-insert chains — so the §III-C

@@ -44,13 +44,15 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		outFields: map[string]string{},
 	}
 	tr.Binder = bind.New(bind.Lang{
-		Suffix:     "_m",
-		Promote:    true,
-		Renames:    intrinsicRenames,
-		Ctor:       ctorName,
-		Resolve:    resolveType,
-		SamplerUse: "sampler %q can only appear as a .sample argument",
-		Own:        tr,
+		Suffix:          "_m",
+		Promote:         true,
+		Renames:         intrinsicRenames,
+		Ctor:            ctorName,
+		Resolve:         resolveType,
+		SamplerUse:      "sampler %q can only appear as a .sample argument",
+		FnWord:          "function",
+		NoTextureParams: true,
+		Own:             tr,
 	})
 	return tr.module(m)
 }
@@ -87,20 +89,14 @@ func (tr *translator) module(m *Module) (*glsl.Shader, error) {
 		return nil, fmt.Errorf("module has no fragment entry point")
 	}
 
-	// Pre-bind helper signatures so calls ahead of the declaration resolve.
+	var helpers []bind.Helper
 	for _, f := range m.Fns() {
-		if f == entry {
-			continue
+		if f != entry {
+			helpers = append(helpers, helper(f))
 		}
-		ret := sem.Void
-		if f.Ret != nil && f.Ret.Name != "void" {
-			t, err := resolveType(f.Ret)
-			if err != nil {
-				return nil, bind.Errf(f.Pos, "function %s: %v", f.Name, err)
-			}
-			ret = t
-		}
-		tr.FnRet[tr.Rename(f.Name)] = ret
+	}
+	if err := tr.Signatures(helpers); err != nil {
+		return nil, err
 	}
 
 	for _, d := range m.Decls {
@@ -110,7 +106,7 @@ func (tr *translator) module(m *Module) (*glsl.Shader, error) {
 			err = tr.globalVar(d)
 		case *FnDecl:
 			if d != entry { // the entry translates last, once all globals are bound
-				err = tr.helperFn(d)
+				err = tr.Helper(helper(d))
 			}
 		}
 		if err != nil {
@@ -151,49 +147,22 @@ func (tr *translator) globalVar(d *GlobalVar) error {
 	return nil
 }
 
-// helperFn translates a non-entry function into a GLSL function; the
-// shared lowering inlines it at each call site.
-func (tr *translator) helperFn(d *FnDecl) error {
-	ret := glsl.Scalar("void")
-	if d.Ret != nil && d.Ret.Name != "void" {
-		t, err := resolveType(d.Ret)
-		if err != nil {
-			return bind.Errf(d.Pos, "function %s: %v", d.Name, err)
-		}
-		if ret, err = bind.SemToSpec(t); err != nil {
-			return bind.Errf(d.Pos, "function %s: %v", d.Name, err)
-		}
+// helper describes a non-entry function to the binder: a void return is
+// none, and address-space, reference and attributed parameters are only
+// legal on the entry point.
+func helper(f *FnDecl) bind.Helper {
+	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body}
+	if f.Ret != nil && f.Ret.Name == "void" {
+		h.Ret = nil
 	}
-	fn := &glsl.FuncDecl{Return: ret, Name: tr.Rename(d.Name)}
-	tr.CurRet = tr.FnRet[fn.Name]
-	tr.Push()
-	defer tr.Pop()
-	for _, p := range d.Params {
+	for _, p := range f.Params {
+		prm := bind.Param{Name: p.Name, Type: p.Type}
 		if p.Space != "" || p.Ref || p.Attr.Name != "" {
-			return bind.Errf(d.Pos, "function %s: qualified parameters are only legal on the entry point", d.Name)
+			prm.Illegal = "qualified parameters are only legal on the entry point"
 		}
-		t, err := resolveType(p.Type)
-		if err != nil {
-			return bind.Errf(d.Pos, "function %s param %s: %v", d.Name, p.Name, err)
-		}
-		if t.IsSampler() {
-			return bind.Errf(d.Pos, "function %s param %s: texture parameters are outside the supported subset", d.Name, p.Name)
-		}
-		spec, err := bind.SemToSpec(t)
-		if err != nil {
-			return bind.Errf(d.Pos, "function %s param %s: %v", d.Name, p.Name, err)
-		}
-		pn := tr.Local(p.Name)
-		fn.Params = append(fn.Params, glsl.Param{Type: spec, Name: pn})
-		tr.Bind(p.Name, pn, t)
+		h.Params = append(h.Params, prm)
 	}
-	body, err := tr.Body(d.Body, nil)
-	if err != nil {
-		return fmt.Errorf("function %s: %w", d.Name, err)
-	}
-	fn.Body = body
-	tr.Sh.Decls = append(tr.Sh.Decls, fn)
-	return nil
+	return h
 }
 
 // entryFn translates the fragment entry point into void main(). The

@@ -230,6 +230,8 @@ fragment float4 main0(texture2d<float> tex [[texture(0)]])
     return tex.sample(tex, float2(0.5));
 }`},
 		{"undefined", `fragment float4 main0() { return float4(nope); }`},
+		{"attribute past int", `struct U { float4 tint; };
+fragment float4 main0(constant U& u [[buffer(99999999999999999999)]]) { return u.tint; }`},
 	}
 	for _, tc := range cases {
 		if _, err := msl.Compile(tc.src, tc.name); err == nil {

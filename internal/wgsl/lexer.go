@@ -1,20 +1,22 @@
 // Package wgsl implements the WGSL (WebGPU Shading Language) frontend: a
-// lexer over the shared internal/lex scanner, a recursive-descent parser
-// that builds the statement and expression tree of internal/bind, and
-// WGSL's share of the binding into the canonical checked AST that the
-// shared lowering turns into the optimizer IR. The supported subset
-// mirrors the GLSL subset used by the study corpus: @fragment entry points
-// with @location/@builtin parameters, let/var declarations with type
-// inference, vecN<f32>-family types, structured control flow (if/else,
-// for, while), swizzles, constructors, array types, texture_2d/sampler
-// pairs, and the builtin function library the interpreter evaluates.
+// lexer over the shared internal/lex scanner, WGSL's Grammar and
+// module-level declarations on the parser of internal/bind, and WGSL's
+// share of the binding into the canonical checked AST that the shared
+// lowering turns into the optimizer IR. The supported subset mirrors the
+// GLSL subset used by the study corpus: @fragment entry points with
+// @location/@builtin parameters, let/var declarations with type inference,
+// vecN<f32>-family types, structured control flow (if/else, for, while),
+// swizzles, constructors, array types, texture_2d/sampler pairs, and the
+// builtin function library the interpreter evaluates.
 //
-// The package keeps only what is WGSL's own: attributes, module-level
-// var and const declarations, type resolution, the rename and constructor
-// tables, and WGSL's own calls — select, textureSample* and the templated
-// and array constructors. internal/bind translates every shared node; WGSL
-// has no implicit conversions, so nothing promotes. Architecturally the
-// frontend is modeled on naga's wgsl package.
+// The package keeps only what is WGSL's own: its Grammar (let and var,
+// optional parentheses, braced bodies, templated constructors),
+// attributes, module-level var and const declarations, type resolution,
+// the rename and constructor tables, and WGSL's own calls — select,
+// textureSample* and the templated and array constructors. internal/bind
+// translates every shared node; WGSL has no implicit conversions, so
+// nothing promotes. Architecturally the frontend is modeled on naga's wgsl
+// package.
 package wgsl
 
 import "shaderopt/internal/lex"

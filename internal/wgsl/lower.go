@@ -7,7 +7,6 @@ import (
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
 	"shaderopt/internal/lower"
-	"shaderopt/internal/sem"
 )
 
 // Compile parses WGSL source and lowers it to an IR program. The
@@ -44,6 +43,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		Resolve:    resolveType,
 		SamplerUse: "sampler %q can only appear as a textureSample argument",
 		DeclWords:  [2]string{"var ", "let "},
+		FnWord:     "fn",
 		Own:        tr,
 	})
 	return tr.module(m)
@@ -60,21 +60,16 @@ func (tr *translator) module(m *Module) (*glsl.Shader, error) {
 		return nil, fmt.Errorf("module has no @fragment entry point")
 	}
 
-	// Pre-bind helper signatures so calls ahead of the declaration and
+	// Bind helper signatures first, so calls ahead of the declaration and
 	// let-inference across functions both resolve.
+	var helpers []bind.Helper
 	for _, f := range m.Fns() {
-		if f == entry {
-			continue
+		if f != entry {
+			helpers = append(helpers, helper(f))
 		}
-		ret := sem.Void
-		if f.Ret != nil {
-			t, err := resolveType(f.Ret)
-			if err != nil {
-				return nil, bind.Errf(f.Pos, "fn %s: %v", f.Name, err)
-			}
-			ret = t
-		}
-		tr.FnRet[tr.Rename(f.Name)] = ret
+	}
+	if err := tr.Signatures(helpers); err != nil {
+		return nil, err
 	}
 
 	for _, d := range m.Decls {
@@ -86,7 +81,7 @@ func (tr *translator) module(m *Module) (*glsl.Shader, error) {
 			err = tr.constDecl(d)
 		case *FnDecl:
 			if d != entry { // the entry translates last, once all globals are bound
-				err = tr.helperFn(d)
+				err = tr.Helper(helper(d))
 			}
 		}
 		if err != nil {
@@ -169,43 +164,13 @@ func (tr *translator) constDecl(d *ConstDecl) error {
 	return nil
 }
 
-// helperFn translates a non-entry function into a GLSL function; the
-// shared lowering inlines it at each call site.
-func (tr *translator) helperFn(d *FnDecl) error {
-	ret := glsl.Scalar("void")
-	if d.Ret != nil {
-		t, err := resolveType(d.Ret)
-		if err != nil {
-			return bind.Errf(d.Pos, "fn %s: %v", d.Name, err)
-		}
-		if ret, err = bind.SemToSpec(t); err != nil {
-			return bind.Errf(d.Pos, "fn %s: %v", d.Name, err)
-		}
+// helper describes a non-entry function to the binder.
+func helper(f *FnDecl) bind.Helper {
+	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body}
+	for _, p := range f.Params {
+		h.Params = append(h.Params, bind.Param{Name: p.Name, Type: p.Type})
 	}
-	fn := &glsl.FuncDecl{Return: ret, Name: tr.Rename(d.Name)}
-	tr.Push()
-	defer tr.Pop()
-	for _, p := range d.Params {
-		t, err := resolveType(p.Type)
-		if err != nil {
-			return bind.Errf(d.Pos, "fn %s param %s: %v", d.Name, p.Name, err)
-		}
-		spec, err := bind.SemToSpec(t)
-		if err != nil {
-			return bind.Errf(d.Pos, "fn %s param %s: %v", d.Name, p.Name, err)
-		}
-		// Parameters shadow module names; bind without the module rename map.
-		pn := tr.Local(p.Name)
-		fn.Params = append(fn.Params, glsl.Param{Type: spec, Name: pn})
-		tr.Bind(p.Name, pn, t)
-	}
-	body, err := tr.Body(d.Body, nil)
-	if err != nil {
-		return fmt.Errorf("fn %s: %w", d.Name, err)
-	}
-	fn.Body = body
-	tr.Sh.Decls = append(tr.Sh.Decls, fn)
-	return nil
+	return h
 }
 
 // entryFn translates the @fragment entry point into void main():
