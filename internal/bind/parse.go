@@ -314,13 +314,13 @@ func (p *Parser) ArraySuffix(ty *TypeExpr) *TypeExpr {
 	if p.g.Unsized && p.Accept("]") {
 		return arr
 	}
-	arr.Len = p.Len(p.g.Unsized)
+	arr.Len = p.ArrayLen(p.g.Unsized)
 	p.Expect("]")
 	return arr
 }
 
-// Len parses an array length literal; positive rejects one below 1.
-func (p *Parser) Len(positive bool) int {
+// ArrayLen parses an array length literal; positive rejects one below 1.
+func (p *Parser) ArrayLen(positive bool) int {
 	t := p.Cur()
 	if t.Kind != lex.IntLit {
 		p.Errorf(t.Pos, "expected array length, found %s", t)

@@ -174,16 +174,15 @@ func (tr *translator) globalVar(d *GlobalVar) error {
 // helper describes a non-entry function to the binder: a void return is
 // none, and out and inout parameters are outside the subset.
 func helper(f *FnDecl) bind.Helper {
-	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body}
+	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body, Params: make([]bind.Param, len(f.Params))}
 	if f.Ret != nil && f.Ret.Name == "void" {
 		h.Ret = nil
 	}
-	for _, p := range f.Params {
-		prm := bind.Param{Name: p.Name, Type: p.Type}
+	for i, p := range f.Params {
+		h.Params[i] = bind.Param{Name: p.Name, Type: p.Type}
 		if p.Qual == "out" || p.Qual == "inout" {
-			prm.Illegal = p.Qual + " parameters are outside the supported subset"
+			h.Params[i].Illegal = p.Qual + " parameters are outside the supported subset"
 		}
-		h.Params = append(h.Params, prm)
 	}
 	return h
 }

@@ -50,11 +50,10 @@ func Parse(src string) (*Module, error) {
 // --- Declarations ---
 
 func parseDecl(p *bind.Parser) Decl {
-	t := p.Cur()
-	if t.Kind == lex.Punct && t.Text == ";" {
-		p.Next()
+	if p.Accept(";") {
 		return nil
 	}
+	t := p.Cur()
 	if t.Kind == lex.Keyword {
 		switch t.Text {
 		case "cbuffer", "tbuffer":
@@ -87,7 +86,7 @@ func parseDecl(p *bind.Parser) Decl {
 // semantic, register(...) bindings as register; packoffset(...) is
 // accepted and dropped.
 func parseAnnots(p *bind.Parser) (semantic, register string) {
-	for p.Cur().Kind == lex.Punct && p.Cur().Text == ":" {
+	for p.At(":") {
 		p.Next()
 		nm := p.Cur()
 		if nm.Kind != lex.Ident && nm.Kind != lex.Keyword {
@@ -259,7 +258,7 @@ func parseType(p *bind.Parser) *bind.TypeExpr {
 	}
 	p.Next()
 	te := &bind.TypeExpr{Pos: t.Pos, Name: t.Text}
-	if p.Cur().Kind == lex.Punct && p.Cur().Text == "<" && strings.HasPrefix(t.Text, "Texture") {
+	if p.At("<") && strings.HasPrefix(t.Text, "Texture") {
 		p.Next()
 		el := p.Cur()
 		if el.Kind != lex.Ident || !IsTypeName(el.Text) {

@@ -151,16 +151,15 @@ func (tr *translator) globalVar(d *GlobalVar) error {
 // none, and address-space, reference and attributed parameters are only
 // legal on the entry point.
 func helper(f *FnDecl) bind.Helper {
-	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body}
+	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body, Params: make([]bind.Param, len(f.Params))}
 	if f.Ret != nil && f.Ret.Name == "void" {
 		h.Ret = nil
 	}
-	for _, p := range f.Params {
-		prm := bind.Param{Name: p.Name, Type: p.Type}
+	for i, p := range f.Params {
+		h.Params[i] = bind.Param{Name: p.Name, Type: p.Type}
 		if p.Space != "" || p.Ref || p.Attr.Name != "" {
-			prm.Illegal = "qualified parameters are only legal on the entry point"
+			h.Params[i].Illegal = "qualified parameters are only legal on the entry point"
 		}
-		h.Params = append(h.Params, prm)
 	}
 	return h
 }

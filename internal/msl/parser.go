@@ -233,7 +233,7 @@ func parseType(p *bind.Parser) *bind.TypeExpr {
 		te.Elem = parseType(p)
 		if te.Name == "array" {
 			p.Expect(",")
-			te.Len = p.Len(false)
+			te.Len = p.ArrayLen(false)
 		}
 		p.Expect(">")
 	}

@@ -166,9 +166,9 @@ func (tr *translator) constDecl(d *ConstDecl) error {
 
 // helper describes a non-entry function to the binder.
 func helper(f *FnDecl) bind.Helper {
-	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body}
-	for _, p := range f.Params {
-		h.Params = append(h.Params, bind.Param{Name: p.Name, Type: p.Type})
+	h := bind.Helper{Pos: f.Pos, Name: f.Name, Ret: f.Ret, Body: f.Body, Params: make([]bind.Param, len(f.Params))}
+	for i, p := range f.Params {
+		h.Params[i] = bind.Param{Name: p.Name, Type: p.Type}
 	}
 	return h
 }

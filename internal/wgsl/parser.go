@@ -1,8 +1,6 @@
 package wgsl
 
 import (
-	"strconv"
-
 	"shaderopt/internal/bind"
 	"shaderopt/internal/lex"
 )
@@ -44,13 +42,11 @@ func Parse(src string) (*Module, error) {
 // --- Declarations ---
 
 func parseDecl(p *bind.Parser) Decl {
-	t := p.Cur()
-	if t.Kind == lex.Punct && t.Text == ";" {
-		p.Next()
+	if p.Accept(";") {
 		return nil
 	}
 	attrs := parseAttrs(p)
-	t = p.Cur()
+	t := p.Cur()
 	if t.Kind != lex.Keyword {
 		p.Errorf(t.Pos, "expected declaration, found %s", t)
 		p.Sync()
@@ -80,7 +76,7 @@ func parseDecl(p *bind.Parser) Decl {
 // parseAttrs parses a run of @name or @name(args) attributes.
 func parseAttrs(p *bind.Parser) []Attr {
 	var out []Attr
-	for p.Cur().Kind == lex.Punct && p.Cur().Text == "@" {
+	for p.At("@") {
 		at := p.Next()
 		nm := p.Cur()
 		if nm.Kind != lex.Ident && nm.Kind != lex.Keyword {
@@ -220,7 +216,7 @@ func parseType(p *bind.Parser) *bind.TypeExpr {
 		defer p.Unnest()
 		te.Elem = parseType(p)
 		if p.Accept(",") {
-			te.Len = p.Len(false)
+			te.Len = p.ArrayLen(false)
 		}
 		p.Expect(">")
 	}
@@ -231,8 +227,11 @@ func parseType(p *bind.Parser) *bind.TypeExpr {
 func localDecl(p *bind.Parser) bind.Stmt {
 	t := p.Next()
 	what := "name after var"
-	if t.Text != "var" {
-		what = "name after " + strconv.Quote(t.Text)
+	switch t.Text {
+	case "let":
+		what = `name after "let"`
+	case "const":
+		what = `name after "const"`
 	}
 	nm, ok := p.Ident(what)
 	if !ok {
