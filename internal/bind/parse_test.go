@@ -12,7 +12,7 @@ var linecol = regexp.MustCompile(`\d+:\d+`)
 // grammar handles differently from the others: whether Compile accepts
 // each body, and where it rejects one. A want of "" means the body
 // compiles. HLSL and WGSL rows pin the exact error; MSL rows pin only the
-// line:col, since MSL words its errors its own way.
+// line:col.
 func TestParseRejections(t *testing.T) {
 	cases := []struct {
 		name, lang, body, want string
