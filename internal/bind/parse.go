@@ -18,8 +18,7 @@ type Grammar struct {
 	IntSuffix, FloatSuffix string
 	// CStyle marks C's statement syntax (HLSL, MSL): conditions in
 	// parentheses, a single unbraced statement as a body, and prefix
-	// ++/--. WGSL's parentheses are optional and its bodies braced, and a
-	// for loop's post statement may be a declaration ending in its own ';'.
+	// ++/--. WGSL's parentheses are optional and its bodies braced.
 	CStyle bool
 	// Ternary, Methods and ModAssign report whether ?:, recv.name(args)
 	// method calls and %= exist.
@@ -269,7 +268,10 @@ func (p *Parser) forStmt() Stmt {
 	p.Expect(";")
 	if !p.At(")") {
 		if !p.g.CStyle && p.g.DeclStart(p) {
-			s.Post = p.declSemi()
+			// WGSL's update statement is an assignment, an increment or
+			// a call; skip the declaration to resynchronise at the ')'.
+			p.Errorf(p.Cur().Pos, "a declaration cannot be a for loop's post statement")
+			p.declSemi()
 		} else {
 			s.Post = p.simple()
 		}

@@ -37,10 +37,12 @@ func TestParseRejections(t *testing.T) {
 		{"prefix increment", "wgsl", "var i = 0; ++i; return vec4<f32>(1.0);", `2:12: unexpected token punctuation "++" in expression`},
 		{"prefix increment of a negation", "hlsl", "float x = 1.0; ++-x; return float4(x, x, x, 1.0);", `2:18: unexpected token punctuation "-" in expression`},
 		{"prefix increment of a unary plus", "msl", "float x = 1.0; ++ +x; return float4(x);", ""},
+		{"prefix increment of a negation", "msl", "float x = 1.0; ++-x; return float4(x);", "4:18"},
 		{"modulo assignment", "hlsl", "float x = 1.0; x %= 2.0; return float4(x, x, x, 1.0);", `2:18: expected ";", found punctuation "%="`},
 		{"modulo assignment", "wgsl", "var x = 3; x %= 2; return vec4<f32>(1.0);", `2:14: expected ";", found punctuation "%="`},
 		{"modulo assignment", "msl", "int x = 3; x %= 2; return float4(1.0);", ""},
-		{"declaration in a for post", "wgsl", "for (var i = 0; i < 3; var j = 1;) { } return vec4<f32>(1.0);", ""},
+		{"declaration in a for post", "wgsl", "for (var i = 0; i < 3; var j = 1;) { } return vec4<f32>(1.0);", `2:24: a declaration cannot be a for loop's post statement`},
+		{"let in a for post", "wgsl", "for (var i = 0; i < 3; let j = 1) { } return vec4<f32>(1.0);", `2:24: a declaration cannot be a for loop's post statement`},
 
 		// Bare blocks, empty statements and trailing argument commas.
 		{"bare block", "hlsl", "{ } ; return float4(1.0, 1.0, 1.0, 1.0);", ""},

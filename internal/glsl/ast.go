@@ -194,8 +194,8 @@ func (*BreakStmt) stmtNode()    {}
 func (*ContinueStmt) stmtNode() {}
 func (*ExprStmt) stmtNode()     {}
 
-// Expr is an expression node.
-type Expr interface{ exprNode() }
+// Expr is an expression node; Position reports its source position.
+type Expr interface{ Position() lex.Pos }
 
 // IdentExpr references a variable by name.
 type IdentExpr struct {
@@ -274,17 +274,17 @@ type FieldExpr struct {
 	Name string
 }
 
-func (*IdentExpr) exprNode()     {}
-func (*IntLitExpr) exprNode()    {}
-func (*FloatLitExpr) exprNode()  {}
-func (*BoolLitExpr) exprNode()   {}
-func (*BinaryExpr) exprNode()    {}
-func (*UnaryExpr) exprNode()     {}
-func (*CondExpr) exprNode()      {}
-func (*CallExpr) exprNode()      {}
-func (*ArrayCtorExpr) exprNode() {}
-func (*IndexExpr) exprNode()     {}
-func (*FieldExpr) exprNode()     {}
+func (e *IdentExpr) Position() lex.Pos     { return e.Pos }
+func (e *IntLitExpr) Position() lex.Pos    { return e.Pos }
+func (e *FloatLitExpr) Position() lex.Pos  { return e.Pos }
+func (e *BoolLitExpr) Position() lex.Pos   { return e.Pos }
+func (e *BinaryExpr) Position() lex.Pos    { return e.Pos }
+func (e *UnaryExpr) Position() lex.Pos     { return e.Pos }
+func (e *CondExpr) Position() lex.Pos      { return e.Pos }
+func (e *CallExpr) Position() lex.Pos      { return e.Pos }
+func (e *ArrayCtorExpr) Position() lex.Pos { return e.Pos }
+func (e *IndexExpr) Position() lex.Pos     { return e.Pos }
+func (e *FieldExpr) Position() lex.Pos     { return e.Pos }
 
 // Funcs returns the function declarations in the shader, in order.
 func (s *Shader) Funcs() []*FuncDecl {

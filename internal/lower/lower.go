@@ -377,7 +377,7 @@ func (lw *lowerer) lvalueStore(e glsl.Expr, val *ir.Instr) error {
 		}
 		return lw.lvalueStore(e.X, cur)
 	}
-	return fmt.Errorf("expression is not assignable")
+	return fmt.Errorf("%s: expression is not assignable", e.Position())
 }
 
 func (lw *lowerer) ifStmt(s *glsl.IfStmt) error {

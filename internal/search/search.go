@@ -186,12 +186,14 @@ type SweepEvent struct {
 	MeasureMS float64
 }
 
-// defaultCacheBound is the budget of every session LRU: the enumeration
-// cache may hold this many variants (LRU by variant count), and the
+// CacheBound is the budget of every session LRU: the enumeration cache
+// may hold this many variants (LRU by variant count), and the
 // driver-lowering, compile, and score caches the same number of entries.
 // It is sized for a corpus-scale working set (64 shaders at the full 256
 // combinations) while keeping a long-lived sweep service's memory flat.
-const defaultCacheBound = 64 * 256
+// sweepd bounds its memo of compiled handles, costed by variant count
+// too, by the same budget.
+const CacheBound = 64 * 256
 
 // Options configures a session.
 type Options struct {
@@ -347,7 +349,7 @@ type measEntry struct {
 
 // NewSession creates a measurement session for the given platforms.
 func NewSession(platforms []*gpu.Platform, opts Options) *Session {
-	return newSession(platforms, opts, defaultCacheBound)
+	return newSession(platforms, opts, CacheBound)
 }
 
 // newSession is NewSession with every session LRU bounded to `bound`

@@ -407,7 +407,7 @@ func (c *checker) lvalue(e glsl.Expr) (Type, error) {
 		c.info.ExprTypes[e] = t
 		return t, nil
 	}
-	return Void, fmt.Errorf("expression is not assignable")
+	return Void, fmt.Errorf("%s: expression is not assignable", e.Position())
 }
 
 func (c *checker) localLookup(name string) (Type, bool) {

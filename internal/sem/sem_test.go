@@ -279,6 +279,7 @@ func TestCheckErrors(t *testing.T) {
 		{"float f(float x) { return x; }\nvoid main() { f(1.0, 2.0); }", "takes 1 args"},
 		{"float f(float x) { return x; }\nvoid main() { f(1); }", "arg 1 has type"},
 		{"void main() { vec4 v; v.xx = vec2(1.0); }", "duplicate component"},
+		{"void main() { float x = 1.0; -x = 1.0; }", "1:30: expression is not assignable"},
 		{"uniform vec4 u;\nuniform vec4 u;\nvoid main() {}", "duplicate global"},
 		{"void main() { float a[2] = float[](1.0, 2.0, 3.0); }", "cannot initialize"},
 	}

@@ -11,8 +11,12 @@
 // store and one in-flight measurement table, concurrent clients with
 // overlapping corpora dedupe: each distinct (vendor, source, protocol)
 // measurement runs at most once, and warm restarts serve entirely from
-// the store. GET /healthz answers "ok"; GET /metricz renders the shared
-// telemetry registry as the same table `-metrics` prints.
+// the store. A warm daemon also compiles each distinct shader source
+// once: the server memoizes the compiled handles of every sweep that
+// succeeded, so a repeated request goes straight to the sessions'
+// enumeration and score caches. GET /healthz answers "ok"; GET /metricz
+// renders the shared telemetry registry as the same table `-metrics`
+// prints.
 //
 // The daemon binary is cmd/sweepd; cmd/sweep -server <addr> is the
 // matching client.
@@ -31,6 +35,7 @@ import (
 	"shaderopt/internal/core"
 	"shaderopt/internal/gpu"
 	"shaderopt/internal/harness"
+	"shaderopt/internal/lru"
 	"shaderopt/internal/search"
 	"shaderopt/internal/store"
 	"shaderopt/internal/telemetry"
@@ -97,6 +102,23 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*search.Session
+
+	// handles memoizes compiled shaders across requests and protocols
+	// (a handle does not depend on the protocol). An entry costs its
+	// unique-variant count under the sessions' enumeration budget
+	// (search.CacheBound), so the memo's memory stays in step with the
+	// variant sets those caches keep alive. Only handles of a sweep that
+	// succeeded are admitted: a source that fails to compile or to sweep
+	// is retried, and fails again, on every request. Racing misses
+	// compile twice, which is benign: handles are deterministic.
+	handles *lru.Cache[handleKey, *core.Shader]
+}
+
+// handleKey identifies a memoized handle by what the request says: the
+// study name (a handle carries its name into the results), the language
+// string as sent, and the source's content hash.
+type handleKey struct {
+	name, lang, hash string
 }
 
 // protocols maps the wire protocol names to measurement configs. A named
@@ -124,6 +146,12 @@ func ProtocolNames() []string {
 // and live for the server's lifetime, so their in-memory caches and
 // in-flight measurement tables are shared by every request.
 func New(cfg Config) *Server {
+	return newServer(cfg, search.CacheBound)
+}
+
+// newServer is New with the handle memo bounded to `bound` variants, so
+// tests can drive eviction with a tiny budget.
+func newServer(cfg Config, bound int) *Server {
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -131,11 +159,27 @@ func New(cfg Config) *Server {
 	if cfg.Platforms == nil {
 		cfg.Platforms = gpu.Platforms()
 	}
-	return &Server{cfg: cfg, reg: reg, sessions: make(map[string]*search.Session)}
+	handles := lru.New[handleKey, *core.Shader](bound)
+	handles.Instrument(
+		reg.Counter("cache.handles.hits"),
+		reg.Counter("cache.handles.misses"),
+		reg.Counter("cache.handles.evictions"),
+		reg.Counter("cache.handles.rejected"),
+	)
+	return &Server{cfg: cfg, reg: reg, sessions: make(map[string]*search.Session), handles: handles}
 }
 
 // Telemetry returns the server's shared registry.
 func (s *Server) Telemetry() *telemetry.Registry { return s.reg }
+
+// metrics refreshes the handle memo's cache.handles.{entries,cost,bound}
+// occupancy gauges and returns a snapshot of the shared registry.
+func (s *Server) metrics() *telemetry.Snapshot {
+	s.reg.Gauge("cache.handles.entries").Set(int64(s.handles.Len()))
+	s.reg.Gauge("cache.handles.cost").Set(int64(s.handles.Cost()))
+	s.reg.Gauge("cache.handles.bound").Set(int64(s.handles.Bound()))
+	return s.reg.Snapshot()
+}
 
 // session returns the shared session for a named protocol.
 func (s *Server) session(protocol string) (*search.Session, error) {
@@ -210,15 +254,17 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metricz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, s.reg.Snapshot().Table())
+		fmt.Fprint(w, s.metrics().Table())
 	})
 	return mux
 }
 
 // handleSweep runs one sweep request against the shared session,
-// streaming progress as newline-delimited JSON. The response status is
-// always 200 once streaming starts; failures end the stream with an
-// {"error": ...} line (the transport-level contract of chunked streams).
+// streaming progress as newline-delimited JSON. Each shader is looked up
+// in the handle memo first and compiled only on a miss. The response
+// status is always 200 once streaming starts; failures end the stream
+// with an {"error": ...} line (the transport-level contract of chunked
+// streams).
 // A failed driver compile, ingestion included, arrives as the sweep's
 // error. A panic on the request goroutine is the last line of defence:
 // it is recovered, counted in sweepd.panics, and reported the same way
@@ -263,11 +309,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	handles := make([]*core.Shader, len(req.Shaders))
+	keys := make([]handleKey, len(req.Shaders))
 	for i, sh := range req.Shaders {
 		lang, err := core.ParseLang(sh.Lang)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("shader %s: %v", sh.Name, err), http.StatusBadRequest)
 			return
+		}
+		keys[i] = handleKey{name: sh.Name, lang: sh.Lang, hash: core.HashSource(sh.Source)}
+		if h, ok := s.handles.Get(keys[i]); ok {
+			handles[i] = h
+			continue
 		}
 		h, err := core.CompileT(s.reg, sh.Source, sh.Name, lang)
 		if err != nil {
@@ -325,6 +377,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter("sweepd.nonfinite_scores").Inc()
 		emit(StreamLine{Error: err.Error()})
 		return
+	}
+	// Admit before the results line goes out, so a client that has read
+	// it finds its handles memoized.
+	for i, res := range sweep.Results {
+		s.handles.Add(keys[i], handles[i], res.Variants.Unique())
 	}
 	emit(StreamLine{Results: results})
 }
