@@ -63,13 +63,17 @@ func WithTelemetry(reg *Telemetry) Option {
 // in-memory caches, holding driver compiles keyed by (vendor, canonical
 // IR fingerprint) and measurement scores keyed by (vendor, source hash,
 // protocol). Open one with OpenStore, and call its Sync before exit when
-// the entries must survive a power loss: writes are visible at once but
-// durable only from the next Sync.
+// the entries must survive a power loss: writes are visible to the
+// handle at once but durable only from the next Sync.
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir,
 // bounded to maxBytes of on-disk entry data (<= 0 means unbounded).
-// Stores are safe to share between sessions and processes.
+// A handle is safe to share between sessions, and handles in several
+// processes may share dir, but each sees only the entries on disk when
+// it opened plus its own: an entry another handle writes later is a miss
+// for it (a recomputation, never a wrong value), and so are the later
+// entries of a handle whose segment another handle's compaction removed.
 func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	return store.Open(dir, maxBytes)
 }

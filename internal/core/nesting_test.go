@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -78,16 +80,100 @@ func TestNestingBound(t *testing.T) {
 
 // TestMillionNestedParentheses checks that a 2 MB source of 10^6 nested
 // parentheses, which once overflowed the goroutine stack, returns an
-// error from every frontend. Its two million tokens take about 300 MB,
-// so -short skips it.
+// error from every frontend, and that lexing stops at the bound: the four
+// Compiles together allocate a few MB, not the ~300 MB a fully lexed
+// stream of two million tokens takes.
 func TestMillionNestedParentheses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocates about 300 MB")
+	srcs := make([]string, len(nestLangs))
+	for i, lang := range nestLangs {
+		srcs[i] = nestFamilies["parentheses"](lang, 1_000_000)
 	}
-	for _, lang := range nestLangs {
-		src := nestFamilies["parentheses"](lang, 1_000_000)
-		if _, err := core.Compile(src, "deep", lang); err == nil || !nestError.MatchString(err.Error()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, lang := range nestLangs {
+		if _, err := core.Compile(srcs[i], "deep", lang); err == nil || !nestError.MatchString(err.Error()) {
 			t.Errorf("%s: got %v, want a nesting error", lang, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("four Compiles allocated %d bytes, want < 8 MB", alloc)
+	}
+}
+
+// helperWrap places helper functions at module scope ahead of the entry
+// point of nestWrap's shader.
+func helperWrap(lang core.Lang, helpers, body, color string) string {
+	entry := map[core.Lang]string{core.LangGLSL: "void main", core.LangHLSL: "float4 main",
+		core.LangWGSL: "@fragment", core.LangMSL: "fragment float4"}[lang]
+	return strings.Replace(nestWrap(lang, body, color), entry, helpers+entry, 1)
+}
+
+// doubling declares g0 … gn, each gk calling g(k-1) twice through body,
+// which names the callee f and the parameter x, so full inlining expands
+// gn into 2^n copies of g0. (Not f16: WGSL reads that as a type.)
+func doubling(lang core.Lang, n int, body func(f string) string) string {
+	var b strings.Builder
+	for k := 0; k <= n; k++ {
+		ret := "return x * 0.5 + 0.25;"
+		if k > 0 {
+			ret = body(fmt.Sprintf("g%d", k-1))
+		}
+		if lang == core.LangWGSL {
+			fmt.Fprintf(&b, "fn g%d(x: f32) -> f32 { %s }\n", k, ret)
+		} else {
+			fmt.Fprintf(&b, "float g%d(float x) { %s }\n", k, ret)
+		}
+	}
+	return helperWrap(lang, b.String(), "", fmt.Sprintf("g%d(uv.x)", n))
+}
+
+// adversarialFamilies build sources that are small but ask a frontend for
+// unbounded work, each at a size past the bound that stops it: the
+// instruction budget for what inlining or a long chain expands, the
+// nesting bound for what nests.
+var adversarialFamilies = map[string]struct {
+	src   func(lang core.Lang) string
+	bound string // what the error must name
+}{
+	"call doubling": {func(lang core.Lang) string {
+		return doubling(lang, 20, func(f string) string { return "return " + f + "(x) + " + f + "(x * 0.5);" })
+	}, "budget"},
+	"same-named locals": {func(lang core.Lang) string {
+		decl := "float"
+		if lang == core.LangWGSL {
+			decl = "let"
+		}
+		return doubling(lang, 20, func(f string) string {
+			return decl + " t = " + f + "(x); " + decl + " u = " + f + "(t); return t + u;"
+		})
+	}, "budget"},
+	"nested fmod": {func(lang core.Lang) string {
+		open, close := "fmod(", ", 0.3)"
+		switch lang {
+		case core.LangGLSL:
+			open = "mod("
+		case core.LangWGSL:
+			open, close = "(", " % 0.3)"
+		}
+		n := lex.MaxDepth + 1
+		return nestWrap(lang, "", strings.Repeat(open, n)+"uv.x"+strings.Repeat(close, n))
+	}, "nesting"},
+	"operator chain": {func(lang core.Lang) string {
+		return nestWrap(lang, "", "uv.x"+strings.Repeat(" + uv.x", 40_000))
+	}, "budget"},
+}
+
+// TestAdversarialFamiliesTerminate runs each adversarial family through
+// every frontend's Compile: each must return an error naming its bound,
+// not panic, hang or exhaust memory.
+func TestAdversarialFamiliesTerminate(t *testing.T) {
+	for name, fam := range adversarialFamilies {
+		for _, lang := range nestLangs {
+			_, err := core.Compile(fam.src(lang), name, lang)
+			if err == nil || !strings.Contains(err.Error(), fam.bound) {
+				t.Errorf("%s/%s: got %v, want an error naming the %s", lang, name, err, fam.bound)
+			}
 		}
 	}
 }

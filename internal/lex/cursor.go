@@ -10,8 +10,11 @@ import "fmt"
 // real shader comes near the bound; a source past it gets a line:col
 // error instead of a stack that grows until the process dies. The
 // checkers, the lowering and the printers recurse on the trees the
-// parsers build, so they inherit the bound. Left-deep operator chains
-// (a+a+...+a) do not recurse in the parsers and are not bounded here.
+// parsers build, so they inherit the bound. The scanner counts bracket
+// depth against the same bound, so a source nested past it stops lexing
+// at the first bracket too deep, before its token stream is built.
+// Left-deep operator chains (a+a+...+a) and unbracketed unary chains
+// (- - ... - a) are lexed in full; the parsers bound the latter.
 const MaxDepth = 256
 
 // Cursor is a recursive-descent parser's place in a token stream. A

@@ -8,6 +8,7 @@ package lex_test
 // open-ended campaign.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,6 +117,28 @@ func TestLexAllStopsAtFirstError(t *testing.T) {
 		}
 		if got := strings.Join(texts, " "); strings.TrimSpace(got) != "a b" {
 			t.Errorf("%s: tokens %q before the error, want a and b", l.lang, texts)
+		}
+	}
+}
+
+// TestLexAllStopsPastMaxDepth pins the scanner's bracket bound in every
+// frontend: the first opening bracket past lex.MaxDepth is an error at
+// its position, and lexing ends there. Unmatched closing brackets before
+// it do not raise the bound.
+func TestLexAllStopsPastMaxDepth(t *testing.T) {
+	openers := strings.Repeat("([{", lex.MaxDepth/3+1)[:lex.MaxDepth]
+	src := strings.Repeat(")]}", 100) + "\n" + openers + "(x"
+	for _, l := range lexers {
+		toks, err := l.lexAll(src)
+		want := fmt.Sprintf("2:%d: nesting deeper than %d levels", lex.MaxDepth+1, lex.MaxDepth)
+		if l.lang == "msl" {
+			want = "msl: " + want
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", l.lang, err, want)
+		}
+		if n := len(toks); n < 300+lex.MaxDepth || n > 300+lex.MaxDepth+1 {
+			t.Errorf("%s: %d tokens before the error, want the %d brackets", l.lang, n, 300+lex.MaxDepth)
 		}
 	}
 }

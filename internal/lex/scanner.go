@@ -28,7 +28,9 @@ const punct = "+-*/%<>=!&|^~?:;,.(){}[]"
 //	return s.Tokens(), s.Err()
 //
 // Lexing ends at the first error: Skip reports no more tokens once one
-// is recorded.
+// is recorded. An opening bracket past MaxDepth is such an error, so a
+// source of a million nested parentheses stops lexing at the first one
+// past the bound instead of materializing its whole token stream.
 type Scanner struct {
 	src       string
 	off       int // offset of the next byte
@@ -37,6 +39,7 @@ type Scanner struct {
 	pos       Pos // position of the current token
 	toks      []Token
 	err       error
+	depth     int // brackets opened and not yet closed, at most MaxDepth
 }
 
 // NewScanner returns a scanner over src whose token slice reserves
@@ -204,7 +207,7 @@ func (s *Scanner) Word(words map[string]Kind) {
 // Op scans an operator and emits it as Punct: the first of ops (listed
 // longest first within a shared prefix) that starts here, else one byte
 // of the shared punctuation set. Any other byte is an error, which ends
-// lexing.
+// lexing, and so is an opening bracket nested past MaxDepth.
 func (s *Scanner) Op(ops []string) {
 	rest := s.src[s.off:]
 	for _, op := range ops {
@@ -214,9 +217,18 @@ func (s *Scanner) Op(ops []string) {
 			return
 		}
 	}
-	if c := rest[0]; strings.IndexByte(punct, c) < 0 {
+	switch c := rest[0]; {
+	case strings.IndexByte(punct, c) < 0:
 		s.Errorf("unexpected character %q", string(c))
 		return
+	case c == '(' || c == '[' || c == '{':
+		if s.depth == MaxDepth {
+			s.Errorf("nesting deeper than %d levels", MaxDepth)
+			return
+		}
+		s.depth++
+	case (c == ')' || c == ']' || c == '}') && s.depth > 0:
+		s.depth--
 	}
 	s.skipLineBytes(1)
 	s.Emit(Punct)

@@ -423,6 +423,9 @@ func (lw *lowerer) swizzle(e *glsl.FieldExpr) (*ir.Instr, error) {
 
 // inlineCall expands a user-defined function body at the call site.
 func (lw *lowerer) inlineCall(e *glsl.CallExpr) (*ir.Instr, error) {
+	if err := lw.budget(); err != nil {
+		return nil, err
+	}
 	fn, ok := lw.info.Funcs[e.Callee]
 	if !ok || fn.Decl.Body == nil {
 		return nil, fmt.Errorf("%s: call to undefined function %q", e.Pos, e.Callee)

@@ -28,6 +28,13 @@ const maxInlineDepth = 64
 // whileGuard caps interpreted iterations of general loops.
 const whileGuard = 4096
 
+// MaxInstrs bounds the instructions one lowering emits, at 33 times the
+// largest corpus lowering (megapost/s80, 1937). Full inlining doubles a
+// body per call level, so a short source can ask for exponentially many;
+// past the budget Lower returns an error instead of exhausting time and
+// memory.
+const MaxInstrs = 1 << 16
+
 // Lower converts a parsed shader into an IR program. The shader must pass
 // semantic checking.
 func Lower(sh *glsl.Shader, name string) (*ir.Program, error) {
@@ -42,7 +49,11 @@ func Lower(sh *glsl.Shader, name string) (*ir.Program, error) {
 		globals: map[string]*binding{},
 	}
 	lw.prog.Version = sh.Version
-	if err := lw.run(); err != nil {
+	err = lw.run()
+	if err == nil {
+		err = lw.budget()
+	}
+	if err != nil {
 		return nil, err
 	}
 	lw.prog.RenumberIDs()
@@ -69,6 +80,7 @@ type lowerer struct {
 	globals map[string]*binding   // module-scope names
 	scopes  []map[string]*binding // function-local scopes
 	depth   int
+	emitted int // instructions emitted, against MaxInstrs
 }
 
 func (lw *lowerer) run() error {
@@ -133,6 +145,7 @@ func (lw *lowerer) lookup(name string) (*binding, bool) {
 func (lw *lowerer) emit(op ir.Op, t sem.Type, args ...*ir.Instr) *ir.Instr {
 	in := lw.prog.NewInstr(op, t, args...)
 	lw.block.Append(in)
+	lw.emitted++
 	return in
 }
 
@@ -232,7 +245,21 @@ func (lw *lowerer) stmts(list []glsl.Stmt, topLevel bool) error {
 	return nil
 }
 
+// budget reports an error once the lowering has emitted more than
+// MaxInstrs instructions. Every statement and every inlined call checks
+// it, so a lowering stops within one statement's own instructions of the
+// budget.
+func (lw *lowerer) budget() error {
+	if lw.emitted > MaxInstrs {
+		return fmt.Errorf("lowering exceeds the budget of %d instructions", MaxInstrs)
+	}
+	return nil
+}
+
 func (lw *lowerer) stmt(s glsl.Stmt) error {
+	if err := lw.budget(); err != nil {
+		return err
+	}
 	switch s := s.(type) {
 	case *glsl.BlockStmt:
 		lw.pushScope()

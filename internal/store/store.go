@@ -3,62 +3,83 @@
 // compiles and measurement scores survive process restarts and are shared
 // across sessions (and across the sweepd daemon's clients). Keys are
 // arbitrary strings; the store addresses each entry by the SHA-256 of its
-// key, sharded into subdirectories by hash prefix so no single directory
-// grows with the corpus.
+// key, so keys may hold separators, NULs, or whole source texts.
 //
-// Integrity comes before freshness: writes go to a temporary file in the
-// entry's shard and are renamed into place atomically, every entry
-// carries a versioned header with a payload checksum, and any entry that
-// fails validation — truncated, zeroed, corrupted, or written by a
-// different format version — is deleted and reported as a miss, never as
-// an error or a wrong value. The cached artefacts are deterministic
-// recomputations, so degrading to a miss only costs time.
+// The store is a log. Each handle appends its entries as records to one
+// segment file of its own, created on its first Put (a handle that only
+// reads creates no file), and keeps an in-memory index from key hash to
+// record. Open rebuilds the index by reading every segment in the
+// directory once; where a key has several records, the last one read
+// wins.
 //
-// Durability is group-committed. An entry is visible to every reader once
+// Integrity comes before freshness: every record carries a versioned
+// header with a payload checksum, and Get checks it on every read. A
+// record that fails — truncated, zeroed, overwritten, or written by a
+// different format version — is dropped from the index and reported as a
+// miss, never as an error or a wrong value. A frame Open cannot parse
+// ends that segment's scan: that is what a crash leaves at a segment's
+// tail. The cached artefacts are deterministic recomputations, so
+// degrading to a miss only costs time.
+//
+// Durability is group-committed. An entry is visible to its handle once
 // Put returns, and durable across power loss once a later Sync returns:
-// Put does not flush, and Sync makes everything written before it durable
-// with one filesystem flush. A crash before Sync can leave a renamed
-// entry empty, zeroed or torn; its header or checksum check then fails
-// and Get reports a miss, so an unsynced entry costs at most its
-// recomputation.
+// Put does not flush, and Sync fsyncs the handle's segment and the
+// directory. A crash before Sync can leave a torn or zeroed tail, whose
+// records then read as misses.
 //
-// The store is size-bounded: when the on-disk footprint exceeds the
-// bound, least-recently-accessed entries are evicted. Access recency is
-// tracked by touching an entry's file times on every hit (classic atime
-// is unreliable under noatime mounts, so the store maintains its own
-// clock via Chtimes).
+// Handles share a directory safely but see less of each other. A handle
+// sees the entries that were on disk when it opened, plus its own; an
+// entry another handle or process writes later is a miss for it, which
+// costs a recomputation and never gives a wrong value.
+//
+// The store is size-bounded. Its footprint is the bytes of the segments
+// the handle knows, superseded records included. Recency is an in-memory
+// clock that every Put and hit advances. Past the bound, the handle
+// compacts: it rewrites its most recent entries, least recent first, to
+// a fresh segment below the bound, then unlinks every segment it
+// replaced, so record order carries recency across a restart. A segment
+// removed under a live writer turns that writer's later entries into
+// misses for every other handle.
 package store
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
 
-// Version is the on-disk entry format version. Entries with any other
-// version are dropped as corrupt (a format change never misreads old
-// state, it just recomputes).
-const Version = 1
+// Version is the on-disk record format version. A frame with any other
+// version ends its segment's scan, so a format change never misreads old
+// state, it just recomputes. Version 1 stored one file per entry in
+// shard directories; Open ignores those.
+const Version = 2
 
-// magic opens every entry file; a file without it was never a complete
-// store entry.
+// magic opens every record's entry header.
 var magic = [4]byte{'S', 'O', 'P', 'T'}
 
-// headerSize is the fixed entry prologue: magic, version (uint32 BE),
+// headerSize is the fixed entry header: magic, version (uint32 BE),
 // payload length (uint64 BE), and the payload's SHA-256.
 const headerSize = 4 + 4 + 8 + sha256.Size
 
-// entryExt marks complete entries; temporary files use a different
-// suffix so a crashed half-written temp file is never read as an entry.
-const entryExt = ".sop"
+// frameSize is a record's prologue: the key's SHA-256, then the entry
+// header. The payload follows.
+const frameSize = sha256.Size + headerSize
+
+// segExt marks segment files.
+const segExt = ".seg"
+
+// trimFraction is the share of the bound a compaction frees below it, so
+// a store at its bound does not rewrite itself on every Put.
+const trimFraction = 0.25
 
 // Counter is the event-sink interface Instrument accepts (anything with
 // an atomic Add, such as a telemetry registry counter); keeping it an
@@ -67,54 +88,96 @@ type Counter interface {
 	Add(delta int64)
 }
 
+// segment is one append-only log file and its length in bytes.
+type segment struct {
+	f    *os.File
+	size int64
+}
+
+// record locates a key's latest record and holds its recency.
+type record struct {
+	seg  *segment
+	off  int64
+	n    int64  // frame and payload bytes
+	used uint64 // the clock at the record's last Put or hit
+}
+
 // Store is a size-bounded persistent key→blob cache. All methods are
-// safe for concurrent use, including by multiple goroutines of multiple
-// processes sharing the directory (writes are atomic renames; the only
-// cross-process race is benign duplicated recomputation).
+// safe for concurrent use, and any number of handles, in any number of
+// processes, may share one directory: each writes only its own segment.
 type Store struct {
 	dir string
-	max int64 // bound on summed file bytes; <= 0 means unbounded
+	max int64 // bound on summed segment bytes; <= 0 means unbounded
 
-	mu   sync.Mutex
-	size int64 // tracked on-disk footprint (headers + payloads)
-
-	// evictMu serializes evictors: without it two goroutines passing the
-	// over-bound check together would walk and resync concurrently, each
-	// clobbering the other's accounting.
-	evictMu sync.Mutex
+	// mu guards the fields below and orders every segment read, write
+	// and close, so one evictor at a time compacts.
+	mu    sync.Mutex
+	index map[[sha256.Size]byte]record
+	segs  []*segment // every segment the index points into
+	own   *segment   // the segment Put appends to; nil until the first Put
+	size  int64      // summed bytes of segs
+	clock uint64
 
 	hits, misses, writes, evictions, corrupt Counter
 }
 
-// tmpMaxAge is how old an orphaned put-*.tmp file must be before the
-// eviction sweep deletes it. A live Put holds its temp file for
-// milliseconds; anything this old was left by a crashed writer. The
-// threshold keeps the sweep from racing a concurrent Put's rename.
-const tmpMaxAge = time.Hour
-
 // Open opens (creating if needed) a store rooted at dir, bounded to
-// maxBytes of on-disk entry data (<= 0 means unbounded). The existing
-// footprint is measured once at open; entries written by other processes
-// afterwards are still readable but are not counted against this
-// handle's bound until they are rewritten through it.
+// maxBytes of segment data (<= 0 means unbounded), and indexes every
+// record on disk. It creates no segment until the first Put.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, max: maxBytes}
-	size, err := s.scanSize()
+	names, err := os.ReadDir(dir) // sorted by name, so oldest segment first
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.size = size
-	// A previous process may have crashed mid-Put; heal its orphaned
-	// temp files now rather than waiting for eviction pressure.
-	s.sweepStaleTemps(time.Now().Add(-tmpMaxAge))
+	s := &Store{dir: dir, max: maxBytes, index: map[[sha256.Size]byte]record{}}
+	for _, e := range names {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), segExt) {
+			continue
+		}
+		// A segment another handle compacted away since the listing, or
+		// one this process may not read, holds only misses.
+		if f, err := os.Open(filepath.Join(dir, e.Name())); err == nil {
+			s.scan(f)
+		}
+	}
 	return s, nil
 }
 
+// scan indexes a segment's records in order, up to the first frame whose
+// magic, version or length is bad: a crashed writer's torn tail.
+func (s *Store) scan(f *os.File) {
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return
+	}
+	seg := &segment{f: f, size: fi.Size()}
+	s.segs = append(s.segs, seg)
+	s.size += seg.size
+	r := bufio.NewReader(f)
+	var frame [frameSize]byte
+	for off := int64(0); off+frameSize <= seg.size; {
+		if _, err := io.ReadFull(r, frame[:]); err != nil {
+			return
+		}
+		n, ok := payloadLen(frame[sha256.Size:])
+		if !ok || n > uint64(seg.size-off-frameSize) {
+			return
+		}
+		if _, err := r.Discard(int(n)); err != nil {
+			return
+		}
+		s.clock++
+		s.index[[sha256.Size]byte(frame[:sha256.Size])] = record{seg, off, frameSize + int64(n), s.clock}
+		off += frameSize + int64(n)
+	}
+}
+
 // Instrument wires store events to external counters — hits and misses
-// on Get, completed writes on Put, evicted entries, and corrupt entries
+// on Get, completed writes on Put, evicted entries, and corrupt records
 // dropped — so a session surfaces store traffic uniformly through its
 // telemetry registry. Any sink may be nil. Call before the store is
 // shared; sinks observe events from then on.
@@ -127,316 +190,233 @@ func (s *Store) Instrument(hits, misses, writes, evictions, corrupt Counter) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Bound returns the configured maximum on-disk footprint in bytes
-// (<= 0 means unbounded).
+// Bound returns the configured maximum footprint in bytes (<= 0 means
+// unbounded).
 func (s *Store) Bound() int64 { return s.max }
 
-// SizeBytes returns the tracked on-disk footprint of complete entries.
+// SizeBytes returns the footprint: the bytes of the segments the handle
+// knows, superseded records included until a compaction drops them.
 func (s *Store) SizeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.size
 }
 
-// Len walks the store and counts complete entries. It is an O(entries)
-// directory walk, intended for tests and diagnostics, not hot paths.
+// Len returns the number of entries the handle can serve.
 func (s *Store) Len() int {
-	n := 0
-	s.walkEntries(func(string, fs.FileInfo) { n++ })
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.index)
 }
 
-// pathFor maps a key to its entry file: the hex SHA-256 of the key,
-// sharded by its first two characters. The key itself never appears on
-// disk, so keys may contain separators, NULs, or whole source texts.
-func (s *Store) pathFor(key string) (shardDir, path string) {
-	sum := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(sum[:])
-	shardDir = filepath.Join(s.dir, name[:2])
-	return shardDir, filepath.Join(shardDir, name[2:]+entryExt)
-}
-
-// Get returns the payload stored for key. Any validation failure —
-// missing file, short header, bad magic, wrong version, truncated
-// payload, checksum mismatch — deletes the entry (if present) and
-// reports a miss. A hit refreshes the entry's access time so eviction
-// keeps the warm working set.
+// Get returns the payload stored for key. A record that fails validation
+// — unreadable, another key's, bad magic or version, wrong length,
+// checksum mismatch — is dropped from the index and reported as a miss.
+// A hit advances the entry's recency, so compaction keeps the warm
+// working set.
 func (s *Store) Get(key string) ([]byte, bool) {
-	_, path := s.pathFor(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		s.count(s.misses)
-		return nil, false
-	}
-	payload, ok := decodeEntry(raw)
+	h := sha256.Sum256([]byte(key))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.index[h]
 	if !ok {
-		// Corrupt or foreign-format entry: drop it so the slot heals on
-		// the next write, and account the freed bytes.
-		s.dropFile(path, int64(len(raw)))
-		s.count(s.corrupt)
-		s.count(s.misses)
+		s.count(s.misses, 1)
 		return nil, false
 	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now) // LRU clock; best-effort
-	s.count(s.hits)
+	buf := make([]byte, r.n)
+	_, err := r.seg.f.ReadAt(buf, r.off)
+	payload, ok := decode(buf, h)
+	if err != nil || !ok {
+		delete(s.index, h)
+		s.count(s.corrupt, 1)
+		s.count(s.misses, 1)
+		return nil, false
+	}
+	s.clock++
+	r.used = s.clock
+	s.index[h] = r
+	s.count(s.hits, 1)
 	return payload, true
 }
 
-// Put stores payload under key, atomically: the entry is assembled in a
-// temporary file in the destination shard and renamed into place, so
-// concurrent readers see either the old complete entry or the new one,
-// never a partial write. The entry is visible once Put returns and
-// durable once a later Sync returns; Put itself does not flush. When the
-// store exceeds its size bound, the least-recently-accessed entries are
-// evicted after the write.
+// Put stores payload under key by appending one record to the handle's
+// segment with a single write. The entry is visible to this handle once
+// Put returns, and durable once a later Sync returns; Put itself does not
+// flush. When the footprint exceeds the bound, Put compacts.
 func (s *Store) Put(key string, payload []byte) error {
-	shardDir, path := s.pathFor(key)
-	entry := encodeEntry(payload)
-
-	tmp, err := os.CreateTemp(shardDir, "put-*.tmp")
-	if errors.Is(err, fs.ErrNotExist) {
-		// The shard's first write, or its directory was removed under
-		// the store (by hand or by another process): create it and retry.
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
+	h := sha256.Sum256([]byte(key))
+	buf := encode(h, payload)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.own == nil {
+		seg, err := s.newSegment()
+		if err != nil {
 			return fmt.Errorf("store put: %w", err)
 		}
-		tmp, err = os.CreateTemp(shardDir, "put-*.tmp")
+		s.own = seg
+		s.segs = append(s.segs, seg)
 	}
-	if err != nil {
+	// WriteAt, not an O_APPEND write: the index must hold the offset the
+	// record actually lands at, whatever else changed the file's length.
+	if _, err := s.own.f.WriteAt(buf, s.own.size); err != nil {
 		return fmt.Errorf("store put: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(entry); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store put: %w", err)
-	}
-
-	// Account for an overwrite before the rename clobbers the old entry.
-	var prev int64
-	if fi, err := os.Stat(path); err == nil {
-		prev = fi.Size()
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store put: %w", err)
-	}
-	s.count(s.writes)
-
-	s.mu.Lock()
-	s.size += int64(len(entry)) - prev
-	over := s.max > 0 && s.size > s.max
-	s.mu.Unlock()
-	if over {
-		s.evict()
+	s.clock++
+	s.index[h] = record{s.own, s.own.size, int64(len(buf)), s.clock}
+	s.own.size += int64(len(buf))
+	s.size += int64(len(buf))
+	s.count(s.writes, 1)
+	if s.max > 0 && s.size > s.max {
+		s.compact()
 	}
 	return nil
 }
 
-// Sync is the store's durability point: every entry whose Put returned
-// before Sync was called — its data, its shard directory and its rename —
-// is on disk when Sync returns. It commits them as one group with a
-// single filesystem flush rather than one fsync per entry. The daemon
-// calls it on graceful shutdown, and a library user calls it before exit
-// when the entries must survive power loss.
+// Sync is the handle's durability point: every entry whose Put returned
+// before Sync was called is on disk when Sync returns. It fsyncs the
+// handle's own segment and the directory that names it, once for the
+// whole group. The daemon calls it on graceful shutdown, and a library
+// user calls it before exit when the entries must survive power loss.
 func (s *Store) Sync() error {
-	return s.flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.own == nil {
+		return nil
+	}
+	if err := s.own.f.Sync(); err != nil {
+		return fmt.Errorf("store sync: %w", err)
+	}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store sync: %w", err)
+	}
+	return nil
 }
 
-// evict deletes least-recently-accessed entries until the footprint is
-// back under the bound. Recency is the file mtime, which Get refreshes
-// on every hit. One goroutine evicts at a time (evictMu; a second
-// arrival leaves immediately — the running evictor's resync already
-// accounts the bytes it added). The walk tolerates entries disappearing
-// underneath it (another process). The sweep also removes orphaned
-// temp files old enough that no live Put can still own them.
-func (s *Store) evict() {
-	if !s.evictMu.TryLock() {
-		return
+// newSegment creates an empty segment, and the directory if it was
+// removed. Its name starts with the creation time, so a directory
+// listing orders segments oldest first.
+func (s *Store) newSegment() (*segment, error) {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return nil, err
 	}
-	defer s.evictMu.Unlock()
-
-	s.mu.Lock()
-	if s.max <= 0 || s.size <= s.max {
-		s.mu.Unlock()
-		return
+	f, err := os.CreateTemp(s.dir, fmt.Sprintf("%016x-*%s", time.Now().UnixNano(), segExt))
+	if err != nil {
+		return nil, err
 	}
-	// Snapshot the tracked size before walking: the resync below must
-	// preserve accounting deltas posted while the walk runs.
-	walkStart := s.size
-	s.mu.Unlock()
-
-	s.sweepStaleTemps(time.Now().Add(-tmpMaxAge))
-
-	type cand struct {
-		path  string
-		size  int64
-		atime time.Time
-	}
-	var cands []cand
-	s.walkEntries(func(path string, fi fs.FileInfo) {
-		cands = append(cands, cand{path: path, size: fi.Size(), atime: fi.ModTime()})
-	})
-	sort.Slice(cands, func(i, j int) bool {
-		if !cands[i].atime.Equal(cands[j].atime) {
-			return cands[i].atime.Before(cands[j].atime)
-		}
-		return cands[i].path < cands[j].path
-	})
-
-	// Resync the tracked footprint to what the walk actually saw, so
-	// cross-process writes neither leak accounting nor over-evict — but
-	// keep the deltas concurrent Puts and drops posted since the walk
-	// began (s.size - walkStart): those entries landed after the walk
-	// read their shards, so they are real bytes the walk's total missed.
-	// Overwriting with the bare total would silently shed them from the
-	// accounting and let the store grow past its bound for good.
-	total := int64(0)
-	for _, c := range cands {
-		total += c.size
-	}
-	s.mu.Lock()
-	s.size = total + (s.size - walkStart)
-	if s.size < 0 {
-		s.size = 0
-	}
-	s.mu.Unlock()
-
-	for _, c := range cands {
-		s.mu.Lock()
-		done := s.size <= s.max
-		s.mu.Unlock()
-		if done {
-			break
-		}
-		if err := os.Remove(c.path); err == nil {
-			s.mu.Lock()
-			s.size -= c.size
-			s.mu.Unlock()
-			s.count(s.evictions)
-		}
-	}
+	return &segment{f: f}, nil
 }
 
-// sweepStaleTemps removes put-*.tmp files last modified before cutoff:
-// the half-written leftovers of crashed writers. They are invisible to
-// Get and to the entry walk (wrong extension) but occupy disk forever if
-// nothing deletes them. Temp bytes were never added to the tracked size,
-// so removal adjusts no accounting.
-func (s *Store) sweepStaleTemps(cutoff time.Time) {
-	shards, err := os.ReadDir(s.dir)
+// compact keeps the most recent entries that fit in the bound less
+// trimFraction of it: it writes them, least recent first, to a fresh
+// segment, fsyncs that segment and the directory, then unlinks every
+// segment the index pointed into. It runs with mu held. On a failure it
+// leaves the store as it was, over its bound, for the next Put to retry.
+func (s *Store) compact() {
+	type live struct {
+		h [sha256.Size]byte
+		record
+	}
+	all := make([]live, 0, len(s.index))
+	for h, r := range s.index {
+		all = append(all, live{h, r})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].used < all[j].used })
+	target := s.max - int64(float64(s.max)*trimFraction)
+	cut, kept := len(all), int64(0)
+	for cut > 0 && kept+all[cut-1].n <= target {
+		cut--
+		kept += all[cut].n
+	}
+
+	seg, err := s.newSegment()
 	if err != nil {
 		return
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
+	w := bufio.NewWriter(seg.f)
+	index := make(map[[sha256.Size]byte]record, len(all)-cut)
+	var buf []byte
+	for _, l := range all[cut:] {
+		buf = slices.Grow(buf[:0], int(l.n))[:l.n]
+		if _, err := l.seg.f.ReadAt(buf, l.off); err != nil {
+			continue // unreadable: the entry becomes a miss
 		}
-		files, err := os.ReadDir(filepath.Join(s.dir, shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() || filepath.Ext(f.Name()) != ".tmp" {
-				continue
-			}
-			fi, err := f.Info()
-			if err != nil || !fi.ModTime().Before(cutoff) {
-				continue
-			}
-			_ = os.Remove(filepath.Join(s.dir, shard.Name(), f.Name()))
-		}
+		w.Write(buf) // a write error sticks; Flush reports it
+		index[l.h] = record{seg, seg.size, l.n, l.used}
+		seg.size += l.n
 	}
-}
-
-// dropFile removes a corrupt entry and releases its accounted bytes.
-func (s *Store) dropFile(path string, size int64) {
-	if err := os.Remove(path); err == nil {
-		s.mu.Lock()
-		s.size -= size
-		if s.size < 0 {
-			s.size = 0
-		}
-		s.mu.Unlock()
+	err = w.Flush()
+	if err == nil {
+		err = seg.f.Sync()
 	}
-}
-
-// walkEntries visits every complete entry file under the store root.
-func (s *Store) walkEntries(fn func(path string, fi fs.FileInfo)) {
-	shards, err := os.ReadDir(s.dir)
+	if err == nil {
+		err = syncDir(s.dir)
+	}
 	if err != nil {
+		seg.f.Close()
+		os.Remove(seg.f.Name())
 		return
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, shard.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if f.IsDir() || filepath.Ext(f.Name()) != entryExt {
-				continue
-			}
-			fi, err := f.Info()
-			if err != nil {
-				continue
-			}
-			fn(filepath.Join(s.dir, shard.Name(), f.Name()), fi)
-		}
+	for _, old := range s.segs {
+		old.f.Close()
+		os.Remove(old.f.Name())
 	}
+	s.count(s.evictions, int64(cut))
+	s.segs, s.own, s.index, s.size = []*segment{seg}, seg, index, seg.size
 }
 
-func (s *Store) scanSize() (int64, error) {
-	total := int64(0)
-	s.walkEntries(func(_ string, fi fs.FileInfo) { total += fi.Size() })
-	return total, nil
+// syncDir fsyncs a directory, making the names in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
-func (s *Store) count(c Counter) {
+func (s *Store) count(c Counter, n int64) {
 	if c != nil {
-		c.Add(1)
+		c.Add(n)
 	}
 }
 
-// encodeEntry frames a payload with the store header: magic, version,
-// payload length, and the payload's SHA-256.
-func encodeEntry(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	copy(buf[0:4], magic[:])
-	binary.BigEndian.PutUint32(buf[4:8], Version)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(len(payload)))
+// encode frames a payload as a record for key hash h: the hash, then the
+// entry header (magic, version, payload length, the payload's SHA-256),
+// then the payload.
+func encode(h [sha256.Size]byte, payload []byte) []byte {
+	buf := make([]byte, frameSize+len(payload))
+	copy(buf, h[:])
+	hdr := buf[sha256.Size:frameSize]
+	copy(hdr[0:4], magic[:])
+	binary.BigEndian.PutUint32(hdr[4:8], Version)
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	copy(buf[16:16+sha256.Size], sum[:])
-	copy(buf[headerSize:], payload)
+	copy(hdr[16:], sum[:])
+	copy(buf[frameSize:], payload)
 	return buf
 }
 
-// decodeEntry validates a raw entry file and returns its payload. Every
-// failure mode reports !ok: the caller treats the entry as absent.
-func decodeEntry(raw []byte) ([]byte, bool) {
-	if len(raw) < headerSize {
+// payloadLen checks an entry header's magic and version and returns the
+// payload length it states.
+func payloadLen(hdr []byte) (uint64, bool) {
+	if [4]byte(hdr[0:4]) != magic || binary.BigEndian.Uint32(hdr[4:8]) != Version {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(hdr[8:16]), true
+}
+
+// decode validates a record read for key hash h and returns its payload.
+// Every failure mode reports !ok: the caller treats the entry as absent.
+func decode(rec []byte, h [sha256.Size]byte) ([]byte, bool) {
+	if len(rec) < frameSize || [sha256.Size]byte(rec[:sha256.Size]) != h {
 		return nil, false
 	}
-	if [4]byte(raw[0:4]) != magic {
+	n, ok := payloadLen(rec[sha256.Size:])
+	if !ok || n != uint64(len(rec)-frameSize) {
 		return nil, false
 	}
-	if binary.BigEndian.Uint32(raw[4:8]) != Version {
-		return nil, false
-	}
-	n := binary.BigEndian.Uint64(raw[8:16])
-	if n != uint64(len(raw)-headerSize) {
-		return nil, false
-	}
-	payload := raw[headerSize:]
-	sum := sha256.Sum256(payload)
-	if sum != [sha256.Size]byte(raw[16:16+sha256.Size]) {
+	payload := rec[frameSize:]
+	if sha256.Sum256(payload) != [sha256.Size]byte(rec[frameSize-sha256.Size:frameSize]) {
 		return nil, false
 	}
 	return payload, true
