@@ -272,16 +272,50 @@ func run(c cliConfig) error {
 	}
 	fmt.Println()
 
+	// The analyses run before any of their output is rendered, each phase
+	// under its own span, so a trace splits the report path in two.
+	var renders []func() string
+	phase(reg, "analysis", func() {
+		renders, err = analyze(sweep, has, reports, vendors, platforms, platformFilter)
+	})
+	phase(reg, "report", func() {
+		// An empty text (the headline of a one-group matrix) prints nothing.
+		for _, render := range renders {
+			if text := render(); text != "" {
+				fmt.Println(text)
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return finish(finalSnap())
+}
+
+// phase runs f under a span named for its layer. With no tracer attached
+// the span is nil and costs nothing.
+func phase(reg *shaderopt.Telemetry, layer string, f func()) {
+	span := reg.StartSpan(layer, layer)
+	f()
+	span.End()
+}
+
+// analyze computes every requested experiment and report over the sweep
+// and returns, in output order, the functions that render them. On an
+// error it returns the renderers of the experiments before it.
+func analyze(sweep *search.Sweep, has func(string) bool, reports map[string]bool, vendors []string, platforms []*gpu.Platform, platformFilter string) ([]func() string, error) {
+	var renders []func() string
+	show := func(render func() string) { renders = append(renders, render) }
 	if has("table1") || has("fig5") {
 		rows := make([]search.MeanSpeedups, len(platforms))
 		for i, p := range platforms {
 			rows[i] = sweep.MeanSpeedups(p.Vendor)
 		}
 		if has("table1") {
-			fmt.Println(report.Table1(rows))
+			show(func() string { return report.Table1(rows) })
 		}
 		if has("fig5") {
-			fmt.Println(report.Fig5(rows))
+			show(func() string { return report.Fig5(rows) })
 		}
 	}
 	if has("fig6") {
@@ -289,59 +323,59 @@ func run(c cliConfig) error {
 		for _, v := range vendors {
 			means[v] = sweep.Top30Mean(v)
 		}
-		fmt.Println(report.Fig6(vendors, means))
+		show(func() string { return report.Fig6(vendors, means) })
 	}
 	if has("fig7") {
 		for _, v := range vendors {
 			if platformFilter != "" && v != platformFilter {
 				continue
 			}
-			fmt.Println(report.Fig7(v, sweep.PerShaderSpeedups(v), 15))
+			per := sweep.PerShaderSpeedups(v)
+			show(func() string { return report.Fig7(v, per, 15) })
 		}
 	}
 	if has("fig8") {
-		fmt.Println(report.Fig8(sweep.FlagApplicabilities(), vendors))
+		fa := sweep.FlagApplicabilities()
+		show(func() string { return report.Fig8(fa, vendors) })
 	}
 	if has("fig9") {
 		for _, v := range vendors {
 			if platformFilter != "" && v != platformFilter {
 				continue
 			}
-			fmt.Println(report.Fig9(v, sweep.FlagIsolation(v)))
+			iso := sweep.FlagIsolation(v)
+			show(func() string { return report.Fig9(v, iso) })
 		}
 	}
 	if has("fig3") {
 		me := corpus.MotivatingExample()
 		r := sweep.ResultFor(me.Name)
 		if r == nil {
-			return fmt.Errorf("fig3 needs the motivating example %s (filtered out by -lang?)", me.Name)
+			return renders, fmt.Errorf("fig3 needs the motivating example %s (filtered out by -lang?)", me.Name)
 		}
 		gains := map[string]float64{}
 		for _, v := range vendors {
 			gains[v] = r.BestSpeedup(v)
 		}
 		dist := sweep.SpeedupDistribution("ARM", core.AllFlags)
-		fmt.Println(report.Fig3(gains, vendors, "ARM", dist))
+		show(func() string { return report.Fig3(gains, vendors, "ARM", dist) })
 	}
 	if reports["groups"] {
-		fmt.Println(report.Table1Grouped("language", analysis.LangGroupMeans(sweep)))
-		fmt.Println(report.Fig5Grouped("language", analysis.LangGroupMeans(sweep)))
-		fmt.Println(report.Table1Grouped("backend", analysis.BackendGroupMeans(sweep)))
-		fmt.Println(report.Fig5Grouped("backend", analysis.BackendGroupMeans(sweep)))
+		lang, backend := analysis.LangGroupMeans(sweep), analysis.BackendGroupMeans(sweep)
+		show(func() string { return report.Table1Grouped("language", lang) })
+		show(func() string { return report.Fig5Grouped("language", lang) })
+		show(func() string { return report.Table1Grouped("backend", backend) })
+		show(func() string { return report.Fig5Grouped("backend", backend) })
 	}
 	if reports["transfer"] {
 		lm := analysis.LangTransferMatrix(sweep)
 		bm := analysis.BackendTransferMatrix(sweep)
-		fmt.Println(report.TransferMatrix(lm))
-		fmt.Println(report.TransferMatrix(bm))
-		if h := report.TransferHeadline(lm); h != "" {
-			fmt.Println(h)
-		}
-		if h := report.TransferHeadline(bm); h != "" {
-			fmt.Println(h)
-		}
+		show(func() string { return report.TransferMatrix(lm) })
+		show(func() string { return report.TransferMatrix(bm) })
+		show(func() string { return report.TransferHeadline(lm) })
+		show(func() string { return report.TransferHeadline(bm) })
 	}
-	return finish(finalSnap())
+	return renders, nil
 }
 
 // remoteSweep runs the study through a sweepd daemon: corpus sources go

@@ -48,6 +48,7 @@ func run(addr, storeDir string, storeMaxMB int64, workers int, drainTimeout time
 		if err != nil {
 			return err
 		}
+		defer st.Close() // error paths; a drained run closes it below and checks
 		cfg.Store = st
 		log.Printf("store %s (%d entries, %d bytes)", st.Dir(), st.Len(), st.SizeBytes())
 	}
@@ -79,6 +80,11 @@ func run(addr, storeDir string, storeMaxMB int64, workers int, drainTimeout time
 	}
 	if err := server.Drain(); err != nil {
 		return fmt.Errorf("store sync: %w", err)
+	}
+	if cfg.Store != nil {
+		if err := cfg.Store.Close(); err != nil {
+			return err
+		}
 	}
 	log.Printf("drained; bye")
 	return nil

@@ -64,7 +64,9 @@ func WithTelemetry(reg *Telemetry) Option {
 // IR fingerprint) and measurement scores keyed by (vendor, source hash,
 // protocol). Open one with OpenStore, and call its Sync before exit when
 // the entries must survive a power loss: writes are visible to the
-// handle at once but durable only from the next Sync.
+// handle at once but durable only from the next Sync. Close releases the
+// handle's segment files once no session uses it; after Close, Get is a
+// miss and Put returns an error.
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir,

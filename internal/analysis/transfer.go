@@ -22,7 +22,6 @@ import (
 	"shaderopt/internal/core"
 	"shaderopt/internal/crossc"
 	"shaderopt/internal/harness"
-	"shaderopt/internal/passes"
 	"shaderopt/internal/search"
 )
 
@@ -74,14 +73,20 @@ func winOver(g group, flags core.Flags) float64 {
 // resolved to the first combination in ascending flag-value order — the
 // all-off set itself is combination zero, so the returned win is never
 // negative and a group with no headroom deterministically learns NoFlags.
+// One pass adds each (shader, vendor) pair's distinct variant wins to every
+// combination, in winOver's order, so each mean carries winOver's bits.
 func bestWinOver(g group) (core.Flags, float64) {
-	bestFlags, bestWin := core.NoFlags, math.Inf(-1)
-	for _, flags := range passes.AllCombinations() {
-		if w := winOver(g, flags); w > bestWin {
-			bestFlags, bestWin = flags, w
+	n := len(g.results) * len(g.vendors)
+	if n == 0 {
+		return core.NoFlags, 0
+	}
+	var sums search.FlagSums
+	for _, r := range g.results {
+		for _, v := range g.vendors {
+			sums.AddSpeedups(r, v, r.NSFor(v, core.NoFlags))
 		}
 	}
-	return bestFlags, bestWin
+	return sums.Argmax(n, math.Inf(-1))
 }
 
 // retention maps (self win, transferred win) to the fraction kept. A
@@ -97,9 +102,9 @@ func retention(selfWin, transferWin float64) float64 {
 	return 0
 }
 
-// cellBetween learns the best set on from and scores it on to.
-func cellBetween(from, to group, exact bool) TransferCell {
-	flags, selfWin := bestWinOver(from)
+// cellBetween scores on to the set learned on from, whose own win is
+// selfWin.
+func cellBetween(from, to group, flags core.Flags, selfWin float64, exact bool) TransferCell {
 	transferWin := winOver(to, flags)
 	return TransferCell{
 		From: from.name, To: to.name, Flags: flags,
@@ -219,16 +224,18 @@ func LangTransferMatrix(s *search.Sweep) *TransferMatrix {
 		m.Groups = append(m.Groups, g.name)
 	}
 	for _, from := range groups {
+		flags, selfWin := bestWinOver(from)
 		var row []TransferCell
 		for _, to := range groups {
 			if ft, tt, ok := twinSlices(from, to); ok {
-				row = append(row, cellBetween(
-					group{name: from.name, results: ft, vendors: from.vendors},
+				twins := group{name: from.name, results: ft, vendors: from.vendors}
+				twinFlags, twinWin := bestWinOver(twins)
+				row = append(row, cellBetween(twins,
 					group{name: to.name, results: tt, vendors: to.vendors},
-					true))
+					twinFlags, twinWin, true))
 				continue
 			}
-			row = append(row, cellBetween(from, to, false))
+			row = append(row, cellBetween(from, to, flags, selfWin, false))
 		}
 		m.Cells = append(m.Cells, row)
 	}
@@ -245,9 +252,10 @@ func BackendTransferMatrix(s *search.Sweep) *TransferMatrix {
 		m.Groups = append(m.Groups, g.name)
 	}
 	for _, from := range groups {
+		flags, selfWin := bestWinOver(from)
 		var row []TransferCell
 		for _, to := range groups {
-			row = append(row, cellBetween(from, to, false))
+			row = append(row, cellBetween(from, to, flags, selfWin, false))
 		}
 		m.Cells = append(m.Cells, row)
 	}
@@ -286,24 +294,16 @@ type GroupMeans struct {
 // LangGroupMeans computes the grouped Table I / Fig. 5 rows per source
 // language: every vendor's best static set re-learned on just that
 // language's shaders.
-func LangGroupMeans(s *search.Sweep) []GroupMeans {
-	var out []GroupMeans
-	for _, g := range langGroups(s) {
-		gm := GroupMeans{Group: g.name, Shaders: len(g.results)}
-		for _, v := range g.vendors {
-			gm.Rows = append(gm.Rows, search.MeanSpeedupsOver(g.results, v))
-		}
-		out = append(out, gm)
-	}
-	return out
-}
+func LangGroupMeans(s *search.Sweep) []GroupMeans { return groupMeans(langGroups(s)) }
 
 // BackendGroupMeans computes the grouped Table I / Fig. 5 rows per
 // driver ingestion format: the full corpus, with the roster's vendors
 // regrouped by what their driver ingests.
-func BackendGroupMeans(s *search.Sweep) []GroupMeans {
+func BackendGroupMeans(s *search.Sweep) []GroupMeans { return groupMeans(ingestGroups(s)) }
+
+func groupMeans(groups []group) []GroupMeans {
 	var out []GroupMeans
-	for _, g := range ingestGroups(s) {
+	for _, g := range groups {
 		gm := GroupMeans{Group: g.name, Shaders: len(g.results)}
 		for _, v := range g.vendors {
 			gm.Rows = append(gm.Rows, search.MeanSpeedupsOver(g.results, v))

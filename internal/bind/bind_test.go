@@ -109,4 +109,22 @@ func TestSharedRejections(t *testing.T) {
 			}
 		}
 	}
+	// A helper named like a builtin, constructor or conversion, names the
+	// binder resolves before user functions, in each frontend.
+	for _, sh := range []struct{ lang, name, decl, body string }{
+		{"hlsl", "sin", "float sin(float x) { return x * 3.0 + 1.0; }", "return float4(sin(uv.x), 0.0, 0.0, 1.0);"},
+		{"hlsl", "saturate", "float saturate(float x) { return x * 3.0 + 1.0; }", "return float4(saturate(uv.x), 0.0, 0.0, 1.0);"},
+		{"hlsl", "frac", "float frac(float x) { return x * 3.0 + 1.0; }", "return float4(frac(uv.x), 0.0, 0.0, 1.0);"},
+		{"wgsl", "f16", "fn f16(x: f32) -> f32 { return x * 3.0 + 1.0; }", "return vec4<f32>(f16(uv.x));"},
+		{"wgsl", "f32", "fn f32(x: f32) -> f32 { return x * 3.0 + 1.0; }", "return vec4<f32>(f32(uv.x));"},
+		{"wgsl", "i32", "fn i32(x: f32) -> f32 { return x * 3.0 + 1.0; }", "return vec4<f32>(i32(uv.x));"},
+		{"wgsl", "sin", "fn sin(x: f32) -> f32 { return x * 3.0 + 1.0; }", "return vec4<f32>(sin(uv.x));"},
+		{"msl", "sin", "float sin(float x) { return x * 3.0 + 1.0; }", "return float4(sin(uv.x));"},
+	} {
+		want := "shadows the builtin " + sh.name
+		_, err := compilers[sh.lang](sh.decl+"\n"+wrap(sh.lang, sh.body), sh.name)
+		if err == nil || !strings.Contains(err.Error(), want) || !position.MatchString(err.Error()) {
+			t.Errorf("%s helper %s: error %v, want %q with a line:col position", sh.lang, sh.name, err, want)
+		}
+	}
 }

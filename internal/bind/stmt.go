@@ -37,9 +37,16 @@ type Param struct {
 }
 
 // Signatures binds every helper's return type before any body
-// translates, so a call ahead of its callee's declaration resolves.
+// translates, so a call ahead of its callee's declaration resolves. A
+// helper named like a constructor, conversion or builtin is rejected:
+// call resolves those names first, so the helper's calls would silently
+// run the builtin instead.
 func (b *Binder) Signatures(fns []Helper) error {
 	for _, f := range fns {
+		_, ctor := b.lang.Ctor(f.Name)
+		if _, renamed := b.lang.Renames[f.Name]; ctor || renamed || sem.IsBuiltin(f.Name) {
+			return Errf(f.Pos, "%s %s: shadows the builtin %s", b.lang.FnWord, f.Name, f.Name)
+		}
 		ret := sem.Void
 		if f.Ret != nil {
 			t, err := b.lang.Resolve(f.Ret)

@@ -89,11 +89,6 @@ type Sweep struct {
 	// Stats aggregates where this sweep spent its time and what the
 	// session caches absorbed, with a full telemetry snapshot attached.
 	Stats PipelineStats
-
-	// bestStatic memoizes BestStaticFlags per vendor: the argmax is a full
-	// 256×shaders scan and every Fig. 5/6/7 analysis needs it.
-	staticMu   sync.Mutex
-	bestStatic map[string]staticBest
 }
 
 // PipelineStats is the aggregate observability summary of one sweep: the
@@ -141,11 +136,6 @@ func (p PipelineStats) CompileMS() float64 {
 		return 0
 	}
 	return float64(p.Metrics.Histograms["gpu.compile"].Sum.Nanoseconds()) / 1e6
-}
-
-type staticBest struct {
-	flags core.Flags
-	mean  float64
 }
 
 // SweepEvent is one progress report from a running sweep, streamed through
@@ -921,6 +911,38 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 
 // --- Analyses ---
 
+// FlagSums holds one running sum per flag combination, indexed by flag
+// value: the accumulator behind every best-static-set argmax.
+type FlagSums [1 << passes.NumFlags]float64
+
+// AddSpeedups adds r's speedup against baseNS on vendor to the sum of
+// every flag combination, reading each distinct variant's score once and
+// adding it at every combination that produces the variant. Each
+// combination receives exactly one addition per call, so summing results
+// in a fixed order gives the same bits as a per-combination scan.
+func (s *FlagSums) AddSpeedups(r *ShaderResult, vendor string, baseNS float64) {
+	times := r.VariantNS[vendor]
+	for _, v := range r.Variants.Variants {
+		sp := harness.Speedup(baseNS, times[v.Hash])
+		for _, f := range v.FlagSets {
+			s[f] += sp
+		}
+	}
+}
+
+// Argmax returns the combination whose mean (sum over n) is largest and
+// that mean, when it beats floor. Ties resolve to the first combination
+// in ascending flag-value order.
+func (s *FlagSums) Argmax(n int, floor float64) (core.Flags, float64) {
+	bestFlags, bestMean := core.NoFlags, floor
+	for f, sum := range s {
+		if mean := sum / float64(n); mean > bestMean {
+			bestFlags, bestMean = core.Flags(f), mean
+		}
+	}
+	return bestFlags, bestMean
+}
+
 // BestStaticFlagsOver returns the single flag combination maximizing the
 // mean speedup vs the original source across a subset of results for the
 // vendor — Table I restricted to a result group, the primitive behind the
@@ -929,37 +951,17 @@ func (s *Session) measurePlatform(ctx context.Context, pl *gpu.Platform, origSrc
 // per group). Ties resolve to the first combination in ascending
 // flag-value order, so the result is deterministic for a fixed score set.
 func BestStaticFlagsOver(results []*ShaderResult, vendor string) (core.Flags, float64) {
-	bestFlags := core.NoFlags
-	bestMean := -1e18
-	for _, flags := range passes.AllCombinations() {
-		sum := 0.0
-		for _, r := range results {
-			sum += r.SpeedupFor(vendor, flags)
-		}
-		mean := sum / float64(len(results))
-		if mean > bestMean {
-			bestMean, bestFlags = mean, flags
-		}
+	var sums FlagSums
+	for _, r := range results {
+		sums.AddSpeedups(r, vendor, r.OrigNS[vendor])
 	}
-	return bestFlags, bestMean
+	return sums.Argmax(len(results), -1e18)
 }
 
 // BestStaticFlags returns the single flag combination maximizing the mean
-// speedup across all shaders for the vendor (Table I). The argmax is a
-// full 256×shaders scan, so it is computed once per vendor and memoized;
-// the memo is safe for concurrent use.
+// speedup across all shaders for the vendor (Table I).
 func (s *Sweep) BestStaticFlags(vendor string) (core.Flags, float64) {
-	s.staticMu.Lock()
-	defer s.staticMu.Unlock()
-	if best, ok := s.bestStatic[vendor]; ok {
-		return best.flags, best.mean
-	}
-	bestFlags, bestMean := BestStaticFlagsOver(s.Results, vendor)
-	if s.bestStatic == nil {
-		s.bestStatic = map[string]staticBest{}
-	}
-	s.bestStatic[vendor] = staticBest{flags: bestFlags, mean: bestMean}
-	return bestFlags, bestMean
+	return BestStaticFlagsOver(s.Results, vendor)
 }
 
 // MeanSpeedups computes Figure 5's three bars for a vendor: best per
@@ -974,22 +976,12 @@ type MeanSpeedups struct {
 
 // MeanSpeedups returns the Fig. 5 aggregates for a vendor.
 func (s *Sweep) MeanSpeedups(vendor string) MeanSpeedups {
-	staticSet, staticMean := s.BestStaticFlags(vendor)
-	out := MeanSpeedups{Vendor: vendor, BestStatic: staticMean, StaticSet: staticSet}
-	for _, r := range s.Results {
-		out.Best += r.BestSpeedup(vendor)
-		out.Default += r.SpeedupFor(vendor, core.DefaultFlags)
-	}
-	n := float64(len(s.Results))
-	out.Best /= n
-	out.Default /= n
-	return out
+	return MeanSpeedupsOver(s.Results, vendor)
 }
 
 // MeanSpeedupsOver computes the Fig. 5 aggregates for a vendor over a
 // subset of results — the per-group form of MeanSpeedups, with the best
-// static set learned on the same subset (unmemoized; group splits are
-// computed once per report).
+// static set learned on the same subset.
 func MeanSpeedupsOver(results []*ShaderResult, vendor string) MeanSpeedups {
 	staticSet, staticMean := BestStaticFlagsOver(results, vendor)
 	out := MeanSpeedups{Vendor: vendor, BestStatic: staticMean, StaticSet: staticSet}
@@ -1060,28 +1052,32 @@ type FlagApplicability struct {
 
 // FlagApplicabilities computes Fig. 8 for all flags.
 func (s *Sweep) FlagApplicabilities() []FlagApplicability {
-	var out []FlagApplicability
-	for _, f := range passes.FlagList() {
-		fa := FlagApplicability{Flag: f, Total: len(s.Results), InOptimalSet: map[string]int{}}
-		for _, r := range s.Results {
+	flags := passes.FlagList()
+	out := make([]FlagApplicability, len(flags))
+	for i, f := range flags {
+		out[i] = FlagApplicability{Flag: f, Total: len(s.Results), InOptimalSet: map[string]int{}}
+	}
+	for _, r := range s.Results {
+		for i, f := range flags {
 			if r.Variants.FlagChangesOutput(f) {
-				fa.ChangesCode++
+				out[i].ChangesCode++
 			}
-			for _, pl := range s.Platforms {
-				if flagInOptimalTenth(r, pl.Vendor, f) {
-					fa.InOptimalSet[pl.Vendor]++
+		}
+		for _, pl := range s.Platforms {
+			top := optimalTenth(r, pl.Vendor)
+			for i, f := range flags {
+				if flagInOptimalTenth(top, f) {
+					out[i].InOptimalSet[pl.Vendor]++
 				}
 			}
 		}
-		out = append(out, fa)
 	}
 	return out
 }
 
-// flagInOptimalTenth implements the paper's Fig. 8 green criterion: the
-// flag is included for at least half of the optimal 10% of variants for
-// that shader.
-func flagInOptimalTenth(r *ShaderResult, vendor string, f core.Flags) bool {
+// optimalTenth returns the fastest 10% (at least one) of a shader's
+// variants on a vendor, ties broken by hash.
+func optimalTenth(r *ShaderResult, vendor string) []*core.Variant {
 	variants := append([]*core.Variant(nil), r.Variants.Variants...)
 	times := r.VariantNS[vendor]
 	sort.Slice(variants, func(i, j int) bool {
@@ -1090,12 +1086,15 @@ func flagInOptimalTenth(r *ShaderResult, vendor string, f core.Flags) bool {
 		}
 		return variants[i].Hash < variants[j].Hash
 	})
-	n := (len(variants) + 9) / 10 // ceil(10%), at least 1
-	if n < 1 {
-		n = 1
-	}
+	return variants[:(len(variants)+9)/10] // ceil(10%), at least 1
+}
+
+// flagInOptimalTenth implements the paper's Fig. 8 green criterion: the
+// flag is included for at least half of the optimal 10% of variants for
+// that shader.
+func flagInOptimalTenth(top []*core.Variant, f core.Flags) bool {
 	withFlag := 0
-	for _, v := range variants[:n] {
+	for _, v := range top {
 		// A variant corresponds to many flag settings; attribute the flag
 		// if a majority of the settings that produce this variant set it.
 		set := 0
@@ -1108,7 +1107,7 @@ func flagInOptimalTenth(r *ShaderResult, vendor string, f core.Flags) bool {
 			withFlag++
 		}
 	}
-	return withFlag*2 >= n
+	return withFlag*2 >= len(top)
 }
 
 // FlagIsolation computes Figure 9: the speedup distribution of each flag

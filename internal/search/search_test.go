@@ -445,16 +445,16 @@ func TestSweepSingleFrontendParsePerShader(t *testing.T) {
 	}
 }
 
-// TestBestStaticFlagsMemoized: repeated analysis calls must agree (the
-// memo) and remain consistent with a fresh scan on another vendor order.
-func TestBestStaticFlagsMemoized(t *testing.T) {
+// TestBestStaticFlagsRepeatable: repeated analysis calls must agree and
+// remain consistent with a fresh scan on another vendor order.
+func TestBestStaticFlagsRepeatable(t *testing.T) {
 	sweep := miniSweep(t)
 	f1, m1 := sweep.BestStaticFlags("ARM")
 	f2, m2 := sweep.BestStaticFlags("ARM")
 	if f1 != f2 || m1 != m2 {
-		t.Errorf("memoized result differs: %v/%v vs %v/%v", f1, m1, f2, m2)
+		t.Errorf("repeated result differs: %v/%v vs %v/%v", f1, m1, f2, m2)
 	}
-	// The memo must be per vendor.
+	// The result must be per vendor.
 	fi, _ := sweep.BestStaticFlags("Intel")
 	f3, _ := sweep.BestStaticFlags("ARM")
 	if f3 != f1 {

@@ -46,6 +46,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -117,6 +118,7 @@ type Store struct {
 	own   *segment   // the segment Put appends to; nil until the first Put
 	size  int64      // summed bytes of segs
 	clock uint64
+	shut  bool // Close was called
 
 	hits, misses, writes, evictions, corrupt Counter
 }
@@ -248,6 +250,9 @@ func (s *Store) Put(key string, payload []byte) error {
 	buf := encode(h, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.shut {
+		return fmt.Errorf("store put: %w", ErrClosed)
+	}
 	if s.own == nil {
 		seg, err := s.newSegment()
 		if err != nil {
@@ -290,6 +295,26 @@ func (s *Store) Sync() error {
 		return fmt.Errorf("store sync: %w", err)
 	}
 	return nil
+}
+
+// ErrClosed is the error Put wraps after Close.
+var ErrClosed = errors.New("store is closed")
+
+// Close closes every segment file the handle holds. It does not flush:
+// call Sync first when the entries must survive power loss. After Close,
+// Get is a miss and Put returns an error wrapping ErrClosed; closing again
+// does nothing.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var first error
+	for _, seg := range s.segs {
+		if err := seg.f.Close(); err != nil && first == nil {
+			first = fmt.Errorf("store close: %w", err)
+		}
+	}
+	s.segs, s.own, s.index, s.size, s.shut = nil, nil, map[[sha256.Size]byte]record{}, 0, true
+	return first
 }
 
 // newSegment creates an empty segment, and the directory if it was

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,6 +102,61 @@ func TestReopenServesWarmEntries(t *testing.T) {
 	}
 	if s2.SizeBytes() != s1.SizeBytes() {
 		t.Fatalf("reopen size %d != writer size %d", s2.SizeBytes(), s1.SizeBytes())
+	}
+}
+
+// TestCloseReleasesSegments: Close closes every segment file the handle
+// holds, its own and the ones it indexed at Open; afterwards Get is a
+// miss and Put fails, and a fresh handle still serves every synced entry.
+func TestCloseReleasesSegments(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 3; i++ {
+		w := open(t, dir, 0)
+		put(t, w, fmt.Sprintf("old-%d", i), "v")
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := open(t, dir, 0)
+	put(t, s, "new", "v")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	files := make([]*os.File, len(s.segs))
+	for i, seg := range s.segs {
+		files[i] = seg.f
+	}
+	s.mu.Unlock()
+	if len(files) != 4 {
+		t.Fatalf("handle holds %d segments, want 4", len(files))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, err := f.Stat(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("segment %s still open after Close (Stat error %v)", f.Name(), err)
+		}
+	}
+	if _, ok := s.Get("new"); ok {
+		t.Error("Get after Close hit")
+	}
+	if err := s.Put("later", []byte("v")); !errors.Is(err, ErrClosed) {
+		t.Errorf("Put after Close = %v, want ErrClosed", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close = %v", err)
+	}
+	fresh := open(t, dir, 0)
+	defer fresh.Close()
+	for _, k := range []string{"old-0", "old-1", "old-2", "new"} {
+		if _, ok := fresh.Get(k); !ok {
+			t.Errorf("fresh handle misses synced %q", k)
+		}
 	}
 }
 
