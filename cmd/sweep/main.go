@@ -37,6 +37,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -87,13 +88,14 @@ func main() {
 		}
 	})
 
-	if err := run(c); err != nil {
+	if err := run(c, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(c cliConfig) error {
+// run executes one invocation, writing its reports to stdout.
+func run(c cliConfig, stdout io.Writer) error {
 	expList, platformFilter, langFilter := c.exp, c.platform, c.lang
 	fast, workers := c.fast, c.workers
 	if c.backend != "" && c.server != "" {
@@ -122,7 +124,7 @@ func run(c cliConfig) error {
 	// snapshot argument lets the sweep path pass the gauge-refreshed one.
 	finish := func(snap *shaderopt.TelemetrySnapshot) error {
 		if c.metrics {
-			fmt.Println(snap.Table())
+			fmt.Fprintln(stdout, snap.Table())
 		}
 		if c.traceOut != "" {
 			f, err := os.Create(c.traceOut)
@@ -195,30 +197,33 @@ func run(c cliConfig) error {
 			p.Ingest = b.String()
 		}
 	}
-	vendors := make([]string, len(platforms))
-	for i, p := range platforms {
-		vendors[i] = fmt.Sprintf("%s(%s)", p.Vendor, p.Ingest)
+	if _, err := rosterVendor(platforms, platformFilter); platformFilter != "" && err != nil {
+		return fmt.Errorf("-platform: %w", err)
 	}
-	fmt.Printf("Corpus: %d fragment shaders in %d families; platforms: %s\n\n",
-		len(shaders), len(corpus.FamilyNames()), strings.Join(vendors, ", "))
+	labels := make([]string, len(platforms))
+	for i, p := range platforms {
+		labels[i] = fmt.Sprintf("%s(%s)", p.Vendor, p.Ingest)
+	}
+	fmt.Fprintf(stdout, "Corpus: %d fragment shaders in %d families; platforms: %s\n\n",
+		len(shaders), len(corpus.FamilyNames()), strings.Join(labels, ", "))
 
 	// Static characterizations don't need measurements.
 	if has("fig4a") {
-		fmt.Println(report.Fig4a(analysis.LinesOfCode(shaders)))
+		fmt.Fprintln(stdout, report.Fig4a(analysis.LinesOfCode(shaders)))
 	}
 	if has("fig4b") {
 		cyc, err := analysis.ARMStaticCycles(shaders)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Fig4b(cyc))
+		fmt.Fprintln(stdout, report.Fig4b(cyc))
 	}
 	if has("fig4c") {
 		uni, err := analysis.UniqueVariants(shaders)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.Fig4c(uni))
+		fmt.Fprintln(stdout, report.Fig4c(uni))
 	}
 
 	needSweep := has("fig3") || has("fig5") || has("fig6") || has("fig7") || has("fig8") || has("fig9") || has("table1") ||
@@ -239,7 +244,7 @@ func run(c cliConfig) error {
 	var finalSnap func() *shaderopt.TelemetrySnapshot
 	if c.server != "" {
 		var err error
-		sweep, err = remoteSweep(c.server, protocol, reg, shaders, cfg, workers)
+		sweep, err = remoteSweep(stdout, c.server, protocol, reg, shaders, platforms, cfg, workers)
 		if err != nil {
 			return err
 		}
@@ -259,7 +264,7 @@ func run(c cliConfig) error {
 			shaderopt.WithPlatforms(platforms...),
 			shaderopt.WithWorkers(workers),
 			shaderopt.WithTelemetry(reg))
-		fmt.Printf("Running exhaustive sweep (256 flag combinations per shader, %d workers)...\n", sess.Workers())
+		fmt.Fprintf(stdout, "Running exhaustive sweep (256 flag combinations per shader, %d workers)...\n", sess.Workers())
 		sweep, err = sess.Sweep(handles, func(ev shaderopt.SweepEvent) {
 			fmt.Fprintln(os.Stderr, renderEvent(ev))
 		})
@@ -270,19 +275,19 @@ func run(c cliConfig) error {
 		fmt.Fprintln(os.Stderr, renderAggregate(sweep.Stats))
 		finalSnap = sess.Metrics
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// The analyses run before any of their output is rendered, each phase
 	// under its own span, so a trace splits the report path in two.
 	var renders []func() string
 	phase(reg, "analysis", func() {
-		renders, err = analyze(sweep, has, reports, vendors, platforms, platformFilter)
+		renders, err = analyze(sweep, has, reports, platformFilter)
 	})
 	phase(reg, "report", func() {
 		// An empty text (the headline of a one-group matrix) prints nothing.
 		for _, render := range renders {
 			if text := render(); text != "" {
-				fmt.Println(text)
+				fmt.Fprintln(stdout, text)
 			}
 		}
 	})
@@ -301,15 +306,21 @@ func phase(reg *shaderopt.Telemetry, layer string, f func()) {
 }
 
 // analyze computes every requested experiment and report over the sweep
-// and returns, in output order, the functions that render them. On an
-// error it returns the renderers of the experiments before it.
-func analyze(sweep *search.Sweep, has func(string) bool, reports map[string]bool, vendors []string, platforms []*gpu.Platform, platformFilter string) ([]func() string, error) {
+// and returns, in output order, the functions that render them. Every
+// figure reads its scores by, and prints, the vendors of sweep.Platforms;
+// platformFilter, when set, names one of them. On an error it returns the
+// renderers of the experiments before it.
+func analyze(sweep *search.Sweep, has func(string) bool, reports map[string]bool, platformFilter string) ([]func() string, error) {
 	var renders []func() string
 	show := func(render func() string) { renders = append(renders, render) }
+	vendors := make([]string, len(sweep.Platforms))
+	for i, p := range sweep.Platforms {
+		vendors[i] = p.Vendor
+	}
 	if has("table1") || has("fig5") {
-		rows := make([]search.MeanSpeedups, len(platforms))
-		for i, p := range platforms {
-			rows[i] = sweep.MeanSpeedups(p.Vendor)
+		rows := make([]search.MeanSpeedups, len(vendors))
+		for i, v := range vendors {
+			rows[i] = sweep.MeanSpeedups(v)
 		}
 		if has("table1") {
 			show(func() string { return report.Table1(rows) })
@@ -319,9 +330,9 @@ func analyze(sweep *search.Sweep, has func(string) bool, reports map[string]bool
 		}
 	}
 	if has("fig6") {
-		means := map[string]float64{}
-		for _, v := range vendors {
-			means[v] = sweep.Top30Mean(v)
+		means := make([]float64, len(vendors))
+		for i, v := range vendors {
+			means[i] = sweep.Top30Mean(v)
 		}
 		show(func() string { return report.Fig6(vendors, means) })
 	}
@@ -353,12 +364,17 @@ func analyze(sweep *search.Sweep, has func(string) bool, reports map[string]bool
 		if r == nil {
 			return renders, fmt.Errorf("fig3 needs the motivating example %s (filtered out by -lang?)", me.Name)
 		}
-		gains := map[string]float64{}
-		for _, v := range vendors {
-			gains[v] = r.BestSpeedup(v)
+		// The paper's histogram platform is the Mali GPU.
+		hist, err := rosterVendor(sweep.Platforms, "ARM")
+		if err != nil {
+			return renders, fmt.Errorf("fig3: %w", err)
 		}
-		dist := sweep.SpeedupDistribution("ARM", core.AllFlags)
-		show(func() string { return report.Fig3(gains, vendors, "ARM", dist) })
+		gains := make([]float64, len(vendors))
+		for i, v := range vendors {
+			gains[i] = r.BestSpeedup(v)
+		}
+		dist := sweep.SpeedupDistribution(hist, core.AllFlags)
+		show(func() string { return report.Fig3(vendors, gains, hist, dist) })
 	}
 	if reports["groups"] {
 		lang, backend := analysis.LangGroupMeans(sweep), analysis.BackendGroupMeans(sweep)
@@ -378,12 +394,26 @@ func analyze(sweep *search.Sweep, has func(string) bool, reports map[string]bool
 	return renders, nil
 }
 
+// rosterVendor returns name if it is the vendor of one of platforms, and
+// otherwise an error listing the roster's vendors.
+func rosterVendor(platforms []*gpu.Platform, name string) (string, error) {
+	vendors := make([]string, len(platforms))
+	for i, p := range platforms {
+		if p.Vendor == name {
+			return name, nil
+		}
+		vendors[i] = p.Vendor
+	}
+	return "", fmt.Errorf("no platform %q in the roster (%s)", name, strings.Join(vendors, ", "))
+}
+
 // remoteSweep runs the study through a sweepd daemon: corpus sources go
 // over the wire, measurement happens in the service's shared warm
 // session, and the streamed scores are joined to a local (deterministic)
 // variant enumeration so every report renders exactly as it would from a
-// local sweep.
-func remoteSweep(addr, protocol string, reg *shaderopt.Telemetry, shaders []*corpus.Shader, cfg harness.Config, workers int) (*search.Sweep, error) {
+// local sweep. A response that lacks a score for any vendor of platforms
+// or any locally enumerated variant is an error, not a zero.
+func remoteSweep(stdout io.Writer, addr, protocol string, reg *shaderopt.Telemetry, shaders []*corpus.Shader, platforms []*gpu.Platform, cfg harness.Config, workers int) (*search.Sweep, error) {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
@@ -397,7 +427,7 @@ func remoteSweep(addr, protocol string, reg *shaderopt.Telemetry, shaders []*cor
 			Name: s.Name, Source: s.Source, Lang: s.Lang.String(),
 		})
 	}
-	fmt.Printf("Submitting sweep of %d shaders to %s (protocol %s)...\n", len(shaders), addr, protocol)
+	fmt.Fprintf(stdout, "Submitting sweep of %d shaders to %s (protocol %s)...\n", len(shaders), addr, protocol)
 	scores, err := client.Sweep(req, func(ev search.SweepEvent) {
 		fmt.Fprintln(os.Stderr, renderEvent(ev))
 	})
@@ -416,12 +446,24 @@ func remoteSweep(addr, protocol string, reg *shaderopt.Telemetry, shaders []*cor
 		if err != nil {
 			return nil, err
 		}
+		vs := h.VariantsSharedT(reg, workers, nil)
+		for _, p := range platforms {
+			_, ok := scores[i].Orig[p.Vendor]
+			for _, v := range vs.Variants {
+				if _, hit := scores[i].Variants[p.Vendor][v.Hash]; !hit {
+					ok = false
+				}
+			}
+			if !ok {
+				return nil, fmt.Errorf("sweepd returned incomplete %s scores for %s (does its roster include %s?)", p.Vendor, s.Name, p.Vendor)
+			}
+		}
 		results[i] = &search.ShaderResult{
 			Handle:    h,
-			Variants:  h.VariantsSharedT(reg, workers, nil),
+			Variants:  vs,
 			OrigNS:    scores[i].Orig,
 			VariantNS: scores[i].Variants,
 		}
 	}
-	return &search.Sweep{Platforms: gpu.Platforms(), Results: results, Cfg: cfg}, nil
+	return &search.Sweep{Platforms: platforms, Results: results, Cfg: cfg}, nil
 }

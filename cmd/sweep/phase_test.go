@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,7 +27,7 @@ func TestUntracedPhaseAllocatesNothing(t *testing.T) {
 // wants one analysis and one report span in the written Chrome trace.
 func TestTraceShowsAnalysisAndReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	err := run(cliConfig{exp: "table1", reports: "transfer", expSet: true, lang: "wgsl", fast: true, workers: 1, traceOut: path})
+	err := run(cliConfig{exp: "table1", reports: "transfer", expSet: true, lang: "wgsl", fast: true, workers: 1, traceOut: path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

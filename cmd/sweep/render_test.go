@@ -68,12 +68,19 @@ func TestGoldenProgress(t *testing.T) {
 	sb.WriteString(renderAggregate(agg))
 	sb.WriteString("\n")
 
-	path := filepath.Join("testdata", "progress.golden")
+	checkGolden(t, "progress", sb.String())
+}
+
+// checkGolden compares got against testdata/<name>.golden, rewriting the
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -82,7 +89,7 @@ func TestGoldenProgress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
 	}
-	if sb.String() != string(want) {
-		t.Errorf("progress output differs from golden; rerun with -update after reviewing.\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
+	if got != string(want) {
+		t.Errorf("%s output differs from golden; rerun with -update after reviewing.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }

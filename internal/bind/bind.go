@@ -64,6 +64,9 @@ type Lang struct {
 	NoTextureParams bool
 	// Own translates what only this language has.
 	Own Own
+	// OwnCalls are the call names Own claims. A helper cannot take one:
+	// its calls would reach Own first and never the helper.
+	OwnCalls map[string]bool
 }
 
 // Own is a frontend's hook for the constructs only its language has. The

@@ -120,6 +120,16 @@ func TestSharedRejections(t *testing.T) {
 		{"wgsl", "i32", "fn i32(x: f32) -> f32 { return x * 3.0 + 1.0; }", "return vec4<f32>(i32(uv.x));"},
 		{"wgsl", "sin", "fn sin(x: f32) -> f32 { return x * 3.0 + 1.0; }", "return vec4<f32>(sin(uv.x));"},
 		{"msl", "sin", "float sin(float x) { return x * 3.0 + 1.0; }", "return float4(sin(uv.x));"},
+		// Names the frontend's own hook claims ahead of user functions.
+		{"hlsl", "mul", "float mul(float a, float b) { return a - b; }", "return float4(mul(uv.x, 2.0), 0.0, 0.0, 1.0);"},
+		{"hlsl", "mad", "float mad(float a, float b, float c) { return a - b - c; }", "return float4(mad(uv.x, 2.0, 1.0), 0.0, 0.0, 1.0);"},
+		{"hlsl", "fmod", "float fmod(float a, float b) { return a - b; }", "return float4(fmod(uv.x, 2.0), 0.0, 0.0, 1.0);"},
+		{"hlsl", "clip", "void clip(float x) { }", "clip(uv.x); return float4(uv, 0.0, 1.0);"},
+		{"wgsl", "select", "fn select(a: f32, b: f32, c: bool) -> f32 { return a - b; }", "return vec4<f32>(select(uv.x, 2.0, true));"},
+		{"wgsl", "textureSample", "fn textureSample(x: f32) -> f32 { return x * 3.0; }", "return vec4<f32>(textureSample(uv.x));"},
+		{"wgsl", "textureSampleLevel", "fn textureSampleLevel(x: f32) -> f32 { return x * 3.0; }", "return vec4<f32>(textureSampleLevel(uv.x));"},
+		{"wgsl", "array", "fn array(x: f32) -> f32 { return x * 3.0; }", "return vec4<f32>(array(uv.x));"},
+		{"msl", "discard_fragment", "void discard_fragment() { }", "discard_fragment(); return float4(uv, 0.0, 1.0);"},
 	} {
 		want := "shadows the builtin " + sh.name
 		_, err := compilers[sh.lang](sh.decl+"\n"+wrap(sh.lang, sh.body), sh.name)

@@ -38,13 +38,13 @@ type Param struct {
 
 // Signatures binds every helper's return type before any body
 // translates, so a call ahead of its callee's declaration resolves. A
-// helper named like a constructor, conversion or builtin is rejected:
-// call resolves those names first, so the helper's calls would silently
-// run the builtin instead.
+// helper named like a constructor, conversion, builtin or one of the
+// language's own calls is rejected: call resolves those names first, so
+// the helper's calls would silently run the builtin instead.
 func (b *Binder) Signatures(fns []Helper) error {
 	for _, f := range fns {
 		_, ctor := b.lang.Ctor(f.Name)
-		if _, renamed := b.lang.Renames[f.Name]; ctor || renamed || sem.IsBuiltin(f.Name) {
+		if _, renamed := b.lang.Renames[f.Name]; ctor || renamed || b.lang.OwnCalls[f.Name] || sem.IsBuiltin(f.Name) {
 			return Errf(f.Pos, "%s %s: shadows the builtin %s", b.lang.FnWord, f.Name, f.Name)
 		}
 		ret := sem.Void

@@ -83,10 +83,21 @@ func TestNestingBound(t *testing.T) {
 // error from every frontend, and that lexing stops at the bound: the four
 // Compiles together allocate a few MB, not the ~300 MB a fully lexed
 // stream of two million tokens takes.
-func TestMillionNestedParentheses(t *testing.T) {
+func TestMillionNestedParentheses(t *testing.T) { checkLexingStops(t, "parentheses") }
+
+// TestMillionUnaryOperators is the same check for a 2 MB chain of 10^6
+// unary minuses, which the scanner bounds like brackets: fully lexed, it
+// took ~180 MB in each frontend before the parser's nesting error.
+func TestMillionUnaryOperators(t *testing.T) { checkLexingStops(t, "unary minus") }
+
+// checkLexingStops compiles the nesting family nested 10^6 deep in every
+// frontend, wanting a nesting error from each and under 8 MB allocated by
+// the four Compiles together.
+func checkLexingStops(t *testing.T, family string) {
+	t.Helper()
 	srcs := make([]string, len(nestLangs))
 	for i, lang := range nestLangs {
-		srcs[i] = nestFamilies["parentheses"](lang, 1_000_000)
+		srcs[i] = nestFamilies[family](lang, 1_000_000)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -162,6 +173,9 @@ var adversarialFamilies = map[string]struct {
 	"operator chain": {func(lang core.Lang) string {
 		return nestWrap(lang, "", "uv.x"+strings.Repeat(" + uv.x", 40_000))
 	}, "budget"},
+	"unary chain": {func(lang core.Lang) string {
+		return nestWrap(lang, "", "uv.x"+strings.Repeat(" -", 1_000_000)+" uv.x")
+	}, "nesting"},
 }
 
 // TestAdversarialFamiliesTerminate runs each adversarial family through

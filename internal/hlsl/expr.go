@@ -50,6 +50,9 @@ func (tr *translator) OwnStmt(s bind.Stmt) ([]glsl.Stmt, bool, error) {
 	return nil, false, nil
 }
 
+// ownCalls are the calls OwnExpr and OwnStmt claim.
+var ownCalls = map[string]bool{"mul": true, "mad": true, "fmod": true, "clip": true}
+
 // OwnExpr translates HLSL's own calls: mul, mad and fmod, and the
 // resource methods.
 func (tr *translator) OwnExpr(e bind.Expr) (glsl.Expr, sem.Type, bool, error) {

@@ -46,6 +46,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		SamplerUse: "sampler state %q can only appear as a .Sample argument",
 		FnWord:     "function",
 		Own:        tr,
+		OwnCalls:   ownCalls,
 	})
 	return tr.module(m)
 }

@@ -30,7 +30,8 @@ const punct = "+-*/%<>=!&|^~?:;,.(){}[]"
 // Lexing ends at the first error: Skip reports no more tokens once one
 // is recorded. An opening bracket past MaxDepth is such an error, so a
 // source of a million nested parentheses stops lexing at the first one
-// past the bound instead of materializing its whole token stream.
+// past the bound instead of materializing its whole token stream; so is
+// a run of unary operators longer than any parser accepts.
 type Scanner struct {
 	src       string
 	off       int // offset of the next byte
@@ -40,6 +41,8 @@ type Scanner struct {
 	toks      []Token
 	err       error
 	depth     int // brackets opened and not yet closed, at most MaxDepth
+	unary     int // length of the run of unary operators ending at unaryEnd
+	unaryEnd  int // token count just after the run's last operator
 }
 
 // NewScanner returns a scanner over src whose token slice reserves
@@ -207,30 +210,49 @@ func (s *Scanner) Word(words map[string]Kind) {
 // Op scans an operator and emits it as Punct: the first of ops (listed
 // longest first within a shared prefix) that starts here, else one byte
 // of the shared punctuation set. Any other byte is an error, which ends
-// lexing, and so is an opening bracket nested past MaxDepth.
+// lexing, and so is an opening bracket nested past MaxDepth or a run of
+// consecutive unary-capable operators (+ - ! ++ --) longer than
+// MaxDepth+1. Each prefix operator takes a parser level below its
+// expression's own, and at most a postfix and a binary operator lead a
+// run (x++ + -y), so no source a parser accepts has a longer run.
 func (s *Scanner) Op(ops []string) {
 	rest := s.src[s.off:]
+	n := 0
 	for _, op := range ops {
 		if strings.HasPrefix(rest, op) {
-			s.skipLineBytes(len(op))
-			s.Emit(Punct)
-			return
+			n = len(op)
+			break
 		}
 	}
-	switch c := rest[0]; {
-	case strings.IndexByte(punct, c) < 0:
-		s.Errorf("unexpected character %q", string(c))
-		return
-	case c == '(' || c == '[' || c == '{':
-		if s.depth == MaxDepth {
+	if n == 0 {
+		switch c := rest[0]; {
+		case strings.IndexByte(punct, c) < 0:
+			s.Errorf("unexpected character %q", string(c))
+			return
+		case c == '(' || c == '[' || c == '{':
+			if s.depth == MaxDepth {
+				s.Errorf("nesting deeper than %d levels", MaxDepth)
+				return
+			}
+			s.depth++
+		case (c == ')' || c == ']' || c == '}') && s.depth > 0:
+			s.depth--
+		}
+		n = 1
+	}
+	switch rest[:n] {
+	case "+", "-", "!", "++", "--":
+		if len(s.toks) != s.unaryEnd {
+			s.unary = 0
+		}
+		if s.unary == MaxDepth+1 {
 			s.Errorf("nesting deeper than %d levels", MaxDepth)
 			return
 		}
-		s.depth++
-	case (c == ')' || c == ']' || c == '}') && s.depth > 0:
-		s.depth--
+		s.unary++
+		s.unaryEnd = len(s.toks) + 1
 	}
-	s.skipLineBytes(1)
+	s.skipLineBytes(n)
 	s.Emit(Punct)
 }
 

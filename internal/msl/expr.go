@@ -38,6 +38,9 @@ func ctorName(callee string) (string, bool) {
 	return bind.CtorName(callee)
 }
 
+// ownCalls are the calls OwnStmt claims.
+var ownCalls = map[string]bool{"discard_fragment": true}
+
 // OwnStmt translates MSL's own statements: discard_fragment(), and the
 // output struct of a multi-output entry — declaring it registers the
 // instance, its member stores assign the out globals directly, and

@@ -53,6 +53,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		FnWord:          "function",
 		NoTextureParams: true,
 		Own:             tr,
+		OwnCalls:        ownCalls,
 	})
 	return tr.module(m)
 }

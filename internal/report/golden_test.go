@@ -112,6 +112,16 @@ func sweepForTransfer(t *testing.T) *search.Sweep {
 	return transferResult
 }
 
+// rosterVendors returns the sweep's platform vendors in roster order: the
+// keys every analysis reads scores by and the names every figure prints.
+func rosterVendors(sweep *search.Sweep) []string {
+	vendors := make([]string, len(sweep.Platforms))
+	for i, pl := range sweep.Platforms {
+		vendors[i] = pl.Vendor
+	}
+	return vendors
+}
+
 // checkGolden compares got against testdata/<name>.golden, rewriting the
 // file under -update.
 func checkGolden(t *testing.T, name, got string) {
@@ -155,11 +165,10 @@ func TestGoldenFig5(t *testing.T) {
 
 func TestGoldenFig6(t *testing.T) {
 	sweep := sweepForGolden(t)
-	means := map[string]float64{}
-	var vendors []string
-	for _, pl := range sweep.Platforms {
-		vendors = append(vendors, pl.Vendor)
-		means[pl.Vendor] = sweep.Top30Mean(pl.Vendor)
+	vendors := rosterVendors(sweep)
+	means := make([]float64, len(vendors))
+	for i, v := range vendors {
+		means[i] = sweep.Top30Mean(v)
 	}
 	checkGolden(t, "fig6", report.Fig6(vendors, means))
 }
@@ -171,11 +180,7 @@ func TestGoldenFig7(t *testing.T) {
 
 func TestGoldenFig8(t *testing.T) {
 	sweep := sweepForGolden(t)
-	var vendors []string
-	for _, pl := range sweep.Platforms {
-		vendors = append(vendors, pl.Vendor)
-	}
-	checkGolden(t, "fig8", report.Fig8(sweep.FlagApplicabilities(), vendors))
+	checkGolden(t, "fig8", report.Fig8(sweep.FlagApplicabilities(), rosterVendors(sweep)))
 }
 
 func TestGoldenFig9(t *testing.T) {
@@ -190,14 +195,13 @@ func TestGoldenFig3(t *testing.T) {
 	if r == nil {
 		t.Fatalf("motivating example %s not in the golden subset", me.Name)
 	}
-	gains := map[string]float64{}
-	var vendors []string
-	for _, pl := range sweep.Platforms {
-		vendors = append(vendors, pl.Vendor)
-		gains[pl.Vendor] = r.BestSpeedup(pl.Vendor)
+	vendors := rosterVendors(sweep)
+	gains := make([]float64, len(vendors))
+	for i, v := range vendors {
+		gains[i] = r.BestSpeedup(v)
 	}
 	dist := sweep.SpeedupDistribution("ARM", core.AllFlags)
-	checkGolden(t, "fig3", report.Fig3(gains, vendors, "ARM", dist))
+	checkGolden(t, "fig3", report.Fig3(vendors, gains, "ARM", dist))
 }
 
 func TestGoldenFig4(t *testing.T) {

@@ -74,12 +74,12 @@ func Fig5(rows []search.MeanSpeedups) string {
 	return sb.String()
 }
 
-// Fig6 renders the top-30 most-improved shaders means.
-func Fig6(vendors []string, means map[string]float64) string {
+// Fig6 renders the top-30 most-improved shaders means, aligned with vendors.
+func Fig6(vendors []string, means []float64) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 6. Average speed-up of the 30 most-improved shaders per platform\n\n")
-	for _, v := range vendors {
-		fmt.Fprintf(&sb, "%-10s | %+7.2f%% %s\n", v, means[v], bar(means[v], 0.5))
+	for i, v := range vendors {
+		fmt.Fprintf(&sb, "%-10s | %+7.2f%% %s\n", v, means[i], bar(means[i], 0.5))
 	}
 	return sb.String()
 }
@@ -126,8 +126,8 @@ func Fig8(apps []search.FlagApplicability, vendors []string) string {
 	sb.WriteString("\n" + strings.Repeat("-", 31+len(vendors)*16) + "\n")
 	for _, a := range apps {
 		fmt.Fprintf(&sb, "%-15s | %5d | %5d", passes.FlagName(a.Flag), a.Total, a.ChangesCode)
-		for _, v := range vendors {
-			fmt.Fprintf(&sb, " | %-13d", a.InOptimalSet[v])
+		for i := range vendors {
+			fmt.Fprintf(&sb, " | %-13d", a.InOptimalSet[i])
 		}
 		sb.WriteString("\n")
 	}
@@ -218,13 +218,13 @@ func Fig4c(uniq []analysis.Uniqueness) string {
 	return sb.String()
 }
 
-// Fig3 renders the motivating example per-platform gains plus the
-// all-shaders distribution histogram for one platform.
-func Fig3(gains map[string]float64, vendors []string, histVendor string, dist []float64) string {
+// Fig3 renders the motivating example per-platform gains (aligned with
+// vendors) plus the all-shaders distribution histogram for one platform.
+func Fig3(vendors []string, gains []float64, histVendor string, dist []float64) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 3. Motivating example (Listing 1 blur): best-variant speed-up per platform\n\n")
-	for _, v := range vendors {
-		fmt.Fprintf(&sb, "  %-10s %+7.2f%% %s\n", v, gains[v], bar(gains[v], 0.5))
+	for i, v := range vendors {
+		fmt.Fprintf(&sb, "  %-10s %+7.2f%% %s\n", v, gains[i], bar(gains[i], 0.5))
 	}
 	sb.WriteString("\n")
 	sb.WriteString(Histogram(

@@ -38,7 +38,7 @@ func TestFig5Fig6(t *testing.T) {
 	if !strings.Contains(out, "AMD") || !strings.Contains(out, "+4.00%") || !strings.Contains(out, "-0.50%") {
 		t.Errorf("fig5:\n%s", out)
 	}
-	out6 := Fig6([]string{"AMD"}, map[string]float64{"AMD": 8.5})
+	out6 := Fig6([]string{"AMD"}, []float64{8.5})
 	if !strings.Contains(out6, "+8.50%") {
 		t.Errorf("fig6:\n%s", out6)
 	}
@@ -60,11 +60,11 @@ func TestFig7(t *testing.T) {
 
 func TestFig8(t *testing.T) {
 	apps := []search.FlagApplicability{
-		{Flag: core.FlagADCE, Total: 10, ChangesCode: 0, InOptimalSet: map[string]int{"AMD": 3}},
-		{Flag: core.FlagUnroll, Total: 10, ChangesCode: 4, InOptimalSet: map[string]int{"AMD": 4}},
+		{Flag: core.FlagADCE, Total: 10, ChangesCode: 0, InOptimalSet: []int{3}},
+		{Flag: core.FlagUnroll, Total: 10, ChangesCode: 4, InOptimalSet: []int{4}},
 	}
 	out := Fig8(apps, []string{"AMD"})
-	if !strings.Contains(out, "adce") || !strings.Contains(out, "unroll") {
+	if !strings.Contains(out, "adce") || !strings.Contains(out, "unroll") || !strings.Contains(out, "| 4 ") {
 		t.Errorf("fig8:\n%s", out)
 	}
 }
@@ -107,8 +107,8 @@ func TestFig4Renderers(t *testing.T) {
 
 func TestFig3Rendering(t *testing.T) {
 	out := Fig3(
-		map[string]float64{"Intel": 7, "ARM": 45},
 		[]string{"Intel", "ARM"},
+		[]float64{7, 45},
 		"ARM",
 		[]float64{-30, -5, 0, 0, 2, 10},
 	)

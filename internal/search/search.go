@@ -1045,9 +1045,9 @@ type FlagApplicability struct {
 	// ChangesCode counts shaders where toggling the flag changes the
 	// generated source for some setting of the other flags (red).
 	ChangesCode int
-	// InOptimalSet counts shaders where the flag is included in at least
-	// half of the optimal 10% of variants (green).
-	InOptimalSet map[string]int // per vendor
+	// InOptimalSet counts, per Sweep.Platforms entry, shaders where the
+	// flag is in at least half of the optimal 10% of variants (green).
+	InOptimalSet []int
 }
 
 // FlagApplicabilities computes Fig. 8 for all flags.
@@ -1055,7 +1055,7 @@ func (s *Sweep) FlagApplicabilities() []FlagApplicability {
 	flags := passes.FlagList()
 	out := make([]FlagApplicability, len(flags))
 	for i, f := range flags {
-		out[i] = FlagApplicability{Flag: f, Total: len(s.Results), InOptimalSet: map[string]int{}}
+		out[i] = FlagApplicability{Flag: f, Total: len(s.Results), InOptimalSet: make([]int, len(s.Platforms))}
 	}
 	for _, r := range s.Results {
 		for i, f := range flags {
@@ -1063,11 +1063,11 @@ func (s *Sweep) FlagApplicabilities() []FlagApplicability {
 				out[i].ChangesCode++
 			}
 		}
-		for _, pl := range s.Platforms {
+		for p, pl := range s.Platforms {
 			top := optimalTenth(r, pl.Vendor)
 			for i, f := range flags {
 				if flagInOptimalTenth(top, f) {
-					out[i].InOptimalSet[pl.Vendor]++
+					out[i].InOptimalSet[p]++
 				}
 			}
 		}

@@ -28,6 +28,9 @@ var builtinRenames = map[string]string{
 // of its own.
 func (tr *translator) OwnStmt(bind.Stmt) ([]glsl.Stmt, bool, error) { return nil, false, nil }
 
+// ownCalls are the calls OwnExpr claims.
+var ownCalls = map[string]bool{"select": true, "textureSample": true, "textureSampleLevel": true, "array": true}
+
 // OwnExpr translates WGSL's own calls: the templated and array
 // constructors, select, and the textureSample builtins.
 func (tr *translator) OwnExpr(e bind.Expr) (glsl.Expr, sem.Type, bool, error) {

@@ -45,6 +45,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		DeclWords:  [2]string{"var ", "let "},
 		FnWord:     "fn",
 		Own:        tr,
+		OwnCalls:   ownCalls,
 	})
 	return tr.module(m)
 }
