@@ -1,7 +1,6 @@
 package bind
 
 import (
-	"math"
 	"strconv"
 	"strings"
 
@@ -29,11 +28,10 @@ type Grammar struct {
 	// initializer, so an explicit length must be positive (HLSL). Without
 	// it `[0]` parses and the type resolver rejects it (MSL).
 	Unsized bool
-	// TrailingComma, UnaryIncDec and SignedHex are MSL's: a call's
-	// arguments may end in a comma, the operand of a prefix ++/-- is any
-	// unary expression rather than a postfix one, and a hex literal must
-	// fit an int64 rather than wrap.
-	TrailingComma, UnaryIncDec, SignedHex bool
+	// TrailingComma and UnaryIncDec are MSL's: a call's arguments may
+	// end in a comma, and the operand of a prefix ++/-- is any unary
+	// expression rather than a postfix one.
+	TrailingComma, UnaryIncDec bool
 
 	// DeclStart reports whether the current token starts a local
 	// declaration, and Decl parses one without its ';' (CDecl for C
@@ -492,16 +490,17 @@ func (p *Parser) primary() Expr {
 	return &IntLitExpr{Pos: t.Pos}
 }
 
-// intValue parses an int literal token's value. A hex literal fills all
-// 64 bits, wrapping negative, unless the grammar holds it to an int64.
+// intValue parses an int literal token's value. Decimal and hex literals
+// alike must fit an int64: a hex literal past it is an error, not a
+// negative value.
 func (p *Parser) intValue(t lex.Token) int64 {
 	text := strings.TrimRight(t.Text, p.g.IntSuffix)
 	if strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X") {
-		u, err := strconv.ParseUint(text[2:], 16, 64)
-		if err != nil || p.g.SignedHex && u > math.MaxInt64 {
+		v, err := strconv.ParseInt(text[2:], 16, 64)
+		if err != nil {
 			p.Errorf(t.Pos, "bad hex literal %q", t.Text)
 		}
-		return int64(u)
+		return v
 	}
 	v, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {

@@ -52,7 +52,8 @@ func TestParseRejections(t *testing.T) {
 		{"trailing argument comma", "msl", "return float4(uv, 0.0, 1.0,);", ""},
 
 		// Literals and array declarators.
-		{"hex literal past int64", "hlsl", "int x = 0x8000000000000000; return float4(1.0, 1.0, 1.0, 1.0);", ""},
+		{"hex literal past int64", "hlsl", "int x = 0x8000000000000000; return float4(1.0, 1.0, 1.0, 1.0);", `2:9: bad hex literal "0x8000000000000000"`},
+		{"hex literal past int64", "wgsl", "var x = 0x8000000000000000; return vec4<f32>(1.0);", `2:9: bad hex literal "0x8000000000000000"`},
 		{"hex literal past int64", "msl", "int x = 0x8000000000000000; return float4(1.0);", "4:9"},
 		{"negative array length", "msl", "float a[-1]; return float4(1.0);", "4:9"},
 		{"zero array length", "hlsl", "float a[0]; return float4(1.0, 1.0, 1.0, 1.0);", `2:9: bad array length "0"`},

@@ -177,9 +177,10 @@ func enumerateFromIR(reg *telemetry.Registry, base *ir.Program, name string, wor
 	leaves := distinctNodes(assign)
 	outs := make([]string, len(leaves))
 	parallelFor(workers, len(leaves), func(i int) {
-		final := leaves[i].prog.Clone()
+		final := leaves[i].prog.CloneScratch()
 		passes.Finish(final)
 		outs[i] = glslgen.Generate(final, glslgen.Desktop)
+		final.Release()
 	})
 	outOf := make(map[*enumNode]string, len(leaves))
 	hashOf := make(map[*enumNode]string, len(leaves))
@@ -223,12 +224,14 @@ func enumerateFromIR(reg *telemetry.Registry, base *ir.Program, name string, wor
 
 // applyStep computes a node's on-child: the step applied to a clone of
 // the node's IR. When the step turns out to be a no-op the parent is
-// returned directly, merging the subtrees.
+// returned directly, merging the subtrees, and the clone's storage goes
+// to the next step's clone.
 func applyStep(parent *enumNode, st passes.Step) *enumNode {
-	p := parent.prog.Clone()
+	p := parent.prog.CloneScratch()
 	st.Run(p)
 	fp := irFingerprint(p)
 	if fp == parent.fp {
+		p.Release()
 		return parent
 	}
 	return &enumNode{prog: p, fp: fp}

@@ -74,9 +74,10 @@ type sharedKey struct {
 }
 
 // sharedEntry is one recorded transition outcome. Entries are immutable
-// once published; the parent and child programs are the producing
-// shader's trie nodes, never mutated (step application and codegen
-// always clone), so sharing the pointers across shaders is sound.
+// once published; the child program and the parent's slot lists belong
+// to the producing shader's trie nodes, never mutated (step application
+// and codegen always clone), so sharing the pointers across shaders is
+// sound.
 type sharedEntry struct {
 	// noop records that the step left the parent unchanged
 	// (spelling-sensitive print preserved). No-op entries carry no
@@ -87,12 +88,15 @@ type sharedEntry struct {
 	// source #version (which the fingerprint does not cover).
 	parentFP string
 	version  string
-	// parent and child are the producing transition's endpoints; childFP
-	// and childCFP are the child's two fingerprints.
-	parent   *ir.Program
-	child    *ir.Program
-	childFP  string
-	childCFP string
+	// uniforms, inputs and vars are the producing parent's interface
+	// slots, all a transport reads of it, so the entry keeps none of the
+	// parent's instructions. child is the transition's result, and
+	// childFP and childCFP are its two fingerprints.
+	uniforms, inputs []*ir.Global
+	vars             []*ir.Var
+	child            *ir.Program
+	childFP          string
+	childCFP         string
 }
 
 // SharedTrie is the cross-shader trie-node table. Create with
@@ -236,19 +240,19 @@ func adoptEntry(parent *enumNode, st passes.Step, e *sharedEntry) *enumNode {
 // the clone meets a slot outside the maps (pass-synthesized), in which
 // case the caller recomputes.
 func transport(parent *enumNode, e *sharedEntry) *enumNode {
-	src, dst := e.parent, parent.prog
-	if len(src.Uniforms) != len(dst.Uniforms) || len(src.Inputs) != len(dst.Inputs) || len(src.Vars) != len(dst.Vars) {
+	dst := parent.prog
+	if len(e.uniforms) != len(dst.Uniforms) || len(e.inputs) != len(dst.Inputs) || len(e.vars) != len(dst.Vars) {
 		return nil // unreachable for alpha-equivalent parents; bail defensively
 	}
-	globals := make(map[*ir.Global]*ir.Global, len(src.Uniforms)+len(src.Inputs))
-	for i, g := range src.Uniforms {
+	globals := make(map[*ir.Global]*ir.Global, len(e.uniforms)+len(e.inputs))
+	for i, g := range e.uniforms {
 		globals[g] = dst.Uniforms[i]
 	}
-	for i, g := range src.Inputs {
+	for i, g := range e.inputs {
 		globals[g] = dst.Inputs[i]
 	}
-	vars := make(map[*ir.Var]*ir.Var, len(src.Vars))
-	for i, v := range src.Vars {
+	vars := make(map[*ir.Var]*ir.Var, len(e.vars))
+	for i, v := range e.vars {
 		vars[v] = dst.Vars[i]
 	}
 	prog, ok := e.child.CloneRemapped(globals, vars)
@@ -265,7 +269,12 @@ func (t *SharedTrie) publish(key sharedKey, stepIdx int, st passes.Step, parent,
 	e := &sharedEntry{parentFP: parent.fp, version: parent.prog.Version}
 	childCFP := parent.cfp
 	if child != parent {
-		e.parent = parent.prog
+		// The entry outlives this walk: keep the child without the bulk
+		// of the instructions the pass dropped. The node is not yet
+		// visible to any other walk, and a step leaves dense IDs, so the
+		// compacted clone prints as the fingerprinted program did.
+		child.prog = child.prog.Compacted()
+		e.uniforms, e.inputs, e.vars = parent.prog.Uniforms, parent.prog.Inputs, parent.prog.Vars
 		e.child = child.prog
 		e.childFP = child.fp
 		e.childCFP = child.cfp

@@ -59,10 +59,16 @@ var ops = []string{
 // one PPLine token: the parser accepts #version, #extension and #pragma,
 // and the pp package expands the rest.
 func LexAll(src string) ([]Token, error) {
-	// Presized from the source length. Corpus sources run 2.9 to 5.0
-	// bytes per token and generated texts 3.5 to 4.7, so two fifths of
-	// the length never regrows on the corpus.
-	s := lex.NewScanner(src, len(src)*2/5)
+	return lexWith(lex.NewScanner(src, presize(src)))
+}
+
+// presize is the token count a scanner over src reserves. Corpus sources
+// run 2.9 to 5.0 bytes per token and generated texts 3.5 to 4.7, so two
+// fifths of the length never regrows on the corpus.
+func presize(src string) int { return len(src) * 2 / 5 }
+
+// lexWith runs LexAll's scan on s.
+func lexWith(s lex.Scanner) ([]Token, error) {
 	for s.Skip(false) {
 		switch c := s.Peek(); {
 		case c == '#' && s.AtLineStart():

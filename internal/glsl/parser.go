@@ -15,9 +15,11 @@ type Parser struct {
 	lex.Cursor
 }
 
-// Parse parses a complete shader source.
+// Parse parses a complete shader source. The tree keeps no token, so
+// Parse scans into a recycled token slice and hands it back on return.
 func Parse(src string) (*Shader, error) {
-	toks, err := LexAll(src)
+	toks, err := lexWith(lex.NewRecycledScanner(src, presize(src)))
+	defer lex.Recycle(toks)
 	if err != nil {
 		return nil, err
 	}

@@ -125,7 +125,7 @@ func (pl *Platform) Compile(prog *ir.Program) (*Compiled, error) {
 	// Driver-internal pipeline. Every driver folds constants and cleans up
 	// (canonicalize); the rest is vendor-specific.
 	passes.Canonicalize(prog)
-	return pl.compileCanonical(prog)
+	return pl.compileCanonical(nil, prog)
 }
 
 // CompileCanonical runs the vendor JIT on a program that is already at the
@@ -150,33 +150,47 @@ func (pl *Platform) CompileCanonical(prog *ir.Program) *Compiled {
 }
 
 // CompileCanonicalT is CompileCanonical with a telemetry registry
-// threaded in and the ingestion error returned: the vendor pipeline
-// records a per-vendor "compile <vendor>" span, the gpu.compiles
-// counters, and its wall-clock duration in the gpu.compile histogram
-// (whose sum is a sweep's total driver-compile time). A nil registry
-// records nothing; instrumentation never changes the compile. prog is
-// transformed in place exactly when the platform CompilesInPlace.
+// threaded in and the ingestion error returned: a translating platform's
+// re-ingestion records a "reingest <format>" span, the vendor passes
+// after it a per-vendor "compile <vendor>" span, and the whole compile
+// the gpu.compiles counters and its wall-clock duration in the
+// gpu.compile histogram (whose sum is a sweep's total driver-compile
+// time). A nil registry records nothing; instrumentation never changes
+// the compile. prog is transformed in place exactly when the platform
+// CompilesInPlace.
 func (pl *Platform) CompileCanonicalT(reg *telemetry.Registry, prog *ir.Program) (*Compiled, error) {
 	if reg == nil {
-		return pl.compileCanonical(prog)
+		return pl.compileCanonical(nil, prog)
 	}
-	span := reg.StartSpan("compile "+pl.Vendor, "gpu")
 	start := time.Now()
-	c, err := pl.compileCanonical(prog)
+	c, err := pl.compileCanonical(reg, prog)
 	reg.Histogram("gpu.compile").Observe(time.Since(start))
 	reg.Counter("gpu.compiles").Inc()
 	reg.Counter("gpu.compiles." + pl.Vendor).Inc()
-	span.End()
 	return c, err
 }
 
+// startSpan opens a span named prefix+name when reg has a tracer
+// attached, and otherwise returns a nil span without building the name,
+// so an untraced compile allocates nothing for its spans.
+func startSpan(reg *telemetry.Registry, prefix, name string) *telemetry.Span {
+	t := reg.Tracer()
+	if t == nil {
+		return nil
+	}
+	return t.Start(prefix+name, "gpu")
+}
+
 // compileCanonical is the vendor-specific tail of the driver pipeline:
-// everything after the opening canonicalization.
-func (pl *Platform) compileCanonical(prog *ir.Program) (*Compiled, error) {
-	prog, err := pl.ingest(prog)
+// everything after the opening canonicalization. reg, when non-nil,
+// receives its spans.
+func (pl *Platform) compileCanonical(reg *telemetry.Registry, prog *ir.Program) (*Compiled, error) {
+	prog, err := pl.ingest(reg, prog)
 	if err != nil {
 		return nil, err
 	}
+	span := startSpan(reg, "compile ", pl.Vendor)
+	defer span.End()
 	d := pl.Driver
 	if d.UnrollMaxTrips > 0 {
 		maxInstrs := d.UnrollMaxInstrs
@@ -240,7 +254,12 @@ func (pl *Platform) CompilesInPlace() bool {
 // backend-differential suite), but a sweep service compiles whatever a
 // client uploads, and one shader outside that subset must fail its own
 // measurement, not the process.
-func (pl *Platform) ingest(prog *ir.Program) (*ir.Program, error) {
+func (pl *Platform) ingest(reg *telemetry.Registry, prog *ir.Program) (*ir.Program, error) {
+	if pl.CompilesInPlace() {
+		return prog, nil
+	}
+	span := startSpan(reg, "reingest ", pl.Ingest)
+	defer span.End()
 	re, err := crossc.Reingest(prog, pl.Vendor, pl.Ingest)
 	if err != nil {
 		return nil, fmt.Errorf("%s driver ingest (%s): %w", pl.Vendor, pl.Ingest, err)

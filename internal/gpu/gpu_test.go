@@ -1,13 +1,18 @@
 package gpu
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"shaderopt/internal/crossc"
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/glslgen"
 	"shaderopt/internal/lower"
 	"shaderopt/internal/passes"
+	"shaderopt/internal/telemetry"
 )
 
 const simpleShader = `#version 330
@@ -276,5 +281,60 @@ func TestCycleBreakdownPopulated(t *testing.T) {
 	}
 	if c.CyclesPerFragment < c.Arith {
 		t.Error("total must cover the arithmetic pipe")
+	}
+}
+
+// TestCompileSpansSplitReingest checks that a traced compile on a
+// translating platform records its re-ingestion as a "reingest <format>"
+// span of its own next to the vendor passes' "compile <vendor>" span,
+// and that a GLSL-ingesting platform records no reingest span.
+func TestCompileSpansSplitReingest(t *testing.T) {
+	for _, pl := range Platforms() {
+		prog, err := FrontEnd(simpleShader, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes.Canonicalize(prog)
+		reg := telemetry.NewRegistry()
+		tr := telemetry.NewTracer()
+		reg.SetTracer(tr)
+		if _, err := pl.CompileCanonicalT(reg, prog); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct{ Name string } `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, ev := range doc.TraceEvents {
+			names = append(names, ev.Name)
+		}
+		want := []string{"compile " + pl.Vendor}
+		if !pl.CompilesInPlace() {
+			want = []string{"reingest " + pl.Ingest, "compile " + pl.Vendor}
+		}
+		if !slices.Equal(names, want) {
+			t.Errorf("%s: spans %q, want %q", pl.Vendor, names, want)
+		}
+	}
+}
+
+// TestUntracedCompileSpansAllocateNothing: with a nil registry, or one
+// with no tracer attached, the compile and reingest spans build no name
+// and allocate nothing.
+func TestUntracedCompileSpansAllocateNothing(t *testing.T) {
+	for _, reg := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
+		if n := testing.AllocsPerRun(100, func() {
+			startSpan(reg, "reingest ", crossc.IngestSPIRV).End()
+			startSpan(reg, "compile ", "AMD").End()
+		}); n != 0 {
+			t.Errorf("untraced spans (registry %v) allocate %v times per run, want 0", reg, n)
+		}
 	}
 }

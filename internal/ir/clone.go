@@ -1,12 +1,56 @@
 package ir
 
+import (
+	"slices"
+	"sync"
+)
+
 // Clone deep-copies the whole program. Interface globals and Var slots are
 // shared (they are identity-keyed and never mutated by passes; passes only
 // add new ones), while every instruction and block is duplicated, so the
 // clone can be optimized independently of the original. The clone's
 // instructions are numbered densely in program order, as RenumberIDs
-// would number them.
-func (p *Program) Clone() *Program {
+// would number them, and fill one chunk with nothing else (IsCompact), so
+// a program that is kept is kept as its clone.
+func (p *Program) Clone() *Program { return p.clone(nil) }
+
+// CloneScratch is Clone for a copy the caller hands back with Release as
+// soon as it is done with it: the copy may take over the chunk and the
+// operand slab of a program released earlier, when they fit it.
+func (p *Program) CloneScratch() *Program {
+	s, _ := released.Get().(*storage)
+	return p.clone(s)
+}
+
+// Release hands back the chunk and operand slab p's clone reserved, for a
+// later CloneScratch to reuse. Nothing may refer to p or to any of its
+// instructions afterwards. A program that is not a Clone or CloneScratch
+// copy keeps its storage.
+func (p *Program) Release() {
+	s := p.scratch
+	if s.chunk == nil {
+		return
+	}
+	p.scratch, p.free, p.Body = storage{}, nil, nil
+	clear(s.chunk)
+	clear(s.args)
+	released.Put(&s)
+}
+
+// storage is a clone's chunk and operand slab, each at its full capacity.
+type storage struct {
+	chunk []Instr
+	args  []*Instr
+}
+
+// released holds the storage of released programs.
+var released sync.Pool
+
+// fits reports whether a released buffer of capacity c serves n entries
+// without pinning much more than a fresh one would.
+func fits(c, n int) bool { return n <= c && c <= n+n/2+minChunk }
+
+func (p *Program) clone(s *storage) *Program {
 	np := &Program{
 		Name:     p.Name,
 		Version:  p.Version,
@@ -16,6 +60,8 @@ func (p *Program) Clone() *Program {
 		Vars:     append([]*Var(nil), p.Vars...),
 	}
 	c := &cloner{p: np, byID: make([]clonedInstr, p.nextID+1)}
+	c.reserve(p.Body, s)
+	np.scratch = storage{chunk: np.free, args: c.args}
 	np.Body = c.block(p.Body)
 	return np
 }
@@ -33,6 +79,7 @@ func (p *Program) CloneBlock(b *Block, varSubst map[*Var]*Var) *Block {
 		hi = max(hi, in.ID)
 	})
 	c := &cloner{p: p, base: lo, byID: make([]clonedInstr, max(hi-lo+1, 0)), varSubst: varSubst}
+	c.reserve(b, nil)
 	return c.block(b)
 }
 
@@ -54,6 +101,7 @@ func (p *Program) CloneBlock(b *Block, varSubst map[*Var]*Var) *Block {
 func (p *Program) CloneRemapped(globals map[*Global]*Global, vars map[*Var]*Var) (*Program, bool) {
 	np := &Program{Name: p.Name, Version: p.Version}
 	c := &cloner{p: np, byID: make([]clonedInstr, p.nextID+1), varSubst: vars, globalSubst: globals, strict: true}
+	c.reserve(p.Body, nil)
 	np.Uniforms = make([]*Global, len(p.Uniforms))
 	for i, g := range p.Uniforms {
 		np.Uniforms[i] = c.globalRef(g)
@@ -99,6 +147,36 @@ type cloner struct {
 	globalSubst map[*Global]*Global
 	strict      bool
 	failed      bool
+
+	// args is the unused tail of the operand slab the copies' Args are
+	// cut from.
+	args []*Instr
+}
+
+// reserve sizes a clone's storage from the source block: room in the
+// target's chunk for its instructions and one slab for their operands.
+// Each is taken from s when it fits, and otherwise allocated with the
+// slack up to its allocator size class left for later passes.
+func (c *cloner) reserve(b *Block, s *storage) {
+	n, nargs := 0, 0
+	b.WalkInstrs(func(in *Instr) {
+		n++
+		nargs += len(in.Args)
+	})
+	if s == nil {
+		s = &storage{}
+	}
+	if n > len(c.p.free) {
+		if !fits(cap(s.chunk), n) {
+			s.chunk = slices.Grow([]Instr(nil), n)
+		}
+		c.p.free = s.chunk[:cap(s.chunk)]
+		c.p.chunks++
+	}
+	if !fits(cap(s.args), nargs) {
+		s.args = slices.Grow([]*Instr(nil), nargs)
+	}
+	c.args = s.args[:cap(s.args)]
 }
 
 // clonedInstr is a byID entry: the source instruction and its copy.
@@ -182,7 +260,12 @@ func (c *cloner) instr(in *Instr) *Instr {
 	if in.Const != nil {
 		ni.Const = in.Const.Clone()
 	}
-	ni.Args = make([]*Instr, len(in.Args))
+	// Cut from the slab with the capacity of their length, so an append
+	// to one instruction's operands reallocates them instead of writing
+	// into the next instruction's.
+	n := len(in.Args)
+	ni.Args = c.args[:n:n]
+	c.args = c.args[n:]
 	for i, a := range in.Args {
 		ni.Args[i] = c.resolve(a)
 	}

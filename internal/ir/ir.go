@@ -66,9 +66,9 @@ type Var struct {
 // Instr is an instruction. Instructions are identified by pointer; ID is a
 // stable ordinal for printing and deterministic iteration.
 //
-// Every instruction is its own heap object, so the layout is kept to 144
-// bytes (a size class of its own): the operator, unary operator and
-// callee share Sym, which the opcode disambiguates.
+// Instructions live in their program's chunks (Program.NewInstr), so the
+// layout is kept to 144 bytes: the operator, unary operator and callee
+// share Sym, which the opcode disambiguates.
 type Instr struct {
 	ID   int
 	Op   Op

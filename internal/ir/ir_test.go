@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -487,12 +488,14 @@ func TestVerifyRejectsBadIDs(t *testing.T) {
 	}
 }
 
-// TestCloneAllocatesOnlyCopies pins that a whole-program clone allocates
-// the copies and nothing per instruction beyond them: its substitution is
-// one table indexed by ID, not a map that grows with the program. The
-// program is n reads of one uniform, instructions with no operands,
-// attributes or constants, so each copy is exactly one allocation.
-func TestCloneAllocatesOnlyCopies(t *testing.T) {
+// TestCloneAllocationsDoNotGrow pins that a whole-program clone makes
+// the same number of allocations whatever the program's size: its
+// instructions come from one chunk and their operands from one slab, and
+// its substitution is one table indexed by ID, not a map that grows with
+// the program. The program is n reads of one uniform, instructions with
+// no operands, attributes or constants.
+func TestCloneAllocationsDoNotGrow(t *testing.T) {
+	allocs := map[int]float64{}
 	for _, n := range []int{1, 64, 1024} {
 		p := NewProgram("wide")
 		u := p.AddUniform("u", sem.Float)
@@ -501,11 +504,111 @@ func TestCloneAllocatesOnlyCopies(t *testing.T) {
 			in.Global = u
 			p.Body.Append(in)
 		}
-		// The Program, its Uniforms list, the ID table, the body Block
-		// and its item slice, then one Instr per instruction.
-		want := float64(5 + n)
-		if got := testing.AllocsPerRun(10, func() { p.Clone() }); got != want {
-			t.Errorf("n=%d: Clone made %v allocations, want %v", n, got, want)
+		allocs[n] = testing.AllocsPerRun(10, func() { p.Clone() })
+	}
+	if allocs[64] != allocs[1] || allocs[1024] != allocs[1] {
+		t.Errorf("Clone allocations by instruction count = %v, want one count for every size", allocs)
+	}
+}
+
+// TestCloneArgsAppendIsPrivate checks that the operand slices a clone
+// cuts from one slab end at their own length: appending to one
+// instruction's operands must leave every other instruction's unchanged.
+func TestCloneArgsAppendIsPrivate(t *testing.T) {
+	p := NewProgram("chain")
+	x := p.NewInstr(OpConst, sem.Float)
+	x.Const = FloatConst(1)
+	p.Body.Append(x)
+	prev := x
+	for i := 0; i < 8; i++ {
+		in := p.NewInstr(OpBin, sem.Float, prev, x)
+		in.Sym = "+"
+		p.Body.Append(in)
+		prev = in
+	}
+	want := p.String()
+	for victim := 1; victim < len(p.Body.Items); victim++ {
+		cl := p.Clone()
+		ops := func() [][]int {
+			var out [][]int
+			cl.Body.WalkInstrs(func(in *Instr) {
+				var ids []int
+				for _, a := range in.Args {
+					ids = append(ids, a.ID)
+				}
+				out = append(out, ids)
+			})
+			return out
 		}
+		before := ops()
+		v := cl.Body.Items[victim].(*Instr)
+		v.Args = append(v.Args, cl.Body.Items[0].(*Instr))
+		after := ops()
+		for i := range before {
+			if i == victim {
+				continue
+			}
+			if !slices.Equal(before[i], after[i]) {
+				t.Errorf("append to %%%d changed %%%d's operands from %v to %v", v.ID, i+1, before[i], after[i])
+			}
+		}
+		if got := p.String(); got != want {
+			t.Fatalf("append to a clone changed the source:\n%s", got)
+		}
+	}
+}
+
+// TestCloneIsCompact checks that a clone's chunk holds exactly its own
+// instructions, while the program a pass dropped instructions from does
+// not.
+func TestCloneIsCompact(t *testing.T) {
+	p := buildSimple()
+	if !p.Clone().IsCompact() {
+		t.Error("a clone is not compact")
+	}
+	p.Body.Items = p.Body.Items[:len(p.Body.Items)-1]
+	if p.IsCompact() {
+		t.Error("a program that dropped an instruction reads compact")
+	}
+	if !p.Clone().IsCompact() {
+		t.Error("the clone of a program that dropped an instruction is not compact")
+	}
+	if p.Compacted() != p {
+		t.Error("Compacted copied a program that dropped one instruction of seven")
+	}
+	p.Body.Items = p.Body.Items[:2]
+	if c := p.Compacted(); c == p || !c.IsCompact() || c.String() != p.String() {
+		t.Error("Compacted kept a program that dropped most of its instructions")
+	}
+}
+
+// TestCloneScratchAfterRelease checks that a scratch copy taking over a
+// released program's storage is a faithful clone that shares nothing
+// with a live one.
+func TestCloneScratchAfterRelease(t *testing.T) {
+	p := buildSimple()
+	want := p.String()
+	for i := 0; i < 4; i++ {
+		live := p.Clone()
+		p.CloneScratch().Release()
+		got := p.CloneScratch()
+		if err := got.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want || live.String() != want {
+			t.Fatalf("scratch clone prints\n%s\nwant\n%s", got, want)
+		}
+		for _, it := range got.Body.Items {
+			for _, other := range live.Body.Items {
+				if it == other {
+					t.Fatal("a scratch clone shares an instruction with a live clone")
+				}
+			}
+		}
+		got.Release()
+	}
+	p.Release() // not a clone: keeps its storage
+	if p.String() != want {
+		t.Error("Release changed a program that is not a clone")
 	}
 }

@@ -9,7 +9,17 @@ import (
 // Program is a lowered fragment shader: interface globals, mutable slots,
 // and a single structured body (user functions are fully inlined by the
 // lowering stage, as in LunarGlass).
+//
+// A program hands out its instructions from chunks it owns (NewInstr), so
+// one allocation serves many instructions. A chunk stays alive as long as
+// any instruction in it, so the instructions a pass drops stay allocated
+// while the program lives: a program kept past the call that built it is
+// compacted first, by keeping its Clone, whose one chunk holds exactly the
+// clone's instructions (IsCompact reports it). A Program must not be copied
+// by value: two copies would hand out the same chunk slot.
 type Program struct {
+	noCopy noCopy
+
 	Name     string
 	Version  string // source #version, propagated to codegen
 	Uniforms []*Global
@@ -20,18 +30,71 @@ type Program struct {
 	Body *Block
 
 	nextID int
+	// free is the unused tail of the chunk NewInstr hands instructions
+	// out from; chunks counts the chunks allocated so far and made the
+	// instructions handed out of them.
+	free   []Instr
+	chunks int
+	made   int
+	// scratch is the chunk and operand slab a whole-program clone
+	// reserved, which Release hands back for a later CloneScratch.
+	scratch storage
 }
+
+// noCopy makes go vet's copylocks check flag a Program copied by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// A chunk NewInstr starts holds minChunk instructions, doubling with each
+// chunk up to minChunk<<maxChunkShift: a lowering grows its chunks with
+// the program, while a pass adding a few instructions to a clone wastes
+// little of one.
+const (
+	minChunk      = 8
+	maxChunkShift = 3
+)
 
 // NewProgram returns an empty program.
 func NewProgram(name string) *Program {
 	return &Program{Name: name, Body: &Block{}}
 }
 
-// NewInstr allocates an instruction with a fresh ID. The instruction is not
-// inserted into any block.
+// NewInstr returns an instruction with a fresh ID, taken from the
+// program's current chunk. The instruction is not inserted into any
+// block.
 func (p *Program) NewInstr(op Op, t sem.Type, args ...*Instr) *Instr {
+	if len(p.free) == 0 {
+		p.free = make([]Instr, minChunk<<min(p.chunks, maxChunkShift))
+		p.chunks++
+	}
+	in := &p.free[0]
+	p.free = p.free[1:]
+	p.made++
 	p.nextID++
-	return &Instr{ID: p.nextID, Op: op, Type: t, Args: args}
+	*in = Instr{ID: p.nextID, Op: op, Type: t, Args: args}
+	return in
+}
+
+// Compacted returns p while at least half the instructions its chunks
+// handed out are still in its body, and otherwise p's Clone, which holds
+// none of the dropped ones. A program kept through Compacted pins at most
+// as many dropped instructions as it holds, and one a pass barely touched
+// is kept without a copy.
+func (p *Program) Compacted() *Program {
+	if p.made <= 2*p.Body.CountInstrs() {
+		return p
+	}
+	return p.Clone()
+}
+
+// IsCompact reports whether the program's instructions fill one chunk with
+// nothing else: every instruction the chunk handed out is in the body.
+// A Clone is compact; a program a pass has dropped instructions from is
+// not.
+func (p *Program) IsCompact() bool {
+	return p.chunks <= 1 && p.made == p.Body.CountInstrs()
 }
 
 // AddUniform registers a uniform global.

@@ -3,6 +3,7 @@ package lex
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // maxPresizedTokens caps the token slice a Scanner reserves from the
@@ -49,6 +50,29 @@ type Scanner struct {
 // presize tokens, capped at maxPresizedTokens.
 func NewScanner(src string, presize int) Scanner {
 	return Scanner{src: src, line: 1, col: 1, toks: make([]Token, 0, min(presize, maxPresizedTokens))}
+}
+
+// tokenBufs holds the token slices parsers handed back with Recycle.
+var tokenBufs sync.Pool
+
+// NewRecycledScanner is NewScanner for a parser that drops its tokens
+// when it returns: it scans into a slice an earlier parse handed back
+// with Recycle when the pool has one with room for presize tokens
+// (capped as NewScanner caps it), and reserves a fresh one otherwise.
+func NewRecycledScanner(src string, presize int) Scanner {
+	if b, _ := tokenBufs.Get().(*[]Token); b != nil && cap(*b) >= min(presize, maxPresizedTokens) {
+		return Scanner{src: src, line: 1, col: 1, toks: (*b)[:0]}
+	}
+	return NewScanner(src, presize)
+}
+
+// Recycle hands back the tokens of a scanner made by NewRecycledScanner
+// for a later parse to scan into. The caller must keep no reference to
+// toks. The tokens are cleared first, so the pool pins no source text.
+func Recycle(toks []Token) {
+	clear(toks)
+	toks = toks[:0]
+	tokenBufs.Put(&toks)
 }
 
 // Tokens returns the tokens scanned so far.

@@ -35,10 +35,16 @@ var ops = []string{"<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=",
 // emitted dialect only uses them for the standard headers, which the
 // frontend models directly.
 func LexAll(src string) ([]Token, error) {
-	// Presized from the source length, with room for EOF: emitted MSL
-	// of the corpus runs 3.9 to 4.9 bytes per token, so this never
-	// regrows on it.
-	s := lex.NewScanner(src, len(src)/3+1)
+	return lexWith(lex.NewScanner(src, presize(src)))
+}
+
+// presize is the token count a scanner over src reserves, with room for
+// EOF: emitted MSL of the corpus runs 3.9 to 4.9 bytes per token, so a
+// third of the length never regrows on it.
+func presize(src string) int { return len(src)/3 + 1 }
+
+// lexWith runs LexAll's scan on s.
+func lexWith(s lex.Scanner) ([]Token, error) {
 	for s.Skip(false) {
 		switch c := s.Peek(); {
 		case c == '#':

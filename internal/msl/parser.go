@@ -20,7 +20,6 @@ var grammar = bind.Grammar{
 	ModAssign:     true,
 	TrailingComma: true,
 	UnaryIncDec:   true,
-	SignedHex:     true,
 	DeclStart:     startsDecl,
 	Decl: func(p *bind.Parser) bind.Stmt {
 		pos := p.Cur().Pos
@@ -30,9 +29,11 @@ var grammar = bind.Grammar{
 	Primary: arrayLiteral,
 }
 
-// Parse parses an MSL module.
+// Parse parses an MSL module. The module keeps no token, so Parse scans
+// into a recycled token slice and hands it back on return.
 func Parse(src string) (*Module, error) {
-	toks, err := LexAll(src)
+	toks, err := lexWith(lex.NewRecycledScanner(src, presize(src)))
+	defer lex.Recycle(toks)
 	if err != nil {
 		return nil, err
 	}

@@ -487,33 +487,47 @@ func (s *Session) SharedTrie() *core.SharedTrie { return s.shared }
 // shared, so callers must clone it before handing it to a driver pipeline
 // that transforms it in place (see compiledFor). The cache is
 // LRU-bounded: after eviction (or on a racing miss) the work is redone,
-// bit-identically, so eviction trades only time for memory.
+// bit-identically, so eviction trades only time for memory. The cache
+// keeps a clone of the canonical program, so it holds none of the
+// instructions the parse and the canonicalization dropped; the fixed
+// point's IDs are dense, so the clone prints and fingerprints the same.
+// Each stage has its own span: driver parse, es convert, canonicalize
+// and fingerprint.
 func (s *Session) frontEndFor(src, hash string, handle *core.Shader, convertES bool) (*frontEnd, error) {
 	if fe, ok := s.lowered.Get(hash); ok {
 		return fe, nil
 	}
 	var prog *ir.Program
 	var err error
+	span := s.reg.StartSpan("driver parse", "driver")
 	if handle != nil {
 		prog = handle.IR()
 	} else {
 		prog, err = parseForDriver(src)
-		if err != nil {
-			return nil, err
-		}
+	}
+	span.End()
+	if err != nil {
+		return nil, err
 	}
 	fe := &frontEnd{}
 	if convertES && s.anyMobile {
 		// Convert before canonicalizing: the conversion must consume the
 		// raw lowering, the exact program ToES would hand it.
+		span = s.reg.StartSpan("es convert", "driver")
 		fe.es, err = crossc.ESFromIR(prog, "mobile")
+		fe.esHash = core.HashSource(fe.es)
+		span.End()
 		if err != nil {
 			return nil, fmt.Errorf("mobile conversion: %w", err)
 		}
-		fe.esHash = core.HashSource(fe.es)
 	}
+	span = s.reg.StartSpan("canonicalize", "driver")
 	passes.Canonicalize(prog)
-	fe.prog, fe.fp = prog, s.fingerprint(prog)
+	fe.prog = prog.Clone()
+	span.End()
+	span = s.reg.StartSpan("fingerprint", "driver")
+	fe.fp = s.fingerprint(fe.prog)
+	span.End()
 	s.lowered.Add(hash, fe, 1)
 	return fe, nil
 }
@@ -548,7 +562,10 @@ func (s *Session) compiledFor(pl *gpu.Platform, fe *frontEnd) (*gpu.Compiled, bo
 	}
 	prog := fe.prog
 	if pl.CompilesInPlace() {
-		prog = prog.Clone()
+		// A Compiled keeps no program, so the clone's storage serves the
+		// next compile.
+		prog = prog.CloneScratch()
+		defer prog.Release()
 	}
 	c, err := pl.CompileCanonicalT(s.reg, prog)
 	if err != nil {
@@ -1096,14 +1113,16 @@ func flagInOptimalTenth(top []*core.Variant, f core.Flags) bool {
 	withFlag := 0
 	for _, v := range top {
 		// A variant corresponds to many flag settings; attribute the flag
-		// if a majority of the settings that produce this variant set it.
+		// if a strict majority of the settings that produce this variant
+		// set it. A flag that never changes the output splits every
+		// variant's settings exactly in half, so a tie must not count.
 		set := 0
 		for _, fs := range v.FlagSets {
 			if fs.Has(f) {
 				set++
 			}
 		}
-		if set*2 >= len(v.FlagSets) {
+		if set*2 > len(v.FlagSets) {
 			withFlag++
 		}
 	}

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"shaderopt/internal/harness"
 	"shaderopt/internal/oracle"
 	"shaderopt/internal/passes"
+	"shaderopt/internal/telemetry"
 )
 
 // sweepNames is the behaviour-diverse study subset; -short trims it to
@@ -739,5 +742,109 @@ func TestMeasCacheBoundedAndEvicts(t *testing.T) {
 				t.Fatalf("%s: re-sweep changed a score under eviction", rb.Name())
 			}
 		}
+	}
+}
+
+// TestLoweredCacheKeepsCompactPrograms checks that every program the
+// lowered cache keeps is compact: its chunk holds exactly its own
+// instructions, none that the driver parse or the canonicalization
+// dropped.
+func TestLoweredCacheKeepsCompactPrograms(t *testing.T) {
+	sess := NewSession(gpu.Platforms(), Options{Cfg: harness.FastConfig()})
+	sweep, err := sess.Sweep(compileSubset(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNoEvictions(t, sess)
+	seen := map[string]bool{}
+	var check func(hash string)
+	check = func(hash string) {
+		fe, ok := sess.lowered.Peek(hash)
+		if !ok || seen[hash] {
+			return
+		}
+		seen[hash] = true
+		if !fe.prog.IsCompact() {
+			t.Errorf("lowered cache entry %s keeps a program with dropped instructions", hash)
+		}
+		if fe.esHash != "" {
+			check(fe.esHash)
+		}
+	}
+	for _, r := range sweep.Results {
+		check(r.Handle.Hash)
+		for _, v := range r.Variants.Variants {
+			check(v.Hash)
+		}
+	}
+	if len(seen) == 0 || len(seen) != sess.lowered.Len() {
+		t.Fatalf("reached %d of the lowered cache's %d entries", len(seen), sess.lowered.Len())
+	}
+}
+
+// TestTraceSplitsDriverFrontEnd checks that a traced sweep names every
+// stage of the driver front end and the re-ingestion of each translating
+// format: one span per lowered-cache miss for the parse, the
+// canonicalization and the fingerprint, and one ES conversion per
+// desktop text.
+func TestTraceSplitsDriverFrontEnd(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := telemetry.NewTracer()
+	reg.SetTracer(tr)
+	sess := NewSession(gpu.Platforms(), Options{Cfg: harness.FastConfig(), Workers: 1, Telemetry: reg})
+	if _, err := sess.Sweep(compileSubset(t), nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int64{}
+	for _, ev := range doc.TraceEvents {
+		spans[ev.Name]++
+	}
+	misses := reg.Snapshot().Counters["cache.lowered.misses"]
+	if misses == 0 {
+		t.Fatal("the sweep missed the lowered cache nowhere")
+	}
+	for _, name := range []string{"driver parse", "canonicalize", "fingerprint"} {
+		if spans[name] != misses {
+			t.Errorf("%d %q spans, want one per lowered-cache miss (%d)", spans[name], name, misses)
+		}
+	}
+	for _, name := range []string{"es convert", "reingest msl", "reingest spirv"} {
+		if spans[name] == 0 {
+			t.Errorf("no %q span", name)
+		}
+	}
+}
+
+// TestFlagInOptimalTenthIgnoresNoOpFlag: a flag that never changes the
+// output sits in exactly half of every variant's flag sets, so it must
+// not count as in the optimal set, while a flag every setting of a
+// variant sets does.
+func TestFlagInOptimalTenthIgnoresNoOpFlag(t *testing.T) {
+	flags := passes.FlagList()
+	on, noop := flags[0], flags[1]
+	// Two variants over the two flags: noop is in half of each one's
+	// settings, on in all of one's and none of the other's.
+	withOn := &core.Variant{Hash: "a", FlagSets: []core.Flags{on, on | noop}}
+	withoutOn := &core.Variant{Hash: "b", FlagSets: []core.Flags{core.NoFlags, noop}}
+	for _, top := range [][]*core.Variant{{withOn}, {withoutOn}, {withOn, withoutOn}} {
+		if flagInOptimalTenth(top, noop) {
+			t.Errorf("no-op flag counted in an optimal set of %d variant(s)", len(top))
+		}
+	}
+	if !flagInOptimalTenth([]*core.Variant{withOn}, on) {
+		t.Error("a flag set by every setting of the only optimal variant is not counted")
+	}
+	if flagInOptimalTenth([]*core.Variant{withoutOn}, on) {
+		t.Error("a flag no setting of the optimal variant sets is counted")
 	}
 }

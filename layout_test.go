@@ -19,12 +19,12 @@ import (
 )
 
 // TestLayoutPins bounds the sizes of the values every per-text layer
-// allocates or copies by the million in a study: each instruction is its
-// own heap object, a type is copied with every instruction and
-// expression, and a token is one slot of a lexer's token slice. A field
-// that grows one of them moves it into a larger allocation size class,
-// which a cold study pays for on every instruction or token; the failure
-// names that class.
+// allocates or copies by the million in a study: each instruction is one
+// slot of its program's chunk, a type is copied with every instruction
+// and expression, and a token is one slot of a lexer's token slice. A
+// field that grows one of them moves it into a larger allocation size
+// class, which a cold study pays for on every instruction or token; the
+// failure names that class.
 func TestLayoutPins(t *testing.T) {
 	for _, c := range []struct {
 		name      string
