@@ -34,6 +34,7 @@ import (
 
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/lex"
+	"shaderopt/internal/scope"
 	"shaderopt/internal/sem"
 )
 
@@ -93,7 +94,7 @@ type Binder struct {
 	// CurRet is the declared return type of the function being translated.
 	CurRet sem.Type
 
-	scopes []map[string]Binding
+	scopes *scope.Table[Binding]
 	names  namer
 	out    *string // entry output variable while translating the entry body
 }
@@ -107,10 +108,21 @@ func New(lang Lang) *Binder {
 		FnRet:    map[string]sem.Type{},
 		Samplers: map[string]bool{},
 		names:    namer{suffix: lang.Suffix, renames: map[string]string{}, taken: map[string]bool{}},
+		scopes:   valueTables.Get(),
 	}
 	b.names.taken["main"] = true
 	b.Push()
 	return b
+}
+
+// valueTables holds released binders' value-scope tables.
+var valueTables scope.Pool[Binding]
+
+// Release hands the Binder's scope table to the next New. The Binder
+// must not be used afterwards; the shader it built stays valid.
+func (b *Binder) Release() {
+	valueTables.Put(b.scopes)
+	b.scopes = nil
 }
 
 // Errf formats a positioned translation error.
@@ -127,28 +139,21 @@ type Binding struct {
 }
 
 // Push opens a value scope.
-func (b *Binder) Push() { b.scopes = append(b.scopes, map[string]Binding{}) }
+func (b *Binder) Push() { b.scopes.Push() }
 
 // Pop closes the innermost value scope.
-func (b *Binder) Pop() { b.scopes = b.scopes[:len(b.scopes)-1] }
+func (b *Binder) Pop() { b.scopes.Pop() }
 
 // Bind records a value binding in the innermost scope. Scopes are keyed
 // by the ORIGINAL source name with the GLSL spelling riding along, so
 // shadowing resolves by source semantics and two identifiers whose
 // sanitized spellings would collide can never alias each other.
 func (b *Binder) Bind(orig, glslName string, t sem.Type) {
-	b.scopes[len(b.scopes)-1][orig] = Binding{Name: glslName, T: t}
+	b.scopes.Bind(orig, Binding{Name: glslName, T: t})
 }
 
 // Lookup resolves an original source name innermost-first.
-func (b *Binder) Lookup(orig string) (Binding, bool) {
-	for i := len(b.scopes) - 1; i >= 0; i-- {
-		if bd, ok := b.scopes[i][orig]; ok {
-			return bd, true
-		}
-	}
-	return Binding{}, false
-}
+func (b *Binder) Lookup(orig string) (Binding, bool) { return b.scopes.Lookup(orig) }
 
 // --- names ---
 

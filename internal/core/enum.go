@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sync"
 
 	"shaderopt/internal/glslgen"
@@ -238,13 +239,13 @@ func applyStep(parent *enumNode, st passes.Step) *enumNode {
 }
 
 // distinctNodes returns the unique nodes of an assignment in first-seen
-// order (ascending combination order, so results are deterministic).
+// order (ascending combination order, so results are deterministic). A
+// step has a handful of distinct nodes, so a scan of those found so far
+// is cheaper than a set sized for every combination.
 func distinctNodes(assign []*enumNode) []*enumNode {
-	seen := make(map[*enumNode]bool, len(assign))
 	var out []*enumNode
 	for _, n := range assign {
-		if !seen[n] {
-			seen[n] = true
+		if !slices.Contains(out, n) {
 			out = append(out, n)
 		}
 	}

@@ -81,5 +81,7 @@ func ESFromIR(prog *ir.Program, name string) (string, error) {
 		}
 	}
 	es.Name, es.Version = name, "300 es"
-	return glslgen.Generate(es, glslgen.ES), nil
+	src := glslgen.Generate(es, glslgen.ES)
+	es.Release()
+	return src, nil
 }

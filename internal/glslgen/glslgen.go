@@ -26,11 +26,13 @@ const (
 
 // Generate renders the program as GLSL source.
 func Generate(p *ir.Program, d Dialect) string {
+	// Every global, variable and instruction may take a name.
+	n := len(p.Uniforms) + len(p.Inputs) + len(p.Vars) + p.MaxID()
 	g := &gen{
 		p:       p,
 		dialect: d,
-		names:   map[any]string{},
-		used:    map[string]bool{},
+		names:   make(map[any]string, n),
+		used:    make(map[string]bool, n),
 	}
 	return g.run()
 }

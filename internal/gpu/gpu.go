@@ -183,11 +183,15 @@ func startSpan(reg *telemetry.Registry, prefix, name string) *telemetry.Span {
 
 // compileCanonical is the vendor-specific tail of the driver pipeline:
 // everything after the opening canonicalization. reg, when non-nil,
-// receives its spans.
-func (pl *Platform) compileCanonical(reg *telemetry.Registry, prog *ir.Program) (*Compiled, error) {
-	prog, err := pl.ingest(reg, prog)
+// receives its spans. A re-ingested program dies here (a Compiled keeps
+// no program), so it is released for the next compile's storage.
+func (pl *Platform) compileCanonical(reg *telemetry.Registry, in *ir.Program) (*Compiled, error) {
+	prog, err := pl.ingest(reg, in)
 	if err != nil {
 		return nil, err
+	}
+	if prog != in {
+		defer prog.Release()
 	}
 	span := startSpan(reg, "compile ", pl.Vendor)
 	defer span.End()

@@ -22,16 +22,22 @@ func (p *Program) CloneScratch() *Program {
 	return p.clone(s)
 }
 
-// Release hands back the chunk and operand slab p's clone reserved, for a
-// later CloneScratch to reuse. Nothing may refer to p or to any of its
-// instructions afterwards. A program that is not a Clone or CloneScratch
-// copy keeps its storage.
+// Release hands back the storage p owns for later programs to reuse: the
+// chunk and operand slab a clone reserved, for a later CloneScratch, and
+// the full-size chunks NewInstr started, for a later NewInstr. A program
+// that dies in the call that built it (a scratch clone, a transient
+// lowering or re-ingestion) is released there. Nothing may refer to p or
+// to any of its instructions afterwards.
 func (p *Program) Release() {
+	for _, c := range p.full {
+		clear(c[:])
+		fullChunks.Put(c)
+	}
 	s := p.scratch
+	p.full, p.scratch, p.free, p.Body = nil, storage{}, nil, nil
 	if s.chunk == nil {
 		return
 	}
-	p.scratch, p.free, p.Body = storage{}, nil, nil
 	clear(s.chunk)
 	clear(s.args)
 	released.Put(&s)
@@ -97,11 +103,14 @@ func (p *Program) CloneBlock(b *Block, varSubst map[*Var]*Var) *Block {
 // after the maps were built) fails the clone, returning (nil, false) so
 // the caller recomputes or reports an error instead of keeping a
 // wrongly-named slot. Name and Version still carry the receiver's
-// values; the caller overwrites them.
+// values; the caller overwrites them. Like CloneScratch, the copy may
+// take over a released program's storage, and Release hands it back.
 func (p *Program) CloneRemapped(globals map[*Global]*Global, vars map[*Var]*Var) (*Program, bool) {
 	np := &Program{Name: p.Name, Version: p.Version}
 	c := &cloner{p: np, byID: make([]clonedInstr, p.nextID+1), varSubst: vars, globalSubst: globals, strict: true}
-	c.reserve(p.Body, nil)
+	s, _ := released.Get().(*storage)
+	c.reserve(p.Body, s)
+	np.scratch = storage{chunk: np.free, args: c.args}
 	np.Uniforms = make([]*Global, len(p.Uniforms))
 	for i, g := range p.Uniforms {
 		np.Uniforms[i] = c.globalRef(g)
@@ -252,14 +261,12 @@ func (c *cloner) instr(in *Instr) *Instr {
 	ni := c.p.NewInstr(in.Op, in.Type)
 	ni.Sym = in.Sym
 	ni.Index = in.Index
-	ni.Indices = append([]int(nil), in.Indices...)
+	ni.Indices = in.Indices // never written in place, so shared
 	if in.Var != nil {
 		ni.Var = c.variable(in.Var)
 	}
 	ni.Global = c.globalRef(in.Global)
-	if in.Const != nil {
-		ni.Const = in.Const.Clone()
-	}
+	ni.Const = in.Const // immutable, so shared too
 	// Cut from the slab with the capacity of their length, so an append
 	// to one instruction's operands reallocates them instead of writing
 	// into the next instruction's.

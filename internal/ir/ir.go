@@ -77,7 +77,7 @@ type Instr struct {
 
 	Sym     string    // OpBin: operator; OpUn: "-" or "!"; OpCall: builtin name
 	Index   int       // OpExtract / OpInsert
-	Indices []int     // OpSwizzle
+	Indices []int     // OpSwizzle; replaced, never written in place
 	Var     *Var      // OpLoad / OpStore
 	Global  *Global   // OpUniform / OpInput
 	Const   *ConstVal // OpConst
@@ -101,6 +101,11 @@ func (in *Instr) IsPure() bool {
 // ConstVal is a compile-time constant: scalar, vector, matrix
 // (column-major), or array (element-major). Exactly one payload slice is
 // non-nil, selected by Kind.
+//
+// A ConstVal is immutable once built: nothing writes its Kind or payload
+// afterwards, and a fold that changes a constant builds a new one (Eval*
+// return fresh values; EvalInsert edits its own Clone). So instructions
+// may share one, and the cloners give a copy its source's ConstVal.
 type ConstVal struct {
 	Kind sem.Kind
 	F    []float64

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sync"
 
 	"shaderopt/internal/sem"
 )
@@ -15,8 +16,10 @@ import (
 // any instruction in it, so the instructions a pass drops stay allocated
 // while the program lives: a program kept past the call that built it is
 // compacted first, by keeping its Clone, whose one chunk holds exactly the
-// clone's instructions (IsCompact reports it). A Program must not be copied
-// by value: two copies would hand out the same chunk slot.
+// clone's instructions (IsCompact reports it). A program that dies in the
+// call that built it hands its chunks back with Release instead, for the
+// next program to fill. A Program must not be copied by value: two copies
+// would hand out the same chunk slot.
 type Program struct {
 	noCopy noCopy
 
@@ -36,6 +39,9 @@ type Program struct {
 	free   []Instr
 	chunks int
 	made   int
+	// full holds the full-size chunks NewInstr started, which Release
+	// hands back for a later program's NewInstr.
+	full []*[fullChunk]Instr
 	// scratch is the chunk and operand slab a whole-program clone
 	// reserved, which Release hands back for a later CloneScratch.
 	scratch storage
@@ -54,7 +60,11 @@ func (*noCopy) Unlock() {}
 const (
 	minChunk      = 8
 	maxChunkShift = 3
+	fullChunk     = minChunk << maxChunkShift
 )
+
+// fullChunks holds the full-size chunks of released programs.
+var fullChunks sync.Pool
 
 // NewProgram returns an empty program.
 func NewProgram(name string) *Program {
@@ -66,8 +76,7 @@ func NewProgram(name string) *Program {
 // block.
 func (p *Program) NewInstr(op Op, t sem.Type, args ...*Instr) *Instr {
 	if len(p.free) == 0 {
-		p.free = make([]Instr, minChunk<<min(p.chunks, maxChunkShift))
-		p.chunks++
+		p.grow()
 	}
 	in := &p.free[0]
 	p.free = p.free[1:]
@@ -75,6 +84,23 @@ func (p *Program) NewInstr(op Op, t sem.Type, args ...*Instr) *Instr {
 	p.nextID++
 	*in = Instr{ID: p.nextID, Op: op, Type: t, Args: args}
 	return in
+}
+
+// grow starts NewInstr's next chunk. A full-size one is taken from a
+// released program when there is one.
+func (p *Program) grow() {
+	n := minChunk << min(p.chunks, maxChunkShift)
+	p.chunks++
+	if n < fullChunk {
+		p.free = make([]Instr, n)
+		return
+	}
+	c, _ := fullChunks.Get().(*[fullChunk]Instr)
+	if c == nil {
+		c = new([fullChunk]Instr)
+	}
+	p.full = append(p.full, c)
+	p.free = c[:]
 }
 
 // Compacted returns p while at least half the instructions its chunks

@@ -467,9 +467,9 @@ func (lw *lowerer) inlineCall(e *glsl.CallExpr) (*ir.Instr, error) {
 		return nil, fmt.Errorf("%s: %q missing tail return", e.Pos, e.Callee)
 	}
 
-	// Fresh scope seeded with parameter slots (params are mutable copies).
-	savedScopes := lw.scopes
-	lw.scopes = nil
+	// Fresh scope seeded with parameter slots (params are mutable copies);
+	// the caller's locals are out of sight.
+	floor := lw.scopes.Hide()
 	lw.pushScope()
 	for i, p := range fn.Decl.Params {
 		pv := lw.prog.AddVar(p.Name, fn.Params[i])
@@ -484,7 +484,7 @@ func (lw *lowerer) inlineCall(e *glsl.CallExpr) (*ir.Instr, error) {
 	}
 	lw.depth--
 	lw.popScope()
-	lw.scopes = savedScopes
+	lw.scopes.Unhide(floor)
 	if err != nil {
 		return nil, err
 	}

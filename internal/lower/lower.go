@@ -18,6 +18,7 @@ import (
 
 	"shaderopt/internal/glsl"
 	"shaderopt/internal/ir"
+	"shaderopt/internal/scope"
 	"shaderopt/internal/sem"
 )
 
@@ -46,8 +47,10 @@ func Lower(sh *glsl.Shader, name string) (*ir.Program, error) {
 		sh:      sh,
 		info:    info,
 		prog:    ir.NewProgram(name),
-		globals: map[string]*binding{},
+		globals: make(map[string]*binding, len(info.GlobalOrder)),
+		scopes:  localTables.Get(),
 	}
+	defer localTables.Put(lw.scopes)
 	lw.prog.Version = sh.Version
 	err = lw.run()
 	if err == nil {
@@ -76,9 +79,9 @@ type lowerer struct {
 	info *sem.Info
 	prog *ir.Program
 
-	block   *ir.Block             // current emission point
-	globals map[string]*binding   // module-scope names
-	scopes  []map[string]*binding // function-local scopes
+	block   *ir.Block              // current emission point
+	globals map[string]*binding    // module-scope names
+	scopes  *scope.Table[*binding] // function-local names
 	depth   int
 	emitted int // instructions emitted, against MaxInstrs
 }
@@ -125,16 +128,17 @@ func (lw *lowerer) run() error {
 
 // --- scope helpers ---
 
-func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, map[string]*binding{}) }
-func (lw *lowerer) popScope()  { lw.scopes = lw.scopes[:len(lw.scopes)-1] }
+// localTables holds the lowerings' local-name tables between calls.
+var localTables scope.Pool[*binding]
 
-func (lw *lowerer) bind(name string, b *binding) { lw.scopes[len(lw.scopes)-1][name] = b }
+func (lw *lowerer) pushScope() { lw.scopes.Push() }
+func (lw *lowerer) popScope()  { lw.scopes.Pop() }
+
+func (lw *lowerer) bind(name string, b *binding) { lw.scopes.Bind(name, b) }
 
 func (lw *lowerer) lookup(name string) (*binding, bool) {
-	for i := len(lw.scopes) - 1; i >= 0; i-- {
-		if b, ok := lw.scopes[i][name]; ok {
-			return b, true
-		}
+	if b, ok := lw.scopes.Lookup(name); ok {
+		return b, true
 	}
 	b, ok := lw.globals[name]
 	return b, ok

@@ -40,12 +40,14 @@ const EntryName = "main0"
 
 // Emit renders the program as MSL source.
 func Emit(p *ir.Program) (string, error) {
+	// Every global, variable and instruction may take a name.
+	n := len(p.Uniforms) + len(p.Inputs) + len(p.Vars) + p.MaxID()
 	g := &mslgen{
 		p:        p,
-		names:    map[any]string{},
-		used:     map[string]bool{},
+		names:    make(map[any]string, n),
+		used:     make(map[string]bool, n),
 		smpNames: map[*ir.Global]string{},
-		isInput:  map[*ir.Global]bool{},
+		isInput:  make(map[*ir.Global]bool, len(p.Inputs)),
 	}
 	out := g.run()
 	if g.err != nil {

@@ -55,6 +55,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		Own:             tr,
 		OwnCalls:        ownCalls,
 	})
+	defer tr.Release()
 	return tr.module(m)
 }
 

@@ -3,7 +3,9 @@ package passes
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"shaderopt/internal/ir"
 	"shaderopt/internal/sem"
@@ -30,12 +32,11 @@ import (
 // decrements operand counts as instructions die; removal only lowers
 // counts, so this reaches the same fixed point as re-counting until
 // nothing changes. The tables live in one scratch value (a rewriter)
-// reused, cleared rather than reallocated, for the whole call.
+// taken from a pool: reused, emptied rather than reallocated, across
+// sub-passes and across calls.
 func Canonicalize(p *ir.Program) {
-	s := newRewriter()
-	// Local CSE holds one block's pure instructions at a time; half the
-	// program's IDs allocated the least over a corpus sweep.
-	s.cse = newValueTable(p.MaxID() / 2)
+	s := getRewriter()
+	defer putRewriter(s)
 	for i := 0; i < 16; i++ {
 		changed := false
 		if foldBlock(p, s, p.Body) {
@@ -71,19 +72,48 @@ func Canonicalize(p *ir.Program) {
 // rewriter is the scratch state of one Canonicalize call (and of the
 // flagged passes that share its sub-passes): the pending-replacement
 // forwarding table, pending insertions, the value-numbering tables, the
-// loaded-variable set, and the dead-code use counts and worklist. A call
-// allocates one and clears its tables between sub-passes, so the fixed
-// point's rounds reuse them rather than allocating their own. cse is
-// local CSE's table, which only Canonicalize sets.
+// loaded-variable set, and the dead-code use counts and worklist. Every
+// table is emptied by undoing what was put in it, never by a clear() of
+// its whole capacity, so the rewriters in the pool keep their storage
+// from call to call. cse is local CSE's table, which only Canonicalize
+// uses.
 type rewriter struct {
-	fwd     map[*ir.Instr]*ir.Instr
-	inserts []insertion
-	facts   loadFacts
-	cse     *valueTable
-	scopes  []*valueTable // GVN's enclosing-scope tables, by depth
-	loaded  map[*ir.Var]bool
-	uses    ir.Uses
-	work    []*ir.Instr
+	// fwd is the forwarding table, indexed by the replaced instruction's
+	// ID: a program's instructions have distinct IDs in 1..MaxID, and
+	// those made during the call are numbered above. replaced lists the
+	// IDs set, to empty it.
+	fwd      []forward
+	replaced []int
+	inserts  []insertion
+	facts    loadFacts
+	cse      *valueTable
+	scopes   []*valueTable // GVN's enclosing-scope tables, by depth
+	loaded   map[*ir.Var]bool
+	loads    []*ir.Var // keys of loaded, to empty it
+	uses     ir.Uses
+	work     []*ir.Instr
+}
+
+// forward is a fwd entry: from is replaced by to.
+type forward struct{ from, to *ir.Instr }
+
+// rewriters holds idle rewriters, every table empty.
+var rewriters = sync.Pool{New: func() any { return newRewriter() }}
+
+func getRewriter() *rewriter { return rewriters.Get().(*rewriter) }
+
+// putRewriter returns s to the pool. Its tables are empty already; the
+// instructions left in the spare capacity of its slices are dropped, so
+// an idle rewriter keeps no program alive.
+func putRewriter(s *rewriter) {
+	s.facts.reset()
+	s.cse.reset()
+	for _, t := range s.scopes {
+		t.reset()
+	}
+	clear(s.work[:cap(s.work)])
+	s.work = s.work[:0]
+	rewriters.Put(s)
 }
 
 // insertion is a pending insertBefore: items go immediately before the
@@ -147,10 +177,11 @@ func spliceBlock(b *ir.Block, ins []insertion) []insertion {
 	return ins
 }
 
+// newRewriter returns a rewriter with empty tables.
 func newRewriter() *rewriter {
 	return &rewriter{
-		fwd:    map[*ir.Instr]*ir.Instr{},
 		facts:  loadFacts{known: map[*ir.Var]*ir.Instr{}},
+		cse:    newValueTable(0),
 		loaded: map[*ir.Var]bool{},
 	}
 }
@@ -158,24 +189,28 @@ func newRewriter() *rewriter {
 // replace records that every use of old reads new instead. The caller is
 // visiting old, so every use still lies ahead of the walk.
 func (s *rewriter) replace(old, new *ir.Instr) {
-	s.fwd[old] = new
+	if old.ID >= len(s.fwd) {
+		s.fwd = slices.Grow(s.fwd, old.ID+1-len(s.fwd))
+		s.fwd = s.fwd[:cap(s.fwd)]
+	}
+	if s.fwd[old.ID].from == nil {
+		s.replaced = append(s.replaced, old.ID)
+	}
+	s.fwd[old.ID] = forward{old, new}
 }
 
 // resolve follows the forwarding chain from in to the value that
 // finally replaces it (in itself when it was never replaced).
 func (s *rewriter) resolve(in *ir.Instr) *ir.Instr {
-	for {
-		next, ok := s.fwd[in]
-		if !ok {
-			return in
-		}
-		in = next
+	for in.ID < len(s.fwd) && s.fwd[in.ID].from == in {
+		in = s.fwd[in.ID].to
 	}
+	return in
 }
 
 // resolveArgs rewrites in's operands to their final replacements.
 func (s *rewriter) resolveArgs(in *ir.Instr) {
-	if len(s.fwd) == 0 {
+	if len(s.replaced) == 0 {
 		return
 	}
 	for i, a := range in.Args {
@@ -186,7 +221,7 @@ func (s *rewriter) resolveArgs(in *ir.Instr) {
 // flush applies every pending replacement to the whole program — all
 // operands and region headers — in one walk, then empties the table.
 func (s *rewriter) flush(p *ir.Program) {
-	if len(s.fwd) == 0 {
+	if len(s.replaced) == 0 {
 		return
 	}
 	var walk func(b *ir.Block)
@@ -214,7 +249,10 @@ func (s *rewriter) flush(p *ir.Program) {
 		}
 	}
 	walk(p.Body)
-	clear(s.fwd)
+	for _, id := range s.replaced {
+		s.fwd[id] = forward{}
+	}
+	s.replaced = s.replaced[:0]
 }
 
 // --- constant folding & instruction simplification ---
@@ -654,10 +692,11 @@ type varFact struct {
 	had bool
 }
 
+// reset forgets every fact. Every fact was journalled when it was set,
+// so rolling the whole journal back empties known key by key.
 func (f *loadFacts) reset() {
-	clear(f.known)
-	clear(f.undo)
-	f.undo = f.undo[:0]
+	f.rollback(0)
+	clear(f.undo[:cap(f.undo)])
 }
 
 func (f *loadFacts) set(v *ir.Var, val *ir.Instr) {
@@ -887,12 +926,13 @@ func valueHash(in *ir.Instr) uint64 {
 // removeDeadStores drops stores to non-output vars that are never loaded,
 // and stores immediately overwritten within the same block.
 func removeDeadStores(p *ir.Program, s *rewriter) bool {
-	clear(s.loaded)
 	p.Body.WalkInstrs(func(in *ir.Instr) {
-		if in.Op == ir.OpLoad {
+		if in.Op == ir.OpLoad && !s.loaded[in.Var] {
 			s.loaded[in.Var] = true
+			s.loads = append(s.loads, in.Var)
 		}
 	})
+	defer s.forgetLoads()
 	changed := false
 	p.Body.WalkBlocks(func(b *ir.Block) {
 		b.Items = filterItems(b.Items, func(i int, it ir.Item) bool {
@@ -929,6 +969,15 @@ func removeDeadStores(p *ir.Program, s *rewriter) bool {
 	return changed
 }
 
+// forgetLoads empties the loaded set by deleting the keys it recorded.
+func (s *rewriter) forgetLoads() {
+	for _, v := range s.loads {
+		delete(s.loaded, v)
+	}
+	clear(s.loads)
+	s.loads = s.loads[:0]
+}
+
 // filterItems returns items without those drop reports, in order; drop
 // sees every item once, in order. When nothing is dropped it returns
 // items itself; otherwise the survivors go to a fresh slice, so a backing
@@ -957,7 +1006,9 @@ func filterItems(items []ir.Item, drop func(i int, it ir.Item) bool) []ir.Item {
 // point (LLVM's isTriviallyDead loop — always on, which is why the ADCE
 // flag never changes the output in practice, §VI-D1).
 func trivialDCE(p *ir.Program) bool {
-	return newRewriter().dce(p)
+	s := getRewriter()
+	defer putRewriter(s)
+	return s.dce(p)
 }
 
 // dce is trivialDCE on s's scratch tables: one use count, then a worklist

@@ -143,8 +143,13 @@ func TestRewriterResolvesChains(t *testing.T) {
 		t.Fatalf("resolve(a) = %%%d, want %%%d", got.ID, c.ID)
 	}
 	s.flush(p)
-	if st.Args[0] != c || len(s.fwd) != 0 {
-		t.Fatalf("after flush store reads %%%d (table %d), want %%%d", st.Args[0].ID, len(s.fwd), c.ID)
+	if st.Args[0] != c || len(s.replaced) != 0 {
+		t.Fatalf("after flush store reads %%%d (%d replacements pending), want %%%d", st.Args[0].ID, len(s.replaced), c.ID)
+	}
+	for _, e := range s.fwd {
+		if e != (forward{}) {
+			t.Fatalf("after flush the table still forwards %%%d", e.from.ID)
+		}
 	}
 
 	// One folding sub-pass collapses the copy-of-a-copy chain: a's operand

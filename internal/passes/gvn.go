@@ -15,7 +15,8 @@ import (
 // reaches each use (see Canonicalize), then applied to the whole program
 // in one final walk.
 func GVN(p *ir.Program) bool {
-	s := newRewriter()
+	s := getRewriter()
+	defer putRewriter(s)
 	changed := false
 	// s.scopes[d] is the table of the block being walked at depth d; the
 	// enclosing scopes are exactly s.scopes[:d], and a sibling block

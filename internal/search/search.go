@@ -491,6 +491,8 @@ func (s *Session) SharedTrie() *core.SharedTrie { return s.shared }
 // keeps a clone of the canonical program, so it holds none of the
 // instructions the parse and the canonicalization dropped; the fixed
 // point's IDs are dense, so the clone prints and fingerprints the same.
+// The lowering itself is released once cloned, so its chunks serve the
+// next miss's parse.
 // Each stage has its own span: driver parse, es convert, canonicalize
 // and fingerprint.
 func (s *Session) frontEndFor(src, hash string, handle *core.Shader, convertES bool) (*frontEnd, error) {
@@ -524,6 +526,7 @@ func (s *Session) frontEndFor(src, hash string, handle *core.Shader, convertES b
 	span = s.reg.StartSpan("canonicalize", "driver")
 	passes.Canonicalize(prog)
 	fe.prog = prog.Clone()
+	prog.Release()
 	span.End()
 	span = s.reg.StartSpan("fingerprint", "driver")
 	fe.fp = s.fingerprint(fe.prog)

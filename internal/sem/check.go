@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shaderopt/internal/glsl"
+	"shaderopt/internal/scope"
 )
 
 // VarInfo describes a global variable after checking.
@@ -80,10 +81,12 @@ func Check(sh *glsl.Shader) (*Info, error) {
 			// third of the token count allocated the least over a
 			// corpus sweep.
 			ExprTypes: make(map[glsl.Expr]Type, sh.Tokens/3),
-			Globals:   make(map[string]*VarInfo),
-			Funcs:     make(map[string]*FuncInfo),
+			Globals:   make(map[string]*VarInfo, len(sh.Decls)),
+			Funcs:     make(map[string]*FuncInfo, len(sh.Decls)),
 		},
+		scopes: localTables.Get(),
 	}
+	defer localTables.Put(c.scopes)
 	for _, d := range sh.Decls {
 		switch d := d.(type) {
 		case *glsl.PrecisionDecl:
@@ -110,23 +113,21 @@ func Check(sh *glsl.Shader) (*Info, error) {
 
 type checker struct {
 	info   *Info
-	scopes []map[string]Type
-	ret    Type // current function return type
-	consts map[string]bool
+	scopes *scope.Table[Type] // function-local names
+	ret    Type               // current function return type
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]Type{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+// localTables holds the checkers' local-name tables between calls.
+var localTables scope.Pool[Type]
 
-func (c *checker) declare(name string, t Type) {
-	c.scopes[len(c.scopes)-1][name] = t
-}
+func (c *checker) pushScope() { c.scopes.Push() }
+func (c *checker) popScope()  { c.scopes.Pop() }
+
+func (c *checker) declare(name string, t Type) { c.scopes.Bind(name, t) }
 
 func (c *checker) lookup(name string) (Type, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if t, ok := c.scopes[i][name]; ok {
-			return t, true
-		}
+	if t, ok := c.scopes.Lookup(name); ok {
+		return t, true
 	}
 	if g, ok := c.info.Globals[name]; ok {
 		return g.Type, true
@@ -411,10 +412,8 @@ func (c *checker) lvalue(e glsl.Expr) (Type, error) {
 }
 
 func (c *checker) localLookup(name string) (Type, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if t, ok := c.scopes[i][name]; ok {
-			return t, true
-		}
+	if t, ok := c.scopes.Lookup(name); ok {
+		return t, true
 	}
 	return Void, false
 }

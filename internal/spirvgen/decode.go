@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"shaderopt/internal/ir"
 	"shaderopt/internal/sem"
@@ -14,6 +15,12 @@ import (
 // constants, which SPIR-V hoists to module scope and deduplicates, are
 // re-materialized lazily at each use site so the decoded program satisfies
 // the IR's block-scoped visibility rules.
+//
+// The decoder's tables are indexed by id and sized from the header's id
+// bound, which Decode first checks against the module's length: the input
+// is untrusted, and a module cannot use more ids than it has words, so a
+// bound above the word count is rejected before anything is sized from
+// it.
 func Decode(words []uint32, name string) (*ir.Program, error) {
 	if len(words) < 5 {
 		return nil, fmt.Errorf("spirvgen: module too short")
@@ -24,18 +31,16 @@ func Decode(words []uint32, name string) (*ir.Program, error) {
 	if words[1] != Version {
 		return nil, fmt.Errorf("spirvgen: unsupported version %#x", words[1])
 	}
-	d := &decoder{
-		p:       ir.NewProgram(name),
-		types:   map[uint32]sem.Type{},
-		ptrs:    map[uint32]ptrInfo{},
-		consts:  map[uint32]constInfo{},
-		names:   map[uint32]string{},
-		globals: map[uint32]globalInfo{},
-		vars:    map[uint32]*ir.Var{},
-		vals:    map[uint32]*ir.Instr{},
-		images:  map[uint32]*ir.Instr{},
-		blocks:  map[uint32]*sblock{},
+	if err := frame(words[5:]); err != nil {
+		return nil, err
 	}
+	bound := words[3]
+	if uint64(bound) > uint64(len(words)) {
+		return nil, fmt.Errorf("spirvgen: id bound %d above the module's %d words", bound, len(words))
+	}
+	d := decoders.Get().(*decoder)
+	defer d.release()
+	d.start(name, int(bound))
 	if err := d.module(words[5:]); err != nil {
 		return nil, err
 	}
@@ -45,6 +50,9 @@ func Decode(words []uint32, name string) (*ir.Program, error) {
 	d.push(d.p.Body)
 	if err := d.region(d.entry, 0); err != nil {
 		return nil, err
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	d.pop()
 	d.p.RenumberIDs()
@@ -105,48 +113,150 @@ type sblock struct {
 	decoded bool
 }
 
+// scope is an open IR block and the length of the decoder's memo
+// journal when it opened.
 type scope struct {
 	b    *ir.Block
-	memo map[uint32]*ir.Instr // constants materialized in this scope
+	mark int
+}
+
+// idMap is a decoder table keyed by id: one slot per id below the
+// module's bound, so a lookup neither hashes nor allocates.
+type idMap[V any] []idSlot[V]
+
+type idSlot[V any] struct {
+	v  V
+	ok bool
+}
+
+// get returns the value recorded for id, if any.
+func (m idMap[V]) get(id uint32) (V, bool) {
+	if uint64(id) < uint64(len(m)) {
+		return m[id].v, m[id].ok
+	}
+	var zero V
+	return zero, false
+}
+
+// at is get's value alone: the zero V when id has none.
+func (m idMap[V]) at(id uint32) V {
+	v, _ := m.get(id)
+	return v
+}
+
+// set records v for id. An id at or above the module's bound makes the
+// module invalid; the first one is kept in d.err.
+func (m idMap[V]) set(d *decoder, id uint32, v V) {
+	if uint64(id) >= uint64(len(m)) {
+		if d.err == nil {
+			d.err = fmt.Errorf("spirvgen: id %d not below the module's bound %d", id, len(m))
+		}
+		return
+	}
+	m[id] = idSlot[V]{v, true}
+}
+
+// sized returns m with n empty slots, reusing its storage when it has
+// room. Every slot of m's capacity is empty: release clears what a
+// decode set.
+func sized[V any](m idMap[V], n int) idMap[V] {
+	if cap(m) < n {
+		return make(idMap[V], n)
+	}
+	return m[:n]
 }
 
 type decoder struct {
 	p       *ir.Program
-	types   map[uint32]sem.Type
-	ptrs    map[uint32]ptrInfo
-	consts  map[uint32]constInfo
-	names   map[uint32]string
-	globals map[uint32]globalInfo
-	vars    map[uint32]*ir.Var
-	vals    map[uint32]*ir.Instr
-	images  map[uint32]*ir.Instr // OpImage result → sampler load instr
-	blocks  map[uint32]*sblock
+	types   idMap[sem.Type]
+	ptrs    idMap[ptrInfo]
+	consts  idMap[constInfo]
+	names   idMap[string]
+	globals idMap[globalInfo]
+	vars    idMap[*ir.Var]
+	vals    idMap[*ir.Instr]
+	images  idMap[*ir.Instr] // OpImage result → sampler load instr
+	blocks  idMap[*sblock]
 	extSet  uint32
 	entry   uint32
 	scopes  []scope
+	err     error // the first id outside the bound
+
+	// memo holds the constants materialized in the open scopes, and
+	// memoIDs their ids in the order materialized: closing a scope drops
+	// the ones it added.
+	memo    idMap[*ir.Instr]
+	memoIDs []uint32
 
 	// lastBlock tracks emission order so OpKill can fall through to the
 	// sequentially following (unreachable) resume block.
 	lastBlock *sblock
 }
 
-func (d *decoder) push(b *ir.Block) {
-	d.scopes = append(d.scopes, scope{b: b, memo: map[uint32]*ir.Instr{}})
+// decoders holds idle decoders, whose tables keep their storage.
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// start readies d for a module named name whose ids are below bound.
+func (d *decoder) start(name string, bound int) {
+	d.p = ir.NewProgram(name)
+	d.types = sized(d.types, bound)
+	d.ptrs = sized(d.ptrs, bound)
+	d.consts = sized(d.consts, bound)
+	d.names = sized(d.names, bound)
+	d.globals = sized(d.globals, bound)
+	d.vars = sized(d.vars, bound)
+	d.vals = sized(d.vals, bound)
+	d.images = sized(d.images, bound)
+	d.blocks = sized(d.blocks, bound)
+	d.memo = sized(d.memo, bound)
 }
 
-func (d *decoder) pop() { d.scopes = d.scopes[:len(d.scopes)-1] }
+// release empties d's tables and returns it to the pool.
+func (d *decoder) release() {
+	clear(d.types)
+	clear(d.ptrs)
+	clear(d.consts)
+	clear(d.names)
+	clear(d.globals)
+	clear(d.vars)
+	clear(d.vals)
+	clear(d.images)
+	clear(d.blocks)
+	clear(d.memo)
+	clear(d.scopes[:cap(d.scopes)])
+	*d = decoder{
+		types: d.types, ptrs: d.ptrs, consts: d.consts, names: d.names,
+		globals: d.globals, vars: d.vars, vals: d.vals, images: d.images,
+		blocks: d.blocks, memo: d.memo,
+		scopes: d.scopes[:0], memoIDs: d.memoIDs[:0],
+	}
+	decoders.Put(d)
+}
+
+func (d *decoder) push(b *ir.Block) {
+	d.scopes = append(d.scopes, scope{b: b, mark: len(d.memoIDs)})
+}
+
+func (d *decoder) pop() {
+	s := d.scopes[len(d.scopes)-1]
+	for _, id := range d.memoIDs[s.mark:] {
+		d.memo[id] = idSlot[*ir.Instr]{}
+	}
+	d.memoIDs = d.memoIDs[:s.mark]
+	d.scopes = d.scopes[:len(d.scopes)-1]
+}
 
 func (d *decoder) cur() *scope { return &d.scopes[len(d.scopes)-1] }
 
 func (d *decoder) name(id uint32, prefix string) string {
-	if n, ok := d.names[id]; ok && n != "" {
+	if n, ok := d.names.get(id); ok && n != "" {
 		return n
 	}
 	return fmt.Sprintf("%s%d", prefix, id)
 }
 
 // minWords is the smallest word count (opcode word included) of each
-// opcode whose operands module, region and loop read directly. module
+// opcode whose operands module, region and loop read directly. frame
 // checks it once per instruction, so those readers index operands
 // without guards of their own; function-body instructions decoded by
 // instr check their own counts with need.
@@ -159,9 +269,28 @@ var minWords = map[uint32]int{
 	opLabel: 2, opSelectionMerge: 3, opLoopMerge: 4, opBranch: 2, opBranchConditional: 4,
 }
 
+// frame checks that the instructions after the header tile words
+// exactly and each is at least minWords long, so module may index its
+// operands without guards of its own.
+func frame(words []uint32) error {
+	for pos := 0; pos < len(words); {
+		head := words[pos]
+		wc := int(head >> 16)
+		opc := head & 0xffff
+		if wc == 0 || pos+wc > len(words) {
+			return fmt.Errorf("spirvgen: truncated instruction at word %d", pos+5)
+		}
+		if wc < minWords[opc] {
+			return fmt.Errorf("spirvgen: opcode %d: want %d words, got %d", opc, minWords[opc], wc)
+		}
+		pos += wc
+	}
+	return nil
+}
+
 // module scans the module-level instructions, registering types,
 // constants, and interface variables, and splits the function body into
-// basic blocks.
+// basic blocks. frame has checked the instructions' lengths.
 func (d *decoder) module(words []uint32) error {
 	pos := 0
 	inFunction := false
@@ -171,17 +300,14 @@ func (d *decoder) module(words []uint32) error {
 		blk = nil
 	}
 	for pos < len(words) {
+		if d.err != nil {
+			return d.err
+		}
 		head := words[pos]
 		wc := int(head >> 16)
 		opc := head & 0xffff
-		if wc == 0 || pos+wc > len(words) {
-			return fmt.Errorf("spirvgen: truncated instruction at word %d", pos+5)
-		}
 		w := words[pos : pos+wc]
 		pos += wc
-		if wc < minWords[opc] {
-			return fmt.Errorf("spirvgen: opcode %d: want %d words, got %d", opc, minWords[opc], wc)
-		}
 
 		if inFunction {
 			switch opc {
@@ -195,7 +321,7 @@ func (d *decoder) module(words []uint32) error {
 				if prev := d.lastBlock; prev != nil {
 					prev.next = nb.id
 				}
-				d.blocks[nb.id] = nb
+				d.blocks.set(d, nb.id, nb)
 				d.lastBlock = nb
 				if d.entry == 0 {
 					d.entry = nb.id
@@ -231,77 +357,77 @@ func (d *decoder) module(words []uint32) error {
 			}
 		case opName:
 			s, _ := decodeString(w[2:])
-			d.names[w[1]] = s
+			d.names.set(d, w[1], s)
 		case opExtInstImport:
 			if s, _ := decodeString(w[2:]); s == glslStd450 {
 				d.extSet = w[1]
 			}
 		case opTypeVoid:
-			d.types[w[1]] = sem.Void
+			d.types.set(d, w[1], sem.Void)
 		case opTypeBool:
-			d.types[w[1]] = sem.Bool
+			d.types.set(d, w[1], sem.Bool)
 		case opTypeInt:
 			if w[2] != 64 || w[3] != 1 {
 				return fmt.Errorf("spirvgen: only signed 64-bit integers supported")
 			}
-			d.types[w[1]] = sem.Int
+			d.types.set(d, w[1], sem.Int)
 		case opTypeFloat:
 			if w[2] != 64 {
 				return fmt.Errorf("spirvgen: only 64-bit floats supported")
 			}
-			d.types[w[1]] = sem.Float
+			d.types.set(d, w[1], sem.Float)
 		case opTypeVector:
-			comp, ok := d.types[w[2]]
+			comp, ok := d.types.get(w[2])
 			if !ok || !comp.IsScalar() || w[3] < 2 || w[3] > 4 {
 				return fmt.Errorf("spirvgen: bad vector type")
 			}
-			d.types[w[1]] = sem.VecType(comp.Kind, int(w[3]))
+			d.types.set(d, w[1], sem.VecType(comp.Kind, int(w[3])))
 		case opTypeMatrix:
-			col, ok := d.types[w[2]]
+			col, ok := d.types.get(w[2])
 			if !ok || !col.IsVector() {
 				return fmt.Errorf("spirvgen: bad matrix type")
 			}
 			if int(w[3]) != col.Vec {
 				return fmt.Errorf("spirvgen: only square matrices supported")
 			}
-			d.types[w[1]] = sem.MatType(col.Vec)
+			d.types.set(d, w[1], sem.MatType(col.Vec))
 		case opTypeArray:
-			elem, ok := d.types[w[2]]
-			lenC, ok2 := d.consts[w[3]]
+			elem, ok := d.types.get(w[2])
+			lenC, ok2 := d.consts.get(w[3])
 			if !ok || !ok2 || lenC.t != sem.Int || lenC.c.Int(0) < 1 || elem.IsArray() {
 				return fmt.Errorf("spirvgen: bad array type")
 			}
 			t := elem
 			t.ArrayLen = int(lenC.c.Int(0))
-			d.types[w[1]] = t
+			d.types.set(d, w[1], t)
 		case opTypeImage:
 			dim, err := dimName(w[3], w[4], w[5])
 			if err != nil {
 				return err
 			}
-			d.types[w[1]] = sem.SamplerType(dim)
+			d.types.set(d, w[1], sem.SamplerType(dim))
 		case opTypeSampledImage:
-			img, ok := d.types[w[2]]
+			img, ok := d.types.get(w[2])
 			if !ok {
 				return fmt.Errorf("spirvgen: sampled image of unknown type")
 			}
-			d.types[w[1]] = img
+			d.types.set(d, w[1], img)
 		case opTypePointer:
-			t, ok := d.types[w[3]]
+			t, ok := d.types.get(w[3])
 			if !ok {
 				return fmt.Errorf("spirvgen: bad pointer type")
 			}
-			d.ptrs[w[1]] = ptrInfo{storage: w[2], t: t}
+			d.ptrs.set(d, w[1], ptrInfo{storage: w[2], t: t})
 		case opTypeFunction:
 			// void() — nothing to record.
 		case opConstantTrue, opConstantFalse:
-			t, ok := d.types[w[1]]
+			t, ok := d.types.get(w[1])
 			if !ok {
 				return fmt.Errorf("spirvgen: constant of unknown type")
 			}
-			d.consts[w[2]] = constInfo{t: t, c: ir.BoolConst(opc == opConstantTrue)}
+			d.consts.set(d, w[2], constInfo{t: t, c: ir.BoolConst(opc == opConstantTrue)})
 		case opConstant:
-			t, ok := d.types[w[1]]
+			t, ok := d.types.get(w[1])
 			if !ok {
 				return fmt.Errorf("spirvgen: bad OpConstant")
 			}
@@ -315,15 +441,15 @@ func (d *decoder) module(words []uint32) error {
 			default:
 				return fmt.Errorf("spirvgen: OpConstant of type %s", t)
 			}
-			d.consts[w[2]] = constInfo{t: t, c: c}
+			d.consts.set(d, w[2], constInfo{t: t, c: c})
 		case opConstantComposite:
-			t, ok := d.types[w[1]]
+			t, ok := d.types.get(w[1])
 			if !ok {
 				return fmt.Errorf("spirvgen: composite constant of unknown type")
 			}
 			c := &ir.ConstVal{}
 			for _, part := range w[3:] {
-				pc, ok := d.consts[part]
+				pc, ok := d.consts.get(part)
 				if !ok {
 					return fmt.Errorf("spirvgen: composite references unknown constant %d", part)
 				}
@@ -332,20 +458,20 @@ func (d *decoder) module(words []uint32) error {
 				c.I = append(c.I, pc.c.I...)
 				c.B = append(c.B, pc.c.B...)
 			}
-			d.consts[w[2]] = constInfo{t: t, c: c}
+			d.consts.set(d, w[2], constInfo{t: t, c: c})
 		case opVariable:
-			pi, ok := d.ptrs[w[1]]
+			pi, ok := d.ptrs.get(w[1])
 			if !ok {
 				return fmt.Errorf("spirvgen: bad module variable")
 			}
 			id := w[2]
 			switch w[3] {
 			case storageUniformConstant:
-				d.globals[id] = globalInfo{g: d.p.AddUniform(d.name(id, "u"), pi.t), op: ir.OpUniform}
+				d.globals.set(d, id, globalInfo{g: d.p.AddUniform(d.name(id, "u"), pi.t), op: ir.OpUniform})
 			case storageInput:
-				d.globals[id] = globalInfo{g: d.p.AddInput(d.name(id, "in"), pi.t), op: ir.OpInput}
+				d.globals.set(d, id, globalInfo{g: d.p.AddInput(d.name(id, "in"), pi.t), op: ir.OpInput})
 			case storageOutput:
-				d.vars[id] = d.p.AddOutput(d.name(id, "out"), pi.t)
+				d.vars.set(d, id, d.p.AddOutput(d.name(id, "out"), pi.t))
 			default:
 				return fmt.Errorf("spirvgen: module variable with storage class %d", w[3])
 			}
@@ -358,26 +484,24 @@ func (d *decoder) module(words []uint32) error {
 	if blk != nil {
 		return fmt.Errorf("spirvgen: unterminated block %d", blk.id)
 	}
-	return nil
+	return d.err
 }
 
 // resolve returns the instruction producing id, materializing module
 // constants into the current block on first use within a scope.
 func (d *decoder) resolve(id uint32) (*ir.Instr, error) {
-	if in, ok := d.vals[id]; ok {
+	if in, ok := d.vals.get(id); ok {
 		return in, nil
 	}
-	for i := len(d.scopes) - 1; i >= 0; i-- {
-		if in, ok := d.scopes[i].memo[id]; ok {
-			return in, nil
-		}
+	if in, ok := d.memo.get(id); ok {
+		return in, nil
 	}
-	if ci, ok := d.consts[id]; ok {
+	if ci, ok := d.consts.get(id); ok {
 		in := d.p.NewInstr(ir.OpConst, ci.t)
-		in.Const = ci.c.Clone()
-		s := d.cur()
-		s.b.Append(in)
-		s.memo[id] = in
+		in.Const = ci.c // immutable, so every use shares it
+		d.cur().b.Append(in)
+		d.memo.set(d, id, in)
+		d.memoIDs = append(d.memoIDs, id)
 		return in, nil
 	}
 	return nil, fmt.Errorf("spirvgen: unknown value id %d", id)
@@ -387,7 +511,7 @@ func (d *decoder) resolve(id uint32) (*ir.Instr, error) {
 // reaches stop (0 = decode to OpReturn).
 func (d *decoder) region(bid, stop uint32) error {
 	for {
-		blk := d.blocks[bid]
+		blk := d.blocks.at(bid)
 		if blk == nil {
 			return fmt.Errorf("spirvgen: branch to unknown block %d", bid)
 		}
@@ -418,7 +542,7 @@ func (d *decoder) region(bid, stop uint32) error {
 			if target == stop {
 				return nil
 			}
-			tb := d.blocks[target]
+			tb := d.blocks.at(target)
 			if tb != nil && tb.merge != nil && tb.merge[0]&0xffff == opLoopMerge {
 				merge, err := d.loop(target)
 				if err != nil {
@@ -466,13 +590,13 @@ func (d *decoder) region(bid, stop uint32) error {
 // OpLoopMerge, returning the merge block id. LoopControl None marks the
 // canonical counted shape; MaxIterations marks a while-loop.
 func (d *decoder) loop(headerID uint32) (uint32, error) {
-	hdr := d.blocks[headerID]
+	hdr := d.blocks.at(headerID)
 	mw := hdr.merge
 	merge, cont, control := mw[1], mw[2], mw[3]
 	if hdr.term[0]&0xffff != opBranch {
 		return 0, fmt.Errorf("spirvgen: loop header must end in OpBranch")
 	}
-	chk := d.blocks[hdr.term[1]]
+	chk := d.blocks.at(hdr.term[1])
 	if chk == nil {
 		return 0, fmt.Errorf("spirvgen: loop check block missing")
 	}
@@ -480,7 +604,7 @@ func (d *decoder) loop(headerID uint32) (uint32, error) {
 		return 0, fmt.Errorf("spirvgen: loop check block has unexpected terminator")
 	}
 	bodyID := chk.term[2]
-	contBlk := d.blocks[cont]
+	contBlk := d.blocks.at(cont)
 	if contBlk == nil || contBlk.term[0]&0xffff != opBranch || contBlk.term[1] != headerID {
 		return 0, fmt.Errorf("spirvgen: loop continue block must branch to header")
 	}
@@ -532,7 +656,7 @@ func (d *decoder) loop(headerID uint32) (uint32, error) {
 		return 0, fmt.Errorf("spirvgen: counted loop check block has %d instructions, want 2", len(chk.instrs))
 	}
 	ldW, cmpW := chk.instrs[0], chk.instrs[1]
-	if ldW[0]&0xffff != opLoad || len(ldW) < 4 || d.vars[ldW[3]] != ctr {
+	if ldW[0]&0xffff != opLoad || len(ldW) < 4 || d.vars.at(ldW[3]) != ctr {
 		return 0, fmt.Errorf("spirvgen: counted loop check does not load the counter")
 	}
 	if cmpW[0]&0xffff != opSLessThan || len(cmpW) < 5 || cmpW[3] != ldW[2] {
@@ -594,7 +718,7 @@ func (d *decoder) instr(w []uint32) error {
 		return nil
 	}
 	rt := func() (sem.Type, error) {
-		t, ok := d.types[w[1]]
+		t, ok := d.types.get(w[1])
 		if !ok {
 			return sem.Void, fmt.Errorf("spirvgen: opcode %d references unknown type %d", opc, w[1])
 		}
@@ -608,7 +732,7 @@ func (d *decoder) instr(w []uint32) error {
 	}
 	record := func(in *ir.Instr) {
 		d.cur().b.Append(in)
-		d.vals[w[2]] = in
+		d.vals.set(d, w[2], in)
 	}
 
 	if s, ok := binDecode[opc]; ok {
@@ -657,11 +781,11 @@ func (d *decoder) instr(w []uint32) error {
 		if err := need(4); err != nil {
 			return err
 		}
-		pi, ok := d.ptrs[w[1]]
+		pi, ok := d.ptrs.get(w[1])
 		if !ok || w[3] != storageFunction {
 			return fmt.Errorf("spirvgen: function-scope variable with bad pointer/storage")
 		}
-		d.vars[w[2]] = d.p.AddVar(d.name(w[2], "v"), pi.t)
+		d.vars.set(d, w[2], d.p.AddVar(d.name(w[2], "v"), pi.t))
 	case opLoad:
 		if err := need(4); err != nil {
 			return err
@@ -670,13 +794,13 @@ func (d *decoder) instr(w []uint32) error {
 		if err != nil {
 			return err
 		}
-		if gi, ok := d.globals[w[3]]; ok {
+		if gi, ok := d.globals.get(w[3]); ok {
 			in := d.p.NewInstr(gi.op, t)
 			in.Global = gi.g
 			record(in)
 			return nil
 		}
-		v, ok := d.vars[w[3]]
+		v, ok := d.vars.get(w[3])
 		if !ok {
 			return fmt.Errorf("spirvgen: load from unknown pointer %d", w[3])
 		}
@@ -687,7 +811,7 @@ func (d *decoder) instr(w []uint32) error {
 		if err := need(3); err != nil {
 			return err
 		}
-		v, ok := d.vars[w[1]]
+		v, ok := d.vars.get(w[1])
 		if !ok {
 			return fmt.Errorf("spirvgen: store to unknown pointer %d", w[1])
 		}
@@ -878,11 +1002,11 @@ func (d *decoder) instr(w []uint32) error {
 		if err := need(4); err != nil {
 			return err
 		}
-		samp, ok := d.vals[w[3]]
+		samp, ok := d.vals.get(w[3])
 		if !ok {
 			return fmt.Errorf("spirvgen: OpImage of unknown sampled image %d", w[3])
 		}
-		d.images[w[2]] = samp
+		d.images.set(d, w[2], samp)
 	case opImageSampleImplicitLod, opImageSampleExplicitLod:
 		if err := need(5); err != nil {
 			return err
@@ -891,7 +1015,7 @@ func (d *decoder) instr(w []uint32) error {
 		if err != nil {
 			return err
 		}
-		samp, ok := d.vals[w[3]]
+		samp, ok := d.vals.get(w[3])
 		if !ok {
 			return fmt.Errorf("spirvgen: sample from unknown sampled image %d", w[3])
 		}
@@ -927,7 +1051,7 @@ func (d *decoder) instr(w []uint32) error {
 		if err != nil {
 			return err
 		}
-		samp, ok := d.images[w[3]]
+		samp, ok := d.images.get(w[3])
 		if !ok {
 			return fmt.Errorf("spirvgen: fetch from unknown image %d", w[3])
 		}

@@ -24,9 +24,9 @@ func Emit(p *ir.Program) ([]uint32, error) {
 		scalars: map[scalarKey]uint32{},
 		consts:  map[string]uint32{},
 		ptrs:    map[ptrKey]uint32{},
-		instrID: map[*ir.Instr]uint32{},
-		globVar: map[*ir.Global]uint32{},
-		varVar:  map[*ir.Var]uint32{},
+		instrID: make([]emitted, p.MaxID()+1),
+		globVar: make(map[*ir.Global]uint32, len(p.Uniforms)+len(p.Inputs)),
+		varVar:  make(map[*ir.Var]uint32, len(p.Vars)),
 	}
 	return e.run()
 }
@@ -59,13 +59,37 @@ type emitter struct {
 	scalars map[scalarKey]uint32
 	consts  map[string]uint32 // appendKey of the type, then the payload → id
 	ptrs    map[ptrKey]uint32
-	keyBuf  []byte // reused to build consts keys
-	instrID map[*ir.Instr]uint32
+	keyBuf  []byte    // reused to build consts keys
+	instrID []emitted // by instruction ID: a program's are distinct, in 1..MaxID
 	globVar map[*ir.Global]uint32
 	varVar  map[*ir.Var]uint32
 
 	extSet uint32 // OpExtInstImport result
 	err    error
+}
+
+// emitted is an instrID entry: the id of in's value.
+type emitted struct {
+	in *ir.Instr
+	id uint32
+}
+
+// valueID returns the id recorded for in's value, if any.
+func (e *emitter) valueID(in *ir.Instr) (uint32, bool) {
+	if uint(in.ID) < uint(len(e.instrID)) && e.instrID[in.ID].in == in {
+		return e.instrID[in.ID].id, true
+	}
+	return 0, false
+}
+
+// setValueID records id as in's value. An instruction outside 1..MaxID
+// fails the emit.
+func (e *emitter) setValueID(in *ir.Instr, id uint32) {
+	if uint(in.ID) >= uint(len(e.instrID)) {
+		e.fail("instruction %%%d outside 1..%d", in.ID, len(e.instrID)-1)
+		return
+	}
+	e.instrID[in.ID] = emitted{in, id}
 }
 
 func (e *emitter) id() uint32 {
@@ -398,14 +422,14 @@ func (e *emitter) val(in *ir.Instr) uint32 {
 		return 0
 	}
 	if in.Op == ir.OpConst {
-		if id, ok := e.instrID[in]; ok {
+		if id, ok := e.valueID(in); ok {
 			return id
 		}
 		id := e.constID(in.Type, in.Const)
-		e.instrID[in] = id
+		e.setValueID(in, id)
 		return id
 	}
-	id, ok := e.instrID[in]
+	id, ok := e.valueID(in)
 	if !ok {
 		e.fail("operand %%%d used before definition", in.ID)
 	}
@@ -518,7 +542,7 @@ func (e *emitter) whileNode(n *ir.While) {
 func (e *emitter) instr(in *ir.Instr) {
 	switch in.Op {
 	case ir.OpConst:
-		e.instrID[in] = e.constID(in.Type, in.Const)
+		e.setValueID(in, e.constID(in.Type, in.Const))
 	case ir.OpUniform, ir.OpInput:
 		vid, ok := e.globVar[in.Global]
 		if !ok {
@@ -527,7 +551,7 @@ func (e *emitter) instr(in *ir.Instr) {
 		}
 		id := e.id()
 		op(&e.fn, opLoad, e.typeID(in.Type), id, vid)
-		e.instrID[in] = id
+		e.setValueID(in, id)
 	case ir.OpLoad:
 		vid, ok := e.varVar[in.Var]
 		if !ok {
@@ -536,7 +560,7 @@ func (e *emitter) instr(in *ir.Instr) {
 		}
 		id := e.id()
 		op(&e.fn, opLoad, e.typeID(in.Type), id, vid)
-		e.instrID[in] = id
+		e.setValueID(in, id)
 	case ir.OpStore:
 		vid, ok := e.varVar[in.Var]
 		if !ok {
@@ -599,7 +623,7 @@ func (e *emitter) instr(in *ir.Instr) {
 func (e *emitter) simple(in *ir.Instr, opcode uint32, operands ...uint32) {
 	id := e.id()
 	op(&e.fn, opcode, append([]uint32{e.typeID(in.Type), id}, operands...)...)
-	e.instrID[in] = id
+	e.setValueID(in, id)
 }
 
 func (e *emitter) binInstr(in *ir.Instr) {

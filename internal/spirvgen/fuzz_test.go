@@ -10,6 +10,8 @@ package spirvgen_test
 // ./internal/spirvgen` runs an open-ended campaign.
 
 import (
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,6 +32,11 @@ func FuzzSPIRVDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	var huge []byte
+	for _, w := range hugeBoundModule() {
+		huge = binary.LittleEndian.AppendUint32(huge, w)
+	}
+	f.Add(huge)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := spirvgen.DecodeBytes(b, "fuzz")
 		if err != nil {
@@ -91,5 +98,28 @@ func TestDecodeRejectsMalformedStructure(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// hugeBoundModule is a well-framed module whose header claims an id bound
+// far above its word count.
+func hugeBoundModule() []uint32 {
+	const opTypeVoid = 19
+	return []uint32{spirvgen.Magic, spirvgen.Version, spirvgen.Generator, 1 << 28, 0, 2<<16 | opTypeVoid, 1}
+}
+
+// TestDecodeRejectsBoundAboveWordCount checks that the decoder sizes
+// nothing from an untrusted id bound: a header bound above the module's
+// word count is rejected before any table is made for it.
+func TestDecodeRejectsBoundAboveWordCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := spirvgen.Decode(hugeBoundModule(), "bad")
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "bound") {
+		t.Fatalf("got error %v, want one about the id bound", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("rejecting the module allocated %d bytes", n)
 	}
 }

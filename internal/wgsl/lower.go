@@ -47,6 +47,7 @@ func Translate(m *Module) (*glsl.Shader, error) {
 		Own:        tr,
 		OwnCalls:   ownCalls,
 	})
+	defer tr.Release()
 	return tr.module(m)
 }
 
