@@ -130,7 +130,7 @@ func enumerateFromIR(reg *telemetry.Registry, base *ir.Program, name string, wor
 
 		// Fan the step applications out across the pool: each distinct
 		// parent IR has this step applied to it exactly once — or, with a
-		// shared table, adopted/transported from another shader's walk.
+		// shared table, skipped as a no-op another shader's walk recorded.
 		children := make([]*enumNode, len(parents))
 		parallelFor(workers, len(parents), func(i int) {
 			if shared != nil {

@@ -92,12 +92,9 @@ func (p *Program) CloneBlock(b *Block, varSubst map[*Var]*Var) *Block {
 // CloneRemapped deep-copies the program while substituting every Global
 // and Var reference through the given maps: the declaration lists and
 // every instruction operand are rewritten to the mapped slots, and IDs
-// are numbered densely in program order. It has two callers.
-// Cross-shader trie transport maps each slot positionally onto an
-// alpha-equivalent program's, so a transform result computed for one
-// becomes the result for the other. The mobile ES conversion
-// (crossc.ESFromIR) maps every slot onto a fresh one with a synthetic
-// name, the name loss of the paper's SPIR-V tool chain. The
+// are numbered densely in program order. The mobile ES conversion
+// (crossc.ESFromIR) uses it to map every slot onto a fresh one with a
+// synthetic name, the name loss of the paper's SPIR-V tool chain. The
 // substitution is strict — a Global or Var the program declares or
 // references that is absent from its map (e.g. one a pass synthesized
 // after the maps were built) fails the clone, returning (nil, false) so

@@ -572,13 +572,6 @@ func TestCloneIsCompact(t *testing.T) {
 	if !p.Clone().IsCompact() {
 		t.Error("the clone of a program that dropped an instruction is not compact")
 	}
-	if p.Compacted() != p {
-		t.Error("Compacted copied a program that dropped one instruction of seven")
-	}
-	p.Body.Items = p.Body.Items[:2]
-	if c := p.Compacted(); c == p || !c.IsCompact() || c.String() != p.String() {
-		t.Error("Compacted kept a program that dropped most of its instructions")
-	}
 }
 
 // TestCloneScratchAfterRelease checks that a scratch copy taking over a

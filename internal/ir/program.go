@@ -103,18 +103,6 @@ func (p *Program) grow() {
 	p.free = c[:]
 }
 
-// Compacted returns p while at least half the instructions its chunks
-// handed out are still in its body, and otherwise p's Clone, which holds
-// none of the dropped ones. A program kept through Compacted pins at most
-// as many dropped instructions as it holds, and one a pass barely touched
-// is kept without a copy.
-func (p *Program) Compacted() *Program {
-	if p.made <= 2*p.Body.CountInstrs() {
-		return p
-	}
-	return p.Clone()
-}
-
 // IsCompact reports whether the program's instructions fill one chunk with
 // nothing else: every instruction the chunk handed out is in the body.
 // A Clone is compact; a program a pass has dropped instructions from is

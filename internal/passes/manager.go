@@ -52,11 +52,12 @@ type Step struct {
 	// NameBlind reports that the step's output is independent of
 	// identifier spellings: running it on two alpha-equivalent programs
 	// yields alpha-equivalent results under the same renaming, so a
-	// cross-shader enumeration may transport one program's result onto
-	// the other by renaming interface slots. Every step qualifies except
-	// Hoist, which orders the select/store pairs it synthesizes by
-	// variable name (sortedVarsByName), so its *output* can depend on
-	// spellings even though its firing decision is purely structural.
+	// cross-shader enumeration may reuse one program's outcome (a no-op,
+	// or the child's canonical fingerprint) for the other. Every step
+	// qualifies except Hoist, which orders the select/store pairs it
+	// synthesizes by variable name (sortedVarsByName), so its *output*
+	// can depend on spellings even though its firing decision is purely
+	// structural.
 	NameBlind bool
 }
 

@@ -156,7 +156,8 @@ func (s *Session) storePutScore(vendor, hash string, ns float64) {
 // (step index + flag bit + canonical parent fingerprint — the step
 // identity is in the key, so a reordered pipeline can never consume a
 // stale entry). The payload is one no-op byte plus the child's canonical
-// fingerprint; a no-op read back on a warm start skips the pass outright,
+// fingerprint, the whole of a shared-table entry, so a warm start reads
+// back everything the table knew; a no-op skips the pass outright,
 // and the usual degradation rules apply (corrupt entry → miss, failed
 // write → not cached, both without affecting results).
 type trieStore struct {

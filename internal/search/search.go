@@ -203,12 +203,13 @@ type Options struct {
 	// in-memory LRUs: memory miss → store read → compute → write-through,
 	// for driver compiles (keyed vendor + canonical IR fingerprint),
 	// measurement scores (keyed vendor + source hash + protocol), and
-	// shared trie-node outcomes (keyed step + canonical parent
-	// fingerprint). The session instruments the store's
-	// hit/miss/eviction traffic into its telemetry registry
-	// (cache.store.*, store.*). Sharing one store across sessions is
-	// sound — entries are deterministic recomputations — but the sinks
-	// belong to the last session that attached.
+	// shared trie-node outcomes (the no-op bit and the child's canonical
+	// fingerprint, keyed step + canonical parent fingerprint). The
+	// session instruments the store's hit/miss/eviction traffic into its
+	// telemetry registry (cache.store.*, store.*). Sharing one store
+	// across sessions is sound — entries are deterministic
+	// recomputations — but the sinks belong to the last session that
+	// attached.
 	Store *store.Store
 }
 

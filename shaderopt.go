@@ -63,18 +63,14 @@
 // so when one shader's walk reaches an intermediate IR another shader
 // already pushed through a step — the übershader-family scenario, where
 // variants specialized from one source walk alpha-equivalent states —
-// it adopts the recorded outcome instead of re-running the pass: a
-// recorded no-op collapses the subtree outright, an identical-spelling
-// parent adopts the child wholesale, and an alpha-equivalent parent
-// rebuilds it by positionally renaming interface slots (one clone
-// instead of a pass run). Sharing stays strictly at the transform
-// level — each shader keeps its own trie, variant texts, and
-// measurement seeds — so shared-walk variant sets are byte-identical
-// to private ones (pinned corpus-wide by
-// TestSharedEnumerationMatchesPrivate, and a committed benchmark gate
-// holds the twin-family speedup). With a persistent store attached, the
-// name-insensitive half of each node (the no-op bit and the child's
-// canonical fingerprint) survives restarts, so a warm daemon skips
+// it reads the recorded outcome: a recorded no-op collapses the subtree
+// without running the pass, and any other outcome saves the child's
+// canonical fingerprint. The table holds those two facts and no IR.
+// Sharing stays strictly at the transform level — each shader keeps its
+// own trie, variant texts, and measurement seeds — so shared-walk
+// variant sets are byte-identical to private ones (pinned corpus-wide
+// by TestSharedEnumerationMatchesPrivate). With a persistent store
+// attached, every node survives restarts, so a warm daemon skips
 // recorded no-op passes outright. The table is LRU-bounded, reports as
 // enum.shared.{hits,misses}, and every session has one.
 //
