@@ -10,7 +10,6 @@ import (
 	"shaderopt/internal/ir"
 	"shaderopt/internal/lower"
 	"shaderopt/internal/passes"
-	"shaderopt/internal/sem"
 )
 
 // roundTrip lowers src, generates GLSL, re-lowers the generated source, and
@@ -317,33 +316,4 @@ void main() {
     c = vec4(a - -2.0, -a, a * -3.0, 1.0);
 }
 `, nil)
-}
-
-// sameNamedLocals returns a program declaring n float locals, all named x:
-// what full inlining of a doubling call chain leaves behind.
-func sameNamedLocals(n int) *ir.Program {
-	p := ir.NewProgram("locals")
-	for i := 0; i < n; i++ {
-		p.Vars = append(p.Vars, &ir.Var{Name: "x", Type: sem.Float})
-	}
-	return p
-}
-
-// TestSameNamedLocalsLinear pins that naming n same-named locals costs
-// O(n): allocations for 4n locals stay within ~4.5x of those for n (a
-// namer that restarts every search at x_2 allocates ~16x), and the names
-// are still x, x_2, …, x_4n.
-func TestSameNamedLocalsLinear(t *testing.T) {
-	const n = 400
-	small, large := sameNamedLocals(n), sameNamedLocals(4*n)
-	a := testing.AllocsPerRun(5, func() { Generate(small, Desktop) })
-	b := testing.AllocsPerRun(5, func() { Generate(large, Desktop) })
-	t.Logf("allocs: %d locals %.0f, %d locals %.0f (%.2fx)", n, a, 4*n, b, b/a)
-	if b > 4.5*a {
-		t.Fatalf("allocs for %d locals = %.0f, for %d = %.0f: %.1fx, want <= 4.5x", n, a, 4*n, b, b/a)
-	}
-	out := Generate(large, Desktop)
-	if !strings.Contains(out, "float x;") || !strings.Contains(out, "float x_1600;") || strings.Contains(out, "x_1601") {
-		t.Fatalf("names are not x, x_2, ..., x_1600:\n%s", out)
-	}
 }

@@ -34,6 +34,19 @@ const whileGuard = 4096
 // body per call level, so a short source can ask for exponentially many;
 // past the budget Lower returns an error instead of exhausting time and
 // memory.
+//
+// What a shader just under the budget costs a sweep (2-core Intel Xeon
+// VM, go1.24.0, one worker, the fast protocol): a 64517-instruction
+// lowering (a 12-level doubling call chain plus a 5120-term sum) lowers
+// in 67 ms, enumerates its 256 flag sets into 2 variants in 12.4 s, and
+// the shared GLSL/MSL walk emits each variant in about 6 ms per dialect.
+// Its compile then stops with this budget's error in the Intel driver's
+// front end: re-lowering a variant's text costs about 4 instructions per
+// IR instruction of a sum chain. The largest sum chain that sweeps on all
+// five platforms is 5000 terms (15010 instructions): lowering 23 ms,
+// enumeration 1.0 s, codegen 4-5 ms per dialect over its 3 variants, 20
+// driver compiles 172 ms, measurement 3 ms. At 7000 terms the mobile
+// path's second round trip (desktop text to GLES text) passes the budget.
 const MaxInstrs = 1 << 16
 
 // Lower converts a parsed shader into an IR program. The shader must pass
