@@ -52,7 +52,7 @@ func Generate(p *ir.Program, d Dialect) string {
 	g.Open()
 	g.Body(false) // outputs are the out declarations above
 	g.Close("}")
-	text, _ := g.Text()
+	text, _ := g.Text() // a failure is already in the text as its placeholder
 	return text
 }
 

@@ -13,7 +13,7 @@ import (
 // A Spelling is what one C-family dialect writes its own way. The Walk
 // does everything else (naming, statements, expressions) and asks the
 // Spelling only for these; a Spelling places its operands with the
-// Walk's Arg, Args, Operand, Elems and Lits.
+// Walk's Arg, Args, Operand and Elems and with Lits.
 type Spelling interface {
 	// Reserved reports whether name cannot be claimed as an identifier.
 	Reserved(name string) bool
