@@ -6,7 +6,6 @@ import (
 
 	"shaderopt/internal/glslgen"
 	"shaderopt/internal/ir"
-	"shaderopt/internal/msl"
 	"shaderopt/internal/sem"
 )
 
@@ -20,11 +19,11 @@ func sameNamedLocals(n int) *ir.Program {
 	return p
 }
 
-// TestSameNamedLocalsLinear pins, in each dialect of the shared walk,
-// that naming n same-named locals costs O(n): allocations for 4n locals
+// TestSameNamedLocalsLinear pins, in each GLSL dialect of the shared
+// walk, that naming n same-named locals costs O(n): allocations for 4n locals
 // stay within ~4.5x of those for n (a namer that restarts every search
 // at x_2 allocates ~16x), emission succeeds, and the names are still x,
-// x_2, …, x_4n.
+// x_2, …, x_4n. msl.TestEmitSameNamedLocalsLinear pins the same for MSL.
 func TestSameNamedLocalsLinear(t *testing.T) {
 	glsl := func(d glslgen.Dialect) func(*ir.Program) (string, error) {
 		return func(p *ir.Program) (string, error) { return glslgen.Generate(p, d), nil }
@@ -35,7 +34,6 @@ func TestSameNamedLocalsLinear(t *testing.T) {
 	}{
 		{"Desktop", glsl(glslgen.Desktop)},
 		{"ES", glsl(glslgen.ES)},
-		{"MSL", msl.Emit},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			emit := func(p *ir.Program) string {

@@ -260,3 +260,36 @@ void main() { color = vec4(uv, 0.0, 1.0); }
 		t.Errorf("unused glsl_mod helper emitted:\n%s", without)
 	}
 }
+
+// TestEmitSameNamedLocalsLinear pins that the emitter names n same-named
+// locals in O(n): allocations for 4n locals stay within ~4.5x of those
+// for n (a namer that restarts every search at x_2 allocates ~16x), and
+// the names are still x, x_2, …, x_4n.
+func TestEmitSameNamedLocalsLinear(t *testing.T) {
+	locals := func(n int) *ir.Program {
+		p := ir.NewProgram("locals")
+		for i := 0; i < n; i++ {
+			p.Vars = append(p.Vars, &ir.Var{Name: "x", Type: sem.Float})
+		}
+		return p
+	}
+	const n = 400
+	small, large := locals(n), locals(4*n)
+	emit := func(p *ir.Program) string {
+		out, err := msl.Emit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a := testing.AllocsPerRun(5, func() { emit(small) })
+	b := testing.AllocsPerRun(5, func() { emit(large) })
+	t.Logf("allocs: %d locals %.0f, %d locals %.0f (%.2fx)", n, a, 4*n, b, b/a)
+	if b > 4.5*a {
+		t.Fatalf("allocs for %d locals = %.0f, for %d = %.0f: %.1fx, want <= 4.5x", n, a, 4*n, b, b/a)
+	}
+	out := emit(large)
+	if !strings.Contains(out, "float x;") || !strings.Contains(out, "float x_1600;") || strings.Contains(out, "x_1601") {
+		t.Fatalf("names are not x, x_2, ..., x_1600:\n%s", out)
+	}
+}
