@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"shaderopt/internal/core"
 	"shaderopt/internal/lex"
@@ -189,5 +190,75 @@ func TestAdversarialFamiliesTerminate(t *testing.T) {
 				t.Errorf("%s/%s: got %v, want an error naming the %s", lang, name, err, fam.bound)
 			}
 		}
+	}
+}
+
+// acceptedFamilies build sources that Compile accepts and whose
+// enumeration once cost far more than their size: a loop condition
+// reading a doubling chain (a0 + a0, a1 + a1, …, which ADCE's walk of
+// the condition once visited 2^n times), and long def chains (which its
+// fixed point once walked once per link).
+var acceptedFamilies = map[string]func(lang core.Lang) string{
+	"doubling-chain while": func(lang core.Lang) string { return doublingWhile(lang, 40) },
+	"sum chain 3000":       func(lang core.Lang) string { return sumChain(lang, 3000) },
+	"sum chain 12000":      func(lang core.Lang) string { return sumChain(lang, 12000) },
+}
+
+// local declares a float local in lang.
+func local(lang core.Lang, name, init string) string {
+	if lang == core.LangWGSL {
+		return "var " + name + ": f32 = " + init + ";\n"
+	}
+	return "float " + name + " = " + init + ";\n"
+}
+
+// doublingWhile declares a0 = uv.x and ak = a(k-1) + a(k-1) up to an,
+// then doubles s while it is below an.
+func doublingWhile(lang core.Lang, n int) string {
+	var b strings.Builder
+	b.WriteString(local(lang, "a0", "uv.x"))
+	for k := 1; k <= n; k++ {
+		b.WriteString(local(lang, fmt.Sprintf("a%d", k), fmt.Sprintf("a%d + a%d", k-1, k-1)))
+	}
+	b.WriteString(local(lang, "s", "1.0"))
+	fmt.Fprintf(&b, "while (s < a%d) { s = s * 2.0; }", n)
+	return nestWrap(lang, b.String(), "s")
+}
+
+// sumChain adds sin(s) to s n times, one statement each: a def chain of
+// 5n instructions as lowered.
+func sumChain(lang core.Lang, n int) string {
+	var b strings.Builder
+	b.WriteString(local(lang, "s", "uv.x"))
+	for range n {
+		b.WriteString("s = s + sin(s);\n")
+	}
+	return nestWrap(lang, b.String(), "s")
+}
+
+// TestAcceptedFamiliesEnumerate compiles and enumerates every accepted
+// family in every frontend, and checks that the 12000-term sum chain
+// enumerates in at most 8 times the 3000-term chain's time, measured in
+// the same run: enumeration is linear in a def chain, not quadratic.
+func TestAcceptedFamiliesEnumerate(t *testing.T) {
+	enum := map[string]time.Duration{}
+	for name, fam := range acceptedFamilies {
+		for _, lang := range nestLangs {
+			sh, err := core.Compile(fam(lang), name, lang)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", lang, name, err)
+			}
+			runtime.GC()
+			start := time.Now()
+			if vs := sh.Variants(); vs.Unique() == 0 {
+				t.Errorf("%s/%s: no variants", lang, name)
+			}
+			enum[name] += time.Since(start)
+		}
+	}
+	small, large := enum["sum chain 3000"], enum["sum chain 12000"]
+	t.Logf("sum chain enumeration, all frontends: 3000 terms %v, 12000 terms %v", small, large)
+	if large > 8*small {
+		t.Errorf("the 12000-term sum chain enumerates in %v, over 8 times the 3000-term chain's %v", large, small)
 	}
 }

@@ -1,85 +1,99 @@
 package passes
 
-import (
-	"shaderopt/internal/ir"
-)
+import "shaderopt/internal/ir"
 
 // ADCE is aggressive dead code elimination: assume everything dead, mark
-// live from observable effects (output stores and discards), then sweep.
-// Because the always-on canonicalization already removes trivially dead
-// instructions and dead stores, this pass "in practice never changes the
-// source output" (§VI-D1) — exactly the paper's observation — but it is a
-// real mark-sweep implementation and does fire on IR that has not been
-// canonicalized.
+// live from the roots (the stores to outputs, every discard and every
+// while condition, so a while loop is never removed), then sweep. The
+// mark is one backward worklist, linear in the program: a live
+// instruction marks its operands, a live load its var, a live var every
+// store to it. Control dependence: a live store, discard or while
+// condition also marks the conditions of its enclosing ifs, counted
+// loops (their bounds) and whiles.
+//
+// Canonicalization already removes trivially dead instructions and dead
+// stores, so this pass "in practice never changes the source output"
+// (§VI-D1), the paper's observation; it fires on uncanonicalized IR.
 func ADCE(p *ir.Program) bool {
-	live := map[*ir.Instr]bool{}
+	live := make([]bool, p.MaxID()+1)
+	var work []*ir.Instr
+	mark := func(in *ir.Instr) {
+		if !live[in.ID] {
+			live[in.ID] = true
+			work = append(work, in)
+		}
+	}
+	// markEffect marks an instruction and the conditions of the regions
+	// enclosing it, up to the first region already done.
+	regionOf := make([]*region, p.MaxID()+1)
+	markEffect := func(in *ir.Instr) {
+		mark(in)
+		for r := regionOf[in.ID]; r != nil && !r.done; r = r.parent {
+			r.done = true
+			for _, c := range r.conds {
+				mark(c)
+			}
+		}
+	}
+
+	// One walk records each instruction's innermost region (nil at top
+	// level; a while's Cond block runs in the region around it), chains
+	// each var's stores (lastStore[v], then prevStore[s.ID] back), and
+	// marks the discards and while conditions.
+	lastStore := map[*ir.Var]*ir.Instr{}
+	prevStore := make([]*ir.Instr, p.MaxID()+1)
+	var scan func(b *ir.Block, r *region)
+	scan = func(b *ir.Block, r *region) {
+		for _, it := range b.Items {
+			switch it := it.(type) {
+			case *ir.Instr:
+				regionOf[it.ID] = r
+				if it.Op == ir.OpStore {
+					prevStore[it.ID], lastStore[it.Var] = lastStore[it.Var], it
+				} else if it.Op == ir.OpDiscard {
+					markEffect(it)
+				}
+			case *ir.If:
+				in := &region{conds: []*ir.Instr{it.Cond}, parent: r}
+				scan(it.Then, in)
+				if it.Else != nil {
+					scan(it.Else, in)
+				}
+			case *ir.Loop:
+				scan(it.Body, &region{conds: []*ir.Instr{it.Start, it.End, it.Step}, parent: r})
+			case *ir.While:
+				scan(it.Cond, r)
+				markEffect(it.CondVal)
+				scan(it.Body, &region{conds: []*ir.Instr{it.CondVal}, parent: r})
+			}
+		}
+	}
+	scan(p.Body, nil)
+
 	liveVars := map[*ir.Var]bool{}
+	markVar := func(v *ir.Var) {
+		if !liveVars[v] {
+			liveVars[v] = true
+			for s := lastStore[v]; s != nil; s = prevStore[s.ID] {
+				markEffect(s)
+			}
+		}
+	}
 	for _, out := range p.Outputs {
-		liveVars[out] = true
+		markVar(out)
 	}
-
-	// Iterate to a fixed point: effects and everything they need.
-	for {
-		grew := false
-		mark := func(in *ir.Instr) {
-			if !live[in] {
-				live[in] = true
-				grew = true
-			}
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, a := range in.Args {
+			mark(a)
 		}
-		var walkBlock func(b *ir.Block, condLive bool, conds []*ir.Instr)
-		walkBlock = func(b *ir.Block, condLive bool, conds []*ir.Instr) {
-			markConds := func() {
-				for _, c := range conds {
-					mark(c)
-				}
-			}
-			for _, it := range b.Items {
-				switch it := it.(type) {
-				case *ir.Instr:
-					switch it.Op {
-					case ir.OpDiscard:
-						mark(it)
-						markConds()
-					case ir.OpStore:
-						if liveVars[it.Var] {
-							mark(it)
-							markConds()
-						}
-					}
-					if live[it] {
-						for _, a := range it.Args {
-							mark(a)
-						}
-						if it.Op == ir.OpLoad && !liveVars[it.Var] {
-							liveVars[it.Var] = true
-							grew = true
-						}
-					}
-				case *ir.If:
-					walkBlock(it.Then, condLive, append(conds, it.Cond))
-					if it.Else != nil {
-						walkBlock(it.Else, condLive, append(conds, it.Cond))
-					}
-				case *ir.Loop:
-					liveVars[it.Counter] = liveVars[it.Counter] // counter only live if loaded
-					walkBlock(it.Body, condLive, append(conds, it.Start, it.End, it.Step))
-				case *ir.While:
-					// Loop trip count is control-dependent on the cond value.
-					walkBlock(it.Body, condLive, append(conds, it.CondVal))
-					// If anything in the body is live, the cond chain is too;
-					// handled by the conds propagation on live items inside.
-					walkBlock(it.Cond, condLive, conds)
-				}
-			}
-		}
-		walkBlock(p.Body, false, nil)
-		if !grew {
-			break
+		if in.Op == ir.OpLoad {
+			markVar(in.Var)
 		}
 	}
 
-	// Sweep: remove non-live pure instructions and dead stores; drop empty
+	// Sweep: remove non-live instructions; drop empty if and counted-loop
 	// regions.
 	changed := false
 	var sweep func(b *ir.Block)
@@ -88,8 +102,7 @@ func ADCE(p *ir.Program) bool {
 		for _, it := range b.Items {
 			switch it := it.(type) {
 			case *ir.Instr:
-				keep := live[it]
-				if !keep {
+				if !live[it.ID] {
 					changed = true
 					continue
 				}
@@ -112,42 +125,25 @@ func ADCE(p *ir.Program) bool {
 				}
 				out = append(out, it)
 			case *ir.While:
+				sweep(it.Cond)
 				sweep(it.Body)
-				// Keep the cond block intact: its value controls
-				// termination and is marked live transitively.
-				keepCond := make([]ir.Item, 0, len(it.Cond.Items))
-				for _, ci := range it.Cond.Items {
-					if in, ok := ci.(*ir.Instr); ok && !live[in] && in != it.CondVal {
-						changed = true
-						continue
-					}
-					keepCond = append(keepCond, ci)
-				}
-				it.Cond.Items = keepCond
 				out = append(out, it)
 			}
 		}
 		b.Items = out
 	}
-	// The while cond value must always be live.
-	p.Body.WalkBlocks(func(b *ir.Block) {
-		for _, it := range b.Items {
-			if w, ok := it.(*ir.While); ok {
-				live[w.CondVal] = true
-				var markTree func(in *ir.Instr)
-				markTree = func(in *ir.Instr) {
-					live[in] = true
-					for _, a := range in.Args {
-						markTree(a)
-					}
-				}
-				markTree(w.CondVal)
-			}
-		}
-	})
 	sweep(p.Body)
 	if changed {
 		p.RenumberIDs()
 	}
 	return changed
+}
+
+// region is an if, counted loop or while body: the conditions its
+// instructions are control dependent on, and the region around it. done
+// means its conditions and every enclosing region's are marked.
+type region struct {
+	conds  []*ir.Instr
+	parent *region
+	done   bool
 }

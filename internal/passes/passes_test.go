@@ -677,6 +677,47 @@ void main() {
 	}
 }
 
+// DeadBodyWhiles are while loops whose body feeds no output: the loop
+// still runs, so the stores its condition reads must stay. The second
+// body also updates u, which nothing reads. FuzzADCEPreservesOutputs
+// seeds from them too.
+var DeadBodyWhiles = []string{`
+uniform float k;
+out vec4 c;
+void main() {
+    float s = 1.0;
+    while (s < k) { s = s * 2.0; }
+    c = vec4(1.0);
+}
+`, `
+uniform float k;
+out vec4 c;
+void main() {
+    float s = 1.0;
+    float u = 0.0;
+    while (s < k) { s = s * 2.0; u = u + 1.0; }
+    c = vec4(1.0);
+}
+`}
+
+// TestADCEKeepsWhileConditionStores checks that ADCE keeps the stores a
+// while condition reads, through its loads: marking the condition's
+// operands alone dropped s = 1.0 and the update, so the loop read an
+// uninitialized s and never ended. u's update is still swept.
+func TestADCEKeepsWhileConditionStores(t *testing.T) {
+	env := &exec.Env{Uniforms: map[string]*ir.ConstVal{"k": ir.FloatConst(100)}}
+	for i, src := range DeadBodyWhiles {
+		for _, flags := range []Flags{FlagADCE, AllFlags} {
+			opt := checkEquiv(t, src, flags, env, 0)
+			opt.Body.WalkInstrs(func(in *ir.Instr) {
+				if in.Op == ir.OpStore && in.Var.Name == "u" {
+					t.Errorf("shape %d, flags %v: the store to the unused u survives:\n%s", i, flags, opt)
+				}
+			})
+		}
+	}
+}
+
 func TestMotivatingExampleOptimization(t *testing.T) {
 	// Listing 1 with all flags: the loop disappears, weightTotal folds, the
 	// division becomes a multiplication, and instruction count collapses.

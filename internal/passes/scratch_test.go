@@ -63,3 +63,28 @@ func BenchmarkCanonicalizeCorpus(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkADCECorpus runs ADCE on a scratch clone of every corpus
+// shader's driver lowering per op, cloning outside the timer; with
+// -benchmem it shows what the mark and sweep allocate.
+func BenchmarkADCECorpus(b *testing.B) {
+	progs := driverLowerings(b)
+	clones := make([]*ir.Program, len(progs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, p := range progs {
+			clones[j] = p.CloneScratch()
+		}
+		b.StartTimer()
+		for _, c := range clones {
+			passes.ADCE(c)
+		}
+		b.StopTimer()
+		for _, c := range clones {
+			c.Release()
+		}
+		b.StartTimer()
+	}
+}
